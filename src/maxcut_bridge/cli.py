@@ -9,6 +9,7 @@ detected before solving, 4 unexpected solver failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -108,6 +109,17 @@ def _table(rows, headers) -> str:
     for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines)
+
+
+def _render_pairs(pairs, fmt) -> str:
+    """One key/value record as a json object, a two-line csv, or ``k = v`` lines."""
+    if fmt == "json":
+        doc = {k: (v.item() if isinstance(v, np.generic) else v) for k, v in pairs}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return (_csv_line([k for k, _ in pairs]) + "\n"
+                + _csv_line([v for _, v in pairs]) + "\n")
+    return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -283,16 +295,15 @@ def _render_solve(report, cert, fmt):
         lines += [_csv_line(r) for r in rows]
         lines += [f"# {k}: {_fmt(v)}" for k, v in meta]
         return "\n".join(lines) + "\n"
-    body = _table(rows, headers)
-    tail = "\n".join(f"{k} = {_fmt(v)}" for k, v in meta)
-    return f"{body}\n\n{tail}\n"
+    return _table(rows, headers) + "\n\n" + _render_pairs(meta, "table")
 
 
-def _run_bounds(sign: SignProgram, cfg: RunConfig, pb, gw_trials=0,
-                include_brute_force=None):
+def _run_bounds(sign: SignProgram, cfg: RunConfig, pb, selectors,
+                gw_trials=0, include_brute_force=None):
+    """Every command's bound report is computed through this one call."""
     return compute_bounds(
         sign,
-        selectors=list(cfg.selectors) if cfg.selectors else None,
+        selectors=list(selectors),
         cfg=cfg.solver,
         pb=pb,
         include_brute_force=include_brute_force,
@@ -303,22 +314,16 @@ def _run_bounds(sign: SignProgram, cfg: RunConfig, pb, gw_trials=0,
 
 
 def cmd_solve(cfg: RunConfig, gw_trials: int, no_brute_force: bool) -> int:
+    if gw_trials < 0:
+        raise UsageError("--gw-trials must be >= 0 (0 means no rounding)")
     prog = _resolve_program(cfg)
     sign = _as_sign_program(prog)
     pb = _penalty(sign, cfg)
-    selected = list(cfg.selectors) if cfg.selectors else list(SELECTORS)
+    selected = list(cfg.selectors or SELECTORS)
     if not no_brute_force and "brute_force" not in selected:
         selected.append("brute_force")  # reference value when n is small
-    report = compute_bounds(
-        sign,
-        selectors=selected,
-        cfg=cfg.solver,
-        pb=pb,
-        include_brute_force=False if no_brute_force else None,
-        gw_trials=gw_trials,
-        gw_seed=cfg.seed,
-        dnn_cfg=cfg.dnn_solver,
-    )
+    report = _run_bounds(sign, cfg, pb, selected, gw_trials=gw_trials,
+                         include_brute_force=False if no_brute_force else None)
     cert = certify(report, pb)
     _emit(_render_solve(report, cert, cfg.fmt), cfg.output)
     seconds = sum(e.seconds for e in report.entries.values())
@@ -348,24 +353,18 @@ def cmd_round(cfg: RunConfig, trials: int, polish: bool) -> int:
         ("trials", trials),
         ("seed", cfg.seed),
     ]
-    if cfg.fmt == "json":
-        doc = {k: (v.item() if isinstance(v, np.generic) else v) for k, v in pairs}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.output)
-    elif cfg.fmt == "csv":
-        _emit(_csv_line([k for k, _ in pairs]) + "\n" +
-              _csv_line([v for _, v in pairs]) + "\n", cfg.output)
-    else:
-        _emit("\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n", cfg.output)
+    _emit(_render_pairs(pairs, cfg.fmt), cfg.output)
     _log(cfg, f"feasible={rec.feasible} objective={_fmt(rec.objective)}")
     return EXIT_OK
 
 
 def cmd_certify(cfg: RunConfig, trials: int) -> int:
+    if trials < 1:
+        raise UsageError("--trials must be >= 1")
     prog = _resolve_program(cfg)
     sign = _as_sign_program(prog)
     pb = _penalty(sign, cfg)
-    report = compute_bounds(sign, selectors=["maxcut_shor_min"], cfg=cfg.solver,
-                            pb=pb, gw_trials=trials, gw_seed=cfg.seed)
+    report = _run_bounds(sign, cfg, pb, ["maxcut_shor_min"], gw_trials=trials)
     cert = certify(report, pb)
     pairs = [
         ("verdict", cert.kind),
@@ -376,14 +375,7 @@ def cmd_certify(cfg: RunConfig, trials: int) -> int:
         ("point", None if cert.point is None
          else "".join("1" if v > 0 else "0" for v in cert.point)),
     ]
-    if cfg.fmt == "json":
-        doc = {k: (v.item() if isinstance(v, np.generic) else v) for k, v in pairs}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.output)
-    elif cfg.fmt == "csv":
-        _emit(_csv_line([k for k, _ in pairs]) + "\n" +
-              _csv_line([v for _, v in pairs]) + "\n", cfg.output)
-    else:
-        _emit("\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n", cfg.output)
+    _emit(_render_pairs(pairs, cfg.fmt), cfg.output)
     _log(cfg, f"verdict={cert.kind}")
     return EXIT_OK
 
@@ -415,7 +407,7 @@ def _compare_row(cfg: RunConfig, param: str, value: int):
             prog = prog[1]
         sign = _as_sign_program(prog)
         pb = _penalty(sign, cfg)
-        report = _run_bounds(sign, cfg, pb)
+        report = _run_bounds(sign, cfg, pb, cfg.selectors or SELECTORS)
     except (ValueError, np.linalg.LinAlgError) as exc:
         row["error"] = str(exc)
         return row
@@ -442,7 +434,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     else:
         rows = [_compare_row(cfg, param, v) for v in values]
 
-    selectors = list(cfg.selectors) if cfg.selectors else list(SELECTORS)
+    selectors = list(cfg.selectors or SELECTORS)
     headers = [param]
     for name in selectors:
         headers += [name, f"{name}_raw", f"{name}_status"]
@@ -521,10 +513,10 @@ def _add_source_flags(p, with_instance=True):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--eps-abs", type=float, default=1e-7)
-    p.add_argument("--eps-rel", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=100000)
-    p.add_argument("--admm-rho", type=float, default=1.0)
+    p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
+    p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--admm-rho", type=float, default=SolverConfig.admm_rho)
     p.add_argument("--dnn-max-iter", type=int, default=None,
                    help="separate iteration budget for the doubly-nonnegative solve")
     p.add_argument("--dnn-admm-rho", type=float, default=None)
@@ -616,23 +608,17 @@ def _run_config(args) -> RunConfig:
             raise UsageError(f"unknown selectors: {unknown}; "
                              f"known: {', '.join(SELECTORS)}")
 
-    solver = SolverConfig(
-        eps_abs=getattr(args, "eps_abs", 1e-7),
-        eps_rel=getattr(args, "eps_rel", 1e-6),
-        max_iter=getattr(args, "max_iter", 100000),
-        admm_rho=getattr(args, "admm_rho", 1.0),
-        seed=args.seed,
-    )
+    solver = SolverConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SolverConfig)
+                             if hasattr(args, f.name)})
     dnn_solver = None
     dnn_iter = getattr(args, "dnn_max_iter", None)
     dnn_rho = getattr(args, "dnn_admm_rho", None)
     if dnn_iter is not None or dnn_rho is not None:
-        dnn_solver = SolverConfig(
-            eps_abs=solver.eps_abs,
-            eps_rel=solver.eps_rel,
+        dnn_solver = dataclasses.replace(
+            solver,
             max_iter=dnn_iter if dnn_iter is not None else solver.max_iter,
             admm_rho=dnn_rho if dnn_rho is not None else solver.admm_rho,
-            seed=args.seed,
         )
     return RunConfig(
         command=args.command,

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import (Cone, SdpProblem, SdpSolution, Sense, SolveStatus,
-                  SolverConfig, certified_diag_bound, solve_sdp)
+from .sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound, solve_sdp
 
 CLOSED_FORM = "ClosedForm"
 SDP = "Sdp"
@@ -55,18 +54,15 @@ def _moment_cost(c: np.ndarray, F: np.ndarray) -> np.ndarray:
     return C
 
 
-def _unit_diag_constraints(d: int):
-    cons = []
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = 1.0
-        cons.append((E, 1.0))
-    return tuple(cons)
-
-
-def _solve_extremum(C: np.ndarray, sense: Sense, cfg: SolverConfig) -> SdpSolution:
-    p = SdpProblem(C=C, constraints=_unit_diag_constraints(C.shape[0]), sense=sense, cone=Cone.PSD)
-    return solve_sdp(p, cfg)
+def _moment_extrema(c, F, cfg: SolverConfig):
+    """Dual-certified (r1, r2) and the two solve statuses of the moment relaxation."""
+    C = _moment_cost(c, F)
+    unit = np.ones(C.shape[0])
+    lo = solve_sdp(SdpProblem(C=C, sense=Sense.MIN, diag=unit), cfg)
+    hi = solve_sdp(SdpProblem(C=C, sense=Sense.MAX, diag=unit), cfg)
+    r1 = certified_diag_bound(C, lo.X, Sense.MIN)
+    r2 = certified_diag_bound(C, hi.X, Sense.MAX)
+    return r1, r2, (lo.status, hi.status)
 
 
 def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, float]:
@@ -78,11 +74,7 @@ def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, f
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)
-    C = _moment_cost(c, F)
-    lo = _solve_extremum(C, Sense.MIN, cfg)
-    hi = _solve_extremum(C, Sense.MAX, cfg)
-    r1 = certified_diag_bound(C, lo.X, Sense.MIN)
-    r2 = certified_diag_bound(C, hi.X, Sense.MAX)
+    r1, r2, _ = _moment_extrema(c, F, cfg)
     return r1, r2
 
 
@@ -98,17 +90,13 @@ def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     if np.count_nonzero(F) == 0:
         s = float(np.abs(c).sum())
         return PenaltyBound(r1=-s, r2=s, rho=s, method=CLOSED_FORM)
-    C = _moment_cost(c, F)
-    lo = _solve_extremum(C, Sense.MIN, cfg)
-    hi = _solve_extremum(C, Sense.MAX, cfg)
-    r1 = certified_diag_bound(C, lo.X, Sense.MIN)
-    r2 = certified_diag_bound(C, hi.X, Sense.MAX)
+    r1, r2, statuses = _moment_extrema(c, F, cfg)
     return PenaltyBound(
         r1=r1,
         r2=r2,
         rho=max(abs(r1), abs(r2)),
         method=SDP,
-        statuses=(lo.status, hi.status),
+        statuses=statuses,
     )
 
 

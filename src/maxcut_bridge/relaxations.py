@@ -11,12 +11,13 @@ original-problem units.
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .instances import brute_force
 from .model import SignProgram, ZeroOneProgram, to_zero_one
-from .penalty import PenaltyBound, rho as penalty_rho
+from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
 from .reduction import MaxCutInstance, homogenize
 from .sdp import (Cone, SdpProblem, Sense, SolveStatus, SolverConfig,
                   certified_diag_bound, solve_sdp)
@@ -29,13 +30,6 @@ DIVERGED = "Diverged"
 INFEASIBLE = "Infeasible"
 SKIPPED = "Skipped"
 EXACT = "Exact"
-
-_STATUS_FROM_SDP = {
-    SolveStatus.CONVERGED: CONVERGED,
-    SolveStatus.ITERATION_LIMIT: ITERATION_LIMIT,
-    SolveStatus.DIVERGED: DIVERGED,
-}
-
 
 class LpInfeasible(Exception):
     """The box LP has no feasible point (which certifies original infeasibility)."""
@@ -154,15 +148,6 @@ def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
 # --- the five bounds ----------------------------------------------------------
 
 
-def _unit_diag_constraints(d: int):
-    cons = []
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = 1.0
-        cons.append((E, 1.0))
-    return tuple(cons)
-
-
 def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
                 cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
     """Unit-diagonal SDP bound on the quadratic form Q (either sense).
@@ -172,29 +157,16 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
     value -/+ inflation is a rigorous outer bound even when the first-order
     solve stops far from the SDP optimum (large-penalty instances).
     """
-    p = SdpProblem(C=mc.Q, constraints=_unit_diag_constraints(mc.dim), sense=sense)
-    sol = solve_sdp(p, cfg)
-    inflation = sol.primal_residual * float(np.linalg.norm(mc.Q))
-    if sol.X is not None:
-        certified = certified_diag_bound(mc.Q, sol.X, sense)
-        gap = sol.objective - certified if sense == Sense.MIN else certified - sol.objective
-        inflation = max(inflation, gap)
+    sol = solve_sdp(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
+    certified = certified_diag_bound(mc.Q, sol.X, sense)
+    gap = sol.objective - certified if sense == Sense.MIN else certified - sol.objective
     return RelaxationResult(
         value=sol.objective,
-        status=_STATUS_FROM_SDP[sol.status],
-        inflation=inflation,
+        status=sol.status.value,
+        inflation=max(sol.primal_residual * float(np.linalg.norm(mc.Q)), gap),
         note=sol.message,
         solution=sol,
     )
-
-
-def _moment_cost(c: np.ndarray, F: np.ndarray) -> np.ndarray:
-    n = c.size
-    C = np.zeros((n + 1, n + 1))
-    C[:n, :n] = F
-    C[:n, n] = c / 2.0
-    C[n, :n] = c / 2.0
-    return C
 
 
 def lasserre1(q: SignProgram, with_redundant: bool = True,
@@ -208,7 +180,7 @@ def lasserre1(q: SignProgram, with_redundant: bool = True,
     """
     n = q.n
     d = n + 1
-    cons = list(_unit_diag_constraints(d))
+    cons = []
     A = q.A.astype(float)
     b = q.b.astype(float)
     for k in range(q.m):
@@ -226,12 +198,12 @@ def lasserre1(q: SignProgram, with_redundant: bool = True,
                 M[n, i] -= b[k] / 2.0
                 cons.append((M, 0.0))
     C = _moment_cost(q.c, q.F)
-    sol = solve_sdp(SdpProblem(C=C, constraints=tuple(cons)), cfg)
+    sol = solve_sdp(SdpProblem(C=C, constraints=tuple(cons), diag=np.ones(d)), cfg)
     if sol.status == SolveStatus.DIVERGED:
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
     return RelaxationResult(
         value=sol.objective,
-        status=_STATUS_FROM_SDP[sol.status],
+        status=sol.status.value,
         inflation=sol.primal_residual * float(np.linalg.norm(C)),
         note=sol.message,
         solution=sol,
@@ -391,7 +363,7 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
     return RelaxationResult(
         value=sol.objective + p.constant,
-        status=_STATUS_FROM_SDP[sol.status],
+        status=sol.status.value,
         inflation=sol.primal_residual * float(np.linalg.norm(C)),
         note=sol.message,
         solution=sol,
@@ -399,16 +371,6 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
 
 
 # --- report assembly ----------------------------------------------------------
-
-SELECTORS = (
-    "maxcut_shor_min",
-    "maxcut_shor_max",
-    "lasserre1",
-    "lp_box",
-    "convex_quadratic",
-    "copositive_dnn",
-    "brute_force",
-)
 
 _BRUTE_FORCE_AUTO_N = 18
 
@@ -442,13 +404,55 @@ class BoundReport:
         return self.entries[name].value
 
 
+class _Inputs(NamedTuple):
+    """Everything a selector runner may read."""
+
+    q: SignProgram
+    mc: MaxCutInstance
+    cfg: SolverConfig
+    dnn_cfg: SolverConfig
+    include_brute_force: bool
+
+
+class _Skipped(Exception):
+    """The selector does not apply to this program; the message says why."""
+
+
+def _run_lp_box(r: _Inputs) -> RelaxationResult:
+    if np.count_nonzero(r.q.F):
+        raise _Skipped("requires a linear objective (F = 0)")
+    return lp_box(r.q, r.cfg)
+
+
+def _run_brute_force(r: _Inputs) -> RelaxationResult:
+    if not r.include_brute_force:
+        raise _Skipped(f"enumeration suppressed (n={r.q.n})")
+    res = brute_force(r.q)
+    return RelaxationResult(value=res.value, status=EXACT,
+                            note="no feasible point" if res.x is None else "")
+
+
+# selector -> (runner, whether the result is in sign-form raw units), in report
+# order.  Runners look every solver up by its module name when called, so a
+# wrapper installed on this module's attribute sees each call.
+_SELECTOR_TABLE = {
+    "maxcut_shor_min": (lambda r: shor_maxcut(r.mc, Sense.MIN, r.cfg), True),
+    "maxcut_shor_max": (lambda r: shor_maxcut(r.mc, Sense.MAX, r.cfg), True),
+    "lasserre1": (lambda r: lasserre1(r.q, cfg=r.cfg), True),
+    "lp_box": (_run_lp_box, True),
+    "convex_quadratic": (lambda r: convex_quadratic_relaxation(r.q, r.cfg), True),
+    "copositive_dnn": (lambda r: copositive_dnn(to_zero_one(r.q), r.dnn_cfg), False),
+    "brute_force": (_run_brute_force, False),
+}
+SELECTORS = tuple(_SELECTOR_TABLE)
+
+
 def compute_bounds(
     q: SignProgram,
     selectors=None,
     cfg: SolverConfig = SolverConfig(),
     pb: PenaltyBound | None = None,
     include_brute_force: bool | None = None,
-    with_redundant: bool = True,
     gw_trials: int = 0,
     gw_seed: int = 0,
     dnn_cfg: SolverConfig | None = None,
@@ -481,19 +485,26 @@ def compute_bounds(
         scale=q.scale,
         offset=q.offset,
     )
+    inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force)
 
     raw_results: dict[str, RelaxationResult] = {}
-
-    def add(name, run, raw_units=True):
+    for name, (run, raw_units) in _SELECTOR_TABLE.items():
+        if name not in selectors:
+            continue
         start = time.perf_counter()
         try:
-            res = run()
+            res = run(inputs)
+        except _Skipped as exc:
+            report.entries[name] = BoundEntry(
+                value=np.nan, raw=None, status=SKIPPED, seconds=0.0, note=str(exc),
+            )
+            continue
         except LpInfeasible as exc:
             report.entries[name] = BoundEntry(
                 value=np.inf, raw=np.inf, status=INFEASIBLE,
                 seconds=time.perf_counter() - start, note=str(exc),
             )
-            return
+            continue
         seconds = time.perf_counter() - start
         raw_results[name] = res
         if raw_units:
@@ -510,44 +521,6 @@ def compute_bounds(
                 value=res.value, raw=None, status=res.status,
                 seconds=seconds, inflation=res.inflation, note=res.note,
             )
-
-    for name in SELECTORS:
-        if name not in selectors:
-            continue
-        if name == "maxcut_shor_min":
-            add(name, lambda: shor_maxcut(mc, Sense.MIN, cfg))
-        elif name == "maxcut_shor_max":
-            add(name, lambda: shor_maxcut(mc, Sense.MAX, cfg))
-        elif name == "lasserre1":
-            add(name, lambda: lasserre1(q, with_redundant, cfg))
-        elif name == "lp_box":
-            if np.count_nonzero(q.F):
-                report.entries[name] = BoundEntry(
-                    value=np.nan, raw=None, status=SKIPPED, seconds=0.0,
-                    note="requires a linear objective (F = 0)",
-                )
-            else:
-                add(name, lambda: lp_box(q, cfg))
-        elif name == "convex_quadratic":
-            add(name, lambda: convex_quadratic_relaxation(q, cfg))
-        elif name == "copositive_dnn":
-            p01 = to_zero_one(q)
-            dcfg = cfg if dnn_cfg is None else dnn_cfg
-            add(name, lambda: copositive_dnn(p01, dcfg), raw_units=False)
-        elif name == "brute_force":
-            if not include_brute_force:
-                report.entries[name] = BoundEntry(
-                    value=np.nan, raw=None, status=SKIPPED, seconds=0.0,
-                    note=f"enumeration suppressed (n={q.n})",
-                )
-            else:
-                start = time.perf_counter()
-                res = brute_force(q)
-                report.entries[name] = BoundEntry(
-                    value=res.value, raw=None, status=EXACT,
-                    seconds=time.perf_counter() - start,
-                    note="no feasible point" if res.x is None else "",
-                )
     if gw_trials > 0:
         from .bounds import gw_round  # deferred: bounds imports this module
 

@@ -1,11 +1,15 @@
 """First-order (ADMM) solver for small dense semidefinite programs.
 
-Solves min/max <C, X> subject to trace constraints <A_i, X> = b_i with X in
-the positive-semidefinite cone, optionally intersected with the entrywise
-nonnegative cone.  The splitting keeps one variable exactly affine-feasible
-and one exactly cone-feasible; at convergence they agree to tolerance and the
-affine-feasible iterate is returned.  Everything is deterministic: the same
-problem and config always produce the same iteration path.
+Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and trace
+constraints <A_i, X> = b_i, with X in the positive-semidefinite cone,
+optionally intersected with the entrywise nonnegative cone.  The fixed
+diagonal is stated as data rather than as d matrices E_ii, so the
+unit-diagonal family (MAX-CUT and the moment relaxations of the penalty
+bound) projects onto its affine set in closed form.  The splitting keeps one
+variable exactly affine-feasible and one exactly cone-feasible; at
+convergence they agree to tolerance and the affine-feasible iterate is
+returned.  Everything is deterministic: the same problem and config always
+produce the same iteration path.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +40,6 @@ class SolverConfig:
     eps_rel: float = 1e-6
     max_iter: int = 100000
     admm_rho: float = 1.0
-    seed: int = 0  # reserved; the solver itself is deterministic
 
     def __post_init__(self):
         if not (self.eps_abs > 0 and self.eps_rel > 0):
@@ -47,12 +50,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """min/max <C, X> s.t. <A_i, X> = b_i, X in cone."""
+    """min/max <C, X> s.t. X_ii = diag_i, <A_i, X> = b_i, X in cone.
+
+    ``diag`` is None (no diagonal fixed) or a finite vector of length d.
+    """
 
     C: np.ndarray
-    constraints: tuple
+    constraints: tuple = ()
     sense: Sense = Sense.MIN
     cone: Cone = Cone.PSD
+    diag: np.ndarray | None = None
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
@@ -70,6 +77,13 @@ class SdpProblem:
             if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
                 raise ValueError(f"constraint {k}: matrix must be symmetric")
             pairs.append(((A + A.T) / 2.0, float(b)))
+        if self.diag is not None:
+            diag = np.asarray(self.diag, dtype=float)
+            if diag.shape != (d,):
+                raise ValueError(f"diag must be a vector of length {d}")
+            if not np.all(np.isfinite(diag)):
+                raise ValueError("diag must be finite")
+            object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "constraints", tuple(pairs))
 
@@ -148,15 +162,16 @@ def certified_diag_bound(C: np.ndarray, X: np.ndarray, sense: Sense) -> float:
 
 
 class _AffineProjector:
-    """Projection onto {X symmetric : <A_i, X> = b_i}.
+    """Projection onto {X symmetric : X_ii = diag_i, <A_i, X> = b_i}.
 
-    Two paths: a closed-form fast path when every constraint fixes a single
-    distinct diagonal entry (the unit-diagonal SDP family), and a general path
-    using a cached eigendecomposition of the constraint Gram matrix, with
-    redundant rows handled by a pseudo-inverse.
+    When the problem's ``diag`` is its only constraint (the unit-diagonal SDP
+    family) the projection is closed form: overwrite the diagonal.  Otherwise
+    the diagonal rows come first, as E_ii, ahead of the normalized constraint
+    rows, and the projection uses a cached eigendecomposition of the row Gram
+    matrix, with redundant rows handled by a pseudo-inverse.
     """
 
-    def __init__(self, constraints, d: int):
+    def __init__(self, diag, constraints, d: int):
         self.d = d
         mats = []
         rhs = []
@@ -166,17 +181,21 @@ class _AffineProjector:
                 if abs(b) > 1e-12:
                     raise _InconsistentSystem(f"zero constraint matrix with rhs {b}")
                 continue
-            mats.append(A / nrm)
+            mats.append(A.reshape(-1) / nrm)
             rhs.append(b / nrm)
-        self.mats = mats
+        self.diag = diag if not mats else None
+        if self.diag is not None:
+            self.rhs = diag
+            return
+        if diag is not None:
+            E = np.zeros((d, d * d))
+            E[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+            mats = list(E) + mats
+            rhs = list(diag) + rhs
         self.rhs = np.array(rhs, dtype=float)
         self.m = len(mats)
-        self.diag_idx = self._diagonal_family()
-        if self.diag_idx is not None and self.m > 0:
-            coef = np.array([self.mats[k][i, i] for k, i in enumerate(self.diag_idx)])
-            self.diag_vals = self.rhs / coef
-        if self.diag_idx is None and self.m > 0:
-            flat = np.stack([A.reshape(-1) for A in mats])
+        if self.m > 0:
+            flat = np.stack(mats)
             G = flat @ flat.T
             w, V = np.linalg.eigh(G)
             w_max = max(w[-1], 1.0)
@@ -191,36 +210,17 @@ class _AffineProjector:
                     "constraint rows are linearly dependent with conflicting right-hand sides"
                 )
 
-    def _diagonal_family(self):
-        seen = set()
-        idx = []
-        for A in self.mats:
-            if np.count_nonzero(A) != 1:
-                return None
-            i, j = np.argwhere(A)[0]
-            if i != j or i in seen:
-                return None
-            seen.add(int(i))
-            idx.append(int(i))
-        return np.array(idx, dtype=int) if idx else np.array([], dtype=int)
-
     def __call__(self, S: np.ndarray) -> np.ndarray:
+        if self.diag is not None:
+            out = S.copy()
+            np.fill_diagonal(out, self.diag)
+            return out
         if self.m == 0:
             return S
-        if self.diag_idx is not None:
-            out = S.copy()
-            out[self.diag_idx, self.diag_idx] = self.diag_vals
-            return out
         r = self._flat @ S.reshape(-1) - self.rhs
         lam = self._V @ (self._w_inv * (self._V.T @ r))
         out = S - (lam @ self._flat).reshape(self.d, self.d)
         return (out + out.T) / 2.0
-
-    def residual(self, X: np.ndarray) -> float:
-        if self.m == 0:
-            return 0.0
-        vals = np.array([np.tensordot(A, X) for A in self.mats])
-        return float(np.linalg.norm(vals - self.rhs))
 
 
 class _InconsistentSystem(Exception):
@@ -236,19 +236,20 @@ _STALL_WINDOW = 10        # samples that must agree before declaring a stall
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     """Run ADMM on the split  min <C,X> + i_affine(X) + i_cone(Z)  s.t. X = Z.
 
-    X-updates project onto the affine constraints, Z-updates onto the cone,
-    and the scaled dual U accumulates the gap.  Convergence requires both
-    residuals to stay below their Boyd-style thresholds for 100 consecutive
-    iterations.  Structurally inconsistent constraint systems and iterates
-    whose primal residual stalls at a positive level (affine set disjoint
-    from the cone) are reported as Diverged.
+    X-updates project onto the affine set (the fixed diagonal and the trace
+    constraints), Z-updates onto the cone, and the scaled dual U accumulates
+    the gap.  Convergence requires both residuals to stay below their
+    Boyd-style thresholds for 100 consecutive iterations.  Structurally
+    inconsistent constraint systems and iterates whose primal residual stalls
+    at a positive level (affine set disjoint from the cone) are reported as
+    Diverged.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
     C = sign * p.C
 
     try:
-        affine = _AffineProjector(p.constraints, d)
+        affine = _AffineProjector(p.diag, p.constraints, d)
     except _InconsistentSystem as exc:
         return SdpSolution(
             X=np.zeros((d, d)),
@@ -347,7 +348,8 @@ def export_sdpa(p: SdpProblem, path) -> None:
     """Write the problem in SDPA sparse format (.dat-s) for external cross-checks.
 
     The file encodes  max <F0, Y> s.t. <F_i, Y> = c_i, Y PSD  (the SDPA dual),
-    so F0 = -C for a Min problem and F0 = C for Max.  Only the PSD cone is
+    so F0 = -C for a Min problem and F0 = C for Max.  A fixed diagonal is
+    written as the first d constraint matrices E_ii.  Only the PSD cone is
     representable; a PSD-and-nonnegative problem is exported with its cone
     relaxed to PSD and a comment line saying so.
     """
@@ -356,10 +358,11 @@ def export_sdpa(p: SdpProblem, path) -> None:
     lines = []
     if p.cone == Cone.PSD_NONNEG:
         lines.append('"nonnegativity constraints omitted: PSD relaxation only"')
-    lines.append(f"{len(p.constraints)} = mDIM")
+    diag = () if p.diag is None else tuple(p.diag)
+    lines.append(f"{len(diag) + len(p.constraints)} = mDIM")
     lines.append("1 = nBLOCK")
     lines.append(f"{d} = bLOCKsTRUCT")
-    lines.append(" ".join(repr(float(b)) for _, b in p.constraints))
+    lines.append(" ".join(repr(float(b)) for b in diag + tuple(b for _, b in p.constraints)))
 
     def emit(mat_no, M):
         for i in range(d):
@@ -368,7 +371,9 @@ def export_sdpa(p: SdpProblem, path) -> None:
                     lines.append(f"{mat_no} 1 {i + 1} {j + 1} {float(M[i, j])!r}")
 
     emit(0, F0)
-    for k, (A, _) in enumerate(p.constraints, start=1):
+    for i in range(len(diag)):
+        lines.append(f"{i + 1} 1 {i + 1} {i + 1} 1.0")
+    for k, (A, _) in enumerate(p.constraints, start=len(diag) + 1):
         emit(k, A)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -266,14 +266,13 @@ def test_c06_sdp_solver_oracle(acceptance_log, suite50, suite50_penalties,
             "minimum is at most the hypercube minimum plus inflation")
     failures = []
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    diag = tuple((np.diag(np.eye(2)[i]), 1.0) for i in range(2))
     cases = [
         (Sense.MAX, Cone.PSD, 2.0),
         (Sense.MIN, Cone.PSD, -2.0),
         (Sense.MIN, Cone.PSD_NONNEG, 0.0),
     ]
     for sense, cone, expected in cases:
-        sol = solve_sdp(SdpProblem(C=C, constraints=diag, sense=sense,
+        sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=sense,
                                    cone=cone), TIGHT_CFG)
         if abs(sol.objective - expected) > 1e-6:
             failures.append(("analytic", sense, cone, sol.objective, expected))

@@ -224,6 +224,12 @@ class TestSolve:
                       "--selectors", "magic"])
         assert rc == EXIT_USAGE
 
+    def test_negative_gw_trials_is_usage_error(self, knapsack_file, capsys):
+        rc = run_cli(["solve", "--instance", knapsack_file, "--selectors",
+                      "maxcut_shor_min", "--gw-trials", "-5"] + FAST)
+        assert rc == EXIT_USAGE
+        assert "--gw-trials must be >= 0" in capsys.readouterr().err
+
     def test_solver_exception_exits_4(self, knapsack_file, monkeypatch):
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("eigh failed to converge")
@@ -279,6 +285,13 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "verdict = Feasible" in out
         assert "point = 1111" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_usage_error(self, knapsack_file, capsys, trials):
+        rc = run_cli(["certify", "--instance", knapsack_file,
+                      "--trials", trials] + FAST)
+        assert rc == EXIT_USAGE
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
     def test_infeasible_by_gap_verdict(self, capsys):
         rc = run_cli(["certify", "--family", "kcluster", "--n", "6", "--k", "7",

@@ -18,6 +18,7 @@ from maxcut_bridge.sdp import (
 
 CFG = SolverConfig()
 FAST = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
+E12 = np.array([[0.0, 0.5], [0.5, 0.0]])  # <E12, X> = X_12 for symmetric X
 
 
 def diag_constraints(d, value=1.0):
@@ -93,45 +94,55 @@ class TestProjectPsdNonneg:
 
 class TestSolveSdp:
     def test_trace_with_unit_diagonal(self):
-        p = SdpProblem(C=np.eye(2), constraints=diag_constraints(2))
+        p = SdpProblem(C=np.eye(2), diag=np.ones(2))
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(2.0, abs=1e-5)
 
     def test_offdiagonal_min_is_minus_two(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sol = solve_sdp(SdpProblem(C=C, constraints=diag_constraints(2)), CFG)
+        sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2)), CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(-2.0, abs=1e-5)
         np.testing.assert_allclose(sol.X, [[1, -1], [-1, 1]], atol=1e-4)
 
     def test_offdiagonal_min_nonneg_cone_is_zero(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        p = SdpProblem(C=C, constraints=diag_constraints(2), cone=Cone.PSD_NONNEG)
+        p = SdpProblem(C=C, diag=np.ones(2), cone=Cone.PSD_NONNEG)
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(0.0, abs=1e-5)
 
     def test_max_sense(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        p = SdpProblem(C=C, constraints=diag_constraints(2), sense=Sense.MAX)
+        p = SdpProblem(C=C, diag=np.ones(2), sense=Sense.MAX)
         sol = solve_sdp(p, CFG)
         assert sol.objective == pytest.approx(2.0, abs=1e-5)
 
     def test_converged_iterates_feasible(self):
         rng = np.random.default_rng(5)
         B = rng.normal(size=(6, 6))
-        p = SdpProblem(C=B + B.T, constraints=diag_constraints(6))
+        p = SdpProblem(C=B + B.T, diag=np.ones(6))
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert np.linalg.eigvalsh(sol.X)[0] >= -1e-5
-        for A, b in p.constraints:
-            assert abs(np.tensordot(A, sol.X) - b) <= 1e-5 * (1 + abs(b))
+        np.testing.assert_allclose(np.diag(sol.X), 1.0, atol=2e-5)
+
+    def test_diag_matches_dense_rows(self):
+        # the closed-form diagonal projection and the general row projection
+        # describe the same affine set, so both reach the same optimum
+        rng = np.random.default_rng(7)
+        B = rng.normal(size=(6, 6))
+        C = B + B.T
+        closed = solve_sdp(SdpProblem(C=C, diag=np.ones(6)), CFG)
+        general = solve_sdp(SdpProblem(C=C, constraints=diag_constraints(6)), CFG)
+        assert closed.status == general.status == SolveStatus.CONVERGED
+        assert closed.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
+        np.testing.assert_allclose(closed.X, general.X, atol=1e-3)
 
     def test_general_constraint_path_pins_all_entries(self):
         # X_11 = 1, X_22 = 1, X_12 = 0.3 fixes X entirely; objective is <C, X>.
         C = np.array([[2.0, -1.0], [-1.0, 0.5]])
-        E12 = np.array([[0.0, 0.5], [0.5, 0.0]])
         cons = diag_constraints(2) + [(E12, 0.3)]
         sol = solve_sdp(SdpProblem(C=C, constraints=cons), CFG)
         assert sol.status == SolveStatus.CONVERGED
@@ -156,11 +167,7 @@ class TestSolveSdp:
 
     def test_affine_cone_disjoint_diverges(self):
         # X_11 = -1 cannot hold for any PSD matrix.
-        cons = diag_constraints(2)
-        E = np.zeros((2, 2))
-        E[0, 0] = 1.0
-        cons[0] = (E, -1.0)
-        sol = solve_sdp(SdpProblem(C=np.eye(2), constraints=cons), FAST)
+        sol = solve_sdp(SdpProblem(C=np.eye(2), diag=[-1.0, 1.0]), FAST)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
         assert "stalled" in sol.message
@@ -168,7 +175,7 @@ class TestSolveSdp:
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         B = rng.normal(size=(5, 5))
-        p = SdpProblem(C=B + B.T, constraints=diag_constraints(5))
+        p = SdpProblem(C=B + B.T, diag=np.ones(5))
         s1 = solve_sdp(p, CFG)
         s2 = solve_sdp(p, CFG)
         assert np.array_equal(s1.X, s2.X)
@@ -180,7 +187,7 @@ class TestSolveSdp:
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(d, d))
         Q = B + B.T
-        sol = solve_sdp(SdpProblem(C=Q, constraints=diag_constraints(d)), FAST)
+        sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d)), FAST)
         deflated = sol.objective - sol.primal_residual * np.linalg.norm(Q)
         assert deflated <= brute_min_quadratic_form(Q) + 1e-6
 
@@ -189,28 +196,37 @@ class TestSolveSdp:
             SdpProblem(C=np.array([[0.0, 1.0], [0.0, 0.0]]), constraints=())
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(eps_abs=-1.0)
+        for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="diag"):
+                SdpProblem(C=np.eye(2), diag=bad)
 
 
 class TestSdpaExport:
     def test_round_trip_entries(self, tmp_path):
         C = np.array([[1.0, 0.25], [0.25, -2.0]])
-        p = SdpProblem(C=C, constraints=diag_constraints(2))
-        path = tmp_path / "prob.dat-s"
-        export_sdpa(p, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "2 = mDIM"
-        assert text[1] == "1 = nBLOCK"
-        assert text[2] == "2 = bLOCKsTRUCT"
-        assert [float(v) for v in text[3].split()] == [1.0, 1.0]
-        # objective block: F0 = -C for a Min problem
-        f0 = {}
-        for line in text[4:]:
-            mat, blk, i, j, val = line.split()
-            if mat == "0":
-                f0[(int(i), int(j))] = float(val)
-        assert f0[(1, 1)] == -1.0
-        assert f0[(1, 2)] == -0.25
-        assert f0[(2, 2)] == 2.0
+        # a fixed diagonal is written as the first constraint matrices E_ii,
+        # ahead of the ordinary rows: mDIM = d + m
+        cases = [
+            (dict(constraints=diag_constraints(2)), [1.0, 1.0],
+             [{(1, 1): 1.0}, {(2, 2): 1.0}]),
+            (dict(constraints=[(E12, 0.3)], diag=[1.0, 2.0]), [1.0, 2.0, 0.3],
+             [{(1, 1): 1.0}, {(2, 2): 1.0}, {(1, 2): 0.5}]),
+        ]
+        for kwargs, rhs, mats in cases:
+            path = tmp_path / "prob.dat-s"
+            export_sdpa(SdpProblem(C=C, **kwargs), path)
+            text = path.read_text().splitlines()
+            assert text[0] == f"{len(rhs)} = mDIM"
+            assert text[1] == "1 = nBLOCK"
+            assert text[2] == "2 = bLOCKsTRUCT"
+            assert [float(v) for v in text[3].split()] == rhs
+            entries = [{} for _ in range(len(rhs) + 1)]
+            for line in text[4:]:
+                mat, blk, i, j, val = line.split()
+                entries[int(mat)][(int(i), int(j))] = float(val)
+            # objective block: F0 = -C for a Min problem
+            assert entries[0] == {(1, 1): -1.0, (1, 2): -0.25, (2, 2): 2.0}
+            assert entries[1:] == mats
 
     def test_nonneg_cone_notes_relaxation(self, tmp_path):
         p = SdpProblem(C=np.eye(2), constraints=diag_constraints(2), cone=Cone.PSD_NONNEG)
