@@ -1,9 +1,9 @@
 """Drive the ADMM semidefinite solver directly.
 
 The solver alternates an affine projection (least-change update satisfying
-the fixed diagonal and the trace constraints), a cone projection (PSD, or
-PSD intersected with the nonnegative orthant), and a scaled dual update.  It
-reports primal and dual residuals.  Widening the objective by
+the fixed diagonal and the trace constraints), a projection of each cone
+copy (PSD, plus the nonnegative orthant for the doubly-nonnegative cone),
+and a scaled dual update per copy.  It reports primal and dual residuals.  Widening the objective by
 primal_residual * ||C||_F does not make it a bound; for the unit-diagonal
 family, certified_diag_bound turns any returned X into a dual-certified
 bound, which is what shor_maxcut and rho report.

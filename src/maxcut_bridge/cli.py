@@ -332,6 +332,8 @@ def cmd_solve(cfg: RunConfig, gw_trials: int, no_brute_force: bool) -> int:
 
 
 def cmd_round(cfg: RunConfig, trials: int, polish: bool) -> int:
+    if trials < 1:
+        raise UsageError("--trials must be >= 1")
     prog = _resolve_program(cfg)
     sign = _as_sign_program(prog)
     pb = _penalty(sign, cfg)
@@ -512,7 +514,7 @@ def _add_source_flags(p, with_instance=True):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_solver_flags(p):
+def _add_solver_flags(p, with_selectors=False):
     p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
     p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
@@ -522,8 +524,9 @@ def _add_solver_flags(p):
     p.add_argument("--dnn-admm-rho", type=float, default=None)
     p.add_argument("--rho", type=float, default=None,
                    help="override the computed penalty bound rho")
-    p.add_argument("--selectors", default=None,
-                   help="comma-separated subset of: " + ",".join(SELECTORS))
+    if with_selectors:
+        p.add_argument("--selectors", default=None,
+                       help="comma-separated subset of: " + ",".join(SELECTORS))
 
 
 def _add_output_flags(p):
@@ -554,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the selected bounds and report")
     _add_source_flags(p)
-    _add_solver_flags(p)
+    _add_solver_flags(p, with_selectors=True)
     _add_output_flags(p)
     p.add_argument("--gw-trials", type=int, default=0)
     p.add_argument("--no-brute-force", action="store_true")
@@ -568,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sweep one generator parameter")
     _add_source_flags(p, with_instance=False)
-    _add_solver_flags(p)
+    _add_solver_flags(p, with_selectors=True)
     _add_output_flags(p)
     p.set_defaults(format="csv")
     p.add_argument("--sweep-param", choices=("b", "k"))

@@ -463,9 +463,9 @@ def compute_bounds(
     is the residual-based widening in those units; subtract it from min-sense
     entries before treating them as valid lower bounds.  Selector names are
     validated before anything is solved.  ``include_brute_force`` defaults to
-    n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.  The
-    doubly-nonnegative solve is the costliest entry by far; ``dnn_cfg`` lets
-    callers give it a separate iteration/step budget (default: same ``cfg``).
+    n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.
+    ``dnn_cfg`` gives the doubly-nonnegative solve a separate iteration/step
+    budget (default: same ``cfg``).
     """
     if selectors is None:
         selectors = list(SELECTORS)

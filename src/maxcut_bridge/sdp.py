@@ -6,10 +6,12 @@ optionally intersected with the entrywise nonnegative cone.  The fixed
 diagonal is stated as data rather than as d matrices E_ii, so the
 unit-diagonal family (MAX-CUT and the moment relaxations of the penalty
 bound) projects onto its affine set in closed form.  The splitting keeps one
-variable exactly affine-feasible and one exactly cone-feasible; at
-convergence they agree to tolerance and the affine-feasible iterate is
-returned.  Everything is deterministic: the same problem and config always
-produce the same iteration path.
+variable exactly affine-feasible and one copy per cone exactly cone-feasible:
+a PSD copy, and for the doubly-nonnegative cone also an orthant copy, so
+every iteration costs one eigendecomposition and one clip.  At convergence
+the copies agree to tolerance and the affine-feasible iterate is returned.
+Everything is deterministic: the same problem and config always produce the
+same iteration path.
 """
 
 from dataclasses import dataclass, field
@@ -120,7 +122,8 @@ def project_psd_nonneg(S: np.ndarray, tol: float = 1e-9, max_inner: int = 50) ->
 
     Alternates the two exact projections with Dykstra correction terms until
     successive iterates agree within ``tol`` (Frobenius), so the result lies in
-    the intersection up to that tolerance.
+    the intersection up to that tolerance.  ``solve_sdp`` does not call it: its
+    doubly-nonnegative split keeps a separate copy per cone instead.
     """
     X = (S + S.T) / 2.0
     P = np.zeros_like(X)
@@ -234,15 +237,20 @@ _STALL_WINDOW = 10        # samples that must agree before declaring a stall
 
 
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
-    """Run ADMM on the split  min <C,X> + i_affine(X) + i_cone(Z)  s.t. X = Z.
+    """Run ADMM on a consensus split of  min <C,X> + i_affine(X) + i_cone(X).
 
-    X-updates project onto the affine set (the fixed diagonal and the trace
-    constraints), Z-updates onto the cone, and the scaled dual U accumulates
-    the gap.  Convergence requires both residuals to stay below their
-    Boyd-style thresholds for 100 consecutive iterations.  Structurally
-    inconsistent constraint systems and iterates whose primal residual stalls
-    at a positive level (affine set disjoint from the cone) are reported as
-    Diverged.
+    For the PSD cone the split is  X = Z  with Z PSD: X-updates project onto
+    the affine set (the fixed diagonal and the trace constraints), Z-updates
+    onto the PSD cone, and the scaled dual U accumulates the gap.  For the
+    doubly-nonnegative cone it is  X = Z, X = N  with Z PSD and N >= 0, and
+    scaled duals U and W.  The (Z, N) block separates, so this is still a
+    two-block ADMM (Wen, Goldfarb & Yin 2010; Sun, Toh & Yang 2015): the
+    X-update projects the average of the two shifted copies, then Z takes
+    one eigenvalue clip and N one entrywise clip.  Convergence requires both
+    residuals to stay below their Boyd-style thresholds for 100 consecutive
+    iterations.  Structurally inconsistent constraint systems and iterates
+    whose primal residual stalls at a positive level (affine set disjoint
+    from the cone) are reported as Diverged.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -261,7 +269,9 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
             message=f"infeasible constraint system: {exc}",
         )
 
-    cone_proj = project_psd if p.cone == Cone.PSD else project_psd_nonneg
+    # looked up per solve, so a patched sdp.project_psd sees every call
+    cone_proj = project_psd
+    nonneg = p.cone == Cone.PSD_NONNEG
 
     sigma0 = cfg.admm_rho * (1.0 + np.linalg.norm(C) / d)
     sigma = sigma0
@@ -269,6 +279,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
 
     Z = np.zeros((d, d))
     U = np.zeros((d, d))
+    N = np.zeros((d, d))      # orthant copy and its scaled dual (nonneg only)
+    W = np.zeros((d, d))
     r_norm = s_norm = np.inf
     eps_p = eps_d = 0.0
     stable = 0
@@ -279,15 +291,29 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     X = Z
 
     for it in range(1, cfg.max_iter + 1):
-        X = affine(Z - U - C / sigma)
-        Z_prev = Z
-        Z = cone_proj(X + U)
-        U = U + X - Z
+        if nonneg:
+            X = affine(((Z - U) + (N - W) - C / sigma) / 2.0)
+            Z_prev, N_prev = Z, N
+            Z = cone_proj(X + U)
+            N = np.maximum(X + W, 0.0)
+            U = U + X - Z
+            W = W + X - N
 
-        r_norm = np.linalg.norm(X - Z)
-        s_norm = sigma * np.linalg.norm(Z - Z_prev)
-        eps_p = d * cfg.eps_abs + cfg.eps_rel * max(np.linalg.norm(X), np.linalg.norm(Z))
-        eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * np.linalg.norm(U)
+            r_norm = np.hypot(np.linalg.norm(X - Z), np.linalg.norm(X - N))
+            s_norm = sigma * np.linalg.norm((Z - Z_prev) + (N - N_prev))
+            copies = np.hypot(np.linalg.norm(Z), np.linalg.norm(N))
+            eps_p = d * cfg.eps_abs + cfg.eps_rel * max(np.sqrt(2.0) * np.linalg.norm(X), copies)
+            eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * np.linalg.norm(U + W)
+        else:
+            X = affine(Z - U - C / sigma)
+            Z_prev = Z
+            Z = cone_proj(X + U)
+            U = U + X - Z
+
+            r_norm = np.linalg.norm(X - Z)
+            s_norm = sigma * np.linalg.norm(Z - Z_prev)
+            eps_p = d * cfg.eps_abs + cfg.eps_rel * max(np.linalg.norm(X), np.linalg.norm(Z))
+            eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * np.linalg.norm(U)
 
         if r_norm <= eps_p and s_norm <= eps_d:
             stable += 1
@@ -301,12 +327,14 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
             if r_norm > 10.0 * s_norm and sigma < sigma_hi:
                 sigma *= 2.0
                 U /= 2.0
+                W /= 2.0
             elif s_norm > 10.0 * r_norm and sigma > sigma_lo:
                 sigma /= 2.0
                 U *= 2.0
+                W *= 2.0
 
         if it % _STALL_SAMPLE == 0:
-            stall_hist.append((r_norm, np.linalg.norm(U)))
+            stall_hist.append((r_norm, np.hypot(np.linalg.norm(U), np.linalg.norm(W))))
             if len(stall_hist) > _STALL_WINDOW:
                 stall_hist.pop(0)
             floor = max(1e3 * eps_p, 1e-4 * (1.0 + np.linalg.norm(affine.rhs)))

@@ -165,7 +165,7 @@ def test_c02_lower_bound_chain(acceptance_log, suite50, suite_reports):
             if e.value - e.inflation > allow:
                 failures.append((inst.label, name, e.value - e.inflation,
                                  f_star))
-    if seconds >= 600:
+    if seconds >= 120:
         failures.append(("runtime", seconds))
     _record(acceptance_log, 2, desc, failures,
             f"{checked} converged bounds over 50 instances, {seconds:.0f}s")

@@ -270,6 +270,19 @@ class TestRound:
         assert doc["feasible"] is True
         assert doc["gap_to_shor_raw"] >= -1e-6
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_rejected_before_solving(
+            self, knapsack_file, capsys, monkeypatch, trials):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the trial count was checked")
+
+        monkeypatch.setattr("maxcut_bridge.cli.penalty_rho", unreachable)
+        monkeypatch.setattr("maxcut_bridge.cli.shor_maxcut", unreachable)
+        rc = run_cli(["round", "--instance", knapsack_file,
+                      "--trials", trials] + FAST)
+        assert rc == EXIT_USAGE
+        assert "--trials must be >= 1" in capsys.readouterr().err
+
     def test_polish_flag_accepted(self, knapsack_file, capsys):
         rc = run_cli(["round", "--instance", knapsack_file, "--trials", "20",
                       "--polish"] + FAST)
@@ -301,6 +314,15 @@ class TestCertify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "InfeasibleByGap"
         assert doc["bound"] > doc["rho"]
+
+
+@pytest.mark.parametrize("command", ["certify", "round", "convert"])
+def test_selectors_rejected_where_unused(knapsack_file, tmp_path, capsys, command):
+    extra = ["-o", str(tmp_path / "out.rudy")] if command == "convert" else []
+    rc = run_cli([command, "--instance", knapsack_file,
+                  "--selectors", "lp_box"] + extra + FAST)
+    assert rc == EXIT_USAGE
+    assert "--selectors" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -331,6 +331,16 @@ class TestCopositiveDnn:
         assert r.status in (CONVERGED, ITERATION_LIMIT)
         assert r.value - r.inflation <= f_star + 1e-4 * (1 + abs(f_star))
 
+    @pytest.mark.parametrize("prog, expected", [
+        (kcluster(8, 3, zero_prob=0.5, seed=11)[0], 2.143058633329152e-05),
+        (to_zero_one(knapsack_fixed(4, 28)), 7.999694873856001),
+    ], ids=["kcluster(8,3,0.5,11)", "knapsack_fixed(4,28)"])
+    def test_converged_value_regression(self, prog, expected):
+        # Converged values of the earlier Dykstra-projection solver
+        r = copositive_dnn(prog, DNN_CFG)
+        assert r.status == CONVERGED
+        assert abs(r.value - expected) <= 1e-4 * (1 + abs(expected))
+
 
 class TestComputeBounds:
     def test_unknown_selector_rejected_before_solving(self):

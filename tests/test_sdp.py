@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from maxcut_bridge import sdp
 from maxcut_bridge.sdp import (
     Cone,
     SdpProblem,
@@ -112,6 +113,21 @@ class TestSolveSdp:
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(0.0, abs=1e-5)
+
+    def test_nonneg_cone_projects_psd_once_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(S):
+            calls.append(1)
+            return project_psd(S)
+
+        monkeypatch.setattr(sdp, "project_psd", counting)
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(6, 6))
+        p = SdpProblem(C=B + B.T, diag=np.ones(6), cone=Cone.PSD_NONNEG)
+        sol = solve_sdp(p, FAST)
+        assert sol.status == SolveStatus.CONVERGED
+        assert len(calls) == sol.iterations
 
     def test_max_sense(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
