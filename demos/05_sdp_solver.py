@@ -1,12 +1,15 @@
-"""Drive the ADMM semidefinite solver directly.
+"""Drive the semidefinite solvers directly.
 
-The solver alternates an affine projection (least-change update satisfying
-the fixed diagonal and the trace constraints), a projection of each cone
-copy (PSD, plus the nonnegative orthant for the doubly-nonnegative cone),
-and a scaled dual update per copy.  It reports primal and dual residuals.  Widening the objective by
-primal_residual * ||C||_F does not make it a bound; for the unit-diagonal
-family, certified_diag_bound turns any returned X into a dual-certified
-bound, which is what shor_maxcut and rho report.
+A fixed positive diagonal with no other constraints on the PSD cone (the
+first two problems and the random form below) goes to the primal-dual
+interior-point method: its iterates stay primal feasible, so the primal
+residual reads zero, and its dual multipliers (``sol.y``) certify a bound at
+any iteration.  The doubly-nonnegative problem goes to ADMM, which
+alternates an affine projection (least-change update satisfying the fixed
+diagonal and the trace constraints), a projection of each cone copy (PSD,
+plus the nonnegative orthant), and a scaled dual update per copy.  For the
+unit-diagonal family, certified_diag_bound turns any returned X (or y) into
+a dual-certified bound, which is what shor_maxcut and rho report.
 """
 
 import numpy as np

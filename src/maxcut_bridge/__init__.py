@@ -3,9 +3,11 @@
 The pipeline: move the program onto the {-1,1} hypercube, fold the integer
 equality constraints into the objective with a computed penalty constant,
 homogenize to a quadratic form in n+1 variables, then bound the optimum with
-a built-in ADMM semidefinite solver (Shor/MAX-CUT, Lasserre level 1, DNN),
-an LP box relaxation, a convex-quadratic eigenvalue-shift relaxation,
-Goemans-Williamson rounding and an infeasibility certificate.
+built-in semidefinite solvers (an interior-point method for Shor/MAX-CUT and
+the penalty constant, ADMM for Lasserre level 1 and DNN), an LP box
+relaxation, a convex-quadratic eigenvalue-shift relaxation,
+Goemans-Williamson rounding with outward rotations and an infeasibility
+certificate.
 """
 
 from .model import (

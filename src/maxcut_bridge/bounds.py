@@ -43,16 +43,42 @@ class RoundingResult(NamedTuple):
     recovered: RecoveredSolution
 
 
-def _one_opt_polish(Q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Greedy best-improvement single-spin flips until locally optimal."""
-    s = s.copy()
-    while True:
-        g = Q @ s
-        deltas = -4.0 * s * g + 4.0 * np.diag(Q)
-        i = int(np.argmin(deltas))
-        if deltas[i] >= -1e-12:
-            return s
-        s[i] = -s[i]
+def _one_opt_polish(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Greedy best-improvement single-spin flips on each row of S until locally optimal.
+
+    All rows descend together, and a flip updates its row's gradient g = Q s
+    in O(d) instead of recomputing it.  Rounding makes an updated g drift
+    from a fresh Q @ s and could break a near-tie the other way, so a row
+    whose best flip is within the drift bound of its runner-up or of the
+    stopping threshold first gets g = Q @ s afresh: every row takes exactly
+    the flips that recomputing g before each flip would.
+    """
+    S = np.array(S, dtype=float)
+    T, d = S.shape
+    G = S @ Q
+    diag = 4.0 * np.diag(Q)
+    ulp = np.finfo(float).eps * float(np.abs(Q).sum(axis=1).max())
+    stale = np.full(T, 2 * d)  # drift bound of each row of G, in units of ulp
+    rows = np.arange(T)
+    while rows.size:
+        D = -4.0 * S[rows] * G[rows] + diag
+        i = np.argmin(D, axis=1)
+        best = D[np.arange(rows.size), i]
+        runner_up = np.partition(D, 1, axis=1)[:, 1] if d > 1 else np.inf
+        drift = 16.0 * ulp * stale[rows]  # D = 4 g, with a further 4x margin
+        unsure = (stale[rows] > 0) & ((runner_up - best <= 2.0 * drift)
+                                      | (np.abs(best + 1e-12) <= drift))
+        if unsure.any():
+            for r in rows[unsure]:
+                G[r] = Q @ S[r]
+                stale[r] = 0
+            continue
+        move = best < -1e-12
+        rows, i = rows[move], i[move]
+        S[rows, i] = -S[rows, i]
+        G[rows] += 2.0 * S[rows, i][:, None] * Q[i]
+        stale[rows] += 3
+    return S
 
 
 def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
@@ -60,13 +86,18 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     """Best-of-`trials` random-hyperplane rounding of a unit-diagonal SDP matrix.
 
     The matrix is factored as V'V by eigendecomposition (tiny negative
-    eigenvalues clipped), each trial takes the signs of V'r for a standard
-    normal r, the homogenization spin is fixed to +1 by a global flip, and
-    the spin vector with the lowest quadratic-form value wins (ties keep the
-    earliest trial).  With ``polish`` every sample first descends by greedy
-    single-spin flips; on penalized instances this drives samples toward the
-    feasible corners, which dominate once the penalty is active.  Fully
-    deterministic given (seed, trials, polish).
+    eigenvalues clipped).  Trial k of T takes the signs of
+    sqrt(1 - k/T) V'r + sqrt(k/T) r2 for standard normal r and r2: trial 0 is
+    plain Goemans-Williamson rounding, and later trials apply ever larger
+    outward rotations (Zwick, STOC 1999), which blend in independent signs.
+    A low-rank optimum on its own yields few distinct cuts; the rotations
+    spread the trials over more of them.  The homogenization spin is fixed
+    to +1 by a global flip, and the spin vector with the lowest
+    quadratic-form value wins (ties keep the earliest trial).  With
+    ``polish`` every sample first descends by greedy single-spin flips; on
+    penalized instances this drives samples toward the feasible corners,
+    which dominate once the penalty is active.  Fully deterministic given
+    (seed, trials, polish).
     """
     if isinstance(X, SdpSolution):
         X = X.X
@@ -84,10 +115,12 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), STREAM_GW])))
     R = rng.normal(size=(trials, d))
-    signs = np.where(R @ V >= 0.0, 1, -1).astype(np.int64)
+    R2 = rng.normal(size=(trials, d))
+    t = (np.arange(trials) / trials)[:, None]
+    signs = np.where(np.sqrt(1.0 - t) * (R @ V) + np.sqrt(t) * R2 >= 0.0,
+                     1, -1).astype(np.int64)
     if polish:
-        for t in range(trials):
-            signs[t] = _one_opt_polish(mc.Q, signs[t].astype(float)).astype(np.int64)
+        signs = _one_opt_polish(mc.Q, signs).astype(np.int64)
     vals = np.einsum("ti,ij,tj->t", signs, mc.Q, signs)
     best = int(np.argmin(vals))
     s = signs[best]

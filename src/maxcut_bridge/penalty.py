@@ -22,9 +22,9 @@ OVERRIDE = "Override"
 class PenaltyBound:
     """Outer estimates (r1, r2) of the hypercube extrema and rho = max(|r1|, |r2|).
 
-    On the SDP path, r1 and r2 are dual-certified bounds recovered from the
-    approximate primal solutions, so rho keeps its domination property under
-    approximate solves.
+    On the SDP path, r1 and r2 are bounds certified by the solves' dual
+    multipliers, so rho keeps its domination property under approximate
+    solves.
     """
 
     r1: float
@@ -60,8 +60,8 @@ def _moment_extrema(c, F, cfg: SolverConfig):
     unit = np.ones(C.shape[0])
     lo = solve_sdp(SdpProblem(C=C, sense=Sense.MIN, diag=unit), cfg)
     hi = solve_sdp(SdpProblem(C=C, sense=Sense.MAX, diag=unit), cfg)
-    r1 = certified_diag_bound(C, lo.X, Sense.MIN)
-    r2 = certified_diag_bound(C, hi.X, Sense.MAX)
+    r1 = certified_diag_bound(C, lo.X, Sense.MIN, lo.y)
+    r2 = certified_diag_bound(C, hi.X, Sense.MAX, hi.y)
     return r1, r2, (lo.status, hi.status)
 
 
@@ -69,8 +69,8 @@ def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, f
     """Outer extrema of c'x + x'Fx over the unit-diagonal moment relaxation.
 
     Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2.  Each
-    side is a dual-certified bound recovered from the approximate primal
-    solution, so the containment holds regardless of solve accuracy.
+    side is a bound certified by the solve's dual multipliers, so the
+    containment holds regardless of solve accuracy.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)

@@ -153,12 +153,12 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
     """Unit-diagonal SDP bound on the quadratic form Q (either sense).
 
     The inflation covers both the residual-scaled objective error and the
-    gap to a dual-certified bound recovered from the approximate primal, so
-    value -/+ inflation is a rigorous outer bound even when the first-order
-    solve stops far from the SDP optimum (large-penalty instances).
+    gap to the bound certified by the solve's dual multipliers, so
+    value -/+ inflation is a rigorous outer bound even when the solve stops
+    far from the SDP optimum.
     """
     sol = solve_sdp(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
-    certified = certified_diag_bound(mc.Q, sol.X, sense)
+    certified = certified_diag_bound(mc.Q, sol.X, sense, sol.y)
     gap = sol.objective - certified if sense == Sense.MIN else certified - sol.objective
     return RelaxationResult(
         value=sol.objective,

@@ -1,17 +1,24 @@
-"""First-order (ADMM) solver for small dense semidefinite programs.
+"""Solvers for small dense semidefinite programs.
 
 Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and trace
 constraints <A_i, X> = b_i, with X in the positive-semidefinite cone,
-optionally intersected with the entrywise nonnegative cone.  The fixed
-diagonal is stated as data rather than as d matrices E_ii, so the
-unit-diagonal family (MAX-CUT and the moment relaxations of the penalty
-bound) projects onto its affine set in closed form.  The splitting keeps one
+optionally intersected with the entrywise nonnegative cone.
+
+The fixed-diagonal family (MAX-CUT and the moment relaxations of the penalty
+bound: a positive diagonal, no other rows, PSD cone) goes to a primal-dual
+interior-point method.  Its iterates are primal feasible and strictly dual
+feasible, so every solve, at any iteration budget, returns diagonal
+multipliers y that certify a bound on the optimum.
+
+Everything else goes to a first-order (ADMM) method.  The fixed diagonal is
+stacked as rows E_ii ahead of the other constraints.  The splitting keeps one
 variable exactly affine-feasible and one copy per cone exactly cone-feasible:
 a PSD copy, and for the doubly-nonnegative cone also an orthant copy, so
 every iteration costs one eigendecomposition and one clip.  At convergence
 the copies agree to tolerance and the affine-feasible iterate is returned.
-Everything is deterministic: the same problem and config always produce the
-same iteration path.
+
+Both methods are deterministic: the same problem and config always produce
+the same iteration path.
 """
 
 from dataclasses import dataclass, field
@@ -104,6 +111,9 @@ class SdpSolution:
     status: SolveStatus
     message: str = ""
     sigma: float = field(default=0.0, repr=False)
+    # diagonal multipliers in the problem's sense (interior-point solves only):
+    # C - Diag(y) is PSD for Min, Diag(y) - C for Max
+    y: np.ndarray | None = field(default=None, repr=False)
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -141,21 +151,24 @@ def project_psd_nonneg(S: np.ndarray, tol: float = 1e-9, max_inner: int = 50) ->
     return (X + X.T) / 2.0
 
 
-def certified_diag_bound(C: np.ndarray, X: np.ndarray, sense: Sense) -> float:
+def certified_diag_bound(C: np.ndarray, X: np.ndarray, sense: Sense,
+                         y: np.ndarray | None = None) -> float:
     """Dual-feasible bound on a unit-diagonal SDP extremum.
 
     Any y with Diag(y) - C PSD certifies e'y >= max <C, X> over all PSD X
-    with unit diagonal, so start from the complementarity guess
-    y_i = (C X)_ii and repair it by shifting every entry with the most
+    with unit diagonal.  Start from the given multipliers y (an interior-point
+    solve's ``SdpSolution.y``) or, without them, from the complementarity
+    guess y_i = (C X)_ii, and repair y by shifting every entry with the most
     negative eigenvalue of Diag(y) - C.  The min sense mirrors the argument.
-    The result is a true outer bound for any X, however rough the solve; it
-    is additionally clamped against the trivial spectral bound
+    The result is a true outer bound for any X and y, however rough the
+    solve; it is additionally clamped against the trivial spectral bound
     d * lambda_extreme(C), which is valid on its own.
     """
     C = np.asarray(C, dtype=float)
-    X = np.asarray(X, dtype=float)
     d = C.shape[0]
-    y = np.einsum("ij,ji->i", C, X)
+    if y is None:
+        y = np.einsum("ij,ji->i", C, np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
     spectrum = np.linalg.eigvalsh(C)
     if sense == Sense.MAX:
         shift = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - C)[0]))
@@ -167,9 +180,7 @@ def certified_diag_bound(C: np.ndarray, X: np.ndarray, sense: Sense) -> float:
 class _AffineProjector:
     """Projection onto {X symmetric : X_ii = diag_i, <A_i, X> = b_i}.
 
-    When the problem's ``diag`` is its only constraint (the unit-diagonal SDP
-    family) the projection is closed form: overwrite the diagonal.  Otherwise
-    the diagonal rows come first, as E_ii, ahead of the normalized constraint
+    The diagonal rows come first, as E_ii, ahead of the normalized constraint
     rows, and the projection uses a cached eigendecomposition of the row Gram
     matrix, with redundant rows handled by a pseudo-inverse.
     """
@@ -186,10 +197,6 @@ class _AffineProjector:
                 continue
             mats.append(A.reshape(-1) / nrm)
             rhs.append(b / nrm)
-        self.diag = diag if not mats else None
-        if self.diag is not None:
-            self.rhs = diag
-            return
         if diag is not None:
             E = np.zeros((d, d * d))
             E[np.arange(d), np.arange(d) * (d + 1)] = 1.0
@@ -214,10 +221,6 @@ class _AffineProjector:
                 )
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
-        if self.diag is not None:
-            out = S.copy()
-            np.fill_diagonal(out, self.diag)
-            return out
         if self.m == 0:
             return S
         r = self._flat @ S.reshape(-1) - self.rhs
@@ -236,11 +239,86 @@ _STALL_SAMPLE = 200       # sampling cadence of the stall (infeasibility) detect
 _STALL_WINDOW = 10        # samples that must agree before declaring a stall
 
 
-def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
-    """Run ADMM on a consensus split of  min <C,X> + i_affine(X) + i_cone(X).
+def _max_step(L_inv: np.ndarray, dM: np.ndarray) -> float:
+    """0.95 of the largest step keeping M + a dM positive definite, capped at 1.
 
-    For the PSD cone the split is  X = Z  with Z PSD: X-updates project onto
-    the affine set (the fixed diagonal and the trace constraints), Z-updates
+    ``L_inv`` is the inverse Cholesky factor of M, so the step is limited by
+    the most negative eigenvalue of L_inv dM L_inv'.
+    """
+    low = float(np.linalg.eigvalsh(L_inv @ dM @ L_inv.T)[0])
+    return 1.0 if low >= -0.95 else -0.95 / low
+
+
+def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+    """Primal-dual interior-point method for min <C,X> s.t. diag(X) = a, X PSD.
+
+    The dual is max a'y s.t. Z = C - Diag(y) PSD.  Each step is the HKM
+    search direction of Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J.
+    Optim. 6, 1996): with mu = 0.1 * gap / d, solve the d x d system
+    (X o Z^-1) dy = a - mu diag(Z^-1), then dX = sym(mu Z^-1 - X + X Diag(dy) Z^-1)
+    and dZ = -Diag(dy).  Each side moves 0.95 of the way to the boundary of
+    the PSD cone, at most a full step.  X starts at Diag(a) and y at a
+    diagonally dominant point, so X stays primal feasible and Z strictly
+    dual feasible throughout.  Requires a > 0.
+    """
+    d = p.dim
+    sign = 1.0 if p.sense == Sense.MIN else -1.0
+    C = sign * p.C
+    a = p.diag
+    X = np.diag(a)
+    off = np.abs(C).sum(axis=1) - np.abs(np.diag(C))
+    y = np.diag(C) - off - 1.0
+    status = SolveStatus.ITERATION_LIMIT
+    message = ""
+    it = 0
+    while True:
+        primal = float(np.tensordot(C, X))
+        gap = primal - float(a @ y)
+        if gap <= d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal)):
+            status = SolveStatus.CONVERGED
+            break
+        if it == cfg.max_iter:
+            break
+        try:
+            # inverse Cholesky factors; LinAlgError unless Z and X are PD
+            Z_inv_L = np.linalg.inv(np.linalg.cholesky(C - np.diag(y)))
+            Z_inv = Z_inv_L.T @ Z_inv_L
+            mu = 0.1 * gap / d
+            dy = np.linalg.solve(X * Z_inv, a - mu * np.diag(Z_inv))
+            dX = mu * Z_inv - X + (X * dy) @ Z_inv
+            dX = (dX + dX.T) / 2.0
+            step_x = _max_step(np.linalg.inv(np.linalg.cholesky(X)), dX)
+            step_z = _max_step(Z_inv_L, -np.diag(dy))
+        except np.linalg.LinAlgError as exc:
+            message = f"interior-point step failed after {it} iterations: {exc}"
+            break
+        X = X + step_x * dX
+        y = y + step_z * dy
+        it += 1
+
+    return SdpSolution(
+        X=X,
+        objective=float(np.tensordot(p.C, X)),
+        primal_residual=float(np.linalg.norm(np.diag(X) - a)),
+        dual_residual=gap,
+        iterations=it,
+        status=status,
+        message=message,
+        y=sign * y,
+    )
+
+
+def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
+    """Solve the SDP; the method depends on the problem's constraints.
+
+    A positive fixed diagonal with no other rows on the PSD cone goes to the
+    primal-dual interior-point method (``_solve_diag_ipm``), where
+    ``max_iter`` counts its iterations and ``admm_rho`` is unused.
+
+    Every other problem runs ADMM on a consensus split of
+    min <C,X> + i_affine(X) + i_cone(X).  For the PSD cone the split is
+    X = Z  with Z PSD: X-updates project onto the affine set (the fixed
+    diagonal as rows E_ii, then the trace constraints), Z-updates
     onto the PSD cone, and the scaled dual U accumulates the gap.  For the
     doubly-nonnegative cone it is  X = Z, X = N  with Z PSD and N >= 0, and
     scaled duals U and W.  The (Z, N) block separates, so this is still a
@@ -252,6 +330,10 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     whose primal residual stalls at a positive level (affine set disjoint
     from the cone) are reported as Diverged.
     """
+    if (p.diag is not None and not p.constraints and p.cone == Cone.PSD
+            and np.all(p.diag > 0.0)):
+        return _solve_diag_ipm(p, cfg)
+
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
     C = sign * p.C

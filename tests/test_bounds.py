@@ -11,6 +11,7 @@ from maxcut_bridge.bounds import (
     UNKNOWN,
     Certificate,
     RoundingResult,
+    _one_opt_polish,
     certify,
     gw_round,
     nesterov_sandwich,
@@ -58,9 +59,10 @@ def unconstrained_instance(n, c, rho):
 
 class TestGwRound:
     def test_rank_one_matrix_recovers_its_sign_vector(self):
+        # the plain trial (trial 0) only: later trials rotate away from X
         _, mc = unconstrained_instance(2, [1.0, -2.0], 3.0)
         v = np.array([1.0, -1.0, 1.0])
-        res = gw_round(np.outer(v, v), mc, trials=25, seed=0)
+        res = gw_round(np.outer(v, v), mc, trials=1, seed=0)
         np.testing.assert_array_equal(res.spin, v.astype(np.int64))
         assert res.value == pytest.approx(float(v @ mc.Q @ v), abs=0)
 
@@ -119,6 +121,40 @@ class TestGwRound:
         plain = gw_round(sol, mc, trials=30, seed=1, polish=False)
         polished = gw_round(sol, mc, trials=30, seed=1, polish=True)
         assert polished.value <= plain.value + 1e-12
+
+    @pytest.mark.parametrize("b", [2, 20])
+    def test_rotated_trials_reach_what_plain_rounding_misses(self, b):
+        # the Shor optimum here has rank 2, so plain hyperplane rounding
+        # (one trial per seed) sees only a handful of cuts, none optimal
+        q = knapsack_fixed(10, b)
+        f_star = brute_force(q).value
+        mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
+        sol = shor_maxcut(mc, Sense.MIN, CFG).solution
+        assert np.sum(np.linalg.eigvalsh(sol.X) > 1e-3) <= 3
+        plain = [gw_round(sol, mc, trials=1, seed=seed, polish=True) for seed in range(200)]
+        assert not any(r.feasible and r.recovered.objective == f_star for r in plain)
+        rotated = gw_round(sol, mc, trials=200, seed=0, polish=True)
+        assert rotated.feasible
+        assert rotated.recovered.objective == f_star
+
+    def test_polish_matches_recomputing_reference(self):
+        def reference(Q, s):
+            s = s.copy()
+            while True:
+                deltas = -4.0 * s * (Q @ s) + 4.0 * np.diag(Q)
+                i = int(np.argmin(deltas))
+                if deltas[i] >= -1e-12:
+                    return s
+                s[i] = -s[i]
+
+        # near-ties between flips are common on penalized forms; the
+        # incremental gradient must break them exactly as a fresh Q @ s does
+        rng = np.random.default_rng(8)
+        for q in (knapsack_fixed(4, 34), knapsack_fixed(10, 2), kcluster(12, 4, 0.4, 43)[1]):
+            mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
+            S = rng.choice([-1.0, 1.0], size=(300, mc.dim))
+            np.testing.assert_array_equal(_one_opt_polish(mc.Q, S),
+                                          [reference(mc.Q, s) for s in S])
 
     def test_bad_inputs_rejected(self):
         _, mc = unconstrained_instance(1, [-1.0], 1.0)

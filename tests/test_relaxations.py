@@ -194,6 +194,32 @@ class TestShorMaxcut:
         assert rmin.value - rmin.inflation <= lo + 1e-5 * (1 + abs(lo))
         assert rmax.value + rmax.inflation >= hi - 1e-5 * (1 + abs(hi))
 
+    def test_large_cluster_solves_in_few_iterations(self, monkeypatch):
+        # n = 160: both moment SDPs of rho and the penalized Shor min, whose
+        # cost matrix is ill-conditioned by the penalty, converge quickly and
+        # with a tight certificate
+        from maxcut_bridge import penalty, relaxations, sdp
+
+        solved = []
+
+        def recording(p, cfg):
+            sol = sdp.solve_sdp(p, cfg)
+            certified = sdp.certified_diag_bound(p.C, sol.X, p.sense, sol.y)
+            solved.append((sol, abs(sol.objective - certified) / abs(sol.objective)))
+            return sol
+
+        monkeypatch.setattr(penalty, "solve_sdp", recording)
+        monkeypatch.setattr(relaxations, "solve_sdp", recording)
+        _, q = kcluster(160, 80, 0.5, 1)
+        mc = homogenize(q, penalty.rho(q.c, q.F, CFG))
+        r = shor_maxcut(mc, Sense.MIN, CFG)
+        assert len(solved) == 3
+        for sol, inflation in solved:
+            assert sol.status.value == CONVERGED
+            assert sol.iterations <= 150
+            assert inflation < 1e-3
+        assert r.inflation < 1e-3 * abs(r.value)
+
 
 class TestLasserre1:
     def test_unconstrained_equals_homogenized_shor(self):

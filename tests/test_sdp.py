@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxcut_bridge import sdp
 from maxcut_bridge.sdp import (
@@ -11,6 +14,7 @@ from maxcut_bridge.sdp import (
     Sense,
     SolveStatus,
     SolverConfig,
+    certified_diag_bound,
     export_sdpa,
     project_psd,
     project_psd_nonneg,
@@ -34,6 +38,14 @@ def diag_constraints(d, value=1.0):
 def brute_min_quadratic_form(Q):
     d = Q.shape[0]
     return min(x @ Q @ x for x in (np.array(s) for s in itertools.product((-1, 1), repeat=d)))
+
+
+@st.composite
+def symmetric_matrices(draw, max_dim=8):
+    d = draw(st.integers(1, max_dim))
+    B = draw(hnp.arrays(np.float64, (d, d), elements=st.floats(
+        -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+    return B + B.T
 
 
 class TestProjectPsd:
@@ -145,16 +157,16 @@ class TestSolveSdp:
         np.testing.assert_allclose(np.diag(sol.X), 1.0, atol=2e-5)
 
     def test_diag_matches_dense_rows(self):
-        # the closed-form diagonal projection and the general row projection
-        # describe the same affine set, so both reach the same optimum
+        # the interior-point solve of a fixed diagonal and ADMM on the same
+        # diagonal stated as rows E_ii reach the same optimum
         rng = np.random.default_rng(7)
         B = rng.normal(size=(6, 6))
         C = B + B.T
-        closed = solve_sdp(SdpProblem(C=C, diag=np.ones(6)), CFG)
+        ipm = solve_sdp(SdpProblem(C=C, diag=np.ones(6)), CFG)
         general = solve_sdp(SdpProblem(C=C, constraints=diag_constraints(6)), CFG)
-        assert closed.status == general.status == SolveStatus.CONVERGED
-        assert closed.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
-        np.testing.assert_allclose(closed.X, general.X, atol=1e-3)
+        assert ipm.status == general.status == SolveStatus.CONVERGED
+        assert ipm.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
+        np.testing.assert_allclose(ipm.X, general.X, atol=1e-3)
 
     def test_general_constraint_path_pins_all_entries(self):
         # X_11 = 1, X_22 = 1, X_12 = 0.3 fixes X entirely; objective is <C, X>.
@@ -204,8 +216,29 @@ class TestSolveSdp:
         B = rng.normal(size=(d, d))
         Q = B + B.T
         sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d)), FAST)
-        deflated = sol.objective - sol.primal_residual * np.linalg.norm(Q)
-        assert deflated <= brute_min_quadratic_form(Q) + 1e-6
+        assert sol.status == SolveStatus.CONVERGED
+        certified = certified_diag_bound(Q, sol.X, Sense.MIN, sol.y)
+        assert certified <= brute_min_quadratic_form(Q)
+        # the stopping rule bounds the duality gap, so the certificate is tight
+        assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
+            1.0 + abs(sol.objective))
+
+    @settings(max_examples=150, deadline=None)
+    @given(Q=symmetric_matrices(), max_iter=st.integers(1, 60))
+    def test_certified_bound_at_any_budget(self, Q, max_iter):
+        # the multipliers of every interior-point iterate are dual feasible,
+        # so the bound holds however early the solve stops
+        d = Q.shape[0]
+        cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        rounding = 1e-9 * (1.0 + np.abs(Q).sum())  # eigvalsh round-off only
+        for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
+            sol = solve_sdp(SdpProblem(C=Q, sense=sense, diag=np.ones(d)), cfg)
+            assert sol.y is not None and sol.iterations <= max_iter
+            bound = certified_diag_bound(Q, sol.X, sense, sol.y)
+            extreme = values.min() if sense == Sense.MIN else values.max()
+            assert side * (bound - extreme) <= rounding
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
