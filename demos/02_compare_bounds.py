@@ -5,8 +5,8 @@ bound in both senses, the level-1 moment relaxation, the LP box relaxation
 (linear objectives only), the convex eigenvalue-shift relaxation, the
 doubly-nonnegative bound on the lifted 0/1 form, and exact enumeration for
 reference.  Every entry shows original-problem units plus the raw sign-form
-value, a status, and the residual-based inflation that keeps approximate
-bounds honest.
+value, a status, and the inflation that keeps approximate bounds honest
+(the gap to a dual certificate for the MAX-CUT entries).
 """
 
 from maxcut_bridge import SolverConfig, compute_bounds, knapsack_random

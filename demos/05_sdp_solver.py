@@ -8,8 +8,8 @@ any iteration.  The doubly-nonnegative problem goes to ADMM, which
 alternates an affine projection (least-change update satisfying the fixed
 diagonal and the trace constraints), a projection of each cone copy (PSD,
 plus the nonnegative orthant), and a scaled dual update per copy.  For the
-unit-diagonal family, certified_diag_bound turns any returned X (or y) into
-a dual-certified bound, which is what shor_maxcut and rho report.
+unit-diagonal family, certified_diag_bound turns the returned multipliers y
+into a dual-certified bound, which is what shor_maxcut and rho report.
 """
 
 import numpy as np
@@ -50,6 +50,6 @@ sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d), sense=Sense.MIN),
 
 X = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0
 exact = (X @ Q * X).sum(1).min()
-floor = certified_diag_bound(Q, sol.X, Sense.MIN)
+floor = certified_diag_bound(Q, sol.y, Sense.MIN)
 print(f"\nrandom d={d} quadratic form: enumerated minimum {exact:.6f}, "
       f"certified SDP floor {floor:.6f}")

@@ -3,7 +3,7 @@
 The three pieces sit on top of the unit-diagonal SDP: the sandwich combines
 its min and max values into an upper bound on the constrained optimum, the
 rounding turns its matrix into candidate sign vectors, and the certificate
-compares the (residual-widened) lower bound against the penalty constant to
+compares the dual-certified lower bound against the penalty constant to
 detect programs with no feasible point.
 """
 
@@ -136,7 +136,7 @@ class Certificate:
     explanation: str
     value: float | None = None      # objective of the feasible point (original units)
     point: np.ndarray | None = None  # sign-domain feasible point
-    bound: float | None = None      # residual-widened lower bound used in the gap test
+    bound: float | None = None      # dual-certified lower bound used in the gap test
     rho: float | None = None        # penalty threshold in the same units as bound
 
 
@@ -144,8 +144,9 @@ def certify(report, pb: PenaltyBound) -> Certificate:
     """Decide Feasible / InfeasibleByGap / Unknown from a BoundReport.
 
     The gap test is sound by construction: the min-sense SDP value is first
-    *lowered* by its residual inflation, so clearing rho genuinely implies
-    that every sign point pays the penalty, i.e. no feasible point exists.
+    *lowered* by its inflation to the bound its dual multipliers certify, so
+    clearing rho genuinely implies that every sign point pays the penalty,
+    i.e. no feasible point exists.
     The feasible verdict only ever comes from an explicitly checked point
     (hyperplane rounding); bounds alone never prove feasibility.
     """

@@ -11,7 +11,6 @@ detected before solving, 4 unexpected solver failure.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -156,14 +155,18 @@ def _generator_from_args(args) -> GeneratorSpec | None:
     )
 
 
+def _generate(spec: GeneratorSpec):
+    prog = spec.generate()
+    if isinstance(prog, tuple):  # kcluster yields (0/1 program, sign form)
+        prog = prog[1]
+    return prog
+
+
 def _resolve_program(cfg: RunConfig):
     """Load or generate the instance named by the run configuration."""
     if cfg.instance_path is not None:
         return load_instance(cfg.instance_path)
-    prog = cfg.generator.generate()
-    if isinstance(prog, tuple):  # kcluster yields (0/1 program, sign form)
-        prog = prog[1]
-    return prog
+    return _generate(cfg.generator)
 
 
 def _as_sign_program(prog) -> SignProgram:
@@ -397,16 +400,9 @@ def _sweep_values(args):
 
 
 def _compare_row(cfg: RunConfig, param: str, value: int):
-    spec = cfg.generator
-    kwargs = dict(family=spec.family, n=spec.n, seed=spec.seed, b=spec.b,
-                  k=spec.k, s=spec.s, f_density=spec.f_density,
-                  zero_prob=spec.zero_prob)
-    kwargs[param] = value
     row = {"param": value}
     try:
-        prog = GeneratorSpec(**kwargs).generate()
-        if isinstance(prog, tuple):
-            prog = prog[1]
+        prog = _generate(dataclasses.replace(cfg.generator, **{param: value}))
         sign = _as_sign_program(prog)
         pb = _penalty(sign, cfg)
         report = _run_bounds(sign, cfg, pb, cfg.selectors or SELECTORS)
@@ -422,19 +418,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         raise UsageError("compare requires --family generator flags")
     param = args.sweep_param
     values = _sweep_values(args)
-    threads = os.environ.get("MAXCUT_BRIDGE_THREADS", "0")
-    try:
-        threads = int(threads)
-    except ValueError:
-        raise UsageError(f"MAXCUT_BRIDGE_THREADS must be an integer, got {threads!r}")
-
-    if threads > 0:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: _compare_row(cfg, param, v), values))
-    else:
-        rows = [_compare_row(cfg, param, v) for v in values]
+    rows = [_compare_row(cfg, param, v) for v in values]
 
     selectors = list(cfg.selectors or SELECTORS)
     headers = [param]

@@ -60,8 +60,8 @@ def _moment_extrema(c, F, cfg: SolverConfig):
     unit = np.ones(C.shape[0])
     lo = solve_sdp(SdpProblem(C=C, sense=Sense.MIN, diag=unit), cfg)
     hi = solve_sdp(SdpProblem(C=C, sense=Sense.MAX, diag=unit), cfg)
-    r1 = certified_diag_bound(C, lo.X, Sense.MIN, lo.y)
-    r2 = certified_diag_bound(C, hi.X, Sense.MAX, hi.y)
+    r1 = certified_diag_bound(C, lo.y, Sense.MIN)
+    r2 = certified_diag_bound(C, hi.y, Sense.MAX)
     return r1, r2, (lo.status, hi.status)
 
 

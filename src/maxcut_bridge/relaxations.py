@@ -152,31 +152,29 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
                 cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
     """Unit-diagonal SDP bound on the quadratic form Q (either sense).
 
-    The inflation covers both the residual-scaled objective error and the
-    gap to the bound certified by the solve's dual multipliers, so
-    value -/+ inflation is a rigorous outer bound even when the solve stops
-    far from the SDP optimum.
+    The inflation is the gap from the solve's value to the bound certified
+    by its dual multipliers, so value -/+ inflation is exactly that
+    certified bound: a rigorous outer bound even when the solve stops far
+    from the SDP optimum.
     """
     sol = solve_sdp(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
-    certified = certified_diag_bound(mc.Q, sol.X, sense, sol.y)
-    gap = sol.objective - certified if sense == Sense.MIN else certified - sol.objective
+    certified = certified_diag_bound(mc.Q, sol.y, sense)
     return RelaxationResult(
         value=sol.objective,
         status=sol.status.value,
-        inflation=max(sol.primal_residual * float(np.linalg.norm(mc.Q)), gap),
+        inflation=sol.objective - certified if sense == Sense.MIN else certified - sol.objective,
         note=sol.message,
         solution=sol,
     )
 
 
-def lasserre1(q: SignProgram, with_redundant: bool = True,
-              cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
+def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
     """First moment relaxation of the constrained program itself.
 
     The moment block [[X, x], [x', 1]] has unit diagonal, each constraint row
-    enters linearly, and with_redundant adds the linearized products
-    x_i * (A_k x - b_k) = 0.  An infeasible moment system (e.g. a constraint
-    unreachable inside the box) is reported as Infeasible with value +inf.
+    enters linearly, and so do the linearized products x_i * (A_k x - b_k) = 0.
+    An infeasible moment system (e.g. a constraint unreachable inside the box)
+    is reported as Infeasible with value +inf.
     """
     n = q.n
     d = n + 1
@@ -188,15 +186,14 @@ def lasserre1(q: SignProgram, with_redundant: bool = True,
         M[:n, n] = A[k] / 2.0
         M[n, :n] = A[k] / 2.0
         cons.append((M, b[k]))
-    if with_redundant:
-        for k in range(q.m):
-            for i in range(n):
-                M = np.zeros((d, d))
-                M[i, :n] += A[k] / 2.0
-                M[:n, i] += A[k] / 2.0
-                M[i, n] -= b[k] / 2.0
-                M[n, i] -= b[k] / 2.0
-                cons.append((M, 0.0))
+    for k in range(q.m):
+        for i in range(n):
+            M = np.zeros((d, d))
+            M[i, :n] += A[k] / 2.0
+            M[:n, i] += A[k] / 2.0
+            M[i, n] -= b[k] / 2.0
+            M[n, i] -= b[k] / 2.0
+            cons.append((M, 0.0))
     C = _moment_cost(q.c, q.F)
     sol = solve_sdp(SdpProblem(C=C, constraints=tuple(cons), diag=np.ones(d)), cfg)
     if sol.status == SolveStatus.DIVERGED:
@@ -460,8 +457,10 @@ def compute_bounds(
     """Run the selected bounds on one sign program and collect a report.
 
     All entry values are in original-problem units.  ``inflation`` per entry
-    is the residual-based widening in those units; subtract it from min-sense
-    entries before treating them as valid lower bounds.  Selector names are
+    is the widening in those units that makes the value safe (the gap to the
+    dual certificate for the MAX-CUT entries, the residual heuristic for
+    ``lasserre1`` and ``copositive_dnn``); subtract it from min-sense entries
+    before treating them as valid lower bounds.  Selector names are
     validated before anything is solved.  ``include_brute_force`` defaults to
     n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.
     ``dnn_cfg`` gives the doubly-nonnegative solve a separate iteration/step

@@ -12,17 +12,22 @@ multipliers y that certify a bound on the optimum.
 
 Everything else goes to a first-order (ADMM) method.  The fixed diagonal is
 stacked as rows E_ii ahead of the other constraints.  The splitting keeps one
-variable exactly affine-feasible and one copy per cone exactly cone-feasible:
-a PSD copy, and for the doubly-nonnegative cone also an orthant copy, so
-every iteration costs one eigendecomposition and one clip.  At convergence
-the copies agree to tolerance and the affine-feasible iterate is returned.
+variable exactly affine-feasible and one copy per cone exactly cone-feasible,
+and one loop serves both cones: it runs over a list of copies, a PSD copy and,
+for the doubly-nonnegative cone, an orthant copy, each with its own scaled
+dual.  Every iteration costs one eigendecomposition (plus one clip for the
+orthant).  At convergence the copies agree to tolerance and the
+affine-feasible iterate is returned.
 
 Both methods are deterministic: the same problem and config always produce
 the same iteration path.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -127,6 +132,17 @@ def project_psd(S: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
+def _clip_nonneg(S: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest entrywise nonnegative matrix."""
+    return np.maximum(S, 0.0)
+
+
+def _fro(A: np.ndarray) -> float:
+    """Frobenius norm: the dot product np.linalg.norm runs, without its call overhead."""
+    v = A.ravel("K")
+    return math.sqrt(v.dot(v))
+
+
 def project_psd_nonneg(S: np.ndarray, tol: float = 1e-9, max_inner: int = 50) -> np.ndarray:
     """Dykstra alternation between the PSD cone and the nonnegative orthant.
 
@@ -151,23 +167,19 @@ def project_psd_nonneg(S: np.ndarray, tol: float = 1e-9, max_inner: int = 50) ->
     return (X + X.T) / 2.0
 
 
-def certified_diag_bound(C: np.ndarray, X: np.ndarray, sense: Sense,
-                         y: np.ndarray | None = None) -> float:
-    """Dual-feasible bound on a unit-diagonal SDP extremum.
+def certified_diag_bound(C: np.ndarray, y: np.ndarray, sense: Sense) -> float:
+    """Dual-feasible bound on a unit-diagonal SDP extremum, from multipliers y.
 
     Any y with Diag(y) - C PSD certifies e'y >= max <C, X> over all PSD X
-    with unit diagonal.  Start from the given multipliers y (an interior-point
-    solve's ``SdpSolution.y``) or, without them, from the complementarity
-    guess y_i = (C X)_ii, and repair y by shifting every entry with the most
-    negative eigenvalue of Diag(y) - C.  The min sense mirrors the argument.
-    The result is a true outer bound for any X and y, however rough the
+    with unit diagonal.  Starting from the given y (an interior-point
+    solve's ``SdpSolution.y``), repair it by shifting every entry with the
+    most negative eigenvalue of Diag(y) - C.  The min sense mirrors the
+    argument.  The result is a true outer bound for any y, however rough the
     solve; it is additionally clamped against the trivial spectral bound
     d * lambda_extreme(C), which is valid on its own.
     """
     C = np.asarray(C, dtype=float)
     d = C.shape[0]
-    if y is None:
-        y = np.einsum("ij,ji->i", C, np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     spectrum = np.linalg.eigvalsh(C)
     if sense == Sense.MAX:
@@ -316,15 +328,15 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     ``max_iter`` counts its iterations and ``admm_rho`` is unused.
 
     Every other problem runs ADMM on a consensus split of
-    min <C,X> + i_affine(X) + i_cone(X).  For the PSD cone the split is
-    X = Z  with Z PSD: X-updates project onto the affine set (the fixed
-    diagonal as rows E_ii, then the trace constraints), Z-updates
-    onto the PSD cone, and the scaled dual U accumulates the gap.  For the
-    doubly-nonnegative cone it is  X = Z, X = N  with Z PSD and N >= 0, and
-    scaled duals U and W.  The (Z, N) block separates, so this is still a
-    two-block ADMM (Wen, Goldfarb & Yin 2010; Sun, Toh & Yang 2015): the
-    X-update projects the average of the two shifted copies, then Z takes
-    one eigenvalue clip and N one entrywise clip.  Convergence requires both
+    min <C,X> + i_affine(X) + i_cone(X) with one copy K_j per cone and its
+    scaled dual D_j: X = Z with Z PSD, and for the doubly-nonnegative cone
+    also X = N with N >= 0.  The copies separate, so this is a two-block
+    ADMM (Wen, Goldfarb & Yin 2010; Sun, Toh & Yang 2015): the X-update
+    projects the average of the k shifted copies K_j - D_j, less C / sigma,
+    onto the affine set (the fixed diagonal as rows E_ii, then the trace
+    constraints); each copy then takes its cone's projection of X + D_j
+    (one eigenvalue clip, one entrywise clip), and each dual accumulates
+    its gap X - K_j.  Convergence requires both
     residuals to stay below their Boyd-style thresholds for 100 consecutive
     iterations.  Structurally inconsistent constraint systems and iterates
     whose primal residual stalls at a positive level (affine set disjoint
@@ -352,17 +364,19 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
         )
 
     # looked up per solve, so a patched sdp.project_psd sees every call
-    cone_proj = project_psd
-    nonneg = p.cone == Cone.PSD_NONNEG
+    projections = [project_psd]
+    if p.cone == Cone.PSD_NONNEG:
+        projections.append(_clip_nonneg)
+    k = len(projections)
+    sqrt_k = np.sqrt(k)
 
     sigma0 = cfg.admm_rho * (1.0 + np.linalg.norm(C) / d)
     sigma = sigma0
     sigma_lo, sigma_hi = sigma0 * 2.0 ** -20, sigma0 * 2.0 ** 20
+    C_sigma = C / sigma
 
-    Z = np.zeros((d, d))
-    U = np.zeros((d, d))
-    N = np.zeros((d, d))      # orthant copy and its scaled dual (nonneg only)
-    W = np.zeros((d, d))
+    copies = [np.zeros((d, d)) for _ in projections]   # one per cone
+    duals = [np.zeros((d, d)) for _ in projections]    # scaled, one per copy
     r_norm = s_norm = np.inf
     eps_p = eps_d = 0.0
     stable = 0
@@ -370,32 +384,20 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
-    X = Z
+    X = copies[0]
 
     for it in range(1, cfg.max_iter + 1):
-        if nonneg:
-            X = affine(((Z - U) + (N - W) - C / sigma) / 2.0)
-            Z_prev, N_prev = Z, N
-            Z = cone_proj(X + U)
-            N = np.maximum(X + W, 0.0)
-            U = U + X - Z
-            W = W + X - N
+        X = affine((reduce(add, [K - D for K, D in zip(copies, duals)]) - C_sigma) / k)
+        prev = copies
+        copies = [proj(X + D) for proj, D in zip(projections, duals)]
+        duals = [D + X - K for K, D in zip(copies, duals)]
 
-            r_norm = np.hypot(np.linalg.norm(X - Z), np.linalg.norm(X - N))
-            s_norm = sigma * np.linalg.norm((Z - Z_prev) + (N - N_prev))
-            copies = np.hypot(np.linalg.norm(Z), np.linalg.norm(N))
-            eps_p = d * cfg.eps_abs + cfg.eps_rel * max(np.sqrt(2.0) * np.linalg.norm(X), copies)
-            eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * np.linalg.norm(U + W)
-        else:
-            X = affine(Z - U - C / sigma)
-            Z_prev = Z
-            Z = cone_proj(X + U)
-            U = U + X - Z
-
-            r_norm = np.linalg.norm(X - Z)
-            s_norm = sigma * np.linalg.norm(Z - Z_prev)
-            eps_p = d * cfg.eps_abs + cfg.eps_rel * max(np.linalg.norm(X), np.linalg.norm(Z))
-            eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * np.linalg.norm(U)
+        r_norm = reduce(np.hypot, [_fro(X - K) for K in copies])
+        s_norm = sigma * _fro(reduce(add, [K - P for K, P in zip(copies, prev)]))
+        # k stacked copies of X against the k cone copies
+        spread = max(sqrt_k * _fro(X), reduce(np.hypot, [_fro(K) for K in copies]))
+        eps_p = d * cfg.eps_abs + cfg.eps_rel * spread
+        eps_d = d * cfg.eps_abs + cfg.eps_rel * sigma * _fro(reduce(add, duals))
 
         if r_norm <= eps_p and s_norm <= eps_d:
             stable += 1
@@ -408,15 +410,15 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
         if it % _CHECK_EVERY == 0 and stable == 0:
             if r_norm > 10.0 * s_norm and sigma < sigma_hi:
                 sigma *= 2.0
-                U /= 2.0
-                W /= 2.0
+                duals = [D / 2.0 for D in duals]
+                C_sigma = C / sigma
             elif s_norm > 10.0 * r_norm and sigma > sigma_lo:
                 sigma /= 2.0
-                U *= 2.0
-                W *= 2.0
+                duals = [D * 2.0 for D in duals]
+                C_sigma = C / sigma
 
         if it % _STALL_SAMPLE == 0:
-            stall_hist.append((r_norm, np.hypot(np.linalg.norm(U), np.linalg.norm(W))))
+            stall_hist.append((r_norm, reduce(np.hypot, [_fro(D) for D in duals])))
             if len(stall_hist) > _STALL_WINDOW:
                 stall_hist.pop(0)
             floor = max(1e3 * eps_p, 1e-4 * (1.0 + np.linalg.norm(affine.rhs)))
@@ -427,7 +429,7 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
                 and min(rs) > floor
                 and max(rs) <= 1.02 * min(rs)
                 # a linearly growing dual iterate is the divergence signature;
-                # a merely slow feasible solve keeps U bounded
+                # a merely slow feasible solve keeps the duals bounded
                 and us[-1] > 1.2 * us[0]
                 and all(b >= a for a, b in zip(us, us[1:]))
             ):

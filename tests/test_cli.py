@@ -345,18 +345,6 @@ class TestCompare:
         assert "# wins maxcut_shor_min>lp_box:" in out
         assert "# rows: 5" in out
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        monkeypatch.delenv("MAXCUT_BRIDGE_THREADS", raising=False)
-        assert run_cli(self.ARGS + ["-o", str(serial)]) == EXIT_OK
-        monkeypatch.setenv("MAXCUT_BRIDGE_THREADS", "3")
-        assert run_cli(self.ARGS + ["-o", str(threaded)]) == EXIT_OK
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_bad_thread_env_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("MAXCUT_BRIDGE_THREADS", "many")
-        assert run_cli(list(self.ARGS)) == EXIT_USAGE
-
     def test_empty_sweep_is_usage_error(self):
         rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
                       "--sweep-param", "b", "--sweep-from", "5",

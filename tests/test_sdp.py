@@ -126,7 +126,8 @@ class TestSolveSdp:
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(0.0, abs=1e-5)
 
-    def test_nonneg_cone_projects_psd_once_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("cone", list(Cone), ids=lambda c: c.value)
+    def test_admm_projects_psd_once_per_iteration(self, monkeypatch, cone):
         calls = []
 
         def counting(S):
@@ -136,8 +137,13 @@ class TestSolveSdp:
         monkeypatch.setattr(sdp, "project_psd", counting)
         rng = np.random.default_rng(3)
         B = rng.normal(size=(6, 6))
-        p = SdpProblem(C=B + B.T, diag=np.ones(6), cone=Cone.PSD_NONNEG)
+        # X_12 = 0 keeps the PSD problem off the interior-point path
+        off = np.zeros((6, 6))
+        off[0, 1] = off[1, 0] = 0.5
+        p = SdpProblem(C=B + B.T, diag=np.ones(6), cone=cone,
+                       constraints=[(off, 0.0)] if cone == Cone.PSD else [])
         sol = solve_sdp(p, FAST)
+        assert sol.y is None  # an ADMM solve
         assert sol.status == SolveStatus.CONVERGED
         assert len(calls) == sol.iterations
 
@@ -217,7 +223,7 @@ class TestSolveSdp:
         Q = B + B.T
         sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d)), FAST)
         assert sol.status == SolveStatus.CONVERGED
-        certified = certified_diag_bound(Q, sol.X, Sense.MIN, sol.y)
+        certified = certified_diag_bound(Q, sol.y, Sense.MIN)
         assert certified <= brute_min_quadratic_form(Q)
         # the stopping rule bounds the duality gap, so the certificate is tight
         assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
@@ -236,7 +242,7 @@ class TestSolveSdp:
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
             sol = solve_sdp(SdpProblem(C=Q, sense=sense, diag=np.ones(d)), cfg)
             assert sol.y is not None and sol.iterations <= max_iter
-            bound = certified_diag_bound(Q, sol.X, sense, sol.y)
+            bound = certified_diag_bound(Q, sol.y, sense)
             extreme = values.min() if sense == Sense.MIN else values.max()
             assert side * (bound - extreme) <= rounding
 
