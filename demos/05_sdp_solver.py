@@ -1,15 +1,15 @@
 """Drive the semidefinite solvers directly.
 
-A fixed positive diagonal with no other constraints on the PSD cone (the
-first two problems and the random form below) goes to the primal-dual
-interior-point method: its iterates stay primal feasible, so the primal
-residual reads zero, and its dual multipliers (``sol.y``) certify a bound at
-any iteration.  The doubly-nonnegative problem goes to ADMM, which
-alternates an affine projection (least-change update satisfying the fixed
-diagonal and the trace constraints), a projection of each cone copy (PSD,
-plus the nonnegative orthant), and a scaled dual update per copy.  For the
-unit-diagonal family, certified_diag_bound turns the returned multipliers y
-into a dual-certified bound, which is what shor_maxcut and rho report.
+A fixed positive diagonal on the PSD cone, with or without trace rows (the
+first two problems and the random form below), goes to the primal-dual
+interior-point method: without rows its iterates stay primal feasible, so
+the primal residual reads zero, and its multipliers (``sol.y``, one per row)
+certify a bound at any iteration.  The doubly-nonnegative problem goes to
+ADMM, which alternates an affine projection (least-change update satisfying
+the fixed diagonal and the trace constraints), a projection of each cone
+copy (PSD, plus the nonnegative orthant), and a scaled dual update per copy.
+certified_diag_bound turns a problem and the returned multipliers y into a
+dual-certified bound, which is what shor_maxcut, lasserre1 and rho report.
 """
 
 import numpy as np
@@ -45,11 +45,11 @@ rng = np.random.default_rng(7)
 d = 12
 G = rng.normal(size=(d, d))
 Q = (G + G.T) / 2
-sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d), sense=Sense.MIN),
-                SolverConfig(eps_abs=1e-7, eps_rel=1e-6, max_iter=100000))
+p = SdpProblem(C=Q, diag=np.ones(d), sense=Sense.MIN)
+sol = solve_sdp(p, SolverConfig(eps_abs=1e-7, eps_rel=1e-6, max_iter=100000))
 
 X = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0
 exact = (X @ Q * X).sum(1).min()
-floor = certified_diag_bound(Q, sol.y, Sense.MIN)
+floor = certified_diag_bound(p, sol.y)
 print(f"\nrandom d={d} quadratic form: enumerated minimum {exact:.6f}, "
       f"certified SDP floor {floor:.6f}")

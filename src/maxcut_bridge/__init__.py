@@ -3,8 +3,8 @@
 The pipeline: move the program onto the {-1,1} hypercube, fold the integer
 equality constraints into the objective with a computed penalty constant,
 homogenize to a quadratic form in n+1 variables, then bound the optimum with
-built-in semidefinite solvers (an interior-point method for Shor/MAX-CUT and
-the penalty constant, ADMM for Lasserre level 1 and DNN), an LP box
+built-in semidefinite solvers (an interior-point method for Shor/MAX-CUT,
+the penalty constant and Lasserre level 1, ADMM for DNN), an LP box
 relaxation, a convex-quadratic eigenvalue-shift relaxation,
 Goemans-Williamson rounding with outward rotations and an infeasibility
 certificate.

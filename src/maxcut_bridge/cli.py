@@ -232,13 +232,16 @@ def _report_rows(report):
     entry = report.entries.get("brute_force")
     if entry is not None and entry.status == "Exact" and np.isfinite(entry.value):
         f_star = entry.value
+    # an optimum within round-off of zero, on the problem's own scale, has no
+    # relative delta, as an exact zero has none
+    zero = 1e-12 * (abs(report.offset) + report.scale * report.rho_raw)
     rows = []
     for name in SELECTORS:
         if name not in report.entries:
             continue
         e = report.entries[name]
         delta = None
-        if f_star not in (None, 0.0) and np.isfinite(e.value):
+        if f_star is not None and abs(f_star) > zero and np.isfinite(e.value):
             delta = 100.0 * (e.value - f_star) / abs(f_star)
         rows.append([name, e.status, e.value, e.raw, e.inflation, delta, e.note])
     return rows

@@ -58,10 +58,12 @@ def _moment_extrema(c, F, cfg: SolverConfig):
     """Dual-certified (r1, r2) and the two solve statuses of the moment relaxation."""
     C = _moment_cost(c, F)
     unit = np.ones(C.shape[0])
-    lo = solve_sdp(SdpProblem(C=C, sense=Sense.MIN, diag=unit), cfg)
-    hi = solve_sdp(SdpProblem(C=C, sense=Sense.MAX, diag=unit), cfg)
-    r1 = certified_diag_bound(C, lo.y, Sense.MIN)
-    r2 = certified_diag_bound(C, hi.y, Sense.MAX)
+    p_lo = SdpProblem(C=C, sense=Sense.MIN, diag=unit)
+    p_hi = SdpProblem(C=C, sense=Sense.MAX, diag=unit)
+    lo = solve_sdp(p_lo, cfg)
+    hi = solve_sdp(p_hi, cfg)
+    r1 = certified_diag_bound(p_lo, lo.y)
+    r2 = certified_diag_bound(p_hi, hi.y)
     return r1, r2, (lo.status, hi.status)
 
 

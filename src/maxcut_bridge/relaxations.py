@@ -4,7 +4,11 @@ Every operation returns a RelaxationResult whose ``value`` is in the units of
 its input program (sign-form raw units for the sign-program relaxations, 0/1
 units for the copositive one).  ``inflation`` is the one-sided widening that
 makes an approximately solved bound safe: subtract it from a min-sense value
-before claiming a valid lower bound, add it for max-sense.  compute_bounds
+before claiming a valid lower bound, add it for max-sense.  For the MAX-CUT
+SDP and ``lasserre1`` it is the gap from the value to the bound certified by
+the solve's own dual multipliers, so value -/+ inflation is a true bound at
+any iteration budget; ``copositive_dnn`` still uses the residual heuristic
+``primal_residual * ||C||``, which is not a certificate.  compute_bounds
 assembles everything into a BoundReport with all values mapped to
 original-problem units.
 """
@@ -157,8 +161,9 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
     certified bound: a rigorous outer bound even when the solve stops far
     from the SDP optimum.
     """
-    sol = solve_sdp(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
-    certified = certified_diag_bound(mc.Q, sol.y, sense)
+    p = SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim))
+    sol = solve_sdp(p, cfg)
+    certified = certified_diag_bound(p, sol.y)
     return RelaxationResult(
         value=sol.objective,
         status=sol.status.value,
@@ -173,8 +178,12 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationR
 
     The moment block [[X, x], [x', 1]] has unit diagonal, each constraint row
     enters linearly, and so do the linearized products x_i * (A_k x - b_k) = 0.
-    An infeasible moment system (e.g. a constraint unreachable inside the box)
-    is reported as Infeasible with value +inf.
+    The interior-point solve certifies its own bound: the inflation is the
+    gap from the value to ``certified_diag_bound`` of its multipliers, so
+    value - inflation is a lower bound at any iteration budget.  An
+    infeasible moment system (e.g. a constraint unreachable inside the box),
+    which the solve proves from its dual or from conflicting rows, is
+    reported as Infeasible with value +inf.
     """
     n = q.n
     d = n + 1
@@ -194,14 +203,14 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationR
             M[i, n] -= b[k] / 2.0
             M[n, i] -= b[k] / 2.0
             cons.append((M, 0.0))
-    C = _moment_cost(q.c, q.F)
-    sol = solve_sdp(SdpProblem(C=C, constraints=tuple(cons), diag=np.ones(d)), cfg)
+    p = SdpProblem(C=_moment_cost(q.c, q.F), constraints=tuple(cons), diag=np.ones(d))
+    sol = solve_sdp(p, cfg)
     if sol.status == SolveStatus.DIVERGED:
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
     return RelaxationResult(
         value=sol.objective,
         status=sol.status.value,
-        inflation=sol.primal_residual * float(np.linalg.norm(C)),
+        inflation=sol.objective - certified_diag_bound(p, sol.y),
         note=sol.message,
         solution=sol,
     )
@@ -458,8 +467,8 @@ def compute_bounds(
 
     All entry values are in original-problem units.  ``inflation`` per entry
     is the widening in those units that makes the value safe (the gap to the
-    dual certificate for the MAX-CUT entries, the residual heuristic for
-    ``lasserre1`` and ``copositive_dnn``); subtract it from min-sense entries
+    dual certificate for the MAX-CUT entries and ``lasserre1``, the residual
+    heuristic for ``copositive_dnn``); subtract it from min-sense entries
     before treating them as valid lower bounds.  Selector names are
     validated before anything is solved.  ``include_brute_force`` defaults to
     n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.

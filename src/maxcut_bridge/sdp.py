@@ -4,23 +4,28 @@ Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and trace
 constraints <A_i, X> = b_i, with X in the positive-semidefinite cone,
 optionally intersected with the entrywise nonnegative cone.
 
-The fixed-diagonal family (MAX-CUT and the moment relaxations of the penalty
-bound: a positive diagonal, no other rows, PSD cone) goes to a primal-dual
-interior-point method.  Its iterates are primal feasible and strictly dual
-feasible, so every solve, at any iteration budget, returns diagonal
-multipliers y that certify a bound on the optimum.
+Every PSD-cone problem with a positive fixed diagonal (MAX-CUT, the moment
+relaxations of the penalty bound and the first Lasserre relaxation, with or
+without trace rows) goes to a primal-dual interior-point method.  Its
+iterates stay strictly dual feasible, so every solve, at any iteration
+budget, returns multipliers y that certify a bound on the optimum
+(``certified_diag_bound``).  Its X meets trace rows only in the limit, so a
+solve with rows returns X projected onto them, as ADMM returns its affine
+iterate, with ``primal_residual`` its distance to the PSD cone.
 
-Everything else goes to a first-order (ADMM) method.  The fixed diagonal is
-stacked as rows E_ii ahead of the other constraints.  The splitting keeps one
-variable exactly affine-feasible and one copy per cone exactly cone-feasible,
-and one loop serves both cones: it runs over a list of copies, a PSD copy and,
-for the doubly-nonnegative cone, an orthant copy, each with its own scaled
-dual.  Every iteration costs one eigendecomposition (plus one clip for the
+ADMM now serves only the doubly-nonnegative cone and problems without a
+positive fixed diagonal.  The fixed diagonal is stacked as rows E_ii ahead of
+the other constraints.  The splitting keeps one variable exactly
+affine-feasible and one copy per cone exactly cone-feasible, and one loop
+serves both cones: it runs over a list of copies, a PSD copy and, for the
+doubly-nonnegative cone, an orthant copy, each with its own scaled dual.
+Every iteration costs one eigendecomposition (plus one clip for the
 orthant).  At convergence the copies agree to tolerance and the
 affine-feasible iterate is returned.
 
-Both methods are deterministic: the same problem and config always produce
-the same iteration path.
+Both methods drop dependent constraint rows up front with one routine
+(``_independent_rows``), and both are deterministic: the same problem and
+config always produce the same iteration path.
 """
 
 import math
@@ -116,8 +121,10 @@ class SdpSolution:
     status: SolveStatus
     message: str = ""
     sigma: float = field(default=0.0, repr=False)
-    # diagonal multipliers in the problem's sense (interior-point solves only):
-    # C - Diag(y) is PSD for Min, Diag(y) - C for Max
+    # multipliers in the problem's sense (interior-point solves only), one per
+    # row: the diagonal first, then ``constraints`` in order, 0 for a dropped
+    # dependent row.  C - A*(y) is PSD for Min, A*(y) - C for Max, where
+    # A*(y) = Diag(y[:d]) + sum_k y[d + k] A_k
     y: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -167,70 +174,113 @@ def project_psd_nonneg(S: np.ndarray, tol: float = 1e-9, max_inner: int = 50) ->
     return (X + X.T) / 2.0
 
 
-def certified_diag_bound(C: np.ndarray, y: np.ndarray, sense: Sense) -> float:
-    """Dual-feasible bound on a unit-diagonal SDP extremum, from multipliers y.
+def certified_diag_bound(p: SdpProblem, y: np.ndarray) -> float:
+    """Bound on the optimum of a fixed-diagonal SDP, certified by any multipliers y.
 
-    Any y with Diag(y) - C PSD certifies e'y >= max <C, X> over all PSD X
-    with unit diagonal.  Starting from the given y (an interior-point
-    solve's ``SdpSolution.y``), repair it by shifting every entry with the
-    most negative eigenvalue of Diag(y) - C.  The min sense mirrors the
-    argument.  The result is a true outer bound for any y, however rough the
-    solve; it is additionally clamped against the trivial spectral bound
-    d * lambda_extreme(C), which is valid on its own.
+    ``y`` holds one multiplier per row in the problem's sense, the diagonal
+    first and then ``p.constraints`` in order (an interior-point solve's
+    ``SdpSolution.y``).  Every feasible X has trace T = sum(diag), so for Min
+
+        <C, X> = b'y + <C - A*(y), X> >= b'y + T * min(0, lambda_min(C - A*(y))),
+
+    the bounded-trace safe bound of Jansson, Chaykin & Keil (SIAM J. Numer.
+    Anal. 46, 2007); Max mirrors it with A*(y) - C.  The result is a true
+    bound for any y, however rough the solve; it is additionally clamped
+    against the spectral bound T * lambda_extreme(C), which is valid on its
+    own.
     """
-    C = np.asarray(C, dtype=float)
-    d = C.shape[0]
+    d = p.dim
     y = np.asarray(y, dtype=float)
-    spectrum = np.linalg.eigvalsh(C)
-    if sense == Sense.MAX:
-        shift = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - C)[0]))
-        return min(float(y.sum() + d * shift), d * float(spectrum[-1]))
-    shift = max(0.0, -float(np.linalg.eigvalsh(C - np.diag(y))[0]))
-    return max(float(y.sum() - d * shift), d * float(spectrum[0]))
+    T = p.diag.sum()
+    rhs = np.concatenate([p.diag, [b for _, b in p.constraints]])
+    mats = np.array([A for A, _ in p.constraints]).reshape(-1, d, d)
+    A_y = np.diag(y[:d]) + np.tensordot(y[d:], mats, axes=1)
+    value = (rhs * y).sum()
+    spectrum = np.linalg.eigvalsh(p.C)
+    if p.sense == Sense.MAX:
+        low = float(np.linalg.eigvalsh(A_y - p.C)[0])
+        return min(float(value - T * min(0.0, low)), T * float(spectrum[-1]))
+    low = float(np.linalg.eigvalsh(p.C - A_y)[0])
+    return max(float(value + T * min(0.0, low)), T * float(spectrum[0]))
+
+
+class _InconsistentSystem(Exception):
+    pass
+
+
+def _independent_rows(p: SdpProblem):
+    """The trace rows of ``p`` that do not depend on the rows ahead of them.
+
+    Each row <A, X> = b is divided by ||A||_F and reduced by the fixed
+    diagonal's rows E_ii, when there is one.  A QR factorization of the
+    remainders then gives, on its diagonal, the norm of each row less its
+    projection onto the rows before it.  The first row where that norm is at
+    most 1e-6 (a zero matrix included) is a combination of the rows before
+    it; it is dropped if its right-hand side is the same combination of
+    theirs, and otherwise no X satisfies the rows and
+    ``_InconsistentSystem`` is raised.  The factorization is repeated without
+    it until no such row is left.
+
+    Returns the kept rows as a (k, d*d) array, their right-hand sides, their
+    indices in ``p.constraints`` and their norms.
+    """
+    d = p.dim
+    k = len(p.constraints)
+    norms = np.array([np.linalg.norm(A) for A, _ in p.constraints])
+    scale = np.where(norms > 0.0, norms, 1.0)
+    rows = np.array([A.reshape(-1) for A, _ in p.constraints]).reshape(k, d * d)
+    rows = rows / scale[:, None]
+    rhs = np.array([b for _, b in p.constraints], dtype=float) / scale
+    fixed = np.zeros(0) if p.diag is None else p.diag
+    slack = 1e-9 * (1.0 + np.linalg.norm(np.concatenate([fixed, rhs])))
+    V, t = rows.copy(), rhs.copy()
+    if p.diag is not None:  # the diagonal rows are orthonormal
+        t -= V[:, :: d + 1] @ p.diag
+        V[:, :: d + 1] = 0.0
+    keep = np.arange(k)
+    while keep.size:
+        R = np.linalg.qr(V[keep].T, mode="r")
+        remainder = np.zeros(keep.size)
+        remainder[: min(R.shape)] = np.abs(np.diag(R))
+        small = np.flatnonzero(remainder <= 1e-6)
+        if not small.size:
+            break
+        i = small[0]
+        c = np.linalg.solve(R[:i, :i], R[:i, i])  # row i in terms of the rows before it
+        if abs(t[keep[i]] - c @ t[keep[:i]]) > slack:
+            raise _InconsistentSystem(
+                "constraint rows are linearly dependent with conflicting right-hand sides"
+            )
+        keep = np.delete(keep, i)
+    return rows[keep], rhs[keep], keep, norms[keep]
 
 
 class _AffineProjector:
     """Projection onto {X symmetric : X_ii = diag_i, <A_i, X> = b_i}.
 
-    The diagonal rows come first, as E_ii, ahead of the normalized constraint
-    rows, and the projection uses a cached eigendecomposition of the row Gram
-    matrix, with redundant rows handled by a pseudo-inverse.
+    The diagonal rows come first, as E_ii, ahead of the independent
+    normalized constraint rows (``_independent_rows``), and the projection
+    uses a cached eigendecomposition of the row Gram matrix.
     """
 
-    def __init__(self, diag, constraints, d: int):
+    def __init__(self, p: SdpProblem, independent: tuple | None = None):
+        d = p.dim
         self.d = d
-        mats = []
-        rhs = []
-        for A, b in constraints:
-            nrm = np.linalg.norm(A)
-            if nrm == 0.0:
-                if abs(b) > 1e-12:
-                    raise _InconsistentSystem(f"zero constraint matrix with rhs {b}")
-                continue
-            mats.append(A.reshape(-1) / nrm)
-            rhs.append(b / nrm)
-        if diag is not None:
+        # the rows and right-hand sides of _independent_rows, when known
+        flat, rhs = independent or _independent_rows(p)[:2]
+        if p.diag is not None:
             E = np.zeros((d, d * d))
             E[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-            mats = list(E) + mats
-            rhs = list(diag) + rhs
-        self.rhs = np.array(rhs, dtype=float)
-        self.m = len(mats)
+            flat = np.concatenate([E, flat])
+            rhs = np.concatenate([p.diag, rhs])
+        self.rhs = rhs
+        self.m = len(rhs)
         if self.m > 0:
-            flat = np.stack(mats)
-            G = flat @ flat.T
-            w, V = np.linalg.eigh(G)
-            w_max = max(w[-1], 1.0)
-            keep = w > 1e-12 * w_max
+            w, V = np.linalg.eigh(flat @ flat.T)
+            keep = w > 1e-12 * max(w[-1], 1.0)  # a pseudo-inverse, for near-dependent rows
             self._flat = flat
             self._V = V[:, keep]
             self._w_inv = 1.0 / w[keep]
-            # Consistency: b must lie in the range of the Gram matrix.
-            proj_b = self._V @ (self._V.T @ self.rhs)
-            if np.linalg.norm(proj_b - self.rhs) > 1e-9 * (1.0 + np.linalg.norm(self.rhs)):
-                raise _InconsistentSystem(
-                    "constraint rows are linearly dependent with conflicting right-hand sides"
-                )
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
         if self.m == 0:
@@ -239,10 +289,6 @@ class _AffineProjector:
         lam = self._V @ (self._w_inv * (self._V.T @ r))
         out = S - (lam @ self._flat).reshape(self.d, self.d)
         return (out + out.T) / 2.0
-
-
-class _InconsistentSystem(Exception):
-    pass
 
 
 _CHECK_EVERY = 100        # residual-balancing cadence for the penalty parameter
@@ -262,45 +308,88 @@ def _max_step(L_inv: np.ndarray, dM: np.ndarray) -> float:
 
 
 def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
-    """Primal-dual interior-point method for min <C,X> s.t. diag(X) = a, X PSD.
+    """Primal-dual interior-point method for a fixed diagonal plus trace rows.
 
-    The dual is max a'y s.t. Z = C - Diag(y) PSD.  Each step is the HKM
-    search direction of Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J.
-    Optim. 6, 1996): with mu = 0.1 * gap / d, solve the d x d system
-    (X o Z^-1) dy = a - mu diag(Z^-1), then dX = sym(mu Z^-1 - X + X Diag(dy) Z^-1)
-    and dZ = -Diag(dy).  Each side moves 0.95 of the way to the boundary of
-    the PSD cone, at most a full step.  X starts at Diag(a) and y at a
-    diagonally dominant point, so X stays primal feasible and Z strictly
-    dual feasible throughout.  Requires a > 0.
+    Solves min <C,X> s.t. diag(X) = a, <A_k, X> = b_k, X PSD, over the
+    independent normalized rows of ``_independent_rows``.  The dual is
+    max a'y + b'w s.t. Z = C - Diag(y) - sum_k w_k A_k PSD; below, y stacks
+    both kinds of multiplier and A*(y) is that sum.  Each step is the
+    infeasible-start HKM search direction of Helmberg, Rendl, Vanderbei &
+    Wolkowicz (SIAM J. Optim. 6, 1996): with mu = 0.1 * <X, Z> / d, solve
+    M dy = rhs - mu A(Z^-1), where the Schur matrix M_ij = tr(A_i X A_j Z^-1)
+    has the diagonal block X o Z^-1; then dX = sym(mu Z^-1 - X + X A*(dy) Z^-1)
+    and dZ = -A*(dy).  Each side moves 0.95 of the way to the boundary of the
+    PSD cone, at most a full step, so the row residual shrinks by the primal
+    step.  X starts at Diag(a), the diagonal multipliers at a diagonally
+    dominant point and the row multipliers at 0: Z stays strictly dual
+    feasible throughout, and X meets the diagonal, but the other rows only
+    in the limit.  Without rows this is the feasible-start method it
+    extends, operation for operation.  A dual objective above
+    sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every feasible X,
+    proves the rows infeasible and ends the solve as Diverged.  Otherwise,
+    with rows, the returned X is the iterate projected onto the affine set,
+    and ``primal_residual`` its distance to the PSD cone.  Requires a > 0.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
     C = sign * p.C
     a = p.diag
+    rows, b, keep, norms = _independent_rows(p)
+    m = len(b)
+    A = rows.reshape(m, d, d)
+    rhs = np.concatenate([a, b])
+    root = np.sqrt(a)
+    bound = float(root @ np.abs(C) @ root)
+    res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
+
+    def adjoint(v):  # A*(v) = Diag(v[:d]) + sum_k v[d + k] A_k
+        D = np.diag(v[:d])
+        return D + (v[d:] @ rows).reshape(d, d) if m else D
+
     X = np.diag(a)
     off = np.abs(C).sum(axis=1) - np.abs(np.diag(C))
-    y = np.diag(C) - off - 1.0
+    y = np.concatenate([np.diag(C) - off - 1.0, np.zeros(m)])
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
     while True:
         primal = float(np.tensordot(C, X))
-        gap = primal - float(a @ y)
-        if gap <= d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal)):
+        dual = float(rhs @ y)
+        gap = primal - dual
+        residual = b - rows @ X.reshape(-1)
+        xz = gap + float(y[d:] @ residual)  # <X, Z>; the gap once X meets the rows
+        tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
+        if gap <= tol and xz <= tol and _fro(residual) <= res_tol:
             status = SolveStatus.CONVERGED
+            break
+        if dual > bound + tol:
+            status = SolveStatus.DIVERGED
+            message = (f"dual objective {sign * dual:.6g} is beyond {sign * bound:.6g}, "
+                       "which bounds <C, X> over every feasible X: the constraints are "
+                       "infeasible")
             break
         if it == cfg.max_iter:
             break
         try:
             # inverse Cholesky factors; LinAlgError unless Z and X are PD
-            Z_inv_L = np.linalg.inv(np.linalg.cholesky(C - np.diag(y)))
+            Z_inv_L = np.linalg.inv(np.linalg.cholesky(C - adjoint(y)))
             Z_inv = Z_inv_L.T @ Z_inv_L
-            mu = 0.1 * gap / d
-            dy = np.linalg.solve(X * Z_inv, a - mu * np.diag(Z_inv))
-            dX = mu * Z_inv - X + (X * dy) @ Z_inv
+            mu = 0.1 * xz / d
+            # the Schur matrix: X o Z^-1 on the diagonal rows, bordered by
+            # the trace rows, which X A_k Z^-1 serves for every block
+            M, g = X * Z_inv, np.diag(Z_inv)
+            if m:
+                P = (X @ A @ Z_inv).reshape(m, d * d)
+                B = P[:, :: d + 1]
+                M = np.vstack([np.hstack([M, B.T]), np.hstack([B, rows @ P.T])])
+                g = np.concatenate([g, rows @ Z_inv.reshape(-1)])
+            dy = np.linalg.solve(M, rhs - mu * g)
+            dX = mu * Z_inv - X + (X * dy[:d]) @ Z_inv
+            if m:
+                dX += (dy[d:] @ P).reshape(d, d)
             dX = (dX + dX.T) / 2.0
             step_x = _max_step(np.linalg.inv(np.linalg.cholesky(X)), dX)
-            step_z = _max_step(Z_inv_L, -np.diag(dy))
+            step_z = _max_step(Z_inv_L, -adjoint(dy))
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
             break
@@ -308,26 +397,39 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         y = y + step_z * dy
         it += 1
 
+    y_rows = np.zeros(d + len(p.constraints))  # dropped rows keep multiplier 0
+    y_rows[:d] = y[:d]
+    y_rows[d + keep] = y[d:] / norms
+    diverged = status == SolveStatus.DIVERGED
+    primal_residual = float(np.hypot(np.linalg.norm(np.diag(X) - a), np.linalg.norm(residual)))
+    if m and not diverged:
+        # X meets the trace rows only in the limit: return its projection
+        # onto the affine set, as ADMM returns its affine iterate, and
+        # measure how far that is from the PSD cone
+        X = _AffineProjector(p, (rows, b))(X)
+        primal_residual = _fro(X - project_psd(X))
     return SdpSolution(
         X=X,
-        objective=float(np.tensordot(p.C, X)),
-        primal_residual=float(np.linalg.norm(np.diag(X) - a)),
+        objective=sign * np.inf if diverged else float(np.tensordot(p.C, X)),
+        primal_residual=primal_residual,
         dual_residual=gap,
         iterations=it,
         status=status,
         message=message,
-        y=sign * y,
+        y=sign * y_rows,
     )
 
 
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
-    """Solve the SDP; the method depends on the problem's constraints.
+    """Solve the SDP; the method depends on the cone and the diagonal.
 
-    A positive fixed diagonal with no other rows on the PSD cone goes to the
-    primal-dual interior-point method (``_solve_diag_ipm``), where
-    ``max_iter`` counts its iterations and ``admm_rho`` is unused.
+    A PSD-cone problem with a positive fixed diagonal, with or without trace
+    rows, goes to the primal-dual interior-point method
+    (``_solve_diag_ipm``), where ``max_iter`` counts its iterations and
+    ``admm_rho`` is unused.
 
-    Every other problem runs ADMM on a consensus split of
+    ADMM serves only the doubly-nonnegative cone and problems without a
+    positive fixed diagonal.  It runs on a consensus split of
     min <C,X> + i_affine(X) + i_cone(X) with one copy K_j per cone and its
     scaled dual D_j: X = Z with Z PSD, and for the doubly-nonnegative cone
     also X = N with N >= 0.  The copies separate, so this is a two-block
@@ -338,20 +440,17 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     (one eigenvalue clip, one entrywise clip), and each dual accumulates
     its gap X - K_j.  Convergence requires both
     residuals to stay below their Boyd-style thresholds for 100 consecutive
-    iterations.  Structurally inconsistent constraint systems and iterates
-    whose primal residual stalls at a positive level (affine set disjoint
-    from the cone) are reported as Diverged.
+    iterations.  Iterates whose primal residual stalls at a positive level
+    (affine set disjoint from the cone) are reported as Diverged.
+
+    On either path, dependent rows with conflicting right-hand sides are
+    reported as Diverged with "infeasible constraint system".
     """
-    if (p.diag is not None and not p.constraints and p.cone == Cone.PSD
-            and np.all(p.diag > 0.0)):
-        return _solve_diag_ipm(p, cfg)
-
     d = p.dim
-    sign = 1.0 if p.sense == Sense.MIN else -1.0
-    C = sign * p.C
-
     try:
-        affine = _AffineProjector(p.diag, p.constraints, d)
+        if p.diag is not None and p.cone == Cone.PSD and np.all(p.diag > 0.0):
+            return _solve_diag_ipm(p, cfg)
+        affine = _AffineProjector(p)
     except _InconsistentSystem as exc:
         return SdpSolution(
             X=np.zeros((d, d)),
@@ -362,6 +461,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
             status=SolveStatus.DIVERGED,
             message=f"infeasible constraint system: {exc}",
         )
+    sign = 1.0 if p.sense == Sense.MIN else -1.0
+    C = sign * p.C
 
     # looked up per solve, so a patched sdp.project_psd sees every call
     projections = [project_psd]

@@ -26,7 +26,6 @@ from maxcut_bridge.model import LE, ZeroOneProgram, slack_expand
 from maxcut_bridge.penalty import rho as penalty_rho, shor_box_extrema
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import (
-    CONVERGED,
     EXACT,
     compute_bounds,
     shor_maxcut,
@@ -147,8 +146,9 @@ def test_c01_penalized_form_preserves_optima(
 
 
 def test_c02_lower_bound_chain(acceptance_log, suite50, suite_reports):
-    desc = ("every converged lower bound sits below the exact optimum "
-            "within 1e-4 relative plus residual inflation")
+    desc = ("every usable lower bound, converged or stopped at its iteration "
+            "limit, sits below the exact optimum within 1e-4 relative after "
+            "its inflation")
     reports, seconds = suite_reports
     failures = []
     checked = 0
@@ -159,7 +159,7 @@ def test_c02_lower_bound_chain(acceptance_log, suite50, suite_reports):
         allow = f_star + 1e-4 * (1 + abs(f_star))
         for name in CHAIN:
             e = report.entries.get(name)
-            if e is None or e.status != CONVERGED:
+            if e is None or not e.usable:
                 continue
             checked += 1
             if e.value - e.inflation > allow:
@@ -168,7 +168,7 @@ def test_c02_lower_bound_chain(acceptance_log, suite50, suite_reports):
     if seconds >= 120:
         failures.append(("runtime", seconds))
     _record(acceptance_log, 2, desc, failures,
-            f"{checked} converged bounds over 50 instances, {seconds:.0f}s")
+            f"{checked} usable bounds over 50 instances, {seconds:.0f}s")
 
 
 def test_c03_sandwich_upper_bound(acceptance_log, suite50, suite_reports):

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcut_bridge.instances import (
     brute_force,
@@ -37,7 +39,7 @@ from maxcut_bridge.relaxations import (
     shor_maxcut,
     solve_lp,
 )
-from maxcut_bridge.sdp import Sense, SolverConfig, certified_diag_bound
+from maxcut_bridge.sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound
 
 CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000, admm_rho=0.1)
@@ -205,7 +207,8 @@ class TestShorMaxcut:
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         r = shor_maxcut(mc, sense, SolverConfig(eps_abs=1e-6, eps_rel=1e-5,
                                                 max_iter=max_iter))
-        certified = certified_diag_bound(mc.Q, r.solution.y, sense)
+        certified = certified_diag_bound(
+            SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), r.solution.y)
         side = -1.0 if sense == Sense.MIN else 1.0
         assert r.value + side * r.inflation == pytest.approx(
             certified, rel=1e-12, abs=1e-12)
@@ -220,7 +223,7 @@ class TestShorMaxcut:
 
         def recording(p, cfg):
             sol = sdp.solve_sdp(p, cfg)
-            certified = sdp.certified_diag_bound(p.C, sol.y, p.sense)
+            certified = sdp.certified_diag_bound(p, sol.y)
             solved.append((sol, abs(sol.objective - certified) / abs(sol.objective)))
             return sol
 
@@ -265,6 +268,50 @@ class TestLasserre1:
         r = lasserre1(s, cfg=CFG)
         assert r.status == INFEASIBLE
         assert r.value == np.inf
+
+    @pytest.mark.parametrize("max_iter,certified", [
+        (1, -24.467122944843304), (3, -13.06119863309757),
+        (10, -12.814878350245726), (30, -12.814878350245726)])
+    def test_early_stop_certificate_below_optimum(self, max_iter, certified):
+        # the residual-based inflation of an unconverged solve used to leave
+        # value - inflation above f* = -12.8149 here at every one of these budgets
+        q = knapsack_random(4, s=3.0, seed=11, b=-8)
+        f_star = brute_force(q).value
+        r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+        assert r.status in (CONVERGED, ITERATION_LIMIT)
+        assert r.value - r.inflation == pytest.approx(certified, rel=1e-6)
+        assert r.value - r.inflation <= f_star
+
+    def test_cluster_certificate_below_optimum(self):
+        _, q = kcluster(7, 5, 0.8, 44)
+        f_star = brute_force(q).value
+        for max_iter in (1, 3, 10, 30, 30000):
+            r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+            assert r.status in (CONVERGED, ITERATION_LIMIT)
+            assert q.to_original(r.value - r.inflation) <= f_star, max_iter
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(0, 2),
+           max_iter=st.integers(1, 100))
+    def test_certified_at_any_budget(self, data, n, m, max_iter):
+        # value - inflation is the dual certificate of the solve, so it
+        # bounds the enumerated optimum whatever the budget, and a program
+        # with a feasible point is never reported Infeasible
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        A = ints(-3, 3, m * n).reshape(m, n)
+        if data.draw(st.booleans()):
+            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
+        else:
+            b = ints(-6, 6, m)
+        F = ints(-4, 4, n * n).reshape(n, n)
+        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b)
+        f_star = brute_force(q).value
+        r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+        if np.isfinite(f_star):
+            assert r.status in (CONVERGED, ITERATION_LIMIT)
+            rounding = 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(q.F).sum())
+            assert r.value - r.inflation <= f_star + rounding
 
 
 class TestLpBox:

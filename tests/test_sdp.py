@@ -137,11 +137,9 @@ class TestSolveSdp:
         monkeypatch.setattr(sdp, "project_psd", counting)
         rng = np.random.default_rng(3)
         B = rng.normal(size=(6, 6))
-        # X_12 = 0 keeps the PSD problem off the interior-point path
-        off = np.zeros((6, 6))
-        off[0, 1] = off[1, 0] = 0.5
-        p = SdpProblem(C=B + B.T, diag=np.ones(6), cone=cone,
-                       constraints=[(off, 0.0)] if cone == Cone.PSD else [])
+        # the diagonal stated as rows keeps the PSD problem off the
+        # interior-point path
+        p = SdpProblem(C=B + B.T, constraints=diag_constraints(6), cone=cone)
         sol = solve_sdp(p, FAST)
         assert sol.y is None  # an ADMM solve
         assert sol.status == SolveStatus.CONVERGED
@@ -174,6 +172,39 @@ class TestSolveSdp:
         assert ipm.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
         np.testing.assert_allclose(ipm.X, general.X, atol=1e-3)
 
+    def test_diag_with_rows_goes_to_interior_point(self):
+        # a fixed diagonal plus trace rows: the interior-point path returns one
+        # multiplier per row, the diagonal first; the dependent repeat of the
+        # X_12 row is dropped and gets 0
+        C = np.array([[2.0, -1.0, 0.5], [-1.0, 0.5, 0.0], [0.5, 0.0, 1.0]])
+        E = np.zeros((3, 3))
+        E[0, 1] = E[1, 0] = 0.5
+        p = SdpProblem(C=C, diag=np.ones(3), constraints=[(E, 0.3), (2.0 * E, 0.6)])
+        sol = solve_sdp(p, CFG)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.y is not None and sol.y.shape == (3 + 2,)
+        assert sol.y[-1] == 0.0
+        # the returned X meets every row to round-off, and is within
+        # primal_residual of the PSD cone
+        assert sol.X[0, 1] == pytest.approx(0.3, abs=1e-12)
+        assert np.diag(sol.X) == pytest.approx(np.ones(3), abs=1e-12)
+        assert 0.0 <= sol.primal_residual <= 1e-5
+        certified = certified_diag_bound(p, sol.y)
+        assert certified <= sol.objective
+        assert sol.objective - certified <= 1e-5
+
+    def test_infeasible_rows_diverge_from_the_dual(self):
+        # X_12 = 2 with a unit diagonal breaks |X_12| <= 1: the dual objective
+        # passes the bound every feasible X obeys
+        E = np.zeros((2, 2))
+        E[0, 1] = E[1, 0] = 0.5
+        p = SdpProblem(C=E, diag=np.ones(2), constraints=[(E, 2.0)])
+        sol = solve_sdp(p, CFG)
+        assert sol.status == SolveStatus.DIVERGED
+        assert sol.objective == np.inf
+        assert "infeasible" in sol.message
+        assert certified_diag_bound(p, sol.y) > np.abs(E).sum()
+
     def test_general_constraint_path_pins_all_entries(self):
         # X_11 = 1, X_22 = 1, X_12 = 0.3 fixes X entirely; objective is <C, X>.
         C = np.array([[2.0, -1.0], [-1.0, 0.5]])
@@ -199,6 +230,16 @@ class TestSolveSdp:
         assert sol.objective == np.inf
         assert "infeasible" in sol.message
 
+    def test_inconsistent_rows_beside_diag_diverge(self):
+        # the interior-point path drops dependent rows with the same routine
+        E = np.zeros((2, 2))
+        E[0, 1] = E[1, 0] = 0.5
+        cons = [(E, 0.5), (2.0 * E, 2.0)]
+        sol = solve_sdp(SdpProblem(C=np.eye(2), constraints=cons, diag=np.ones(2)), CFG)
+        assert sol.status == SolveStatus.DIVERGED
+        assert sol.objective == np.inf
+        assert "infeasible constraint system" in sol.message
+
     def test_affine_cone_disjoint_diverges(self):
         # X_11 = -1 cannot hold for any PSD matrix.
         sol = solve_sdp(SdpProblem(C=np.eye(2), diag=[-1.0, 1.0]), FAST)
@@ -221,9 +262,10 @@ class TestSolveSdp:
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(d, d))
         Q = B + B.T
-        sol = solve_sdp(SdpProblem(C=Q, diag=np.ones(d)), FAST)
+        p = SdpProblem(C=Q, diag=np.ones(d))
+        sol = solve_sdp(p, FAST)
         assert sol.status == SolveStatus.CONVERGED
-        certified = certified_diag_bound(Q, sol.y, Sense.MIN)
+        certified = certified_diag_bound(p, sol.y)
         assert certified <= brute_min_quadratic_form(Q)
         # the stopping rule bounds the duality gap, so the certificate is tight
         assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
@@ -240,11 +282,35 @@ class TestSolveSdp:
         values = np.einsum("ti,ij,tj->t", signs, Q, signs)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum())  # eigvalsh round-off only
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
-            sol = solve_sdp(SdpProblem(C=Q, sense=sense, diag=np.ones(d)), cfg)
+            p = SdpProblem(C=Q, sense=sense, diag=np.ones(d))
+            sol = solve_sdp(p, cfg)
             assert sol.y is not None and sol.iterations <= max_iter
-            bound = certified_diag_bound(Q, sol.y, sense)
+            bound = certified_diag_bound(p, sol.y)
             extreme = values.min() if sense == Sense.MIN else values.max()
             assert side * (bound - extreme) <= rounding
+
+    @settings(max_examples=100, deadline=None)
+    @given(Q=symmetric_matrices(max_dim=6), data=st.data())
+    def test_certificate_holds_for_any_multipliers(self, Q, data):
+        # the bounded-trace bound needs no dual feasibility: arbitrary
+        # multipliers for the diagonal and a row X_12 = b still bound every
+        # feasible X, among them xx' for sign vectors with x_1 x_2 = b
+        d = Q.shape[0]
+        if d < 2:
+            return
+        b = data.draw(st.sampled_from([-1.0, 1.0]))
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d + 1,
+                                        max_size=d + 1)))
+        E = np.zeros((d, d))
+        E[0, 1] = E[1, 0] = 0.5
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        signs = signs[signs[:, 0] * signs[:, 1] == b]
+        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        rounding = 1e-9 * (1.0 + np.abs(Q).sum() + np.abs(y).sum())
+        for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
+            p = SdpProblem(C=Q, sense=sense, diag=np.ones(d), constraints=[(E, b)])
+            extreme = values.min() if sense == Sense.MIN else values.max()
+            assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
