@@ -6,7 +6,7 @@ bound in both senses, the level-1 moment relaxation, the LP box relaxation
 doubly-nonnegative bound on the lifted 0/1 form, and exact enumeration for
 reference.  Every entry shows original-problem units plus the raw sign-form
 value, a status, and the inflation that keeps approximate bounds honest
-(the gap to a dual certificate for the MAX-CUT entries).
+(the gap to a dual certificate for every SDP entry).
 """
 
 from maxcut_bridge import SolverConfig, compute_bounds, knapsack_random
@@ -17,8 +17,7 @@ print("instance: n =", instance.n, " constraint row:", instance.A[0],
       "= ", instance.b[0])
 
 cfg = SolverConfig(eps_abs=1e-7, eps_rel=1e-6, max_iter=100000)
-dnn_budget = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=5000,
-                          admm_rho=0.1)
+dnn_budget = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=100)
 report = compute_bounds(instance, cfg=cfg, gw_trials=200, dnn_cfg=dnn_budget)
 
 print(f"\npenalty rho = {report.rho_original:.6g}, "

@@ -1,15 +1,16 @@
 """Drive the semidefinite solvers directly.
 
-A fixed positive diagonal on the PSD cone, with or without trace rows (the
-first two problems and the random form below), goes to the primal-dual
-interior-point method: without rows its iterates stay primal feasible, so
-the primal residual reads zero, and its multipliers (``sol.y``, one per row)
-certify a bound at any iteration.  The doubly-nonnegative problem goes to
-ADMM, which alternates an affine projection (least-change update satisfying
-the fixed diagonal and the trace constraints), a projection of each cone
-copy (PSD, plus the nonnegative orthant), and a scaled dual update per copy.
-certified_diag_bound turns a problem and the returned multipliers y into a
-dual-certified bound, which is what shor_maxcut, lasserre1 and rho report.
+Every problem goes to a primal-dual interior-point method.  A fixed
+positive diagonal on the PSD cone, with or without trace rows (the first two
+problems and the random form below), goes to the one built on that
+diagonal: without rows its iterates stay primal feasible, so the primal
+residual reads zero.  The doubly-nonnegative problem goes to the second,
+which also keeps the entries of X nonnegative and can restrict X to a face
+V R V' (``SdpProblem(face=V)``, as ``copositive_dnn`` does).  Both keep
+their multipliers (``sol.y``, one per row, and ``sol.W`` for the orthant)
+dual feasible, and certified_diag_bound turns a problem and those
+multipliers into a dual-certified bound at any iteration, which is what
+every SDP-backed bound reports.
 """
 
 import numpy as np
@@ -36,9 +37,10 @@ sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=Sense.MAX), cfg)
 print(f"  objective {sol.objective:+.9f}   status {sol.status.name}")
 
 print("minimize over PSD and entrywise-nonnegative X (exact value 0):")
-sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=Sense.MIN,
-                           cone=Cone.PSD_NONNEG), cfg)
-print(f"  objective {sol.objective:+.9f}   status {sol.status.name}")
+p = SdpProblem(C=C, diag=np.ones(2), sense=Sense.MIN, cone=Cone.PSD_NONNEG)
+sol = solve_sdp(p, cfg)
+print(f"  objective {sol.objective:+.9f}   status {sol.status.name}"
+      f"   certified floor {certified_diag_bound(p, sol.y, sol.W):+.9f}")
 
 # a larger random MAX-CUT-style form: the SDP value floors the hypercube min
 rng = np.random.default_rng(7)

@@ -3,8 +3,9 @@
 The pipeline: move the program onto the {-1,1} hypercube, fold the integer
 equality constraints into the objective with a computed penalty constant,
 homogenize to a quadratic form in n+1 variables, then bound the optimum with
-built-in semidefinite solvers (an interior-point method for Shor/MAX-CUT,
-the penalty constant and Lasserre level 1, ADMM for DNN), an LP box
+built-in interior-point semidefinite solvers (one for the fixed-diagonal
+Shor/MAX-CUT, penalty-constant and Lasserre level-1 SDPs, one restricted to
+the face facial reduction finds for the doubly-nonnegative bound), an LP box
 relaxation, a convex-quadratic eigenvalue-shift relaxation,
 Goemans-Williamson rounding with outward rotations and an infeasibility
 certificate.

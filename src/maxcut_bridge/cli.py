@@ -505,10 +505,8 @@ def _add_solver_flags(p, with_selectors=False):
     p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
     p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--admm-rho", type=float, default=SolverConfig.admm_rho)
     p.add_argument("--dnn-max-iter", type=int, default=None,
                    help="separate iteration budget for the doubly-nonnegative solve")
-    p.add_argument("--dnn-admm-rho", type=float, default=None)
     p.add_argument("--rho", type=float, default=None,
                    help="override the computed penalty bound rho")
     if with_selectors:
@@ -601,15 +599,8 @@ def _run_config(args) -> RunConfig:
     solver = SolverConfig(**{f.name: getattr(args, f.name)
                              for f in dataclasses.fields(SolverConfig)
                              if hasattr(args, f.name)})
-    dnn_solver = None
     dnn_iter = getattr(args, "dnn_max_iter", None)
-    dnn_rho = getattr(args, "dnn_admm_rho", None)
-    if dnn_iter is not None or dnn_rho is not None:
-        dnn_solver = dataclasses.replace(
-            solver,
-            max_iter=dnn_iter if dnn_iter is not None else solver.max_iter,
-            admm_rho=dnn_rho if dnn_rho is not None else solver.admm_rho,
-        )
+    dnn_solver = None if dnn_iter is None else dataclasses.replace(solver, max_iter=dnn_iter)
     return RunConfig(
         command=args.command,
         instance_path=instance,

@@ -5,12 +5,11 @@ its input program (sign-form raw units for the sign-program relaxations, 0/1
 units for the copositive one).  ``inflation`` is the one-sided widening that
 makes an approximately solved bound safe: subtract it from a min-sense value
 before claiming a valid lower bound, add it for max-sense.  For the MAX-CUT
-SDP and ``lasserre1`` it is the gap from the value to the bound certified by
-the solve's own dual multipliers, so value -/+ inflation is a true bound at
-any iteration budget; ``copositive_dnn`` still uses the residual heuristic
-``primal_residual * ||C||``, which is not a certificate.  compute_bounds
-assembles everything into a BoundReport with all values mapped to
-original-problem units.
+SDP, ``lasserre1`` and ``copositive_dnn`` it is the gap from the value to the
+bound certified by the solve's own dual multipliers, so value -/+ inflation
+is a true bound at any iteration budget.  compute_bounds assembles
+everything into a BoundReport with all values mapped to original-problem
+units.
 """
 
 import time
@@ -324,11 +323,21 @@ def convex_quadratic_relaxation(q: SignProgram,
 def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
     """Doubly-nonnegative relaxation of the slack-completed 0/1 program.
 
-    Variables are lifted to (x, z) with x + z = e, the constraint system
-    S = [[A, 0], [I, I]] with right-hand side (b, e) enters both linearly and
-    as lifted squares S_i X S_i' = b_i^2, the diagonal of X is linked to the
-    first-order variables (X_ii = x_i), and the moment block of size 2n+1 is
-    required PSD and entrywise nonnegative.
+    Variables are lifted to (x, z) with x + z = e, giving the constraint
+    system S = [[A, 0], [I, I]] with right-hand side (b, e).  The moment
+    block X = [[Y, x], [x', 1]] of size 2n+1 is PSD and entrywise
+    nonnegative, its diagonal is linked to the first-order variables
+    (X_ii = x_i), and S enters both linearly and as lifted squares
+    S_i Y S_i' = rhs_i^2.  On a PSD X the two kinds of row together say
+    X K' = 0 for K = [S, -rhs], and once X_nn = 1 that face implies both.
+    So the solve gets the face V, an orthonormal basis of the null space of
+    K (facial reduction, Borwein & Wolkowicz 1981; r = n + 1 - rank A
+    columns against 2n + 1), X_nn = 1 and the linking rows, which fix the
+    trace at n + 1.  The inflation is the gap from the value to
+    ``certified_diag_bound`` of the solve's multipliers, so value -
+    inflation is a lower bound at any iteration budget.  Rows that the solve
+    proves infeasible, from that certificate or because no X on the face
+    has X_nn = 1, are reported as Infeasible with value +inf.
     """
     if not p.all_eq:
         raise ValueError("copositive relaxation needs all-EQ rows: run slack_expand first")
@@ -340,20 +349,15 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
     S[p.m :, :n] = np.eye(n)
     S[p.m :, n:] = np.eye(n)
     rhs = np.concatenate([p.b.astype(float), np.ones(n)])
+    K = np.hstack([S, -rhs[:, None]])
+    _, singular, vt = np.linalg.svd(K)
+    rank = int(np.sum(singular > singular.max(initial=0.0) * d * np.finfo(float).eps))
 
     cons = []
     E = np.zeros((d, d))
     E[nn, nn] = 1.0
     cons.append((E, 1.0))
-    for i in range(S.shape[0]):
-        M = np.zeros((d, d))
-        M[:nn, nn] = S[i] / 2.0
-        M[nn, :nn] = S[i] / 2.0
-        cons.append((M, rhs[i]))
-        Mq = np.zeros((d, d))
-        Mq[:nn, :nn] = np.outer(S[i], S[i])
-        cons.append((Mq, rhs[i] ** 2))
-    for i in range(nn):
+    for i in range(n):  # on the face, z's links repeat x's: X_ii - x_i = -X_{i,n+i}
         M = np.zeros((d, d))
         M[i, i] = 1.0
         M[i, nn] -= 0.5
@@ -364,13 +368,14 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
     C[:n, :n] = p.F
     C[:n, nn] = p.c / 2.0
     C[nn, :n] = p.c / 2.0
-    sol = solve_sdp(SdpProblem(C=C, constraints=tuple(cons), cone=Cone.PSD_NONNEG), cfg)
+    problem = SdpProblem(C=C, constraints=tuple(cons), cone=Cone.PSD_NONNEG, face=vt[rank:].T)
+    sol = solve_sdp(problem, cfg)
     if sol.status == SolveStatus.DIVERGED:
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
     return RelaxationResult(
         value=sol.objective + p.constant,
         status=sol.status.value,
-        inflation=sol.primal_residual * float(np.linalg.norm(C)),
+        inflation=sol.objective - certified_diag_bound(problem, sol.y, sol.W),
         note=sol.message,
         solution=sol,
     )
@@ -467,13 +472,12 @@ def compute_bounds(
 
     All entry values are in original-problem units.  ``inflation`` per entry
     is the widening in those units that makes the value safe (the gap to the
-    dual certificate for the MAX-CUT entries and ``lasserre1``, the residual
-    heuristic for ``copositive_dnn``); subtract it from min-sense entries
-    before treating them as valid lower bounds.  Selector names are
+    dual certificate for every SDP entry); subtract it from min-sense
+    entries before treating them as valid lower bounds.  Selector names are
     validated before anything is solved.  ``include_brute_force`` defaults to
     n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.
-    ``dnn_cfg`` gives the doubly-nonnegative solve a separate iteration/step
-    budget (default: same ``cfg``).
+    ``dnn_cfg`` gives the doubly-nonnegative solve separate tolerances and
+    iteration budget (default: same ``cfg``).
     """
     if selectors is None:
         selectors = list(SELECTORS)

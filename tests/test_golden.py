@@ -27,7 +27,7 @@ from maxcut_bridge.cli import EXIT_OK, main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SOLVER = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000",
-          "--dnn-max-iter", "2000", "--dnn-admm-rho", "0.1"]
+          "--dnn-max-iter", "2000"]
 Q6 = ["--instance", "q6.json"]
 KCLUSTER = ["--family", "kcluster", "--n", "6", "--k", "3", "--zero-prob", "0.5",
             "--seed", "2"]

@@ -380,6 +380,47 @@ class TestConvexQuadratic:
         assert s.to_original(r.value) <= f_star + 1e-4 * (1 + abs(f_star))
 
 
+@st.composite
+def eq_zero_one_programs(draw):
+    """All-EQ 0/1 programs with n <= 6 and one or two integer rows.
+
+    Half of them get a row that pins one variable, such as 3 x_1 = 0, and
+    most right-hand sides are met by a drawn 0/1 point.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 2))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+
+    A = ints(-3, 3, m * n).reshape(m, n)
+    if draw(st.booleans()):
+        A[0] = 0
+        A[0, draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+    b = A @ ints(0, 1, n) + ints(-1, 1, m) * draw(st.sampled_from([0, 0, 1]))
+    G = ints(-3, 3, n * n).reshape(n, n) * draw(st.sampled_from([0, 1]))
+    return ZeroOneProgram(n=n, c=ints(-10, 10, n), F=G + G.T, A=A, b=b, row_sense=[EQ] * m)
+
+
+def enumerate_zero_one(p: ZeroOneProgram) -> float:
+    """Exact optimum of an all-EQ 0/1 program (inf when infeasible)."""
+    X = ((np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1).astype(float)
+    ok = np.all(X @ p.A.T == p.b, axis=1)
+    values = X @ p.c + np.einsum("ti,ij,tj->t", X, p.F, X) + p.constant
+    return float(values[ok].min()) if ok.any() else np.inf
+
+
+def _infeasible_programs():
+    """Cardinality k > n and knapsacks with b beyond sum(a), as in the benchmark."""
+    out = [pytest.param(kcluster(n, n + 1, 0.5, g)[1], id=f"kcluster(n={n},k={n + 1},seed={g})")
+           for n, g in [(4, 104), (6, 106), (8, 108), (10, 110)]]
+    for n, s, g in [(5, 3, 112), (8, 3, 115)]:
+        b = int(knapsack_random(n, s, g, 0).A.sum()) + 2
+        out.append(pytest.param(knapsack_random(n, s, g, b),
+                                id=f"knapsack_random(n={n},s={s},seed={g},b={b})"))
+    return out
+
+
 class TestCopositiveDnn:
     def test_inequality_rows_rejected(self):
         p = ZeroOneProgram(n=2, c=[1.0, 1.0], F=None, A=[[1, 1]], b=[1],
@@ -422,6 +463,41 @@ class TestCopositiveDnn:
         r = copositive_dnn(prog, DNN_CFG)
         assert r.status == CONVERGED
         assert abs(r.value - expected) <= 1e-4 * (1 + abs(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(prog=eq_zero_one_programs(), max_iter=st.integers(1, 60))
+    def test_certified_at_any_budget(self, prog, max_iter):
+        # the solve's multipliers certify value - inflation however early it
+        # stops, and Infeasible is read from that certificate alone
+        r = copositive_dnn(prog, SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+        f_star = enumerate_zero_one(prog)
+        if np.isfinite(f_star):
+            assert r.status != INFEASIBLE, r.note
+        if r.status in (CONVERGED, ITERATION_LIMIT):
+            rounding = 1e-9 * (1.0 + np.abs(prog.c).sum() + np.abs(prog.F).sum())
+            assert r.value - r.inflation <= f_star + rounding
+
+    def test_corpus_converges_within_100_iterations(self, suite50):
+        iterations = []
+        for inst in suite50:
+            r = copositive_dnn(to_zero_one(inst.sign), DNN_CFG)
+            if r.status == CONVERGED:
+                iterations.append(r.solution.iterations)
+        assert len(iterations) >= 49
+        assert max(iterations) <= 100
+
+    @pytest.mark.parametrize("b, f_star", [(20, 12.0), (-14, 14.0)])
+    def test_fixed_knapsack_reaches_optimum(self, b, f_star):
+        r = copositive_dnn(to_zero_one(knapsack_fixed(4, b)), DNN_CFG)
+        assert r.status == CONVERGED
+        assert r.value == pytest.approx(f_star, rel=1e-4)
+
+    @pytest.mark.parametrize("sign", _infeasible_programs())
+    def test_infeasible_within_30_iterations(self, sign):
+        budget = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30)
+        r = copositive_dnn(to_zero_one(sign), budget)
+        assert r.status == INFEASIBLE
+        assert r.value == np.inf
 
 
 class TestComputeBounds:
@@ -473,10 +549,12 @@ class TestComputeBounds:
         assert report.entries["brute_force"].status == SKIPPED
 
     def test_dnn_budget_override(self):
+        # the interior-point solve converges in about ten iterations, so only
+        # the DNN budget of 3, not cfg's 30000, can stop it
         q = knapsack_fixed(4, 8)
         report = compute_bounds(q, selectors=["copositive_dnn"], cfg=CFG,
                                 dnn_cfg=SolverConfig(eps_abs=1e-9, eps_rel=1e-9,
-                                                     max_iter=120))
+                                                     max_iter=3))
         assert report.entries["copositive_dnn"].status == ITERATION_LIMIT
 
     def test_cluster_units_are_original(self):

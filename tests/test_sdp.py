@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from maxcut_bridge import sdp
 from maxcut_bridge.sdp import (
     Cone,
     SdpProblem,
@@ -126,25 +125,6 @@ class TestSolveSdp:
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(0.0, abs=1e-5)
 
-    @pytest.mark.parametrize("cone", list(Cone), ids=lambda c: c.value)
-    def test_admm_projects_psd_once_per_iteration(self, monkeypatch, cone):
-        calls = []
-
-        def counting(S):
-            calls.append(1)
-            return project_psd(S)
-
-        monkeypatch.setattr(sdp, "project_psd", counting)
-        rng = np.random.default_rng(3)
-        B = rng.normal(size=(6, 6))
-        # the diagonal stated as rows keeps the PSD problem off the
-        # interior-point path
-        p = SdpProblem(C=B + B.T, constraints=diag_constraints(6), cone=cone)
-        sol = solve_sdp(p, FAST)
-        assert sol.y is None  # an ADMM solve
-        assert sol.status == SolveStatus.CONVERGED
-        assert len(calls) == sol.iterations
-
     def test_max_sense(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = SdpProblem(C=C, diag=np.ones(2), sense=Sense.MAX)
@@ -161,8 +141,8 @@ class TestSolveSdp:
         np.testing.assert_allclose(np.diag(sol.X), 1.0, atol=2e-5)
 
     def test_diag_matches_dense_rows(self):
-        # the interior-point solve of a fixed diagonal and ADMM on the same
-        # diagonal stated as rows E_ii reach the same optimum
+        # the interior-point solve of a fixed diagonal and the face method on
+        # the same diagonal stated as rows E_ii reach the same optimum
         rng = np.random.default_rng(7)
         B = rng.normal(size=(6, 6))
         C = B + B.T
@@ -245,7 +225,7 @@ class TestSolveSdp:
         sol = solve_sdp(SdpProblem(C=np.eye(2), diag=[-1.0, 1.0]), FAST)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
-        assert "stalled" in sol.message
+        assert "negative" in sol.message
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -286,6 +266,28 @@ class TestSolveSdp:
             sol = solve_sdp(p, cfg)
             assert sol.y is not None and sol.iterations <= max_iter
             bound = certified_diag_bound(p, sol.y)
+            extreme = values.min() if sense == Sense.MIN else values.max()
+            assert side * (bound - extreme) <= rounding
+
+    @settings(max_examples=100, deadline=None)
+    @given(Q=symmetric_matrices(max_dim=6), max_iter=st.integers(1, 60),
+           cone=st.sampled_from(list(Cone)))
+    def test_face_path_certified_at_any_budget(self, Q, max_iter, cone):
+        # the unit diagonal stated as rows takes the face method; its
+        # multipliers bound every feasible X, among them xx' for sign
+        # vectors x (only x = e on the doubly-nonnegative cone)
+        d = Q.shape[0]
+        cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        if cone == Cone.PSD_NONNEG:
+            signs = np.ones((1, d))
+        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        rounding = 1e-9 * (1.0 + np.abs(Q).sum())
+        for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
+            p = SdpProblem(C=Q, sense=sense, constraints=diag_constraints(d), cone=cone)
+            sol = solve_sdp(p, cfg)
+            assert sol.status != SolveStatus.DIVERGED and sol.iterations <= max_iter
+            bound = certified_diag_bound(p, sol.y, sol.W)
             extreme = values.min() if sense == Sense.MIN else values.max()
             assert side * (bound - extreme) <= rounding
 
