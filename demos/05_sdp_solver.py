@@ -1,16 +1,18 @@
 """Drive the semidefinite solvers directly.
 
 Every problem goes to a primal-dual interior-point method.  A fixed
-positive diagonal on the PSD cone, with or without trace rows (the first two
-problems and the random form below), goes to the one built on that
-diagonal: without rows its iterates stay primal feasible, so the primal
-residual reads zero.  The doubly-nonnegative problem goes to the second,
-which also keeps the entries of X nonnegative and can restrict X to a face
-V R V' (``SdpProblem(face=V)``, as ``copositive_dnn`` does).  Both keep
-their multipliers (``sol.y``, one per row, and ``sol.W`` for the orthant)
-dual feasible, and certified_diag_bound turns a problem and those
-multipliers into a dual-certified bound at any iteration, which is what
-every SDP-backed bound reports.
+positive diagonal on the PSD cone with no other rows (the first two
+problems and the random form below) goes to the one built on that
+diagonal, on the whole cone or on a face V R V' (``SdpProblem(face=V)``,
+as ``lasserre1`` does): on the whole cone its iterates stay primal
+feasible, so the primal residual reads zero.  The doubly-nonnegative
+problem, and every problem with constraint rows, goes to the second, which
+also keeps the entries of X nonnegative and takes a face too (as
+``copositive_dnn`` does).  Both keep their multipliers (``sol.y``, one per
+row, and ``sol.W`` for the orthant) dual feasible, and
+certified_diag_bound turns a problem and those multipliers into a
+dual-certified bound at any iteration, which is what every SDP-backed bound
+reports.
 """
 
 import numpy as np

@@ -172,37 +172,40 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
     )
 
 
+def _null_face(K: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis V of the null space of K, or None when K is zero.
+
+    A PSD moment matrix Y with Y K' = 0 is V R V' with R PSD: the face that
+    facial reduction (Borwein & Wolkowicz 1981) restricts the solve to.  The
+    rank counts the singular values above max * cols * eps; V has no
+    columns when K has full column rank, and None means the whole cone.
+    """
+    _, singular, vt = np.linalg.svd(K)
+    rank = int(np.sum(singular > singular.max(initial=0.0) * K.shape[1] * np.finfo(float).eps))
+    return None if rank == 0 else vt[rank:].T
+
+
 def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
     """First moment relaxation of the constrained program itself.
 
-    The moment block [[X, x], [x', 1]] has unit diagonal, each constraint row
-    enters linearly, and so do the linearized products x_i * (A_k x - b_k) = 0.
-    The interior-point solve certifies its own bound: the inflation is the
-    gap from the value to ``certified_diag_bound`` of its multipliers, so
-    value - inflation is a lower bound at any iteration budget.  An
-    infeasible moment system (e.g. a constraint unreachable inside the box),
-    which the solve proves from its dual or from conflicting rows, is
-    reported as Infeasible with value +inf.
+    The moment block Y = [[X, x], [x', 1]] has unit diagonal.  Each
+    constraint row A_k x = b_k and its linearized products
+    x_i (A_k x - b_k) = 0 say, on a PSD Y, exactly Y K' = 0 for
+    K = [A, -b], so the solve gets the face V, the null space of K, in
+    place of those rows (as ``copositive_dnn`` does).  The interior-point
+    solve certifies its own bound: the inflation is the gap from the value
+    to ``certified_diag_bound`` of its multipliers, so value - inflation is
+    a lower bound at any iteration budget.  An infeasible moment system
+    (e.g. a constraint unreachable inside the box), which the solve proves
+    from its dual or from the diagonal on the face, or where A x = b has no
+    real solution at all (an empty face), is reported as Infeasible with
+    value +inf.
     """
-    n = q.n
-    d = n + 1
-    cons = []
-    A = q.A.astype(float)
-    b = q.b.astype(float)
-    for k in range(q.m):
-        M = np.zeros((d, d))
-        M[:n, n] = A[k] / 2.0
-        M[n, :n] = A[k] / 2.0
-        cons.append((M, b[k]))
-    for k in range(q.m):
-        for i in range(n):
-            M = np.zeros((d, d))
-            M[i, :n] += A[k] / 2.0
-            M[:n, i] += A[k] / 2.0
-            M[i, n] -= b[k] / 2.0
-            M[n, i] -= b[k] / 2.0
-            cons.append((M, 0.0))
-    p = SdpProblem(C=_moment_cost(q.c, q.F), constraints=tuple(cons), diag=np.ones(d))
+    face = _null_face(np.hstack([q.A, -q.b[:, None]]).astype(float))
+    if face is not None and face.shape[1] == 0:
+        return RelaxationResult(value=np.inf, status=INFEASIBLE,
+                                note="A x = b has no real solution")
+    p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1), face=face)
     sol = solve_sdp(p, cfg)
     if sol.status == SolveStatus.DIVERGED:
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
@@ -349,9 +352,6 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
     S[p.m :, :n] = np.eye(n)
     S[p.m :, n:] = np.eye(n)
     rhs = np.concatenate([p.b.astype(float), np.ones(n)])
-    K = np.hstack([S, -rhs[:, None]])
-    _, singular, vt = np.linalg.svd(K)
-    rank = int(np.sum(singular > singular.max(initial=0.0) * d * np.finfo(float).eps))
 
     cons = []
     E = np.zeros((d, d))
@@ -368,7 +368,8 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
     C[:n, :n] = p.F
     C[:n, nn] = p.c / 2.0
     C[nn, :n] = p.c / 2.0
-    problem = SdpProblem(C=C, constraints=tuple(cons), cone=Cone.PSD_NONNEG, face=vt[rank:].T)
+    problem = SdpProblem(C=C, constraints=tuple(cons), cone=Cone.PSD_NONNEG,
+                         face=_null_face(np.hstack([S, -rhs[:, None]])))
     sol = solve_sdp(problem, cfg)
     if sol.status == SolveStatus.DIVERGED:
         return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)

@@ -2,31 +2,32 @@
 
 Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and trace
 constraints <A_i, X> = b_i, with X in the positive-semidefinite cone,
-optionally intersected with the entrywise nonnegative cone.
+optionally intersected with the entrywise nonnegative cone, and optionally
+restricted to a face X = V R V' (facial reduction: V is an orthonormal basis
+that the range of every feasible X lies in).
 
 Two primal-dual interior-point methods serve every problem, and both keep
 their iterates strictly dual feasible, so every solve, at any iteration
 budget, returns multipliers that certify a bound on the optimum
 (``certified_diag_bound``).
 
-A PSD-cone problem with a positive fixed diagonal (MAX-CUT, the moment
-relaxations of the penalty bound and the first Lasserre relaxation, with or
-without trace rows) goes to ``_solve_diag_ipm``, whose Schur matrix is built
-from the diagonal.  Its X meets trace rows only in the limit, so a solve
-with rows returns X projected onto them, with ``primal_residual`` its
-distance to the PSD cone.
+A PSD-cone problem with a positive fixed diagonal and no constraint rows
+(MAX-CUT, the moment relaxations of the penalty bound, and the first
+Lasserre relaxation on the face its constraints cut out) goes to
+``_solve_diag_ipm``, whose Schur matrix is built from the diagonal.
 
-Every other problem (the doubly-nonnegative cone, and rows that fix the
-trace without a positive diagonal) goes to ``_solve_face_ipm``.  It solves
-over X = V R V', where V is the problem's ``face`` (facial reduction: an
-orthonormal basis that the range of every feasible X lies in) or the
-identity, with R positive semidefinite and, for the doubly-nonnegative
-cone, the entries of V R V' that the rows do not pin to zero kept
-nonnegative.
+Every other problem (the doubly-nonnegative cone, and constraint rows with
+or without a fixed diagonal) goes to ``_solve_face_ipm``.  It solves over
+R in svec coordinates, with R positive semidefinite and, for the
+doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
+zero kept nonnegative.
 
-Both methods drop dependent constraint rows up front with one routine
-(``_independent``), and both are deterministic: the same problem and config
-always produce the same iteration path.
+Both methods drop dependent rows up front with one routine
+(``_independent``).  A solve whose X meets its rows only in the limit (every
+face-method solve, and a diagonal solve on a face) ends with one routine
+too (``_onto_rows``): X moved onto its rows, and ``primal_residual`` its
+distance to the PSD cone.  Both methods are deterministic: the same problem
+and config always produce the same iteration path.
 """
 
 import math
@@ -335,69 +336,6 @@ def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
     return keep
 
 
-def _independent_rows(p: SdpProblem):
-    """The trace rows of ``p`` that do not depend on the rows ahead of them.
-
-    Each row <A, X> = b is divided by ||A||_F and reduced by the fixed
-    diagonal's rows E_ii, when there is one, before ``_independent`` drops
-    the dependent ones.
-
-    Returns the kept rows as a (k, d*d) array, their right-hand sides, their
-    indices in ``p.constraints`` and their norms.
-    """
-    d = p.dim
-    k = len(p.constraints)
-    norms = np.array([np.linalg.norm(A) for A, _ in p.constraints])
-    scale = np.where(norms > 0.0, norms, 1.0)
-    rows = np.array([A.reshape(-1) for A, _ in p.constraints]).reshape(k, d * d)
-    rows = rows / scale[:, None]
-    rhs = np.array([b for _, b in p.constraints], dtype=float) / scale
-    fixed = np.zeros(0) if p.diag is None else p.diag
-    slack = 1e-9 * (1.0 + np.linalg.norm(np.concatenate([fixed, rhs])))
-    V, t = rows.copy(), rhs.copy()
-    if p.diag is not None:  # the diagonal rows are orthonormal
-        t -= V[:, :: d + 1] @ p.diag
-        V[:, :: d + 1] = 0.0
-    keep = _independent(V, t, slack)
-    return rows[keep], rhs[keep], keep, norms[keep]
-
-
-class _AffineProjector:
-    """Projection onto {X symmetric : X_ii = diag_i, <A_i, X> = b_i}.
-
-    The diagonal rows come first, as E_ii, ahead of the independent
-    normalized constraint rows (``_independent_rows``), and the projection
-    uses a cached eigendecomposition of the row Gram matrix.
-    """
-
-    def __init__(self, p: SdpProblem, independent: tuple | None = None):
-        d = p.dim
-        self.d = d
-        # the rows and right-hand sides of _independent_rows, when known
-        flat, rhs = independent or _independent_rows(p)[:2]
-        if p.diag is not None:
-            E = np.zeros((d, d * d))
-            E[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-            flat = np.concatenate([E, flat])
-            rhs = np.concatenate([p.diag, rhs])
-        self.rhs = rhs
-        self.m = len(rhs)
-        if self.m > 0:
-            w, V = np.linalg.eigh(flat @ flat.T)
-            keep = w > 1e-12 * max(w[-1], 1.0)  # a pseudo-inverse, for near-dependent rows
-            self._flat = flat
-            self._V = V[:, keep]
-            self._w_inv = 1.0 / w[keep]
-
-    def __call__(self, S: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return S
-        r = self._flat @ S.reshape(-1) - self.rhs
-        lam = self._V @ (self._w_inv * (self._V.T @ r))
-        out = S - (lam @ self._flat).reshape(self.d, self.d)
-        return (out + out.T) / 2.0
-
-
 def _step_to(low: float) -> float:
     """0.95 of the largest step a keeping 1 + a low positive, capped at 1."""
     return 1.0 if low >= -0.95 else -0.95 / low
@@ -412,57 +350,94 @@ def _max_step(L_inv: np.ndarray, dM: np.ndarray) -> float:
     return _step_to(float(np.linalg.eigvalsh(L_inv @ dM @ L_inv.T)[0]))
 
 
-def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
-    """Primal-dual interior-point method for a fixed diagonal plus trace rows.
+def _smat(u: np.ndarray, r: int) -> np.ndarray:
+    """Symmetric r x r matrices from svec coordinates (the last axis of ``u``)."""
+    ia, ib, s = _svec_index(r)
+    M = np.zeros(u.shape[:-1] + (r, r))
+    M[..., ia, ib] = M[..., ib, ia] = u / s
+    return M
 
-    Solves min <C,X> s.t. diag(X) = a, <A_k, X> = b_k, X PSD, over the
-    independent normalized rows of ``_independent_rows``.  The dual is
-    max a'y + b'w s.t. Z = C - Diag(y) - sum_k w_k A_k PSD; below, y stacks
-    both kinds of multiplier and A*(y) is that sum.  Each step is the
-    infeasible-start HKM search direction of Helmberg, Rendl, Vanderbei &
-    Wolkowicz (SIAM J. Optim. 6, 1996): with mu = 0.1 * <X, Z> / d, solve
-    M dy = rhs - mu A(Z^-1), where the Schur matrix M_ij = tr(A_i X A_j Z^-1)
-    has the diagonal block X o Z^-1; then dX = sym(mu Z^-1 - X + X A*(dy) Z^-1)
-    and dZ = -A*(dy).  Each side moves 0.95 of the way to the boundary of the
-    PSD cone, at most a full step, so the row residual shrinks by the primal
-    step.  X starts at Diag(a), the diagonal multipliers at a diagonally
-    dominant point and the row multipliers at 0: Z stays strictly dual
-    feasible throughout, and X meets the diagonal, but the other rows only
-    in the limit.  Without rows this is the feasible-start method it
-    extends, operation for operation.  A dual objective above
-    sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every feasible X,
-    proves the rows infeasible and ends the solve as Diverged.  Otherwise,
-    with rows, the returned X is the iterate projected onto the affine set,
-    and ``primal_residual`` its distance to the PSD cone.  Requires a > 0.
+
+def _onto_rows(R: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr=None):
+    """R moved onto its rows, and the distance of the result to the PSD cone.
+
+    Every solve whose iterate meets its rows only in the limit ends here.
+    ``rows`` are independent svec rows of R, and ``qr`` is the QR
+    factorization of rows' when known.  The least-norm correction in the
+    svec coordinates of R meets them to round-off; the distance to the PSD
+    cone (``project_psd``) is then the same for R as for V R V'.
+    """
+    r = len(R)
+    ia, ib, s = _svec_index(r)
+    Q, R_b = np.linalg.qr(rows.T) if qr is None else qr
+    rho = R[ia, ib] * s
+    R = _smat(rho + Q @ np.linalg.solve(R_b.T, rhs - rows @ rho), r)
+    return R, _fro(R - project_psd(R))
+
+
+def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+    """Primal-dual interior-point method for a fixed diagonal, on an optional face.
+
+    Solves min <C, X> s.t. diag(X) = a, X = V R V' with R PSD, where V is the
+    problem's ``face`` or the identity.  The dual is max a'y s.t.
+    Z = C_V - A*(y) PSD, with C_V = V'CV and A*(y) = V' Diag(y) V.  Each step
+    is the infeasible-start HKM search direction of Helmberg, Rendl,
+    Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996): with
+    mu = 0.1 * <X, Z> / r, solve M dy = a - mu diag(V Z^-1 V') for the Schur
+    matrix M = (V R V') o (V Z^-1 V'); then dR = sym(mu Z^-1 - R +
+    R A*(dy) Z^-1) and dZ = -A*(dy).  Each side moves 0.95 of the way to the
+    boundary of the PSD cone, at most a full step.  R starts at V' Diag(a) V
+    and y at a diagonally dominant point, so Z is positive definite by
+    congruence, and it stays strictly dual feasible throughout.  Without a
+    face X meets the diagonal from the start; on a face only in the limit,
+    and the residual a - diag(V R V') enters <X, Z> and the stopping test.
+    Diagonal rows that coincide on the face (X_11 and X_22 when
+    x_1 + x_2 = 0) are dropped as ``_solve_face_ipm`` drops dependent rows,
+    with multiplier 0: the start's share of them moves onto the rows they
+    depend on.  A dual objective above sum_ij |C_ij| sqrt(a_i a_j), which
+    bounds <C, X> for every feasible X, proves the problem infeasible and
+    ends the solve as Diverged.  On a face the returned X is the last
+    iterate moved onto the diagonal (``_onto_rows``), with
+    ``primal_residual`` its distance to the PSD cone.  Requires a > 0.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
     C = sign * p.C
     a = p.diag
-    rows, b, keep, norms = _independent_rows(p)
-    m = len(b)
-    A = rows.reshape(m, d, d)
-    rhs = np.concatenate([a, b])
+    V = p.face
     root = np.sqrt(a)
     bound = float(root @ np.abs(C) @ root)
-    res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
-
-    def adjoint(v):  # A*(v) = Diag(v[:d]) + sum_k v[d + k] A_k
-        D = np.diag(v[:d])
-        return D + (v[d:] @ rows).reshape(d, d) if m else D
-
-    X = np.diag(a)
+    res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(a)))
     off = np.abs(C).sum(axis=1) - np.abs(np.diag(C))
-    y = np.concatenate([np.diag(C) - off - 1.0, np.zeros(m)])
+    y = np.diag(C) - off - 1.0  # C - Diag(y) is diagonally dominant
+    keep = slice(None)
+    if V is not None:
+        _, rows, rhs, norms = _face_rows(p)
+        keep = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        if keep.size < d:  # A*(y) from the kept rows alone
+            y_kept = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0]
+            y = np.zeros(d)
+            y[keep] = y_kept / norms[keep]
+        rows, rhs = rows[keep], rhs[keep]
+        C = V.T @ C @ V
+
+    def adjoint(v):  # A*(v) = V' Diag(v) V
+        return np.diag(v) if V is None else (V.T * v) @ V
+
+    R = adjoint(a)
+    residual = np.zeros(d)  # without a face X keeps its diagonal from the start
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
     while True:
-        primal = float(np.tensordot(C, X))
-        dual = float(rhs @ y)
+        RV = R if V is None else R @ V.T  # R V'
+        X = RV if V is None else V @ RV
+        primal = float(np.tensordot(C, R))
+        dual = float(a @ y)
         gap = primal - dual
-        residual = b - rows @ X.reshape(-1)
-        xz = gap + float(y[d:] @ residual)  # <X, Z>; the gap once X meets the rows
+        if V is not None:
+            residual = a - np.diag(X)
+        xz = gap + float(y @ residual)  # <X, Z>; the gap once X meets the diagonal
         tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
         if gap <= tol and xz <= tol and _fro(residual) <= res_tol:
             status = SolveStatus.CONVERGED
@@ -476,42 +451,32 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         if it == cfg.max_iter:
             break
         try:
-            # inverse Cholesky factors; LinAlgError unless Z and X are PD
+            # inverse Cholesky factors; LinAlgError unless Z and R are PD
             Z_inv_L = np.linalg.inv(np.linalg.cholesky(C - adjoint(y)))
             Z_inv = Z_inv_L.T @ Z_inv_L
-            mu = 0.1 * xz / d
-            # the Schur matrix: X o Z^-1 on the diagonal rows, bordered by
-            # the trace rows, which X A_k Z^-1 serves for every block
-            M, g = X * Z_inv, np.diag(Z_inv)
-            if m:
-                P = (X @ A @ Z_inv).reshape(m, d * d)
-                B = P[:, :: d + 1]
-                M = np.vstack([np.hstack([M, B.T]), np.hstack([B, rows @ P.T])])
-                g = np.concatenate([g, rows @ Z_inv.reshape(-1)])
-            dy = np.linalg.solve(M, rhs - mu * g)
-            dX = mu * Z_inv - X + (X * dy[:d]) @ Z_inv
-            if m:
-                dX += (dy[d:] @ P).reshape(d, d)
-            dX = (dX + dX.T) / 2.0
-            step_x = _max_step(np.linalg.inv(np.linalg.cholesky(X)), dX)
+            mu = 0.1 * xz / len(R)
+            VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
+            Z_lift = VZ if V is None else VZ @ V.T
+            M = X * Z_lift  # the Schur matrix
+            dy = np.zeros(d)
+            dy[keep] = np.linalg.solve(M[keep][:, keep], (a - mu * np.diag(Z_lift))[keep])
+            dR = mu * Z_inv - R + (RV * dy) @ VZ
+            dR = (dR + dR.T) / 2.0
+            step_x = _max_step(np.linalg.inv(np.linalg.cholesky(R)), dR)
             step_z = _max_step(Z_inv_L, -adjoint(dy))
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
             break
-        X = X + step_x * dX
+        R = R + step_x * dR
         y = y + step_z * dy
         it += 1
 
-    y_rows = np.zeros(d + len(p.constraints))  # dropped rows keep multiplier 0
-    y_rows[:d] = y[:d]
-    y_rows[d + keep] = y[d:] / norms
+    if V is None:
+        primal_residual = _fro(a - np.diag(X))
+    else:
+        R, primal_residual = _onto_rows(R, rows, rhs)
+        X = V @ R @ V.T
     diverged = status == SolveStatus.DIVERGED
-    primal_residual = float(np.hypot(np.linalg.norm(np.diag(X) - a), np.linalg.norm(residual)))
-    if m and not diverged:
-        # X meets the trace rows only in the limit: return its projection
-        # onto the affine set, and measure how far that is from the PSD cone
-        X = _AffineProjector(p, (rows, b))(X)
-        primal_residual = _fro(X - project_psd(X))
     return SdpSolution(
         X=X,
         objective=sign * np.inf if diverged else float(np.tensordot(p.C, X)),
@@ -520,7 +485,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         iterations=it,
         status=status,
         message=message,
-        y=sign * y_rows,
+        y=sign * y,
     )
 
 
@@ -549,9 +514,9 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     Once b'y passes T * lambda_max(V'CV), which bounds <C, X> over the face,
     that recomputed certificate decides whether the rows are infeasible
     (Diverged).  Converged needs the gap, <R, Z> + v'w and the row and
-    orthant residuals under tolerance.  The returned X is V R V';
-    ``primal_residual`` is the norm of its normalized row residual and of
-    its negative orthant entries.
+    orthant residuals under tolerance.  The returned X is V R V' with R
+    moved onto the rows (``_onto_rows``); ``primal_residual`` is the norm of
+    its distance to the PSD cone and of its negative orthant entries.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -578,11 +543,6 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     pi, pj, G = pi[free], pj[free], G[free]
     q = len(G)
 
-    def smat(u):  # svec coordinates (last axis) to symmetric r x r matrices
-        M = np.zeros(u.shape[:-1] + (r, r))
-        M[..., ia, ib] = M[..., ib, ia] = u / s
-        return M
-
     N = len(c)
     K = np.zeros((N + m, N + m))  # the Newton matrix [[H, A'], [A, 0]]; H changes
     K[:N, N:] = A.T
@@ -592,7 +552,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     v = np.full(q, T / d)
     eta = 1.0 + float(np.abs(C).max())
     w = np.full(q, eta)
-    shift = float(np.linalg.eigvalsh(smat(c - G.T @ w))[0]) - eta
+    shift = float(np.linalg.eigvalsh(_smat(c - G.T @ w, r))[0]) - eta
     y = shift * weights
     z = c - A.T @ y - G.T @ w
     status = SolveStatus.ITERATION_LIMIT
@@ -609,7 +569,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         if gap <= tol and comp <= tol and math.hypot(_fro(r_p), _fro(r_g)) <= res_tol:
             status = SolveStatus.CONVERGED
             break
-        Z = smat(z)
+        Z = _smat(z, r)
         if dual > bound + tol:
             certified = dual + T * min(0.0, float(np.linalg.eigvalsh(Z)[0]))
             if certified > bound + tol:
@@ -624,7 +584,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             # NT scaling: with L L' = R and L'ZL = U Diag(l)^2 U', the map
             # S = L U Diag(l)^(-1/2) takes R and Z to the same diagonal,
             # S^-1 R S^-T = S' Z S = Diag(l), and W^-1 = S^-T S^-1 = F F'
-            L = np.linalg.cholesky(smat(rho))
+            L = np.linalg.cholesky(_smat(rho, r))
             lam, U = np.linalg.eigh(L.T @ Z @ L)
             if not lam[0] > 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
@@ -657,8 +617,8 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
                 dw = t_v - D * dv  # so G' dw = pulled - G'DG d_rho
                 # S^-1 dR S^-T and S' dZ S, whose eigenvalues against Diag(l)
                 # limit the steps
-                scaled = scalings.transpose(0, 2, 1) @ smat(
-                    np.array([d_rho, GDG @ d_rho - pulled - A.T @ dy])) @ scalings
+                scaled = scalings.transpose(0, 2, 1) @ _smat(
+                    np.array([d_rho, GDG @ d_rho - pulled - A.T @ dy]), r) @ scalings
                 low = np.linalg.eigvalsh(scaled * unit)[:, 0]
                 return (d_rho, dv, dy, dw, scaled[0], scaled[1],
                         _step_to(min(low[0], (dv / v).min(initial=0.0))),
@@ -689,7 +649,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         z = c - A.T @ y - G.T @ w
         it += 1
 
-    R = smat(rho)
+    R, distance = _onto_rows(_smat(rho, r), A, b, (Q, R_b))
     X = R if p.face is None else V @ R @ V.T
     y_rows = np.zeros(len(rows))  # dropped rows keep multiplier 0
     y_rows[keep] = y / norms[keep]
@@ -702,7 +662,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     return SdpSolution(
         X=X,
         objective=sign * np.inf if diverged else float(np.tensordot(p.C, X)),
-        primal_residual=math.hypot(_fro(r_p), _fro(np.minimum(G @ rho, 0.0))),
+        primal_residual=math.hypot(distance, _fro(np.minimum(X[pi, pj], 0.0))),
         dual_residual=gap,
         iterations=it,
         status=status,
@@ -715,10 +675,11 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     """Solve the SDP with one of two primal-dual interior-point methods.
 
-    A PSD-cone problem with a positive fixed diagonal, with or without trace
-    rows, goes to ``_solve_diag_ipm``; every other problem, which needs a
-    fixed diagonal or rows that fix the trace of X (ValueError otherwise),
-    to ``_solve_face_ipm``.  ``max_iter`` counts interior-point iterations.
+    A PSD-cone problem with a positive fixed diagonal and no constraint
+    rows, with or without a face, goes to ``_solve_diag_ipm``; every other
+    problem, which needs a fixed diagonal or rows that fix the trace of X
+    (ValueError otherwise), to ``_solve_face_ipm``.  ``max_iter`` counts
+    interior-point iterations.
 
     A negative fixed diagonal entry, which no PSD matrix has, and dependent
     rows with conflicting right-hand sides are reported as Diverged up front.
@@ -729,7 +690,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
         infeasible = "a fixed diagonal entry is negative, which no PSD matrix has"
     else:
         try:
-            if p.diag is not None and p.cone == Cone.PSD and np.all(p.diag > 0.0):
+            if (p.cone == Cone.PSD and not p.constraints and p.diag is not None
+                    and np.all(p.diag > 0.0)):
                 return _solve_diag_ipm(p, cfg)
             return _solve_face_ipm(p, cfg)
         except _InconsistentSystem as exc:
@@ -750,30 +712,37 @@ def export_sdpa(p: SdpProblem, path) -> None:
 
     The file encodes  max <F0, Y> s.t. <F_i, Y> = c_i, Y PSD  (the SDPA dual),
     so F0 = -C for a Min problem and F0 = C for Max.  A fixed diagonal is
-    written as the first d constraint matrices E_ii.  Only the PSD cone is
-    representable; a PSD-and-nonnegative problem is exported with its cone
-    relaxed to PSD and a comment line saying so.
+    written as the first d constraint matrices E_ii.  A problem with a face
+    V is written on it: Y = R is r x r, and every matrix M becomes V'MV.
+    Only the PSD cone is representable; a PSD-and-nonnegative problem is
+    exported with its cone relaxed to PSD and a comment line saying so.
     """
     d = p.dim
-    F0 = -p.C if p.sense == Sense.MIN else p.C
+    r = d if p.face is None else p.face.shape[1]
+    eye = np.eye(d)
+
+    def on_face(M):
+        return M if p.face is None else p.face.T @ M @ p.face
+
     lines = []
     if p.cone == Cone.PSD_NONNEG:
         lines.append('"nonnegativity constraints omitted: PSD relaxation only"')
     diag = () if p.diag is None else tuple(p.diag)
     lines.append(f"{len(diag) + len(p.constraints)} = mDIM")
     lines.append("1 = nBLOCK")
-    lines.append(f"{d} = bLOCKsTRUCT")
+    lines.append(f"{r} = bLOCKsTRUCT")
     lines.append(" ".join(repr(float(b)) for b in diag + tuple(b for _, b in p.constraints)))
 
     def emit(mat_no, M):
-        for i in range(d):
-            for j in range(i, d):
+        M = on_face(M)
+        for i in range(r):
+            for j in range(i, r):
                 if M[i, j] != 0.0:
                     lines.append(f"{mat_no} 1 {i + 1} {j + 1} {float(M[i, j])!r}")
 
-    emit(0, F0)
+    emit(0, -p.C if p.sense == Sense.MIN else p.C)
     for i in range(len(diag)):
-        lines.append(f"{i + 1} 1 {i + 1} {i + 1} 1.0")
+        emit(i + 1, np.outer(eye[i], eye[i]))
     for k, (A, _) in enumerate(p.constraints, start=len(diag) + 1):
         emit(k, A)
     with open(path, "w") as fh:

@@ -265,13 +265,16 @@ class TestLasserre1:
 
     def test_unsatisfiable_cluster_size_reported_infeasible(self):
         _, s = kcluster(8, 9, zero_prob=0.5, seed=3)
-        r = lasserre1(s, cfg=CFG)
-        assert r.status == INFEASIBLE
-        assert r.value == np.inf
+        # x_1 = -1 and x_1 = 1: A x = b has no real solution, so the face is empty
+        empty = SignProgram(n=1, c=[1.0], F=None, A=[[1], [1]], b=[-1, 1])
+        for q in (s, empty):
+            r = lasserre1(q, cfg=CFG)
+            assert r.status == INFEASIBLE
+            assert r.value == np.inf
 
     @pytest.mark.parametrize("max_iter,certified", [
-        (1, -24.467122944843304), (3, -13.06119863309757),
-        (10, -12.814878350245726), (30, -12.814878350245726)])
+        (1, -19.320266161455756), (3, -12.975176782527251),
+        (10, -12.814894101478213), (30, -12.814894101478213)])
     def test_early_stop_certificate_below_optimum(self, max_iter, certified):
         # the residual-based inflation of an unconverged solve used to leave
         # value - inflation above f* = -12.8149 here at every one of these budgets
@@ -291,14 +294,15 @@ class TestLasserre1:
             assert q.to_original(r.value - r.inflation) <= f_star, max_iter
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(0, 2),
-           max_iter=st.integers(1, 100))
-    def test_certified_at_any_budget(self, data, n, m, max_iter):
+    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 100))
+    def test_certified_at_any_budget(self, data, n, max_iter):
         # value - inflation is the dual certificate of the solve, so it
         # bounds the enumerated optimum whatever the budget, and a program
-        # with a feasible point is never reported Infeasible
+        # with a feasible point is never reported Infeasible; up to n + 1
+        # rows reach faces of every size, the empty one included
         ints = lambda lo, hi, k: np.array(data.draw(st.lists(
             st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        m = data.draw(st.integers(0, n + 1))
         A = ints(-3, 3, m * n).reshape(m, n)
         if data.draw(st.booleans()):
             b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point

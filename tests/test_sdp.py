@@ -152,10 +152,25 @@ class TestSolveSdp:
         assert ipm.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
         np.testing.assert_allclose(ipm.X, general.X, atol=1e-3)
 
+    def test_face_beside_fixed_diagonal(self):
+        # on the face V = (1, 1)'/sqrt(2) the only X with unit diagonal is
+        # [[1, 1], [1, 1]]; the diagonal rows coincide there, so the second
+        # is dropped with multiplier 0
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        V = np.ones((2, 1)) / np.sqrt(2.0)
+        p = SdpProblem(C=C, diag=np.ones(2), face=V)
+        sol = solve_sdp(p, CFG)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.objective == pytest.approx(2.0, abs=1e-5)
+        np.testing.assert_allclose(sol.X, V @ V.T @ sol.X @ V @ V.T, atol=1e-12)
+        np.testing.assert_allclose(sol.X, np.ones((2, 2)), atol=1e-5)
+        assert sol.y[1] == 0.0
+        assert certified_diag_bound(p, sol.y) <= sol.objective
+
     def test_diag_with_rows_goes_to_interior_point(self):
-        # a fixed diagonal plus trace rows: the interior-point path returns one
-        # multiplier per row, the diagonal first; the dependent repeat of the
-        # X_12 row is dropped and gets 0
+        # a fixed diagonal plus trace rows: the face method reads the diagonal
+        # as rows and returns one multiplier per row, the diagonal first; the
+        # dependent repeat of the X_12 row is dropped and gets 0
         C = np.array([[2.0, -1.0, 0.5], [-1.0, 0.5, 0.0], [0.5, 0.0, 1.0]])
         E = np.zeros((3, 3))
         E[0, 1] = E[1, 0] = 0.5
@@ -350,6 +365,16 @@ class TestSdpaExport:
             # objective block: F0 = -C for a Min problem
             assert entries[0] == {(1, 1): -1.0, (1, 2): -0.25, (2, 2): 2.0}
             assert entries[1:] == mats
+        # a problem on the face V = (1, 1)'/sqrt(2) is written on it: one
+        # 1 x 1 block, F0 = -V'CV and every row, the diagonal's first, V'AV
+        path = tmp_path / "face.dat-s"
+        V = np.ones((2, 1)) / np.sqrt(2.0)
+        export_sdpa(SdpProblem(C=C, constraints=[(E12, 0.3)], diag=[1.0, 2.0], face=V), path)
+        text = path.read_text().splitlines()
+        assert text[:4] == ["3 = mDIM", "1 = nBLOCK", "1 = bLOCKsTRUCT", "1.0 2.0 0.3"]
+        entries = [line.split() for line in text[4:]]
+        assert [e[:4] for e in entries] == [[str(k), "1", "1", "1"] for k in range(4)]
+        assert [float(e[4]) for e in entries] == pytest.approx([0.25, 0.5, 0.5, 0.5], rel=1e-12)
 
     def test_nonneg_cone_notes_relaxation(self, tmp_path):
         p = SdpProblem(C=np.eye(2), constraints=diag_constraints(2), cone=Cone.PSD_NONNEG)
