@@ -34,9 +34,6 @@ INFEASIBLE = "Infeasible"
 SKIPPED = "Skipped"
 EXACT = "Exact"
 
-class LpInfeasible(Exception):
-    """The box LP has no feasible point (which certifies original infeasibility)."""
-
 
 @dataclass
 class RelaxationResult:
@@ -224,42 +221,67 @@ def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResu
         raise ValueError("lp_box requires a linear objective (F = 0)")
     res = solve_lp(q.c, q.A.astype(float), q.b.astype(float), -np.ones(q.n), np.ones(q.n))
     if res.status == "Infeasible":
-        raise LpInfeasible("box LP infeasible: the program has no feasible point")
+        return RelaxationResult(value=np.inf, status=INFEASIBLE, solution=res,
+                                note="box LP infeasible: the program has no feasible point")
     if res.status != "Optimal":
         return RelaxationResult(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
     return RelaxationResult(value=res.value, status=CONVERGED, solution=res)
 
 
-class _BoxAffineProjector:
-    """Dykstra alternation between the box [-1,1]^n and {x : Ax = b}."""
+def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
+            max_iter: int) -> tuple[np.ndarray, str]:
+    """min c'x + x'Hx s.t. Ax = b, -1 <= x <= 1 (H PSD), by Mehrotra's
+    primal-dual interior-point method (SIAM J. Optim. 2, 1992).
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, tol: float = 1e-12, max_inner: int = 200):
-        self.A = A
-        self.b = b
-        self.pinv = np.linalg.pinv(A) if A.size else None
-        self.tol = tol
-        self.max_inner = max_inner
+    The slacks s = (1 + x, 1 - x) and their multipliers z stay positive.
+    One Newton matrix [[2H + D, A'], [A, 0]], D the sum of z/s over both
+    bounds, serves the affine step, which sets the centering
+    (mu_affine / mu)^3, and the corrector; least squares solves it, so
+    dependent rows do no harm.  Each side moves 0.99 of the way to the
+    boundary, at most a full step.  Converged needs the dual and primal
+    residuals and the mean of s o z at most 1e-9 (1 + sum |c|).  Where the
+    rows pin variables to a bound there is no interior point and s tends to
+    zero: the loop stops while 1 - x still has digits to step on.
+    """
+    n, m = len(c), len(b)
+    tol = 1e-9 * (1.0 + float(np.abs(c).sum()))
+    sgn = np.array([[1.0], [-1.0]])  # s = 1 + sgn x, so ds = sgn dx
+    x, y, z = np.zeros(n), np.zeros(m), np.ones((2, n))
 
-    def affine(self, x):
-        if self.pinv is None:
-            return x
-        return x - self.pinv @ (self.A @ x - self.b)
+    def step_to(v, dv):
+        shrink = dv < 0.0
+        return min(1.0, 0.99 * float((-v[shrink] / dv[shrink]).min(initial=np.inf)))
 
-    def __call__(self, x0):
-        if self.pinv is None:
-            return np.clip(x0, -1.0, 1.0)
-        x = x0
-        p = np.zeros_like(x0)
-        q = np.zeros_like(x0)
-        for _ in range(self.max_inner):
-            y = np.clip(x + p, -1.0, 1.0)
-            p = x + p - y
-            x_new = self.affine(y + q)
-            q = y + q - x_new
-            if np.linalg.norm(y - x_new) <= self.tol:
-                return x_new
-            x = x_new
-        return x
+    for _ in range(max_iter):
+        s = 1.0 + sgn * x
+        r_d = c + 2.0 * (H @ x) - A.T @ y - (z[0] - z[1])
+        r_p = b - A @ x
+        mu = float(np.vdot(s, z)) / (2 * n)
+        if max(np.abs(r_d).max(), np.abs(r_p).max(initial=0.0), mu) <= tol:
+            return x, CONVERGED
+        if s.min() <= 1e3 * np.finfo(float).eps:
+            break
+        K = np.block([[2.0 * H + np.diag((z / s).sum(0)), A.T], [A, np.zeros((m, m))]])
+
+        def direction(t):
+            # Newton step that moves s o z to s o z + t
+            ts = t / s
+            step = np.linalg.lstsq(K, np.concatenate([ts[0] - ts[1] - r_d, r_p]),
+                                   rcond=None)[0]
+            ds = sgn * step[:n]
+            return step[:n], -step[n:], ds, (t - z * ds) / s
+
+        # the affine step (target 0) sets the centering; its second-order
+        # term enters the corrector
+        _, _, ds, dz = direction(-s * z)
+        mu_aff = float(np.vdot(s + step_to(s, ds) * ds, z + step_to(z, dz) * dz)) / (2 * n)
+        centering = min(1.0, mu_aff / mu) ** 3 * mu
+        dx, dy, ds, dz = direction(centering - s * z - ds * dz)
+        a_p, a_d = step_to(s, ds), step_to(z, dz)
+        x = x + a_p * dx
+        y = y + a_d * dy
+        z = z + a_d * dz
+    return x, ITERATION_LIMIT
 
 
 def convex_quadratic_relaxation(q: SignProgram,
@@ -267,58 +289,35 @@ def convex_quadratic_relaxation(q: SignProgram,
     """Eigen-shifted convex relaxation over the box intersected with Ax = b.
 
     The quadratic part is shifted PSD by theta = |lambda_min(F)| + 1 (zero when
-    already PSD), the convex program is solved by accelerated projected
-    gradient, and a rigorous lower bound on its optimum is extracted from the
-    final gradient by one linear minimization over the same feasible set.
-    Since x_i^2 = 1 on the hypercube, value = (that bound) - n*theta is a
-    valid lower bound on the original optimum.
+    already PSD), and the convex program is solved by the interior-point
+    method ``_box_qp`` in at most ``cfg.max_iter`` Newton steps.  A rigorous
+    lower bound on its optimum is extracted from the final gradient by one
+    linear minimization over the same feasible set, so the bound never rests
+    on the loop's accuracy.  Since x_i^2 = 1 on the hypercube, value = (that
+    bound) - n*theta is a valid lower bound on the original optimum.  An
+    empty feasible set, found by a zero-cost LP before the loop, is reported
+    as Infeasible with value +inf.
     """
     n = q.n
+    A, b = q.A.astype(float), q.b.astype(float)
+    if solve_lp(np.zeros(n), A, b, -np.ones(n), np.ones(n)).status == "Infeasible":
+        return RelaxationResult(value=np.inf, status=INFEASIBLE,
+                                note="box/affine intersection empty")
     lam_min = float(np.linalg.eigvalsh(q.F)[0]) if np.count_nonzero(q.F) else 0.0
     theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
     F_s = q.F + theta * np.eye(n)
     c = q.c
-    lam_max = float(np.linalg.eigvalsh(F_s)[-1]) if np.count_nonzero(F_s) else 0.0
-    L = max(2.0 * lam_max, 1e-9)
-    project = _BoxAffineProjector(q.A.astype(float), q.b.astype(float))
-
-    grad = lambda x: c + 2.0 * (F_s @ x)
-    value = lambda x: float(c @ x + x @ F_s @ x)
-    pg_tol = 1e-7 * (1.0 + float(np.linalg.norm(c)))
-
-    x = project(np.zeros(n))
-    y = x
-    t = 1.0
-    status = ITERATION_LIMIT
-    # a zero (after shift) quadratic part makes the problem linear: the
-    # gradient is constant and the closing LP below is already exact
-    max_iter = 0 if lam_max == 0.0 else min(cfg.max_iter, 20000)
-    if max_iter == 0:
-        status = CONVERGED
-    for it in range(1, max_iter + 1):
-        x_new = project(y - grad(y) / L)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        if it % 10 == 0 or it == max_iter:
-            pg = L * (x - project(x - grad(x) / L))
-            if np.linalg.norm(pg) <= pg_tol:
-                status = CONVERGED
-                break
+    x, status = _box_qp(F_s, c, A, b, cfg.max_iter)
 
     # Rigorous lower bound on the convex optimum from convexity:
-    # psi >= g(x) + min_{y in box ∩ affine} grad(x)'(y - x).
-    g_x = grad(x)
-    lp = solve_lp(g_x, q.A.astype(float), q.b.astype(float), -np.ones(n), np.ones(n))
-    if lp.status == "Infeasible":
-        return RelaxationResult(value=np.inf, status=INFEASIBLE,
-                                note="box/affine intersection empty")
-    lb = value(x) + lp.value - float(g_x @ x)
-    gap = value(x) - lb
+    # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient at
+    # x, and f(x) - g'x = -x'F_s x.
+    g_x = c + 2.0 * (F_s @ x)
+    lp = solve_lp(g_x, A, b, -np.ones(n), np.ones(n))
     return RelaxationResult(
-        value=lb - n * theta,
+        value=lp.value - float(x @ F_s @ x) - n * theta,
         status=status,
-        note=f"theta={theta:.6g} fw_gap={gap:.3e}",
+        note=f"theta={theta:.6g} fw_gap={float(g_x @ x) - lp.value:.3e}",
         solution=x,
     )
 
@@ -510,12 +509,6 @@ def compute_bounds(
         except _Skipped as exc:
             report.entries[name] = BoundEntry(
                 value=np.nan, raw=None, status=SKIPPED, seconds=0.0, note=str(exc),
-            )
-            continue
-        except LpInfeasible as exc:
-            report.entries[name] = BoundEntry(
-                value=np.inf, raw=np.inf, status=INFEASIBLE,
-                seconds=time.perf_counter() - start, note=str(exc),
             )
             continue
         seconds = time.perf_counter() - start

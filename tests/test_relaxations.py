@@ -7,6 +7,7 @@ rather than against itself.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from maxcut_bridge.relaxations import (
     ITERATION_LIMIT,
     SKIPPED,
     BoundReport,
-    LpInfeasible,
     compute_bounds,
     convex_quadratic_relaxation,
     copositive_dnn,
@@ -332,10 +332,12 @@ class TestLpBox:
         r = lp_box(q, CFG)
         assert r.value <= f_star + 1e-8 * (1 + abs(f_star))
 
-    def test_infeasible_box_raises(self):
+    def test_infeasible_box_reported_infeasible(self):
         q = SignProgram(n=2, c=[1.0, 1.0], F=None, A=[[1, 1]], b=[5])
-        with pytest.raises(LpInfeasible):
-            lp_box(q, CFG)
+        r = lp_box(q, CFG)
+        assert r.status == INFEASIBLE
+        assert r.value == np.inf
+        assert r.note == "box LP infeasible: the program has no feasible point"
 
     def test_quadratic_objective_rejected(self):
         q = SignProgram(n=2, c=[1.0, 0.0], F=[[0.0, 1.0], [1.0, 0.0]], A=[[1, 1]], b=[0])
@@ -382,6 +384,43 @@ class TestConvexQuadratic:
         f_star = brute_force(s).value
         r = convex_quadratic_relaxation(s, CFG)
         assert s.to_original(r.value) <= f_star + 1e-4 * (1 + abs(f_star))
+
+    def test_converged_point_is_feasible(self):
+        # the relaxation is exact here (f* = 127.0110517); a point left off
+        # box ∩ {Ax = b} shows as a negative gap in the closing LP, and a
+        # value below f* (126.848 with fw_gap = -1.905 for one such point)
+        q = quadratic_knapsack_random(8, 5, 4028, 0.7, 98)
+        r = convex_quadratic_relaxation(q, CFG)
+        gap = float(r.note.split("fw_gap=")[1])
+        assert r.status == CONVERGED
+        assert abs(gap) <= 1e-7 * (1 + abs(r.value))
+        assert r.value == pytest.approx(127.0110517, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 60))
+    def test_certified_at_any_budget(self, data, n, max_iter):
+        # the closing LP makes the value a lower bound whatever the budget;
+        # up to n + 1 rows reach dependent rows, empty intersections and
+        # intersections with no interior point, none of which may raise or
+        # warn, and a program with a feasible point is never Infeasible
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        m = data.draw(st.integers(0, n + 1))
+        A = ints(-3, 3, m * n).reshape(m, n)
+        if data.draw(st.booleans()):
+            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
+        else:
+            b = ints(-6, 6, m)
+        F = ints(-4, 4, n * n).reshape(n, n)
+        c = ints(-5, 5, n) * data.draw(st.sampled_from([1.0, 1.0, 1e3]))
+        q = SignProgram(n=n, c=c, F=(F + F.T) / 2.0, A=A, b=b)
+        f_star = brute_force(q).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = convex_quadratic_relaxation(q, SolverConfig(max_iter=max_iter))
+        if np.isfinite(f_star):
+            assert r.status in (CONVERGED, ITERATION_LIMIT)
+            assert r.value <= f_star + 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(q.F).sum())
 
 
 @st.composite
