@@ -13,25 +13,22 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import certify, gw_round, nesterov_sandwich
 from .instances import GeneratorSpec
 from .model import (
-    LE,
     InfeasibleRowError,
     InstanceFormatError,
     SignProgram,
     ZeroOneProgram,
     dumps_instance,
     load_instance,
-    save_instance,
     slack_expand,
     to_sign_form,
 )
-from .penalty import rho as penalty_rho, rho_override
+from .penalty import PenaltyBound, rho as penalty_rho, rho_override
 from .reduction import (
     export_q_json,
     export_rudy,
@@ -55,23 +52,6 @@ _MIN_SENSE_SELECTORS = ("maxcut_shor_min", "lasserre1", "lp_box",
 
 class UsageError(ValueError):
     """Bad flag combination or value: reported on stderr with exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command execution depends on, resolved from flags."""
-
-    command: str
-    instance_path: str | None
-    generator: GeneratorSpec | None
-    selectors: tuple
-    solver: SolverConfig
-    dnn_solver: SolverConfig | None
-    rho_value: float | None
-    fmt: str
-    seed: int
-    output: str | None
-    log_path: str | None
 
 
 # --- formatting helpers --------------------------------------------------------
@@ -121,38 +101,23 @@ def _render_pairs(pairs, fmt) -> str:
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _log(args, message: str) -> None:
+    if args.log_path:
+        with open(args.log_path, "a") as fh:
+            fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {args.command}: {message}\n")
+
+
+def _emit(args, text: str, digest: str) -> None:
+    """Write a report to ``-o`` or stdout, then its digest to the ``--log`` sidecar."""
+    if args.output is None:
+        sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _log(cfg: RunConfig, message: str) -> None:
-    if cfg.log_path:
-        with open(cfg.log_path, "a") as fh:
-            fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {cfg.command}: {message}\n")
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    _log(args, digest)
 
 
 # --- instance plumbing ---------------------------------------------------------
-
-
-def _generator_from_args(args) -> GeneratorSpec | None:
-    if args.family is None:
-        return None
-    if args.n is None:
-        raise UsageError("--family requires --n")
-    return GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        b=args.b,
-        k=args.k,
-        s=args.s,
-        f_density=args.f_density,
-        zero_prob=args.zero_prob,
-    )
 
 
 def _generate(spec: GeneratorSpec):
@@ -162,72 +127,49 @@ def _generate(spec: GeneratorSpec):
     return prog
 
 
-def _resolve_program(cfg: RunConfig):
-    """Load or generate the instance named by the run configuration."""
-    if cfg.instance_path is not None:
-        return load_instance(cfg.instance_path)
-    return _generate(cfg.generator)
-
-
-def _as_sign_program(prog) -> SignProgram:
-    """Normalize any instance to the sign domain, expanding LE rows first."""
-    if isinstance(prog, SignProgram):
-        return prog
+def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
+    """Load or generate the program (``generator`` overrides the run's source),
+    slack-expand its LE rows, bring it to the sign domain and size its penalty."""
+    spec = generator or args.generator
+    prog = load_instance(args.instance) if spec is None else _generate(spec)
     if isinstance(prog, ZeroOneProgram):
-        if LE in prog.row_sense:
-            prog = slack_expand(prog)
-        return to_sign_form(prog)
-    raise UsageError(f"unsupported instance type {type(prog).__name__}")
-
-
-def _penalty(sign: SignProgram, cfg: RunConfig):
-    if cfg.rho_value is not None:
-        return rho_override(cfg.rho_value)
-    return penalty_rho(sign.c, sign.F, cfg.solver)
+        prog = to_sign_form(slack_expand(prog))
+    if args.rho is not None:
+        return prog, rho_override(args.rho)
+    return prog, penalty_rho(prog.c, prog.F, args.solver)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.generator is None:
-        raise UsageError("gen requires --family and its parameters")
-    prog = _resolve_program(cfg)
-    spec = cfg.generator
-    if cfg.output is None:
-        sys.stdout.write(dumps_instance(prog))
-        target = "-"
-    else:
-        save_instance(prog, cfg.output)
-        target = cfg.output
+def cmd_gen(args) -> int:
+    spec = args.generator
+    prog = _generate(spec)
     digest = (f"family={spec.family} n={prog.n} m={prog.m} "
-              f"seed={spec.seed} path={target}")
-    stream = sys.stderr if cfg.output is None else sys.stdout
-    stream.write(digest + "\n")
-    _log(cfg, digest)
+              f"seed={spec.seed} path={args.output or '-'}")
+    _emit(args, dumps_instance(prog), digest)
+    (sys.stderr if args.output is None else sys.stdout).write(digest + "\n")
     return EXIT_OK
 
 
-def cmd_convert(cfg: RunConfig, emit: str) -> int:
-    prog = _resolve_program(cfg)
-    sign = _as_sign_program(prog)
-    pb = _penalty(sign, cfg)
+def cmd_convert(args) -> int:
+    sign, pb = _sign_and_penalty(args)
     mc = homogenize(sign, pb)
-    if emit == "rudy":
-        export_rudy(mc, cfg.output)
+    if args.emit == "rudy":
+        export_rudy(mc, args.output)
     else:
-        export_q_json(mc, cfg.output)
+        export_q_json(mc, args.output)
     g = sparsity_graph(mc)
     digest = (f"nodes={g.n_nodes} edges={g.n_edges} rho={_fmt(pb.rho)} "
               f"penalty_m={_fmt(pb.penalty_m)} offset={_fmt(sign.offset)} "
               f"scale={_fmt(sign.scale)} penalty_ratio={_fmt(penalty_ratio(mc))} "
-              f"path={cfg.output}")
+              f"path={args.output}")
     sys.stdout.write(digest + "\n")
-    _log(cfg, digest)
+    _log(args, digest)
     return EXIT_OK
 
 
-def _report_rows(report):
+def _render_solve(report, cert, fmt) -> str:
     f_star = None
     entry = report.entries.get("brute_force")
     if entry is not None and entry.status == "Exact" and np.isfinite(entry.value):
@@ -244,11 +186,6 @@ def _report_rows(report):
         if f_star is not None and abs(f_star) > zero and np.isfinite(e.value):
             delta = 100.0 * (e.value - f_star) / abs(f_star)
         rows.append([name, e.status, e.value, e.raw, e.inflation, delta, e.note])
-    return rows
-
-
-def _solve_payload(report, cert):
-    rows = _report_rows(report)
     headers = ["selector", "status", "value", "raw", "inflation",
                "delta_pct_vs_brute", "note"]
     meta = [
@@ -267,11 +204,7 @@ def _solve_payload(report, cert):
         upper = nesterov_sandwich(e_min.value - e_min.inflation,
                                   e_max.value + e_max.inflation)
         meta.append(("sandwich_upper", upper))
-    return rows, headers, meta
 
-
-def _render_solve(report, cert, fmt):
-    rows, headers, meta = _solve_payload(report, cert)
     if fmt == "json":
         doc = {
             "meta": {k: v for k, v in meta},
@@ -304,52 +237,48 @@ def _render_solve(report, cert, fmt):
     return _table(rows, headers) + "\n\n" + _render_pairs(meta, "table")
 
 
-def _run_bounds(sign: SignProgram, cfg: RunConfig, pb, selectors,
+def _run_bounds(sign: SignProgram, args, pb, selectors,
                 gw_trials=0, include_brute_force=None):
     """Every command's bound report is computed through this one call."""
     return compute_bounds(
         sign,
         selectors=list(selectors),
-        cfg=cfg.solver,
+        cfg=args.solver,
         pb=pb,
         include_brute_force=include_brute_force,
         gw_trials=gw_trials,
-        gw_seed=cfg.seed,
-        dnn_cfg=cfg.dnn_solver,
+        gw_seed=args.seed,
+        dnn_cfg=args.dnn_solver,
     )
 
 
-def cmd_solve(cfg: RunConfig, gw_trials: int, no_brute_force: bool) -> int:
-    if gw_trials < 0:
+def cmd_solve(args) -> int:
+    if args.gw_trials < 0:
         raise UsageError("--gw-trials must be >= 0 (0 means no rounding)")
-    prog = _resolve_program(cfg)
-    sign = _as_sign_program(prog)
-    pb = _penalty(sign, cfg)
-    selected = list(cfg.selectors or SELECTORS)
-    if not no_brute_force and "brute_force" not in selected:
+    sign, pb = _sign_and_penalty(args)
+    selected = list(args.selectors or SELECTORS)
+    if not args.no_brute_force and "brute_force" not in selected:
         selected.append("brute_force")  # reference value when n is small
-    report = _run_bounds(sign, cfg, pb, selected, gw_trials=gw_trials,
-                         include_brute_force=False if no_brute_force else None)
+    report = _run_bounds(sign, args, pb, selected, gw_trials=args.gw_trials,
+                         include_brute_force=False if args.no_brute_force else None)
     cert = certify(report, pb)
-    _emit(_render_solve(report, cert, cfg.fmt), cfg.output)
     seconds = sum(e.seconds for e in report.entries.values())
-    _log(cfg, f"n={report.n} selectors={len(report.entries)} seconds={seconds:.3f}")
+    _emit(args, _render_solve(report, cert, args.format),
+          f"n={report.n} selectors={len(report.entries)} seconds={seconds:.3f}")
     return EXIT_OK
 
 
-def cmd_round(cfg: RunConfig, trials: int, polish: bool) -> int:
-    if trials < 1:
+def cmd_round(args) -> int:
+    if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    prog = _resolve_program(cfg)
-    sign = _as_sign_program(prog)
-    pb = _penalty(sign, cfg)
+    sign, pb = _sign_and_penalty(args)
     mc = homogenize(sign, pb)
-    res = shor_maxcut(mc, Sense.MIN, cfg.solver)
+    res = shor_maxcut(mc, Sense.MIN, args.solver)
     if res.status not in ("Converged", "IterationLimit") or res.solution is None:
         sys.stderr.write(f"rounding unavailable: SDP status {res.status}\n")
         return EXIT_SOLVER_FAILURE
-    rounding = gw_round(res.solution, mc, trials=trials, seed=cfg.seed,
-                        polish=polish)
+    rounding = gw_round(res.solution, mc, trials=args.trials, seed=args.seed,
+                        polish=args.polish)
     rec = rounding.recovered
     pairs = [
         ("x01", "".join(str(int(v)) for v in rec.x_zero_one)),
@@ -358,21 +287,19 @@ def cmd_round(cfg: RunConfig, trials: int, polish: bool) -> int:
         ("cut_value_raw", rounding.value),
         ("shor_min_raw", res.value),
         ("gap_to_shor_raw", rounding.value - (res.value - res.inflation)),
-        ("trials", trials),
-        ("seed", cfg.seed),
+        ("trials", args.trials),
+        ("seed", args.seed),
     ]
-    _emit(_render_pairs(pairs, cfg.fmt), cfg.output)
-    _log(cfg, f"feasible={rec.feasible} objective={_fmt(rec.objective)}")
+    _emit(args, _render_pairs(pairs, args.format),
+          f"feasible={rec.feasible} objective={_fmt(rec.objective)}")
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, trials: int) -> int:
-    if trials < 1:
+def cmd_certify(args) -> int:
+    if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    prog = _resolve_program(cfg)
-    sign = _as_sign_program(prog)
-    pb = _penalty(sign, cfg)
-    report = _run_bounds(sign, cfg, pb, ["maxcut_shor_min"], gw_trials=trials)
+    sign, pb = _sign_and_penalty(args)
+    report = _run_bounds(sign, args, pb, ["maxcut_shor_min"], gw_trials=args.trials)
     cert = certify(report, pb)
     pairs = [
         ("verdict", cert.kind),
@@ -383,57 +310,44 @@ def cmd_certify(cfg: RunConfig, trials: int) -> int:
         ("point", None if cert.point is None
          else "".join("1" if v > 0 else "0" for v in cert.point)),
     ]
-    _emit(_render_pairs(pairs, cfg.fmt), cfg.output)
-    _log(cfg, f"verdict={cert.kind}")
+    _emit(args, _render_pairs(pairs, args.format), f"verdict={cert.kind}")
     return EXIT_OK
 
 
-def _sweep_values(args):
-    if args.sweep_param is None:
+def cmd_compare(args) -> int:
+    param = args.sweep_param
+    if param is None:
         raise UsageError("compare requires --sweep-param with --sweep-from/--sweep-to")
     if args.sweep_from is None or args.sweep_to is None:
         raise UsageError("compare requires --sweep-from and --sweep-to")
-    step = args.sweep_step
-    if step <= 0:
+    if args.sweep_step <= 0:
         raise UsageError("--sweep-step must be positive")
-    values = list(range(args.sweep_from, args.sweep_to + 1, step))
+    values = list(range(args.sweep_from, args.sweep_to + 1, args.sweep_step))
     if not values:
         raise UsageError("empty sweep: no values between --sweep-from and --sweep-to")
-    return values
 
+    # one report per swept value; a row that fails holds its error message
+    selectors = list(args.selectors or SELECTORS)
+    reports = []
+    for value in values:
+        try:
+            sign, pb = _sign_and_penalty(
+                args, dataclasses.replace(args.generator, **{param: value}))
+            reports.append(_run_bounds(sign, args, pb, selectors))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            reports.append(str(exc))
 
-def _compare_row(cfg: RunConfig, param: str, value: int):
-    row = {"param": value}
-    try:
-        prog = _generate(dataclasses.replace(cfg.generator, **{param: value}))
-        sign = _as_sign_program(prog)
-        pb = _penalty(sign, cfg)
-        report = _run_bounds(sign, cfg, pb, cfg.selectors or SELECTORS)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        row["error"] = str(exc)
-        return row
-    row["report"] = report
-    return row
-
-
-def cmd_compare(cfg: RunConfig, args) -> int:
-    if cfg.generator is None:
-        raise UsageError("compare requires --family generator flags")
-    param = args.sweep_param
-    values = _sweep_values(args)
-    rows = [_compare_row(cfg, param, v) for v in values]
-
-    selectors = list(cfg.selectors or SELECTORS)
     headers = [param]
     for name in selectors:
         headers += [name, f"{name}_raw", f"{name}_status"]
     table_rows = []
-    for row in rows:
-        out = [row["param"]]
-        report = row.get("report")
+    for value, report in zip(values, reports):
+        out = [value]
         for name in selectors:
-            if report is None or name not in report.entries:
-                out += [None, None, row.get("error", "Missing")]
+            if isinstance(report, str):
+                out += [None, None, report]
+            elif name not in report.entries:
+                out += [None, None, "Missing"]
             else:
                 e = report.entries[name]
                 out += [e.value, e.raw, e.status]
@@ -446,9 +360,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             if other == "maxcut_shor_min" or other not in selectors:
                 continue
             wins = total = 0
-            for row in rows:
-                report = row.get("report")
-                if report is None:
+            for report in reports:
+                if isinstance(report, str):
                     continue
                 a = report.entries.get("maxcut_shor_min")
                 b = report.entries.get(other)
@@ -459,29 +372,27 @@ def cmd_compare(cfg: RunConfig, args) -> int:
                 if a.value > b.value:
                     wins += 1
             summary.append(f"wins maxcut_shor_min>{other}: {wins}/{total}")
-    summary.append(f"rows: {len(rows)}")
+    summary.append(f"rows: {len(reports)}")
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "sweep": {"param": param, "values": values},
             "rows": [
-                {headers[i]: (None if isinstance(c, float) and not np.isfinite(c)
-                              else c)
-                 for i, c in enumerate(r)}
+                {h: None if isinstance(c, float) and not np.isfinite(c) else c
+                 for h, c in zip(headers, r)}
                 for r in table_rows
             ],
             "summary": summary,
         }
         text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt) + "\n"
-    elif cfg.fmt == "table":
+    elif args.format == "table":
         text = _table(table_rows, headers) + "\n" + "\n".join(summary) + "\n"
     else:
         lines = [_csv_line(headers)]
         lines += [_csv_line(r) for r in table_rows]
         lines += [f"# {s}" for s in summary]
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output)
-    _log(cfg, f"rows={len(rows)} param={param}")
+    _emit(args, text, f"rows={len(reports)} param={param}")
     return EXIT_OK
 
 
@@ -529,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
+    p.set_defaults(run=cmd_gen)
     _add_source_flags(p, with_instance=False)
     _add_output_flags(p)
 
@@ -538,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("rudy", "json"), default="rudy")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--log", dest="log_path", default=None)
-    p.set_defaults(format="table")
+    p.set_defaults(run=cmd_convert, format="table")
 
     p = sub.add_parser("solve", help="run the selected bounds and report")
+    p.set_defaults(run=cmd_solve)
     _add_source_flags(p)
     _add_solver_flags(p, with_selectors=True)
     _add_output_flags(p)
@@ -548,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-brute-force", action="store_true")
 
     p = sub.add_parser("round", help="hyperplane-round the SDP solution")
+    p.set_defaults(run=cmd_round)
     _add_source_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
@@ -558,13 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p, with_instance=False)
     _add_solver_flags(p, with_selectors=True)
     _add_output_flags(p)
-    p.set_defaults(format="csv")
+    p.set_defaults(run=cmd_compare, format="csv")
     p.add_argument("--sweep-param", choices=("b", "k"))
     p.add_argument("--sweep-from", type=int)
     p.add_argument("--sweep-to", type=int)
     p.add_argument("--sweep-step", type=int, default=1)
 
     p = sub.add_parser("certify", help="feasibility verdict for an instance")
+    p.set_defaults(run=cmd_certify)
     _add_source_flags(p)
     _add_solver_flags(p)
     _add_output_flags(p)
@@ -573,73 +488,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_config(args) -> RunConfig:
-    generator = _generator_from_args(args)
-    instance = getattr(args, "instance", None)
-    if args.command == "gen":
-        if generator is None:
-            raise UsageError("gen requires --family")
-    elif args.command == "compare":
-        if generator is None:
-            raise UsageError("compare requires --family")
-    else:
-        if (instance is None) == (generator is None):
-            raise UsageError("provide exactly one instance source: "
-                             "--instance PATH or --family flags")
+def _resolve(args) -> None:
+    """Check the flags, then attach what every command reads to ``args``:
+    ``generator`` (a GeneratorSpec or None), ``selectors`` (a tuple),
+    ``solver`` and ``dnn_solver``."""
+    args.generator = None
+    if args.family is not None:
+        if args.n is None:
+            raise UsageError("--family requires --n")
+        args.generator = GeneratorSpec(**{f.name: getattr(args, f.name)
+                                          for f in dataclasses.fields(GeneratorSpec)})
+    if args.command in ("gen", "compare"):
+        if args.generator is None:
+            raise UsageError(f"{args.command} requires --family")
+    elif (args.instance is None) == (args.generator is None):
+        raise UsageError("provide exactly one instance source: "
+                         "--instance PATH or --family flags")
 
-    raw = getattr(args, "selectors", None)
-    selectors = ()
-    if raw:
-        selectors = tuple(s.strip() for s in raw.split(",") if s.strip())
-        unknown = [s for s in selectors if s not in SELECTORS]
-        if unknown:
-            raise UsageError(f"unknown selectors: {unknown}; "
-                             f"known: {', '.join(SELECTORS)}")
+    raw = getattr(args, "selectors", None) or ""
+    args.selectors = tuple(s.strip() for s in raw.split(",") if s.strip())
+    unknown = [s for s in args.selectors if s not in SELECTORS]
+    if unknown:
+        raise UsageError(f"unknown selectors: {unknown}; "
+                         f"known: {', '.join(SELECTORS)}")
 
-    solver = SolverConfig(**{f.name: getattr(args, f.name)
-                             for f in dataclasses.fields(SolverConfig)
-                             if hasattr(args, f.name)})
+    args.solver = SolverConfig(**{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(SolverConfig)
+                                  if hasattr(args, f.name)})
     dnn_iter = getattr(args, "dnn_max_iter", None)
-    dnn_solver = None if dnn_iter is None else dataclasses.replace(solver, max_iter=dnn_iter)
-    return RunConfig(
-        command=args.command,
-        instance_path=instance,
-        generator=generator,
-        selectors=selectors,
-        solver=solver,
-        dnn_solver=dnn_solver,
-        rho_value=getattr(args, "rho", None),
-        fmt=getattr(args, "format", "table"),
-        seed=args.seed,
-        output=getattr(args, "output", None),
-        log_path=getattr(args, "log_path", None),
-    )
+    args.dnn_solver = (None if dnn_iter is None
+                       else dataclasses.replace(args.solver, max_iter=dnn_iter))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _run_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "convert":
-            return cmd_convert(cfg, args.emit)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.gw_trials, args.no_brute_force)
-        if args.command == "round":
-            return cmd_round(cfg, args.trials, args.polish)
-        if args.command == "compare":
-            return cmd_compare(cfg, args)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.trials)
-        raise UsageError(f"unknown command {args.command!r}")
+        _resolve(args)
+        return args.run(args)
     except InfeasibleRowError as exc:
         sys.stderr.write(f"error: instance is infeasible before solving: {exc}\n")
         return EXIT_INFEASIBLE_INPUT
     except np.linalg.LinAlgError as exc:  # subclasses ValueError: catch first
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER_FAILURE
-    except (UsageError, InstanceFormatError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, InstanceFormatError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

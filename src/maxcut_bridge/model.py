@@ -32,8 +32,22 @@ class InfeasibleRowError(ValueError):
         )
 
 
+def _numbers(x, name: str) -> np.ndarray:
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceFormatError(f"{name} must be numeric: {exc}") from exc
+
+
+def _scalar(x, name: str) -> float:
+    v = _numbers(x, name)
+    if v.shape != () or not np.isfinite(v):
+        raise InstanceFormatError(f"{name} must be one finite number")
+    return float(v)
+
+
 def _float_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.array(x, dtype=float).reshape(-1)
+    v = _numbers(x, name).reshape(-1)
     if v.shape != (n,):
         raise InstanceFormatError(f"{name} must have length {n}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -44,7 +58,7 @@ def _float_vector(x, n: int, name: str) -> np.ndarray:
 def _symmetric_matrix(F, n: int, name: str) -> np.ndarray:
     if F is None:
         return np.zeros((n, n))
-    M = np.array(F, dtype=float)
+    M = _numbers(F, name)
     if M.shape != (n, n):
         raise InstanceFormatError(f"{name} must be {n}x{n}, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -54,28 +68,30 @@ def _symmetric_matrix(F, n: int, name: str) -> np.ndarray:
     return M
 
 
+def _integers(v: np.ndarray, name: str) -> np.ndarray:
+    # beyond 2**53 a float no longer tells integers apart, and the int64 cast
+    # of larger values overflows
+    if not np.all(np.abs(v) < 2.0**53) or not np.array_equal(v, np.round(v)):
+        raise InstanceFormatError(f"{name} must be integer-valued (rational data is rejected)")
+    return v.astype(np.int64)
+
+
 def _int_matrix(A, n: int, name: str) -> np.ndarray:
-    M = np.array(A)
+    M = _numbers(A, name)
     if M.size == 0:
         M = M.reshape(0, n)
     if M.ndim != 2 or M.shape[1] != n:
         raise InstanceFormatError(f"{name} must be m x {n}, got shape {M.shape}")
-    if not np.all(np.isfinite(np.asarray(M, dtype=float))):
+    if not np.all(np.isfinite(M)):
         raise InstanceFormatError(f"{name} contains non-finite entries")
-    Mf = np.asarray(M, dtype=float)
-    if not np.array_equal(Mf, np.round(Mf)):
-        raise InstanceFormatError(f"{name} must be integer-valued (rational data is rejected)")
-    return Mf.astype(np.int64)
+    return _integers(M, name)
 
 
 def _int_vector(b, m: int, name: str) -> np.ndarray:
-    v = np.array(b).reshape(-1)
-    vf = np.asarray(v, dtype=float)
-    if vf.shape != (m,):
-        raise InstanceFormatError(f"{name} must have length {m}, got shape {vf.shape}")
-    if not np.all(np.isfinite(vf)) or not np.array_equal(vf, np.round(vf)):
-        raise InstanceFormatError(f"{name} must be integer-valued (rational data is rejected)")
-    return vf.astype(np.int64)
+    v = _numbers(b, name).reshape(-1)
+    if v.shape != (m,):
+        raise InstanceFormatError(f"{name} must have length {m}, got shape {v.shape}")
+    return _integers(v, name)
 
 
 def _lock(*arrays: np.ndarray) -> None:
@@ -322,29 +338,40 @@ def program_to_dict(prog: ZeroOneProgram | SignProgram) -> dict:
 
 
 def program_from_dict(doc: dict) -> ZeroOneProgram | SignProgram:
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("an instance must be a JSON object")
     try:
         domain = doc["domain"]
-        n = int(doc["n"])
+        n = _scalar(doc["n"], "n")
         c = doc["c"]
         A = doc["A"]
         b = doc["b"]
         sense = doc["sense"]
     except KeyError as exc:
         raise InstanceFormatError(f"missing required key {exc}") from exc
+    if n != int(n):
+        raise InstanceFormatError("n must be an integer")
+    n = int(n)
+    if not isinstance(sense, (list, tuple)):
+        raise InstanceFormatError("sense must be a list")
     F = doc.get("F")
     if domain == "zero_one":
         return ZeroOneProgram(
             n=n, c=c, F=F, A=A, b=b,
-            row_sense=tuple(sense), constant=float(doc.get("constant", 0.0)),
+            row_sense=tuple(sense),
+            constant=_scalar(doc.get("constant", 0.0), "constant"),
         )
     if domain == "sign":
         if any(s != EQ for s in sense):
             raise InstanceFormatError("sign-domain instances must have all-EQ rows")
-        return SignProgram(
+        prog = SignProgram(
             n=n, c=c, F=F, A=A, b=b,
-            offset=float(doc.get("offset", 0.0)),
-            scale=float(doc.get("scale", 1.0)),
+            offset=_scalar(doc.get("offset", 0.0), "offset"),
+            scale=_scalar(doc.get("scale", 1.0), "scale"),
         )
+        if len(sense) != prog.m:
+            raise InstanceFormatError(f"sense must have length {prog.m}")
+        return prog
     raise InstanceFormatError(f"unknown domain {domain!r}")
 
 

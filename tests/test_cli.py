@@ -6,6 +6,7 @@ artifact bytes across repeated runs with identical flags.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -381,3 +382,69 @@ class TestCompare:
             lower = float(cells["maxcut_shor_min"])
             exact = float(cells["brute_force"])
             assert lower <= exact + 1e-4 * (1 + abs(exact))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"n": null, "c": [1], "A": [[1]], "b": [1], "sense": ["EQ"], "domain": "sign"}',
+        '{"n": 1, "c": {}, "A": [[1]], "b": [1], "sense": ["EQ"], "domain": "sign"}',
+        '{"n": 1, "c": [1], "A": [[1]], "b": [1], "sense": 5, "domain": "sign"}',
+        '{"n": 1, "c": [1], "A": [[1]], "b": [1], "sense": [], "domain": "sign"}',
+        '{"n": 1, "c": [1], "A": [[1]], "b": [1], "sense": ["EQ"],'
+        ' "domain": "zero_one", "constant": [0]}',
+    ], ids=["top_level_list", "n_null", "c_object", "sense_int", "sign_sense_empty",
+            "constant_list"])
+    def test_malformed_instance_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = run_cli(["certify", "--instance", str(path)] + FAST)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_directory_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "8",
+                      "-o", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_instance_directory_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(["certify", "--instance", str(tmp_path)] + FAST)
+        assert rc == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_log_directory_is_usage_error(self, knapsack_file, tmp_path, capsys):
+        rc = run_cli(["certify", "--instance", knapsack_file, "--trials", "20",
+                      "--log", str(tmp_path)] + FAST)
+        assert rc == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+
+
+# One small run per command; "{inst}" stands for the knapsack instance file.
+LOGGED = {
+    "gen": ["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "34"],
+    "convert": ["convert", "--instance", "{inst}"] + FAST,
+    "solve": ["solve", "--instance", "{inst}", "--selectors",
+              "maxcut_shor_min,lp_box"] + FAST,
+    "round": ["round", "--instance", "{inst}", "--trials", "20"] + FAST,
+    "certify": ["certify", "--instance", "{inst}", "--trials", "20"] + FAST,
+    "compare": ["compare", "--family", "knapsack_fixed", "--n", "4",
+                "--sweep-param", "b", "--sweep-from", "33", "--sweep-to", "34",
+                "--selectors", "maxcut_shor_min,lp_box"] + FAST,
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOGGED))
+def test_log_sidecar_gets_one_line_and_output_is_unchanged(
+        knapsack_file, tmp_path, capsys, command):
+    argv = [knapsack_file if a == "{inst}" else a for a in LOGGED[command]]
+    out, log = tmp_path / "out", tmp_path / "run.log"
+    capsys.readouterr()
+    primary = []
+    for extra in ([], ["--log", str(log)]):
+        assert run_cli(argv + ["-o", str(out)] + extra) == EXIT_OK
+        primary.append((out.read_bytes(), capsys.readouterr().out))
+    assert primary[0] == primary[1]
+    lines = log.read_text().splitlines()
+    assert len(lines) == 1
+    assert re.match(rf"\d{{4}}-\d\d-\d\dT\d\d:\d\d:\d\d {command}: ", lines[0])

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcut_bridge.model import (
     EQ,
@@ -276,6 +278,41 @@ class TestJson:
     def test_dump_is_deterministic(self):
         q = SignProgram(n=3, c=[1, 2, 3], F=None, A=[[1, 1, 1]], b=[1])
         assert dumps_instance(q) == dumps_instance(q)
+
+    VALID = (
+        {"n": 2, "c": [1.0, -0.5], "F": [[0, 2], [2, 0]], "A": [[1, 1]], "b": [1],
+         "sense": ["LE"], "domain": "zero_one", "constant": 1.5},
+        {"n": 2, "c": [1.0, 1.0], "F": None, "A": [[1, -1]], "b": [0],
+         "sense": ["EQ"], "domain": "sign", "offset": 2.5, "scale": 0.25},
+    )
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_field_value_loads_or_is_rejected(self, data):
+        doc = dict(data.draw(st.sampled_from(self.VALID)))
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(self.JSON_VALUES)
+        try:
+            prog = program_from_dict(doc)
+        except InstanceFormatError:
+            return
+        assert isinstance(prog, (ZeroOneProgram, SignProgram))
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(InstanceFormatError, match="JSON object"):
+            program_from_dict(doc)
+
+    @pytest.mark.parametrize("sense", [[], ["EQ", "EQ", "EQ"]])
+    def test_sign_sense_length_must_match_rows(self, sense):
+        doc = dict(self.VALID[1], sense=sense)
+        with pytest.raises(InstanceFormatError, match="sense must have length 1"):
+            program_from_dict(doc)
 
 
 class TestObjectiveCorrespondence:
