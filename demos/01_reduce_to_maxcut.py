@@ -4,8 +4,13 @@ Builds a tiny knapsack-style program with one inequality, expands the
 inequality into equality form with binary slack bits, converts to the sign
 domain, sizes the penalty constant, and homogenizes into a single symmetric
 matrix Q whose hypercube minimum solves the original problem.  Finally the
-instance is exported in rudy edge-list form and as a JSON matrix.
+instance is exported in rudy edge-list form and as a JSON matrix, into a
+fresh temporary directory that is removed when the script ends; the rudy
+file is printed.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -52,9 +57,12 @@ print(np.array_str(mc.Q, precision=3, suppress_small=True))
 graph = sparsity_graph(mc)
 print(f"as a graph:             {graph.n_nodes} nodes, {graph.n_edges} edges")
 
-export_rudy(mc, "/tmp/demo_reduction.rudy")
-export_q_json(mc, "/tmp/demo_reduction.json")
-print("wrote /tmp/demo_reduction.rudy and /tmp/demo_reduction.json")
+with tempfile.TemporaryDirectory(prefix="demo_reduction_") as out_dir:
+    rudy = os.path.join(out_dir, "demo_reduction.rudy")
+    export_rudy(mc, rudy)
+    export_q_json(mc, os.path.join(out_dir, "demo_reduction.json"))
+    print(f"wrote demo_reduction.rudy and demo_reduction.json to {out_dir}:")
+    print(open(rudy).read(), end="")
 
 # enumerate the sign hypercube to confirm the reduction is exact
 d = mc.dim

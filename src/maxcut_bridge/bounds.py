@@ -46,38 +46,21 @@ class RoundingResult(NamedTuple):
 def _one_opt_polish(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Greedy best-improvement single-spin flips on each row of S until locally optimal.
 
-    All rows descend together, and a flip updates its row's gradient g = Q s
-    in O(d) instead of recomputing it.  Rounding makes an updated g drift
-    from a fresh Q @ s and could break a near-tie the other way, so a row
-    whose best flip is within the drift bound of its runner-up or of the
-    stopping threshold first gets g = Q @ s afresh: every row takes exactly
-    the flips that recomputing g before each flip would.
+    All rows descend together, and each round takes every unfinished row's
+    gradient g = Q s afresh.  numpy's matmul runs the matrix-vector kernel
+    once per stacked (d, 1) operand, the same call ``Q @ s`` makes, so every
+    row takes exactly the flips that polishing it alone would, near-ties
+    included; ``S @ Q``, a matrix-matrix product, rounds differently.
     """
     S = np.array(S, dtype=float)
-    T, d = S.shape
-    G = S @ Q
     diag = 4.0 * np.diag(Q)
-    ulp = np.finfo(float).eps * float(np.abs(Q).sum(axis=1).max())
-    stale = np.full(T, 2 * d)  # drift bound of each row of G, in units of ulp
-    rows = np.arange(T)
+    rows = np.arange(S.shape[0])
     while rows.size:
-        D = -4.0 * S[rows] * G[rows] + diag
+        D = -4.0 * S[rows] * (Q @ S[rows][:, :, None])[:, :, 0] + diag
         i = np.argmin(D, axis=1)
-        best = D[np.arange(rows.size), i]
-        runner_up = np.partition(D, 1, axis=1)[:, 1] if d > 1 else np.inf
-        drift = 16.0 * ulp * stale[rows]  # D = 4 g, with a further 4x margin
-        unsure = (stale[rows] > 0) & ((runner_up - best <= 2.0 * drift)
-                                      | (np.abs(best + 1e-12) <= drift))
-        if unsure.any():
-            for r in rows[unsure]:
-                G[r] = Q @ S[r]
-                stale[r] = 0
-            continue
-        move = best < -1e-12
+        move = D[np.arange(rows.size), i] < -1e-12
         rows, i = rows[move], i[move]
         S[rows, i] = -S[rows, i]
-        G[rows] += 2.0 * S[rows, i][:, None] * Q[i]
-        stale[rows] += 3
     return S
 
 

@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> None:
     """Check the flags, then attach what every command reads to ``args``:
     ``generator`` (a GeneratorSpec or None), ``selectors`` (a tuple),
-    ``solver`` and ``dnn_solver``."""
+    ``solver`` and ``dnn_solver``.  The ``--log`` sidecar is opened here, so
+    a path that cannot be appended to fails before any work."""
     args.generator = None
     if args.family is not None:
         if args.n is None:
@@ -518,6 +519,8 @@ def _resolve(args) -> None:
     dnn_iter = getattr(args, "dnn_max_iter", None)
     args.dnn_solver = (None if dnn_iter is None
                        else dataclasses.replace(args.solver, max_iter=dnn_iter))
+    if args.log_path:
+        open(args.log_path, "a").close()
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import SignProgram
-from .penalty import PenaltyBound
+from .penalty import PenaltyBound, _moment_cost
 
 
 def penalized_objective(q: SignProgram, pb: PenaltyBound):
@@ -86,12 +86,8 @@ def homogenize(q: SignProgram, pb: PenaltyBound) -> MaxCutInstance:
     symmetry Q(-s) = Q(s) makes the +/- labelling of the x0 node arbitrary.
     """
     c_p, F_p, const = penalized_objective(q, pb)
-    n = q.n
-    Q = np.zeros((n + 1, n + 1))
-    Q[:n, :n] = F_p
-    Q[:n, n] = c_p / 2.0
-    Q[n, :n] = c_p / 2.0
-    Q[n, n] = const
+    Q = _moment_cost(c_p, F_p)
+    Q[q.n, q.n] = const
     return MaxCutInstance(Q=Q, rho=pb.rho, source=q)
 
 

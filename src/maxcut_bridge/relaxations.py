@@ -1,19 +1,19 @@
 """The five comparison bounds for equality-constrained binary programs.
 
-Every operation returns a RelaxationResult whose ``value`` is in the units of
-its input program (sign-form raw units for the sign-program relaxations, 0/1
+Every operation returns a BoundEntry whose ``value`` is in the units of its
+input program (sign-form raw units for the sign-program relaxations, 0/1
 units for the copositive one).  ``inflation`` is the one-sided widening that
 makes an approximately solved bound safe: subtract it from a min-sense value
 before claiming a valid lower bound, add it for max-sense.  For the MAX-CUT
 SDP, ``lasserre1`` and ``copositive_dnn`` it is the gap from the value to the
-bound certified by the solve's own dual multipliers, so value -/+ inflation
-is a true bound at any iteration budget.  compute_bounds assembles
-everything into a BoundReport with all values mapped to original-problem
-units.
+bound certified by the solve's own dual multipliers (``_certified``), so
+value -/+ inflation is a true bound at any iteration budget.  compute_bounds
+assembles the entries into a BoundReport with all values mapped to
+original-problem units.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +36,24 @@ EXACT = "Exact"
 
 
 @dataclass
-class RelaxationResult:
+class BoundEntry:
+    """One bound.  A relaxation returns it in the units of its input program;
+    compute_bounds maps sign-form entries to original-problem units, keeps
+    the sign-form value in ``raw`` and sets ``seconds``.  ``solution`` is
+    what the solver returned (an SdpSolution, an LpResult or the box-QP
+    point), or None."""
+
     value: float
     status: str
     inflation: float = 0.0
     note: str = ""
     solution: object = None
+    raw: float | None = None
+    seconds: float = 0.0
+
+    @property
+    def usable(self) -> bool:
+        return self.status in (CONVERGED, ITERATION_LIMIT, EXACT)
 
 
 # --- dense two-phase simplex -------------------------------------------------
@@ -148,25 +160,35 @@ def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
 # --- the five bounds ----------------------------------------------------------
 
 
-def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
-                cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
-    """Unit-diagonal SDP bound on the quadratic form Q (either sense).
+def _certified(p: SdpProblem, cfg: SolverConfig, constant: float = 0.0) -> BoundEntry:
+    """Solve an SDP bound and widen it to the bound its own multipliers certify.
 
-    The inflation is the gap from the solve's value to the bound certified
-    by its dual multipliers, so value -/+ inflation is exactly that
-    certified bound: a rigorous outer bound even when the solve stops far
-    from the SDP optimum.
+    The inflation is the gap from the solve's value to
+    ``certified_diag_bound`` of its multipliers, so value -/+ inflation
+    (Min/Max) is exactly that certified bound: a rigorous outer bound even
+    when the solve stops far from the SDP optimum.  ``constant`` is added to
+    the value.  A Diverged solve proves the rows infeasible and is reported
+    as Infeasible with value +inf for Min, -inf for Max.
     """
-    p = SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim))
     sol = solve_sdp(p, cfg)
-    certified = certified_diag_bound(p, sol.y)
-    return RelaxationResult(
-        value=sol.objective,
+    if sol.status == SolveStatus.DIVERGED:
+        return BoundEntry(value=np.inf if p.sense == Sense.MIN else -np.inf,
+                          status=INFEASIBLE, note=sol.message, solution=sol)
+    gap = sol.objective - certified_diag_bound(p, sol.y, sol.W)
+    return BoundEntry(
+        value=sol.objective + constant,
         status=sol.status.value,
-        inflation=sol.objective - certified if sense == Sense.MIN else certified - sol.objective,
+        inflation=gap if p.sense == Sense.MIN else -gap,
         note=sol.message,
         solution=sol,
     )
+
+
+def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
+                cfg: SolverConfig = SolverConfig()) -> BoundEntry:
+    """Unit-diagonal SDP bound on the quadratic form Q (either sense),
+    widened by ``_certified``."""
+    return _certified(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
 
 
 def _null_face(K: np.ndarray) -> np.ndarray | None:
@@ -182,50 +204,38 @@ def _null_face(K: np.ndarray) -> np.ndarray | None:
     return None if rank == 0 else vt[rank:].T
 
 
-def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
+def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """First moment relaxation of the constrained program itself.
 
     The moment block Y = [[X, x], [x', 1]] has unit diagonal.  Each
     constraint row A_k x = b_k and its linearized products
     x_i (A_k x - b_k) = 0 say, on a PSD Y, exactly Y K' = 0 for
     K = [A, -b], so the solve gets the face V, the null space of K, in
-    place of those rows (as ``copositive_dnn`` does).  The interior-point
-    solve certifies its own bound: the inflation is the gap from the value
-    to ``certified_diag_bound`` of its multipliers, so value - inflation is
-    a lower bound at any iteration budget.  An infeasible moment system
-    (e.g. a constraint unreachable inside the box), which the solve proves
-    from its dual or from the diagonal on the face, or where A x = b has no
-    real solution at all (an empty face), is reported as Infeasible with
-    value +inf.
+    place of those rows (as ``copositive_dnn`` does).  ``_certified`` widens
+    the value to the bound the solve's multipliers certify.  An infeasible
+    moment system (e.g. a constraint unreachable inside the box), which the
+    solve proves from its dual or from the diagonal on the face, or where
+    A x = b has no real solution at all (an empty face), is reported as
+    Infeasible with value +inf.
     """
     face = _null_face(np.hstack([q.A, -q.b[:, None]]).astype(float))
     if face is not None and face.shape[1] == 0:
-        return RelaxationResult(value=np.inf, status=INFEASIBLE,
-                                note="A x = b has no real solution")
+        return BoundEntry(value=np.inf, status=INFEASIBLE, note="A x = b has no real solution")
     p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1), face=face)
-    sol = solve_sdp(p, cfg)
-    if sol.status == SolveStatus.DIVERGED:
-        return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
-    return RelaxationResult(
-        value=sol.objective,
-        status=sol.status.value,
-        inflation=sol.objective - certified_diag_bound(p, sol.y),
-        note=sol.message,
-        solution=sol,
-    )
+    return _certified(p, cfg)
 
 
-def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
+def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Linear relaxation: the hypercube replaced by the box [-1, 1]^n."""
     if np.count_nonzero(q.F):
         raise ValueError("lp_box requires a linear objective (F = 0)")
     res = solve_lp(q.c, q.A.astype(float), q.b.astype(float), -np.ones(q.n), np.ones(q.n))
     if res.status == "Infeasible":
-        return RelaxationResult(value=np.inf, status=INFEASIBLE, solution=res,
-                                note="box LP infeasible: the program has no feasible point")
+        return BoundEntry(value=np.inf, status=INFEASIBLE, solution=res,
+                          note="box LP infeasible: the program has no feasible point")
     if res.status != "Optimal":
-        return RelaxationResult(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
-    return RelaxationResult(value=res.value, status=CONVERGED, solution=res)
+        return BoundEntry(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
+    return BoundEntry(value=res.value, status=CONVERGED, solution=res)
 
 
 def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -285,7 +295,7 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
 
 
 def convex_quadratic_relaxation(q: SignProgram,
-                                cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
+                                cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Eigen-shifted convex relaxation over the box intersected with Ax = b.
 
     The quadratic part is shifted PSD by theta = |lambda_min(F)| + 1 (zero when
@@ -301,8 +311,7 @@ def convex_quadratic_relaxation(q: SignProgram,
     n = q.n
     A, b = q.A.astype(float), q.b.astype(float)
     if solve_lp(np.zeros(n), A, b, -np.ones(n), np.ones(n)).status == "Infeasible":
-        return RelaxationResult(value=np.inf, status=INFEASIBLE,
-                                note="box/affine intersection empty")
+        return BoundEntry(value=np.inf, status=INFEASIBLE, note="box/affine intersection empty")
     lam_min = float(np.linalg.eigvalsh(q.F)[0]) if np.count_nonzero(q.F) else 0.0
     theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
     F_s = q.F + theta * np.eye(n)
@@ -314,7 +323,7 @@ def convex_quadratic_relaxation(q: SignProgram,
     # x, and f(x) - g'x = -x'F_s x.
     g_x = c + 2.0 * (F_s @ x)
     lp = solve_lp(g_x, A, b, -np.ones(n), np.ones(n))
-    return RelaxationResult(
+    return BoundEntry(
         value=lp.value - float(x @ F_s @ x) - n * theta,
         status=status,
         note=f"theta={theta:.6g} fw_gap={float(g_x @ x) - lp.value:.3e}",
@@ -322,7 +331,7 @@ def convex_quadratic_relaxation(q: SignProgram,
     )
 
 
-def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> RelaxationResult:
+def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Doubly-nonnegative relaxation of the slack-completed 0/1 program.
 
     Variables are lifted to (x, z) with x + z = e, giving the constraint
@@ -335,11 +344,10 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
     So the solve gets the face V, an orthonormal basis of the null space of
     K (facial reduction, Borwein & Wolkowicz 1981; r = n + 1 - rank A
     columns against 2n + 1), X_nn = 1 and the linking rows, which fix the
-    trace at n + 1.  The inflation is the gap from the value to
-    ``certified_diag_bound`` of the solve's multipliers, so value -
-    inflation is a lower bound at any iteration budget.  Rows that the solve
-    proves infeasible, from that certificate or because no X on the face
-    has X_nn = 1, are reported as Infeasible with value +inf.
+    trace at n + 1.  ``_certified`` widens the value to the bound the
+    solve's multipliers certify.  Rows that the solve proves infeasible,
+    from that certificate or because no X on the face has X_nn = 1, are
+    reported as Infeasible with value +inf.
     """
     if not p.all_eq:
         raise ValueError("copositive relaxation needs all-EQ rows: run slack_expand first")
@@ -363,41 +371,15 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Rel
         M[nn, i] -= 0.5
         cons.append((M, 0.0))
 
-    C = np.zeros((d, d))
-    C[:n, :n] = p.F
-    C[:n, nn] = p.c / 2.0
-    C[nn, :n] = p.c / 2.0
-    problem = SdpProblem(C=C, constraints=tuple(cons), cone=Cone.PSD_NONNEG,
+    problem = SdpProblem(C=_moment_cost(np.pad(p.c, (0, n)), np.pad(p.F, (0, n))),
+                         constraints=tuple(cons), cone=Cone.PSD_NONNEG,
                          face=_null_face(np.hstack([S, -rhs[:, None]])))
-    sol = solve_sdp(problem, cfg)
-    if sol.status == SolveStatus.DIVERGED:
-        return RelaxationResult(value=np.inf, status=INFEASIBLE, note=sol.message, solution=sol)
-    return RelaxationResult(
-        value=sol.objective + p.constant,
-        status=sol.status.value,
-        inflation=sol.objective - certified_diag_bound(problem, sol.y, sol.W),
-        note=sol.message,
-        solution=sol,
-    )
+    return _certified(problem, cfg, p.constant)
 
 
 # --- report assembly ----------------------------------------------------------
 
 _BRUTE_FORCE_AUTO_N = 18
-
-
-@dataclass
-class BoundEntry:
-    value: float            # original-problem units
-    raw: float | None       # sign-form raw units when applicable
-    status: str
-    seconds: float
-    inflation: float = 0.0  # original-problem units
-    note: str = ""
-
-    @property
-    def usable(self) -> bool:
-        return self.status in (CONVERGED, ITERATION_LIMIT, EXACT)
 
 
 @dataclass
@@ -410,9 +392,6 @@ class BoundReport:
     offset: float
     entries: dict = field(default_factory=dict)
     rounding: object = None
-
-    def value(self, name: str) -> float:
-        return self.entries[name].value
 
 
 class _Inputs(NamedTuple):
@@ -429,18 +408,18 @@ class _Skipped(Exception):
     """The selector does not apply to this program; the message says why."""
 
 
-def _run_lp_box(r: _Inputs) -> RelaxationResult:
+def _run_lp_box(r: _Inputs) -> BoundEntry:
     if np.count_nonzero(r.q.F):
         raise _Skipped("requires a linear objective (F = 0)")
     return lp_box(r.q, r.cfg)
 
 
-def _run_brute_force(r: _Inputs) -> RelaxationResult:
+def _run_brute_force(r: _Inputs) -> BoundEntry:
     if not r.include_brute_force:
         raise _Skipped(f"enumeration suppressed (n={r.q.n})")
     res = brute_force(r.q)
-    return RelaxationResult(value=res.value, status=EXACT,
-                            note="no feasible point" if res.x is None else "")
+    return BoundEntry(value=res.value, status=EXACT,
+                      note="no feasible point" if res.x is None else "")
 
 
 # selector -> (runner, whether the result is in sign-form raw units), in report
@@ -499,7 +478,6 @@ def compute_bounds(
     )
     inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force)
 
-    raw_results: dict[str, RelaxationResult] = {}
     for name, (run, raw_units) in _SELECTOR_TABLE.items():
         if name not in selectors:
             continue
@@ -507,33 +485,18 @@ def compute_bounds(
         try:
             res = run(inputs)
         except _Skipped as exc:
-            report.entries[name] = BoundEntry(
-                value=np.nan, raw=None, status=SKIPPED, seconds=0.0, note=str(exc),
-            )
+            report.entries[name] = BoundEntry(value=np.nan, status=SKIPPED, note=str(exc))
             continue
-        seconds = time.perf_counter() - start
-        raw_results[name] = res
+        res.seconds = time.perf_counter() - start
         if raw_units:
-            report.entries[name] = BoundEntry(
-                value=q.to_original(res.value),
-                raw=res.value,
-                status=res.status,
-                seconds=seconds,
-                inflation=q.scale * res.inflation,
-                note=res.note,
-            )
-        else:
-            report.entries[name] = BoundEntry(
-                value=res.value, raw=None, status=res.status,
-                seconds=seconds, inflation=res.inflation, note=res.note,
-            )
+            res = replace(res, value=q.to_original(res.value), raw=res.value,
+                          inflation=q.scale * res.inflation)
+        report.entries[name] = res
     if gw_trials > 0:
         from .bounds import gw_round  # deferred: bounds imports this module
 
-        res = raw_results.get("maxcut_shor_min")
-        if res is None:
-            res = shor_maxcut(mc, Sense.MIN, cfg)
-        sol = res.solution
+        sol = (report.entries.get("maxcut_shor_min")
+               or shor_maxcut(mc, Sense.MIN, cfg)).solution
         if sol is not None and sol.status != SolveStatus.DIVERGED:
             report.rounding = gw_round(sol, mc, trials=gw_trials, seed=gw_seed,
                                        polish=True)

@@ -7,7 +7,6 @@ computed independently of the code under test.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -333,13 +332,12 @@ def test_c07_slack_expansion_preserves_optima(acceptance_log):
     _record(acceptance_log, 7, desc, failures, "100 programs, n <= 8")
 
 
-def test_c08_b_sweep_csv(acceptance_log):
+def test_c08_b_sweep_csv(acceptance_log, tmp_path):
     desc = ("the n=10 right-hand-side sweep emits its CSV and the "
             "homogenized SDP bound beats the box LP on a strict majority "
             "of feasible b")
     failures = []
-    out = "/root/pkg/artifacts/knapsack10_b_sweep.csv"
-    os.makedirs("/root/pkg/artifacts", exist_ok=True)
+    out = str(tmp_path / "knapsack10_b_sweep.csv")
     rc = main(["compare", "--family", "knapsack_fixed", "--n", "10",
                "--sweep-param", "b", "--sweep-from", "-190", "--sweep-to",
                "190", "--selectors", "maxcut_shor_min,lp_box,brute_force",

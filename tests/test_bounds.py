@@ -148,9 +148,10 @@ class TestGwRound:
                 s[i] = -s[i]
 
         # near-ties between flips are common on penalized forms; the
-        # incremental gradient must break them exactly as a fresh Q @ s does
+        # batched gradient must break them exactly as a fresh Q @ s does
         rng = np.random.default_rng(8)
-        for q in (knapsack_fixed(4, 34), knapsack_fixed(10, 2), kcluster(12, 4, 0.4, 43)[1]):
+        for q in (knapsack_fixed(4, 34), knapsack_fixed(10, 2), kcluster(12, 4, 0.4, 43)[1],
+                  kcluster(40, 20, 0.5, 1)[1]):
             mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
             S = rng.choice([-1.0, 1.0], size=(300, mc.dim))
             np.testing.assert_array_equal(_one_opt_polish(mc.Q, S),

@@ -448,3 +448,15 @@ def test_log_sidecar_gets_one_line_and_output_is_unchanged(
     lines = log.read_text().splitlines()
     assert len(lines) == 1
     assert re.match(rf"\d{{4}}-\d\d-\d\dT\d\d:\d\d:\d\d {command}: ", lines[0])
+
+
+@pytest.mark.parametrize("command", sorted(LOGGED))
+def test_log_directory_fails_before_any_output(knapsack_file, tmp_path, capsys, command):
+    argv = [knapsack_file if a == "{inst}" else a for a in LOGGED[command]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(argv + ["-o", str(out), "--log", str(tmp_path)]) == EXIT_USAGE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Is a directory" in captured.err

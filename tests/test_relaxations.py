@@ -39,7 +39,8 @@ from maxcut_bridge.relaxations import (
     shor_maxcut,
     solve_lp,
 )
-from maxcut_bridge.sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound
+from maxcut_bridge.sdp import (SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfig,
+                               certified_diag_bound)
 
 CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000, admm_rho=0.1)
@@ -599,6 +600,23 @@ class TestComputeBounds:
                                 dnn_cfg=SolverConfig(eps_abs=1e-9, eps_rel=1e-9,
                                                      max_iter=3))
         assert report.entries["copositive_dnn"].status == ITERATION_LIMIT
+
+    def test_sdp_entries_keep_their_solution(self):
+        sdp_selectors = ["maxcut_shor_min", "maxcut_shor_max", "lasserre1", "copositive_dnn"]
+        budget = SolverConfig(eps_abs=1e-9, eps_rel=1e-9, max_iter=3)
+        statuses = set()
+        for q, cfg in ((knapsack_fixed(4, 34), CFG), (knapsack_fixed(4, 34), budget),
+                       (kcluster(6, 7, zero_prob=0.5, seed=6)[1], CFG)):
+            report = compute_bounds(q, selectors=sdp_selectors, cfg=cfg)
+            for name in sdp_selectors:
+                e = report.entries[name]
+                assert isinstance(e.solution, SdpSolution), name
+                if e.status == INFEASIBLE:
+                    assert e.solution.status == SolveStatus.DIVERGED, name
+                else:
+                    assert e.status == e.solution.status.value, name
+                statuses.add(e.status)
+        assert statuses == {CONVERGED, ITERATION_LIMIT, INFEASIBLE}
 
     def test_cluster_units_are_original(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)
