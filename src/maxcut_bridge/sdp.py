@@ -74,6 +74,13 @@ class SolverConfig:
             raise ValueError("max_iter and admm_rho must be positive")
 
 
+def _asymmetric(M: np.ndarray):
+    """Whether np.allclose(A, A.T, rtol=0, atol=1e-12) fails, for each matrix A of ``M``."""
+    flipped = np.swapaxes(M, -1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf; equal infinities are close
+        return ~((M == flipped) | (np.abs(M - flipped) <= 1e-12)).all(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """min/max <C, X> s.t. X_ii = diag_i, <A_i, X> = b_i, X in cone.
@@ -95,7 +102,7 @@ class SdpProblem:
         C = np.asarray(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError("C must be square")
-        if not np.allclose(C, C.T, rtol=0.0, atol=1e-12):
+        if _asymmetric(C):
             raise ValueError("C must be symmetric")
         C = (C + C.T) / 2.0
         d = C.shape[0]
@@ -104,13 +111,10 @@ class SdpProblem:
             if A.shape != (d, d):
                 raise ValueError(f"constraint {k}: matrix must be {d}x{d}")
         mats = np.array(mats).reshape(-1, d, d)
-        flipped = mats.transpose(0, 2, 1)
-        # np.allclose(A, A.T, rtol=0, atol=1e-12) for every matrix at once
-        close = (mats == flipped) | (np.abs(mats - flipped) <= 1e-12)
-        asymmetric = np.flatnonzero(~close.all(axis=(1, 2)))
+        asymmetric = np.flatnonzero(_asymmetric(mats))
         if asymmetric.size:
             raise ValueError(f"constraint {asymmetric[0]}: matrix must be symmetric")
-        pairs = zip((mats + flipped) / 2.0, (float(b) for _, b in self.constraints))
+        pairs = zip((mats + mats.swapaxes(1, 2)) / 2.0, (float(b) for _, b in self.constraints))
         if self.diag is not None:
             diag = np.asarray(self.diag, dtype=float)
             if diag.shape != (d,):
@@ -341,15 +345,6 @@ def _step_to(low: float) -> float:
     return 1.0 if low >= -0.95 else -0.95 / low
 
 
-def _max_step(L_inv: np.ndarray, dM: np.ndarray) -> float:
-    """0.95 of the largest step keeping M + a dM positive definite, capped at 1.
-
-    ``L_inv`` is the inverse Cholesky factor of M, so the step is limited by
-    the most negative eigenvalue of L_inv dM L_inv'.
-    """
-    return _step_to(float(np.linalg.eigvalsh(L_inv @ dM @ L_inv.T)[0]))
-
-
 def _smat(u: np.ndarray, r: int) -> np.ndarray:
     """Symmetric r x r matrices from svec coordinates (the last axis of ``u``)."""
     ia, ib, s = _svec_index(r)
@@ -380,13 +375,17 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
     Solves min <C, X> s.t. diag(X) = a, X = V R V' with R PSD, where V is the
     problem's ``face`` or the identity.  The dual is max a'y s.t.
-    Z = C_V - A*(y) PSD, with C_V = V'CV and A*(y) = V' Diag(y) V.  Each step
-    is the infeasible-start HKM search direction of Helmberg, Rendl,
-    Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996): with
-    mu = 0.1 * <X, Z> / r, solve M dy = a - mu diag(V Z^-1 V') for the Schur
-    matrix M = (V R V') o (V Z^-1 V'); then dR = sym(mu Z^-1 - R +
-    R A*(dy) Z^-1) and dZ = -A*(dy).  Each side moves 0.95 of the way to the
-    boundary of the PSD cone, at most a full step.  R starts at V' Diag(a) V
+    Z = C_V - A*(y) PSD, with C_V = V'CV and A*(y) = V' Diag(y) V.  Each
+    iteration takes the infeasible-start HKM search direction of Helmberg,
+    Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996).  One Cholesky
+    factorization and one inverse of the stack [R, Z] give L_R^-1 and
+    L_Z^-1, and Z^-1 = L_Z^-T L_Z^-1.  With mu = 0.1 * <X, Z> / r, solve
+    M dy = a - mu diag(V Z^-1 V') for the Schur matrix
+    M = (V R V') o (V Z^-1 V'); then dR = sym(mu Z^-1 - R + R A*(dy) Z^-1)
+    and dZ = -A*(dy).  One eigvalsh of the stack [L_R^-1 dR L_R^-T,
+    L_Z^-1 dZ L_Z^-T] gives each side's most negative eigenvalue, and the
+    side moves 0.95 of the way to the boundary of the PSD cone that it
+    marks, at most a full step.  R starts at V' Diag(a) V
     and y at a diagonally dominant point, so Z is positive definite by
     congruence, and it stays strictly dual feasible throughout.  Without a
     face X meets the diagonal from the start; on a face only in the limit,
@@ -408,23 +407,27 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     root = np.sqrt(a)
     bound = float(root @ np.abs(C) @ root)
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(a)))
-    off = np.abs(C).sum(axis=1) - np.abs(np.diag(C))
-    y = np.diag(C) - off - 1.0  # C - Diag(y) is diagonally dominant
-    keep = slice(None)
+    off = np.abs(C).sum(axis=1) - np.abs(C.diagonal())
+    y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
+    keep = slice(None)  # every diagonal row, and M[keep][:, keep] copies nothing
     if V is not None:
         _, rows, rhs, norms = _face_rows(p)
-        keep = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
-        if keep.size < d:  # A*(y) from the kept rows alone
+        kept = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        if kept.size < d:  # A*(y) from the kept rows alone
+            keep = kept
             y_kept = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0]
             y = np.zeros(d)
             y[keep] = y_kept / norms[keep]
-        rows, rhs = rows[keep], rhs[keep]
+        rows, rhs = rows[kept], rhs[kept]
         C = V.T @ C @ V
 
     def adjoint(v):  # A*(v) = V' Diag(v) V
         return np.diag(v) if V is None else (V.T * v) @ V
 
+    r = len(C)
     R = adjoint(a)
+    RZ = np.array([R, C])  # [R, Z]: one Cholesky factorization and inverse for both
+    z_diag = RZ[1].reshape(-1)[:: r + 1]  # without a face Z moves on its diagonal alone
     residual = np.zeros(d)  # without a face X keeps its diagonal from the start
     status = SolveStatus.ITERATION_LIMIT
     message = ""
@@ -432,11 +435,11 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     while True:
         RV = R if V is None else R @ V.T  # R V'
         X = RV if V is None else V @ RV
-        primal = float(np.tensordot(C, R))
+        primal = float(C.ravel() @ R.ravel())
         dual = float(a @ y)
         gap = primal - dual
         if V is not None:
-            residual = a - np.diag(X)
+            residual = a - X.diagonal()
         xz = gap + float(y @ residual)  # <X, Z>; the gap once X meets the diagonal
         tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
         if gap <= tol and xz <= tol and _fro(residual) <= res_tol:
@@ -450,29 +453,35 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             break
         if it == cfg.max_iter:
             break
+        RZ[0] = R
+        if V is None:
+            np.subtract(C.diagonal(), y, out=z_diag)
+        else:
+            RZ[1] = C - adjoint(y)
         try:
-            # inverse Cholesky factors; LinAlgError unless Z and R are PD
-            Z_inv_L = np.linalg.inv(np.linalg.cholesky(C - adjoint(y)))
-            Z_inv = Z_inv_L.T @ Z_inv_L
-            mu = 0.1 * xz / len(R)
+            # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
+            L_inv = np.linalg.inv(np.linalg.cholesky(RZ))
+            Z_inv = L_inv[1].T @ L_inv[1]
+            mu = 0.1 * xz / r
             VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
             Z_lift = VZ if V is None else VZ @ V.T
             M = X * Z_lift  # the Schur matrix
             dy = np.zeros(d)
-            dy[keep] = np.linalg.solve(M[keep][:, keep], (a - mu * np.diag(Z_lift))[keep])
+            dy[keep] = np.linalg.solve(M[keep][:, keep], (a - mu * Z_lift.diagonal())[keep])
             dR = mu * Z_inv - R + (RV * dy) @ VZ
             dR = (dR + dR.T) / 2.0
-            step_x = _max_step(np.linalg.inv(np.linalg.cholesky(R)), dR)
-            step_z = _max_step(Z_inv_L, -adjoint(dy))
+            # the most negative eigenvalue of L^-1 dM L^-T limits each side's step
+            scaled = L_inv @ np.array([dR, -adjoint(dy)]) @ L_inv.transpose(0, 2, 1)
+            low = np.linalg.eigvalsh(scaled)[:, 0]
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
             break
-        R = R + step_x * dR
-        y = y + step_z * dy
+        R = R + _step_to(float(low[0])) * dR
+        y = y + _step_to(float(low[1])) * dy
         it += 1
 
     if V is None:
-        primal_residual = _fro(a - np.diag(X))
+        primal_residual = _fro(a - X.diagonal())
     else:
         R, primal_residual = _onto_rows(R, rows, rhs)
         X = V @ R @ V.T

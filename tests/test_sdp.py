@@ -266,6 +266,43 @@ class TestSolveSdp:
         assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
             1.0 + abs(sol.objective))
 
+    def test_failed_step_keeps_a_sound_bound(self):
+        # a rank-one form 1e3..1e9 times larger than its noise: Z loses
+        # positive definiteness to round-off, and the solve stops with the
+        # multipliers of its last strictly feasible iterate
+        rng = np.random.default_rng(370)
+        d = int(rng.integers(4, 6))
+        a = rng.standard_normal(d)
+        N = rng.standard_normal((d, d))
+        N = (N + N.T) / 2.0
+        Q = 10 ** rng.uniform(3, 9) * np.outer(a, a) + 10 ** rng.uniform(-6, -2) * N
+        p = SdpProblem(C=Q, diag=np.ones(d))
+        sol = solve_sdp(p, FAST)
+        assert sol.status == SolveStatus.ITERATION_LIMIT
+        assert sol.message == ("interior-point step failed after 26 iterations: "
+                               "Matrix is not positive definite")
+        assert sol.iterations == 26
+        assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(Q)
+
+    @pytest.mark.parametrize("face", [False, True])
+    def test_one_factorization_per_iteration(self, face, monkeypatch):
+        # R and Z are factored and inverted as one stack, and both step
+        # lengths come from one eigvalsh call
+        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(11)
+        B = rng.normal(size=(5, 5))
+        # on the face e' x = 0 the unit diagonal still has the interior
+        # point (5 I - ee') / 4
+        V = np.linalg.qr(np.eye(5) - np.ones((5, 5)) / 5.0)[0][:, :4] if face else None
+        sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=V), CFG)
+        assert sol.status == SolveStatus.CONVERGED and sol.iterations > 0
+        assert calls == dict.fromkeys(calls, sol.iterations)
+
     @settings(max_examples=150, deadline=None)
     @given(Q=symmetric_matrices(), max_iter=st.integers(1, 60))
     def test_certified_bound_at_any_budget(self, Q, max_iter):
@@ -330,8 +367,13 @@ class TestSolveSdp:
             assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            SdpProblem(C=np.array([[0.0, 1.0], [0.0, 0.0]]), constraints=())
+        for C in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
+                  [[np.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="C must be symmetric"):
+                SdpProblem(C=np.array(C), constraints=())
+        # within 1e-12 counts as symmetric, and C is stored symmetrized
+        C = SdpProblem(C=np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])).C
+        assert C[0, 1] == C[1, 0]
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(eps_abs=-1.0)
         for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
