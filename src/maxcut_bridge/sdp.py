@@ -345,6 +345,14 @@ def _step_to(low: float) -> float:
     return 1.0 if low >= -0.95 else -0.95 / low
 
 
+def _schur_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs, or a least-squares solution when M is singular."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
 def _smat(u: np.ndarray, r: int) -> np.ndarray:
     """Symmetric r x r matrices from svec coordinates (the last axis of ``u``)."""
     ia, ib, s = _svec_index(r)
@@ -377,15 +385,22 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     problem's ``face`` or the identity.  The dual is max a'y s.t.
     Z = C_V - A*(y) PSD, with C_V = V'CV and A*(y) = V' Diag(y) V.  Each
     iteration takes the infeasible-start HKM search direction of Helmberg,
-    Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996).  One Cholesky
+    Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996) with Mehrotra's
+    second-order correction (SIAM J. Optim. 2, 1992).  One Cholesky
     factorization and one inverse of the stack [R, Z] give L_R^-1 and
-    L_Z^-1, and Z^-1 = L_Z^-T L_Z^-1.  With mu = 0.1 * <X, Z> / r, solve
-    M dy = a - mu diag(V Z^-1 V') for the Schur matrix
-    M = (V R V') o (V Z^-1 V'); then dR = sym(mu Z^-1 - R + R A*(dy) Z^-1)
-    and dZ = -A*(dy).  One eigvalsh of the stack [L_R^-1 dR L_R^-T,
-    L_Z^-1 dZ L_Z^-T] gives each side's most negative eigenvalue, and the
-    side moves 0.95 of the way to the boundary of the PSD cone that it
-    marks, at most a full step.  R starts at V' Diag(a) V
+    L_Z^-1, and Z^-1 = L_Z^-T L_Z^-1.  The Schur matrix
+    M = (V R V') o (V Z^-1 V') is solved twice.  The affine predictor solves
+    M dy_a = a, with dR_a = sym(-R + R A*(dy_a) Z^-1).  With
+    mu = sigma <X, Z> / r, the corrector solves
+    M dy = a - mu diag(V Z^-1 V') - diag(V dR_a A*(dy_a) Z^-1 V'); then
+    dR = sym(mu Z^-1 - R + R A*(dy) Z^-1 + dR_a A*(dy_a) Z^-1) and
+    dZ = -A*(dy).  sigma starts at 0.1 and is then 1 - min(step_p, step_d)
+    of the last step, clipped to [0.05, 0.5], so short steps center more.
+    M turns singular as R nears a low-rank optimum on a face; once solve
+    fails, a least-squares solution stands in.  One eigvalsh of the stack
+    [L_R^-1 dR L_R^-T, L_Z^-1 dZ L_Z^-T] gives each side's most negative
+    eigenvalue, and the side moves 0.95 of the way to the boundary of the
+    PSD cone that it marks, at most a full step.  R starts at V' Diag(a) V
     and y at a diagonally dominant point, so Z is positive definite by
     congruence, and it stays strictly dual feasible throughout.  Without a
     face X meets the diagonal from the start; on a face only in the limit,
@@ -429,6 +444,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     RZ = np.array([R, C])  # [R, Z]: one Cholesky factorization and inverse for both
     z_diag = RZ[1].reshape(-1)[:: r + 1]  # without a face Z moves on its diagonal alone
     residual = np.zeros(d)  # without a face X keeps its diagonal from the start
+    sigma = 0.1  # the centering; then set by the last step lengths
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
@@ -462,13 +478,20 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
             L_inv = np.linalg.inv(np.linalg.cholesky(RZ))
             Z_inv = L_inv[1].T @ L_inv[1]
-            mu = 0.1 * xz / r
             VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
             Z_lift = VZ if V is None else VZ @ V.T
-            M = X * Z_lift  # the Schur matrix
+            M = (X * Z_lift)[keep][:, keep]  # the Schur matrix
+            dy_a = np.zeros(d)
+            dy_a[keep] = _schur_solve(M, a[keep])  # the affine predictor
+            dR_a = (RV * dy_a) @ VZ - R
+            dR_a = (dR_a + dR_a.T) / 2.0
+            dR_aV = dR_a if V is None else dR_a @ V.T  # dR_a V'
+            lifted = dR_aV if V is None else V @ dR_aV  # V dR_a V'
+            mu = sigma * xz / r
             dy = np.zeros(d)
-            dy[keep] = np.linalg.solve(M[keep][:, keep], (a - mu * Z_lift.diagonal())[keep])
-            dR = mu * Z_inv - R + (RV * dy) @ VZ
+            dy[keep] = _schur_solve(
+                M, (a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)[keep])
+            dR = mu * Z_inv - R + (RV * dy + dR_aV * dy_a) @ VZ  # + dR_a A*(dy_a) Z^-1
             dR = (dR + dR.T) / 2.0
             # the most negative eigenvalue of L^-1 dM L^-T limits each side's step
             scaled = L_inv @ np.array([dR, -adjoint(dy)]) @ L_inv.transpose(0, 2, 1)
@@ -476,8 +499,10 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
             break
-        R = R + _step_to(float(low[0])) * dR
-        y = y + _step_to(float(low[1])) * dy
+        step_p, step_d = _step_to(float(low[0])), _step_to(float(low[1]))
+        R = R + step_p * dR
+        y = y + step_d * dy
+        sigma = min(max(1.0 - min(step_p, step_d), 0.05), 0.5)
         it += 1
 
     if V is None:

@@ -12,7 +12,8 @@ When a change is meant to move the outputs, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change which files moved and why.
+which prints the name of each file whose bytes changed and how many did
+not, and say in the change which files moved and why.
 """
 
 import contextlib
@@ -86,5 +87,11 @@ def test_output_matches_golden(outputs, name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    before = {name: (GOLDEN / name).read_bytes() if (GOLDEN / name).exists() else None
+              for name, _ in COMMANDS}
     run_commands(GOLDEN)
-    print(f"wrote {len(COMMANDS)} files to {GOLDEN}", file=sys.stderr)
+    changed = [name for name, old in before.items() if (GOLDEN / name).read_bytes() != old]
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"wrote {len(COMMANDS)} files to {GOLDEN}: {len(changed)} changed, "
+          f"{len(COMMANDS) - len(changed)} unchanged", file=sys.stderr)

@@ -266,10 +266,10 @@ class TestSolveSdp:
         assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
             1.0 + abs(sol.objective))
 
-    def test_failed_step_keeps_a_sound_bound(self):
-        # a rank-one form 1e3..1e9 times larger than its noise: Z loses
-        # positive definiteness to round-off, and the solve stops with the
-        # multipliers of its last strictly feasible iterate
+    def test_large_rank_one_form_converges(self):
+        # a rank-one form 1e3..1e9 times larger than its noise, on which a
+        # fixed centering of 0.1 lost Z's positive definiteness to round-off
+        # after 26 iterations
         rng = np.random.default_rng(370)
         d = int(rng.integers(4, 6))
         a = rng.standard_normal(d)
@@ -278,17 +278,40 @@ class TestSolveSdp:
         Q = 10 ** rng.uniform(3, 9) * np.outer(a, a) + 10 ** rng.uniform(-6, -2) * N
         p = SdpProblem(C=Q, diag=np.ones(d))
         sol = solve_sdp(p, FAST)
-        assert sol.status == SolveStatus.ITERATION_LIMIT
-        assert sol.message == ("interior-point step failed after 26 iterations: "
-                               "Matrix is not positive definite")
-        assert sol.iterations == 26
+        assert sol.status == SolveStatus.CONVERGED
         assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(Q)
+
+    def test_failed_step_keeps_a_sound_bound(self, monkeypatch):
+        # a step whose factorization fails ends the solve with the
+        # multipliers of its last strictly feasible iterate, the start's
+        # included
+        rng = np.random.default_rng(6)
+        B = rng.normal(size=(5, 5))
+        p = SdpProblem(C=B + B.T, diag=np.ones(5))
+        cholesky = np.linalg.cholesky
+        for k in (1, 4):
+            calls = []
+
+            def failing(*args, _k=k, _calls=calls, **kwargs):
+                _calls.append(None)
+                if len(_calls) == _k:
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+                return cholesky(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "cholesky", failing)
+            sol = solve_sdp(p, FAST)
+            assert sol.status == SolveStatus.ITERATION_LIMIT
+            assert sol.iterations == k - 1
+            assert sol.message == (f"interior-point step failed after {k - 1} iterations: "
+                                   "Matrix is not positive definite")
+            assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(B + B.T)
 
     @pytest.mark.parametrize("face", [False, True])
     def test_one_factorization_per_iteration(self, face, monkeypatch):
-        # R and Z are factored and inverted as one stack, and both step
+        # R and Z are factored and inverted as one stack, the Schur matrix
+        # is solved for the predictor and the corrector, and both step
         # lengths come from one eigvalsh call
-        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0}
+        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0, "solve": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
@@ -301,7 +324,9 @@ class TestSolveSdp:
         V = np.linalg.qr(np.eye(5) - np.ones((5, 5)) / 5.0)[0][:, :4] if face else None
         sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=V), CFG)
         assert sol.status == SolveStatus.CONVERGED and sol.iterations > 0
-        assert calls == dict.fromkeys(calls, sol.iterations)
+        # on a face, _onto_rows makes one more solve after the loop
+        assert calls == dict(cholesky=sol.iterations, inv=sol.iterations,
+                             eigvalsh=sol.iterations, solve=2 * sol.iterations + face)
 
     @settings(max_examples=150, deadline=None)
     @given(Q=symmetric_matrices(), max_iter=st.integers(1, 60))
