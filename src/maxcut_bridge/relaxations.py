@@ -22,7 +22,7 @@ from .instances import brute_force
 from .model import SignProgram, ZeroOneProgram, to_zero_one
 from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
 from .reduction import MaxCutInstance, homogenize
-from .sdp import (Cone, SdpProblem, Sense, SolveStatus, SolverConfig,
+from .sdp import (Cone, SdpProblem, Sense, SolveStatus, SolverConfig, _independent,
                   certified_diag_bound, solve_sdp)
 
 _LP_TOL = 1e-9
@@ -96,21 +96,34 @@ def _bland_min(T, basis, cost):
         _pivot(T, basis, leave, enter)
 
 
-def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
-    """min c'x s.t. A_eq x = b_eq, lower <= x <= upper, by two-phase simplex.
+class FeasibleTableau(NamedTuple):
+    """A basic feasible solution of the box-and-rows set in standard form:
+    the tableau T over [y, t] >= 0 (x = lower + y, t the upper slacks)
+    with the right-hand side as its last column, the basic column of each
+    row, and ``lower``."""
 
-    The box is converted to standard form with one slack per variable, phase 1
-    minimizes artificial variables (positive optimum means infeasible), and
-    phase 2 optimizes the true cost with Bland's rule throughout.
+    T: np.ndarray
+    basis: list
+    lower: np.ndarray
+
+
+def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
+    """A feasible tableau for A_eq x = b_eq, lower <= x <= upper, x in R^n,
+    or None when that set is empty.
+
+    The box is converted to standard form with one slack per variable, and
+    artificial variables are minimized with Bland's rule (a positive optimum
+    means infeasible).  Artificials left in the basis are pivoted out and
+    rows that stay all-zero, the redundant ones, are dropped.  The result
+    depends on no cost, so one run serves any number of ``simplex_phase2``
+    calls.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
-    n = c.size
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("box must be finite")
     if np.any(lower > upper):
-        return LpResult(np.inf, None, "Infeasible")
+        return None
     A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n) if np.size(A_eq) else np.zeros((0, n))
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     m = A_eq.shape[0]
@@ -132,7 +145,7 @@ def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
     basis = list(range(cols, cols + rows))
     cost1 = np.concatenate([np.zeros(cols), np.ones(rows)])
     if _bland_min(T, basis, cost1) != "Optimal" or cost1[basis] @ T[:, -1] > 1e-7:
-        return LpResult(np.inf, None, "Infeasible")
+        return None
 
     # drive remaining artificials out of the basis; drop redundant rows
     keep = []
@@ -144,17 +157,35 @@ def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
             _pivot(T, basis, i, enter)
         keep.append(i)
     T = np.ascontiguousarray(np.hstack([T[keep][:, :cols], T[keep][:, -1:]]))
-    basis = [basis[i] for i in keep]
+    return FeasibleTableau(T, [basis[i] for i in keep], lower)
 
-    cost2 = np.concatenate([c, np.zeros(n)])
-    status = _bland_min(T, basis, cost2)
+
+def simplex_phase2(tableau: FeasibleTableau, c) -> LpResult:
+    """min c'x from the feasible tableau of ``simplex_phase1`` with Bland's
+    rule.  It pivots a copy, so the tableau can serve another cost."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    n = c.size
+    T, basis = tableau.T.copy(), list(tableau.basis)
+    status = _bland_min(T, basis, np.concatenate([c, np.zeros(n)]))
     if status != "Optimal":
         return LpResult(-np.inf, None, status)
-    y_full = np.zeros(cols)
+    y_full = np.zeros(2 * n)
     for i, j in enumerate(basis):
         y_full[j] = T[i, -1]
-    x = lower + y_full[:n]
+    x = tableau.lower + y_full[:n]
     return LpResult(float(c @ x), x, "Optimal")
+
+
+def solve_lp(c, A_eq, b_eq, lower, upper) -> LpResult:
+    """min c'x s.t. A_eq x = b_eq, lower <= x <= upper, by two-phase simplex:
+    ``simplex_phase1`` (Infeasible when it finds the set empty), then
+    ``simplex_phase2`` for c.  A caller with several costs over one set runs
+    phase 1 once itself."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    tableau = simplex_phase1(A_eq, b_eq, lower, upper, c.size)
+    if tableau is None:
+        return LpResult(np.inf, None, "Infeasible")
+    return simplex_phase2(tableau, c)
 
 
 # --- the five bounds ----------------------------------------------------------
@@ -243,16 +274,20 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     """min c'x + x'Hx s.t. Ax = b, -1 <= x <= 1 (H PSD), by Mehrotra's
     primal-dual interior-point method (SIAM J. Optim. 2, 1992).
 
-    The slacks s = (1 + x, 1 - x) and their multipliers z stay positive.
-    One Newton matrix [[2H + D, A'], [A, 0]], D the sum of z/s over both
-    bounds, serves the affine step, which sets the centering
-    (mu_affine / mu)^3, and the corrector; least squares solves it, so
-    dependent rows do no harm.  Each side moves 0.99 of the way to the
-    boundary, at most a full step.  Converged needs the dual and primal
-    residuals and the mean of s o z at most 1e-9 (1 + sum |c|).  Where the
-    rows pin variables to a bound there is no interior point and s tends to
-    zero: the loop stops while 1 - x still has digits to step on.
+    The rows must be consistent.  Dependent ones are dropped up front
+    (``_independent``), so with D, the sum of z/s over both bounds, positive
+    the Newton matrix [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted
+    once per iteration, and the inverse serves the affine step, which sets
+    the centering (mu_affine / mu)^3, and the corrector; least squares
+    stands in only where the inversion fails.  The slacks s = (1 + x, 1 - x)
+    and their multipliers z stay positive: each side moves 0.99 of the way
+    to the boundary, at most a full step.  Converged needs the dual and
+    primal residuals and the mean of s o z at most 1e-9 (1 + sum |c|).
+    Where the rows pin variables to a bound there is no interior point and
+    s tends to zero: the loop stops while 1 - x still has digits to step on.
     """
+    keep = _independent(A, b, slack=np.inf)
+    A, b = A[keep], b[keep]
     n, m = len(c), len(b)
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))
     sgn = np.array([[1.0], [-1.0]])  # s = 1 + sgn x, so ds = sgn dx
@@ -272,12 +307,16 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
         if s.min() <= 1e3 * np.finfo(float).eps:
             break
         K = np.block([[2.0 * H + np.diag((z / s).sum(0)), A.T], [A, np.zeros((m, m))]])
+        try:
+            K_inv = np.linalg.inv(K)
+        except np.linalg.LinAlgError:
+            K_inv = None
 
         def direction(t):
             # Newton step that moves s o z to s o z + t
             ts = t / s
-            step = np.linalg.lstsq(K, np.concatenate([ts[0] - ts[1] - r_d, r_p]),
-                                   rcond=None)[0]
+            rhs = np.concatenate([ts[0] - ts[1] - r_d, r_p])
+            step = K_inv @ rhs if K_inv is not None else np.linalg.lstsq(K, rhs, rcond=None)[0]
             ds = sgn * step[:n]
             return step[:n], -step[n:], ds, (t - z * ds) / s
 
@@ -304,27 +343,34 @@ def convex_quadratic_relaxation(q: SignProgram,
     lower bound on its optimum is extracted from the final gradient by one
     linear minimization over the same feasible set, so the bound never rests
     on the loop's accuracy.  Since x_i^2 = 1 on the hypercube, value = (that
-    bound) - n*theta is a valid lower bound on the original optimum.  An
-    empty feasible set, found by a zero-cost LP before the loop, is reported
-    as Infeasible with value +inf.
+    bound) - n*theta is a valid lower bound on the original optimum.  One
+    simplex phase 1 serves both the feasibility test and that LP: an empty
+    feasible set is reported as Infeasible with value +inf.  A linear
+    objective (F = 0) needs no loop: the LP with cost c is the relaxation,
+    x is its vertex, and the entry is Converged at any budget.
     """
     n = q.n
     A, b = q.A.astype(float), q.b.astype(float)
-    if solve_lp(np.zeros(n), A, b, -np.ones(n), np.ones(n)).status == "Infeasible":
+    box = simplex_phase1(A, b, -np.ones(n), np.ones(n), n)
+    if box is None:
         return BoundEntry(value=np.inf, status=INFEASIBLE, note="box/affine intersection empty")
-    lam_min = float(np.linalg.eigvalsh(q.F)[0]) if np.count_nonzero(q.F) else 0.0
-    theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
-    F_s = q.F + theta * np.eye(n)
-    c = q.c
-    x, status = _box_qp(F_s, c, A, b, cfg.max_iter)
-
-    # Rigorous lower bound on the convex optimum from convexity:
-    # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient at
-    # x, and f(x) - g'x = -x'F_s x.
-    g_x = c + 2.0 * (F_s @ x)
-    lp = solve_lp(g_x, A, b, -np.ones(n), np.ones(n))
+    if np.count_nonzero(q.F):
+        lam_min = float(np.linalg.eigvalsh(q.F)[0])
+        theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
+        F_s = q.F + theta * np.eye(n)
+        x, status = _box_qp(F_s, q.c, A, b, cfg.max_iter)
+        # Rigorous lower bound on the convex optimum from convexity:
+        # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient
+        # at x, and f(x) - g'x = -x'F_s x.
+        g_x = q.c + 2.0 * (F_s @ x)
+        lp = simplex_phase2(box, g_x)
+        value = lp.value - float(x @ F_s @ x) - n * theta
+    else:
+        theta, status, g_x = 0.0, CONVERGED, q.c
+        lp = simplex_phase2(box, g_x)
+        x, value = lp.x, lp.value
     return BoundEntry(
-        value=lp.value - float(x @ F_s @ x) - n * theta,
+        value=value,
         status=status,
         note=f"theta={theta:.6g} fw_gap={float(g_x @ x) - lp.value:.3e}",
         solution=x,

@@ -23,7 +23,7 @@ doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
 zero kept nonnegative.
 
 Both methods drop dependent rows up front with one routine
-(``_independent``).  A solve whose X meets its rows only in the limit (every
+(``_independent``), which the box QP of ``relaxations`` shares.  A solve whose X meets its rows only in the limit (every
 face-method solve, and a diagonal solve on a face) ends with one routine
 too (``_onto_rows``): X moved onto its rows, and ``primal_residual`` its
 distance to the PSD cone.  Both methods are deterministic: the same problem

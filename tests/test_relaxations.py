@@ -24,6 +24,7 @@ from maxcut_bridge.instances import (
 from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_zero_one
 from maxcut_bridge.penalty import rho_override
 from maxcut_bridge.reduction import homogenize
+from maxcut_bridge import relaxations
 from maxcut_bridge.relaxations import (
     CONVERGED,
     EXACT,
@@ -37,6 +38,8 @@ from maxcut_bridge.relaxations import (
     lasserre1,
     lp_box,
     shor_maxcut,
+    simplex_phase1,
+    simplex_phase2,
     solve_lp,
 )
 from maxcut_bridge.sdp import (SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfig,
@@ -153,6 +156,37 @@ class TestSimplex:
         oracle_val, _ = lp_oracle(np.zeros(n), A, b, -1.0, 1.0)
         assert res.status == "Infeasible"
         assert oracle_val == np.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_one_phase1_serves_every_cost(self, data, n):
+        # phase 1 once, then phase 2 for several costs, each as a fresh
+        # solve_lp would give; up to n + 1 rows, an optional duplicated row
+        # and unmatched right-hand sides reach dependent rows and empty sets
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        m = data.draw(st.integers(0, n + 1))
+        A = ints(-3, 3, m * n).reshape(m, n)
+        lower = ints(-1, 0, n)
+        upper = lower + ints(0, 2, n)
+        if data.draw(st.booleans()):
+            b = A @ (lower + ints(0, 4, n) / 4.0 * (upper - lower))  # met inside the box
+        else:
+            b = ints(-6, 6, m)
+        if m and data.draw(st.booleans()):
+            A, b = np.vstack([A, A[:1]]), np.append(b, b[0])
+        tableau = simplex_phase1(A, b, lower, upper, n)
+        for _ in range(3):
+            c = ints(-5, 5, n)
+            fresh = solve_lp(c, A, b, lower, upper)
+            if tableau is None:
+                assert fresh.status == "Infeasible"
+                continue
+            res = simplex_phase2(tableau, c)
+            assert res.status == fresh.status == "Optimal"
+            assert abs(res.value - fresh.value) <= 1e-9 * (1.0 + abs(fresh.value))
+            assert np.all(res.x >= lower - 1e-9) and np.all(res.x <= upper + 1e-9)
+            assert np.abs(A @ res.x - b).max(initial=0.0) <= 1e-9
 
 
 def two_by_two_instance():
@@ -298,7 +332,7 @@ class TestLasserre1:
 
     @pytest.mark.parametrize("max_iter,certified", [
         (1, -21.716002072341777), (3, -12.900734733054664),
-        (10, -12.814894101478213), (30, -12.814894101478213)])
+        (10, -12.81488207338538), (30, -12.81488207338538)])
     def test_early_stop_certificate_below_optimum(self, max_iter, certified):
         # the residual-based inflation of an unconverged solve used to leave
         # value - inflation above f* = -12.8149 here at every one of these budgets
@@ -437,6 +471,70 @@ class TestConvexQuadratic:
         assert r.status == CONVERGED
         assert abs(gap) <= 1e-7 * (1 + abs(r.value))
         assert r.value == pytest.approx(127.0110517, rel=1e-6)
+
+    def test_one_phase1_per_program(self, monkeypatch):
+        # the feasibility test is the closing LP's phase 1: a feasible
+        # program runs Bland's rule twice, an empty intersection once
+        calls = []
+        bland = relaxations._bland_min
+        monkeypatch.setattr(relaxations, "_bland_min",
+                            lambda *args: calls.append(None) or bland(*args))
+        F = [[0.0, 1.0], [1.0, 0.0]]
+        for F, b, runs in ((F, [0], 2), (None, [0], 2), (F, [5], 1)):
+            calls.clear()
+            q = SignProgram(n=2, c=[2.0, 2.0], F=F, A=[[1, 1]], b=b)
+            convex_quadratic_relaxation(q, CFG)
+            assert len(calls) == runs
+
+    def test_linear_objective_needs_no_loop(self, monkeypatch):
+        def loop(*args):
+            raise AssertionError("_box_qp entered with F = 0")
+
+        monkeypatch.setattr(relaxations, "_box_qp", loop)
+        q = knapsack_random(6, s=3.0, seed=5, b=14)
+        r = convex_quadratic_relaxation(q, SolverConfig(max_iter=1))
+        assert r.status == CONVERGED
+        assert r.value == lp_box(q, CFG).value
+        assert r.note == "theta=0 fw_gap=0.000e+00"
+
+    @pytest.mark.parametrize("rows", [[[1, 1, 0]], [[1, 1, 0], [1, 1, 0], [0, 1, -1]]])
+    def test_box_qp_one_factorization_per_iteration(self, rows, monkeypatch):
+        # dependent rows are dropped before the loop, so the Newton matrix
+        # is nonsingular: one inversion per iteration serves the predictor
+        # and the corrector, and least squares never runs
+        calls = {"inv": 0, "lstsq": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        A = np.array(rows, dtype=float)
+        b = A @ np.array([0.5, -0.5, -0.5])
+        for max_iter in (1, 2, 5):
+            calls.update(inv=0, lstsq=0)
+            _, status = relaxations._box_qp(H, np.array([1.0, -3.0, 2.0]), A, b, max_iter)
+            assert status == ITERATION_LIMIT
+            assert calls == {"inv": max_iter, "lstsq": 0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_linear_objective_is_the_box_lp(self, data, n):
+        # with F = 0 the closing LP is the relaxation: the lp_box value to
+        # the last bit, Converged after a single allowed step
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        m = data.draw(st.integers(0, n + 1))
+        A = ints(-3, 3, m * n).reshape(m, n)
+        if data.draw(st.booleans()):
+            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)
+        else:
+            b = ints(-6, 6, m)
+        q = SignProgram(n=n, c=ints(-5, 5, n), F=None, A=A, b=b)
+        r = convex_quadratic_relaxation(q, SolverConfig(max_iter=1))
+        lp = lp_box(q, CFG)
+        assert r.value == lp.value
+        assert r.status == (INFEASIBLE if lp.status == INFEASIBLE else CONVERGED)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 60))
