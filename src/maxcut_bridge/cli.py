@@ -274,7 +274,7 @@ def cmd_round(args) -> int:
     sign, pb = _sign_and_penalty(args)
     mc = homogenize(sign, pb)
     res = shor_maxcut(mc, Sense.MIN, args.solver)
-    if res.status not in ("Converged", "IterationLimit") or res.solution is None:
+    if not res.usable or res.solution is None:
         sys.stderr.write(f"rounding unavailable: SDP status {res.status}\n")
         return EXIT_SOLVER_FAILURE
     rounding = gw_round(res.solution, mc, trials=args.trials, seed=args.seed,
@@ -346,8 +346,6 @@ def cmd_compare(args) -> int:
         for name in selectors:
             if isinstance(report, str):
                 out += [None, None, report]
-            elif name not in report.entries:
-                out += [None, None, "Missing"]
             else:
                 e = report.entries[name]
                 out += [e.value, e.raw, e.status]

@@ -31,7 +31,6 @@ class PenaltyBound:
     r2: float
     rho: float
     method: str
-    statuses: tuple = ()
 
     def __post_init__(self):
         if self.r1 > self.r2:
@@ -54,37 +53,31 @@ def _moment_cost(c: np.ndarray, F: np.ndarray) -> np.ndarray:
     return C
 
 
-def _moment_extrema(c, F, cfg: SolverConfig):
-    """Dual-certified (r1, r2) and the two solve statuses of the moment relaxation."""
-    C = _moment_cost(c, F)
-    unit = np.ones(C.shape[0])
-    p_lo = SdpProblem(C=C, sense=Sense.MIN, diag=unit)
-    p_hi = SdpProblem(C=C, sense=Sense.MAX, diag=unit)
-    lo = solve_sdp(p_lo, cfg)
-    hi = solve_sdp(p_hi, cfg)
-    r1 = certified_diag_bound(p_lo, lo.y)
-    r2 = certified_diag_bound(p_hi, hi.y)
-    return r1, r2, (lo.status, hi.status)
-
-
 def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, float]:
     """Outer extrema of c'x + x'Fx over the unit-diagonal moment relaxation.
 
-    Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2.  Each
-    side is a bound certified by the solve's dual multipliers, so the
-    containment holds regardless of solve accuracy.
+    Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2.  Both
+    sides are solved (``solve_sdp``) and each is the bound certified by its
+    solve's dual multipliers (``certified_diag_bound``), so the containment
+    holds regardless of solve accuracy.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)
-    r1, r2, _ = _moment_extrema(c, F, cfg)
-    return r1, r2
+    C = _moment_cost(c, F)
+    unit = np.ones(C.shape[0])
+
+    def side(sense):
+        p = SdpProblem(C=C, sense=sense, diag=unit)
+        return certified_diag_bound(p, solve_sdp(p, cfg).y)
+
+    return side(Sense.MIN), side(Sense.MAX)
 
 
 def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     """Penalty constant dominating |c'x + x'Fx| over the sign hypercube.
 
     A zero quadratic part short-circuits to the exact closed form
-    r2 = -r1 = sum(|c_i|); otherwise both moment SDP extrema are solved.
+    r2 = -r1 = sum(|c_i|); otherwise (r1, r2) are ``shor_box_extrema``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
@@ -92,14 +85,8 @@ def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     if np.count_nonzero(F) == 0:
         s = float(np.abs(c).sum())
         return PenaltyBound(r1=-s, r2=s, rho=s, method=CLOSED_FORM)
-    r1, r2, statuses = _moment_extrema(c, F, cfg)
-    return PenaltyBound(
-        r1=r1,
-        r2=r2,
-        rho=max(abs(r1), abs(r2)),
-        method=SDP,
-        statuses=statuses,
-    )
+    r1, r2 = shor_box_extrema(c, F, cfg)
+    return PenaltyBound(r1=r1, r2=r2, rho=max(abs(r1), abs(r2)), method=SDP)
 
 
 def rho_override(value: float) -> PenaltyBound:

@@ -133,20 +133,18 @@ class SparsityGraph:
         return len(self.edges)
 
 
-def sparsity_graph(mc: MaxCutInstance, zero_tol: float = 0.0) -> SparsityGraph:
-    """Edges are the strictly-above-tolerance off-diagonal couplings of Q.
+def sparsity_graph(mc: MaxCutInstance) -> SparsityGraph:
+    """Edges are the nonzero off-diagonal couplings of Q.
 
     Variable pairs with F_ij = 0 whose constraint columns are orthogonal
     (sum_k A_ki A_kj = 0) never produce an edge: the penalty contributes
     M*(A'A)_ij there, which is zero structurally or by cancellation.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
     d = mc.dim
     edges = []
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(mc.Q[i, j]) > zero_tol:
+            if mc.Q[i, j] != 0.0:
                 edges.append((i, j, float(mc.Q[i, j])))
     return SparsityGraph(n_nodes=d, edges=tuple(edges))
 
@@ -161,13 +159,13 @@ def penalty_ratio(mc: MaxCutInstance) -> float:
     return float(num / den)
 
 
-def export_rudy(mc: MaxCutInstance, path, zero_tol: float = 0.0) -> None:
+def export_rudy(mc: MaxCutInstance, path) -> None:
     """Write the coupling graph as `n_nodes n_edges` then `i j w` lines.
 
     Node indices are 1-based with i < j; weights carry 17 significant digits
     so the quadratic form is reproducible bit-for-bit from the file.
     """
-    g = sparsity_graph(mc, zero_tol)
+    g = sparsity_graph(mc)
     lines = [f"{g.n_nodes} {g.n_edges}"]
     for i, j, w in g.edges:
         lines.append(f"{i + 1} {j + 1} {w:.17g}")

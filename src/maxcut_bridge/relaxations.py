@@ -286,7 +286,7 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     Where the rows pin variables to a bound there is no interior point and
     s tends to zero: the loop stops while 1 - x still has digits to step on.
     """
-    keep = _independent(A, b, slack=np.inf)
+    keep, _ = _independent(A, b, slack=np.inf)
     A, b = A[keep], b[keep]
     n, m = len(c), len(b)
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))

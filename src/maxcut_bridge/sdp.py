@@ -23,9 +23,11 @@ doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
 zero kept nonnegative.
 
 Both methods drop dependent rows up front with one routine
-(``_independent``), which the box QP of ``relaxations`` shares.  A solve whose X meets its rows only in the limit (every
-face-method solve, and a diagonal solve on a face) ends with one routine
-too (``_onto_rows``): X moved onto its rows, and ``primal_residual`` its
+(``_independent``), which the box QP of ``relaxations`` shares; its QR
+factorization of the kept rows serves the rest of the solve.  A solve
+whose X meets its rows only in the limit (every face-method solve, and a
+diagonal solve on a face) ends with one routine too (``_onto_rows``): X
+moved onto its rows by that factorization, and ``primal_residual`` its
 distance to the PSD cone.  Both methods are deterministic: the same problem
 and config always produce the same iteration path.
 """
@@ -75,20 +77,21 @@ class SolverConfig:
 
 
 def _asymmetric(M: np.ndarray):
-    """Whether np.allclose(A, A.T, rtol=0, atol=1e-12) fails, for each matrix A of ``M``."""
-    flipped = np.swapaxes(M, -1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf; equal infinities are close
-        return ~((M == flipped) | (np.abs(M - flipped) <= 1e-12)).all(axis=(-2, -1))
+    """Whether np.allclose(A, A.T, rtol=0, atol=1e-12) fails, for each finite matrix A of ``M``."""
+    return (np.abs(M - np.swapaxes(M, -1, -2)) > 1e-12).any(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class SdpProblem:
     """min/max <C, X> s.t. X_ii = diag_i, <A_i, X> = b_i, X in cone.
 
-    ``diag`` is None (no diagonal fixed) or a finite vector of length d.
+    ``C``, every constraint matrix and right-hand side, and ``diag`` (None
+    when no diagonal is fixed, else a vector of length d) must be finite.
     ``face`` is None or a d x r matrix V with orthonormal columns, which
     restricts X further to V R V' with R PSD: a face of the PSD cone, such
     as facial reduction finds when the rows leave X no interior point.
+    ``A`` and ``b`` stack the (symmetrized) matrices and right-hand sides of
+    ``constraints``, m x d x d and m.
     """
 
     C: np.ndarray
@@ -97,11 +100,15 @@ class SdpProblem:
     cone: Cone = Cone.PSD
     diag: np.ndarray | None = None
     face: np.ndarray | None = None
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError("C must be square")
+        if not np.all(np.isfinite(C)):
+            raise ValueError("C must be finite")
         if _asymmetric(C):
             raise ValueError("C must be symmetric")
         C = (C + C.T) / 2.0
@@ -111,10 +118,15 @@ class SdpProblem:
             if A.shape != (d, d):
                 raise ValueError(f"constraint {k}: matrix must be {d}x{d}")
         mats = np.array(mats).reshape(-1, d, d)
+        rhs = np.array([float(b) for _, b in self.constraints])
+        infinite = np.flatnonzero(~(np.isfinite(mats).all(axis=(1, 2)) & np.isfinite(rhs)))
+        if infinite.size:
+            raise ValueError(
+                f"constraint {infinite[0]}: matrix and right-hand side must be finite")
         asymmetric = np.flatnonzero(_asymmetric(mats))
         if asymmetric.size:
             raise ValueError(f"constraint {asymmetric[0]}: matrix must be symmetric")
-        pairs = zip((mats + mats.swapaxes(1, 2)) / 2.0, (float(b) for _, b in self.constraints))
+        mats = (mats + mats.swapaxes(1, 2)) / 2.0
         if self.diag is not None:
             diag = np.asarray(self.diag, dtype=float)
             if diag.shape != (d,):
@@ -130,7 +142,9 @@ class SdpProblem:
                 raise ValueError("face must have orthonormal columns")
             object.__setattr__(self, "face", V)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "constraints", tuple(pairs))
+        object.__setattr__(self, "constraints", tuple(zip(mats, rhs.tolist())))
+        object.__setattr__(self, "A", mats)
+        object.__setattr__(self, "b", rhs)
 
     @property
     def dim(self) -> int:
@@ -230,8 +244,7 @@ def _face_rows(p: SdpProblem):
     d = p.dim
     V = np.eye(d) if p.face is None else p.face
     a, b, s = _svec_index(V.shape[1])
-    mats = np.array([A for A, _ in p.constraints]).reshape(-1, d, d)
-    rhs = np.array([c for _, c in p.constraints], dtype=float)
+    mats, rhs = p.A, p.b
     if p.diag is not None:
         eye = np.eye(d)
         mats = np.concatenate([eye[:, :, None] * eye[:, None, :], mats])
@@ -282,16 +295,15 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     """
     d = p.dim
     y = np.asarray(y, dtype=float)
-    mats = np.array([A for A, _ in p.constraints]).reshape(-1, d, d)
     if p.diag is None:
         V, rows, rhs, _ = _face_rows(p)
         T = _fixed_trace(rows, rhs, V.shape[1])[0]
-        rhs = np.array([b for _, b in p.constraints], dtype=float)
-        A_y = np.tensordot(y, mats, axes=1)
+        rhs = p.b
+        A_y = np.tensordot(y, p.A, axes=1)
     else:
         T = p.diag.sum()
-        rhs = np.concatenate([p.diag, [b for _, b in p.constraints]])
-        A_y = np.diag(y[:d]) + np.tensordot(y[d:], mats, axes=1)
+        rhs = np.concatenate([p.diag, p.b])
+        A_y = np.diag(y[:d]) + np.tensordot(y[d:], p.A, axes=1)
     if W is not None and p.cone == Cone.PSD_NONNEG:
         A_y = A_y + (np.maximum(W, 0.0) if p.sense == Sense.MIN else np.minimum(W, 0.0))
     value = (rhs * y).sum()
@@ -311,8 +323,9 @@ class _InconsistentSystem(Exception):
     pass
 
 
-def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
-    """Indices of the rows that do not depend on the rows ahead of them.
+def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float):
+    """Indices of the rows that do not depend on the rows ahead of them, and
+    the QR factorization (Q, R) of the kept rows' transpose.
 
     A QR factorization of the rows gives, on its diagonal, the norm of each
     row less its projection onto the rows before it.  The first row where
@@ -320,16 +333,17 @@ def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
     rows before it; it is dropped if its right-hand side is the same
     combination of theirs within ``slack``, and otherwise no X satisfies the
     rows and ``_InconsistentSystem`` is raised.  The factorization is
-    repeated without it until no such row is left.
+    repeated without it until no such row is left, so the last one is the
+    kept rows' own.
     """
     keep = np.arange(len(rows))
     while keep.size:
-        R = np.linalg.qr(rows[keep].T, mode="r")
+        Q, R = np.linalg.qr(rows[keep].T)
         remainder = np.zeros(keep.size)
         remainder[: min(R.shape)] = np.abs(np.diag(R))
         small = np.flatnonzero(remainder <= 1e-6)
         if not small.size:
-            break
+            return keep, (Q, R)
         i = small[0]
         c = np.linalg.solve(R[:i, :i], R[:i, i])  # row i in terms of the rows before it
         if abs(rhs[keep[i]] - c @ rhs[keep[:i]]) > slack:
@@ -337,7 +351,7 @@ def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
                 "constraint rows are linearly dependent with conflicting right-hand sides"
             )
         keep = np.delete(keep, i)
-    return keep
+    return keep, (np.zeros((rows.shape[1], 0)), np.zeros((0, 0)))
 
 
 def _step_to(low: float) -> float:
@@ -361,18 +375,19 @@ def _smat(u: np.ndarray, r: int) -> np.ndarray:
     return M
 
 
-def _onto_rows(R: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr=None):
+def _onto_rows(R: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr):
     """R moved onto its rows, and the distance of the result to the PSD cone.
 
     Every solve whose iterate meets its rows only in the limit ends here.
     ``rows`` are independent svec rows of R, and ``qr`` is the QR
-    factorization of rows' when known.  The least-norm correction in the
-    svec coordinates of R meets them to round-off; the distance to the PSD
-    cone (``project_psd``) is then the same for R as for V R V'.
+    factorization of rows' that ``_independent`` returns with them.  The
+    least-norm correction in the svec coordinates of R meets them to
+    round-off; the distance to the PSD cone (``project_psd``) is then the
+    same for R as for V R V'.
     """
     r = len(R)
     ia, ib, s = _svec_index(r)
-    Q, R_b = np.linalg.qr(rows.T) if qr is None else qr
+    Q, R_b = qr
     rho = R[ia, ib] * s
     R = _smat(rho + Q @ np.linalg.solve(R_b.T, rhs - rows @ rho), r)
     return R, _fro(R - project_psd(R))
@@ -427,7 +442,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     keep = slice(None)  # every diagonal row, and M[keep][:, keep] copies nothing
     if V is not None:
         _, rows, rhs, norms = _face_rows(p)
-        kept = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        kept, qr = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
         if kept.size < d:  # A*(y) from the kept rows alone
             keep = kept
             y_kept = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0]
@@ -508,7 +523,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     if V is None:
         primal_residual = _fro(a - X.diagonal())
     else:
-        R, primal_residual = _onto_rows(R, rows, rhs)
+        R, primal_residual = _onto_rows(R, rows, rhs, qr)
         X = V @ R @ V.T
     diverged = status == SolveStatus.DIVERGED
     return SdpSolution(
@@ -557,7 +572,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     V, rows, rhs, norms = _face_rows(p)
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
-    keep = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+    keep, (Q, R_b) = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
     A, b = rows[keep], rhs[keep]
     m = len(b)
     T, weights = _fixed_trace(A, b, r)
@@ -569,7 +584,6 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     pi, pj = _svec_index(d)[:2] if p.cone == Cone.PSD_NONNEG else (np.zeros(0, int),) * 2
     Va, Vb = V[:, ia], V[:, ib]
     G = (Va[pi] * Vb[pj] + Vb[pi] * Va[pj]) * (s / 2.0)  # X_ij = G_ij rho
-    Q, R_b = np.linalg.qr(A.T)
     along = G @ Q
     outside = np.linalg.norm(G - along @ Q.T, axis=1)
     pinned_to = along @ np.linalg.solve(R_b.T, b)
@@ -739,45 +753,3 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
         status=SolveStatus.DIVERGED,
         message=infeasible,
     )
-
-
-def export_sdpa(p: SdpProblem, path) -> None:
-    """Write the problem in SDPA sparse format (.dat-s) for external cross-checks.
-
-    The file encodes  max <F0, Y> s.t. <F_i, Y> = c_i, Y PSD  (the SDPA dual),
-    so F0 = -C for a Min problem and F0 = C for Max.  A fixed diagonal is
-    written as the first d constraint matrices E_ii.  A problem with a face
-    V is written on it: Y = R is r x r, and every matrix M becomes V'MV.
-    Only the PSD cone is representable; a PSD-and-nonnegative problem is
-    exported with its cone relaxed to PSD and a comment line saying so.
-    """
-    d = p.dim
-    r = d if p.face is None else p.face.shape[1]
-    eye = np.eye(d)
-
-    def on_face(M):
-        return M if p.face is None else p.face.T @ M @ p.face
-
-    lines = []
-    if p.cone == Cone.PSD_NONNEG:
-        lines.append('"nonnegativity constraints omitted: PSD relaxation only"')
-    diag = () if p.diag is None else tuple(p.diag)
-    lines.append(f"{len(diag) + len(p.constraints)} = mDIM")
-    lines.append("1 = nBLOCK")
-    lines.append(f"{r} = bLOCKsTRUCT")
-    lines.append(" ".join(repr(float(b)) for b in diag + tuple(b for _, b in p.constraints)))
-
-    def emit(mat_no, M):
-        M = on_face(M)
-        for i in range(r):
-            for j in range(i, r):
-                if M[i, j] != 0.0:
-                    lines.append(f"{mat_no} 1 {i + 1} {j + 1} {float(M[i, j])!r}")
-
-    emit(0, -p.C if p.sense == Sense.MIN else p.C)
-    for i in range(len(diag)):
-        emit(i + 1, np.outer(eye[i], eye[i]))
-    for k, (A, _) in enumerate(p.constraints, start=len(diag) + 1):
-        emit(k, A)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

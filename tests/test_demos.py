@@ -18,6 +18,8 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    # RuntimeWarnings fail a demo as they fail a test (pyproject.toml)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

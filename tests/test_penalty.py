@@ -91,6 +91,16 @@ class TestRho:
         assert pb.rho + 1e-5 * (1 + pb.rho) >= max(abs(lo), abs(hi))
         assert pb.r1 <= pb.r2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sdp_path_reports_shor_box_extrema(self, seed):
+        # the SDP branch passes the certified extrema on unchanged
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(4, 4))
+        c = rng.normal(size=4)
+        pb = rho(c, B + B.T, CFG)
+        assert pb.method == SDP
+        assert (pb.r1, pb.r2) == shor_box_extrema(c, B + B.T, CFG)
+
     def test_closed_form_matches_sdp_on_linear(self):
         rng = np.random.default_rng(42)
         c = rng.normal(size=4) * 3

@@ -49,6 +49,19 @@ CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000, admm_rho=0.1)
 
 
+def count_qr(monkeypatch) -> list:
+    """A one-element list that counts the np.linalg.qr calls from now on."""
+    calls = [0]
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 def lp_oracle(c, A, b, lower, upper):
     """Exact box-LP minimum by enumerating all candidate vertices.
 
@@ -320,6 +333,15 @@ class TestLasserre1:
         r = lasserre1(q, cfg=CFG)
         assert r.usable if hasattr(r, "usable") else r.status in (CONVERGED, ITERATION_LIMIT)
         assert r.value - r.inflation <= f_star + 1e-4 * (1 + abs(f_star))
+
+    def test_one_qr_per_face_solve(self, monkeypatch):
+        # the independence check of the diagonal rows on the face factors
+        # them once, and that factorization also moves the last iterate onto
+        # them
+        calls = count_qr(monkeypatch)
+        r = lasserre1(knapsack_random(6, s=3.0, seed=5, b=14), cfg=CFG)
+        assert r.status == CONVERGED and r.solution.iterations > 0
+        assert calls == [1]
 
     def test_unsatisfiable_cluster_size_reported_infeasible(self):
         _, s = kcluster(8, 9, zero_prob=0.5, seed=3)
@@ -630,6 +652,15 @@ class TestCopositiveDnn:
         assert r.status == CONVERGED
         assert r.value == pytest.approx(1.0, abs=1e-3 + r.inflation)
 
+    def test_one_qr_per_solve(self, monkeypatch):
+        # one factorization of the kept rows serves the independence check,
+        # the rows' projection of the orthant entries and the final move
+        # onto the rows
+        calls = count_qr(monkeypatch)
+        r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
+        assert r.status == CONVERGED and r.solution.iterations > 0
+        assert calls == [1]
+
     def test_lower_bounds_cluster_optimum(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)
         f_star = brute_force(s).value  # original units = 0/1 units here
@@ -743,7 +774,7 @@ class TestComputeBounds:
     def test_sdp_entries_keep_their_solution(self):
         sdp_selectors = ["maxcut_shor_min", "maxcut_shor_max", "lasserre1", "copositive_dnn"]
         budget = SolverConfig(eps_abs=1e-9, eps_rel=1e-9, max_iter=3)
-        statuses = set()
+        seen = set()
         for q, cfg in ((knapsack_fixed(4, 34), CFG), (knapsack_fixed(4, 34), budget),
                        (kcluster(6, 7, zero_prob=0.5, seed=6)[1], CFG)):
             report = compute_bounds(q, selectors=sdp_selectors, cfg=cfg)
@@ -754,8 +785,8 @@ class TestComputeBounds:
                     assert e.solution.status == SolveStatus.DIVERGED, name
                 else:
                     assert e.status == e.solution.status.value, name
-                statuses.add(e.status)
-        assert statuses == {CONVERGED, ITERATION_LIMIT, INFEASIBLE}
+                seen.add(e.status)
+        assert seen == {CONVERGED, ITERATION_LIMIT, INFEASIBLE}
 
     def test_cluster_units_are_original(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)

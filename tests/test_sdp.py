@@ -14,7 +14,6 @@ from maxcut_bridge.sdp import (
     SolveStatus,
     SolverConfig,
     certified_diag_bound,
-    export_sdpa,
     project_psd,
     project_psd_nonneg,
     solve_sdp,
@@ -392,10 +391,20 @@ class TestSolveSdp:
             assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
     def test_validation(self):
-        for C in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]],
-                  [[np.nan, 0.0], [0.0, 1.0]]):
+        for C in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
             with pytest.raises(ValueError, match="C must be symmetric"):
                 SdpProblem(C=np.array(C), constraints=())
+        # non-finite data is rejected up front, before any symmetry or
+        # trace check could misreport it
+        unit = np.ones(2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="C must be finite"):
+                SdpProblem(C=np.array([[bad, 0.0], [0.0, 1.0]]), diag=unit)
+            with pytest.raises(ValueError, match="must be finite"):
+                SdpProblem(C=np.eye(2), constraints=[(E12, bad)], diag=unit)
+            with pytest.raises(ValueError, match="must be finite"):
+                SdpProblem(C=np.eye(2), constraints=[(E12, 0.0), ([[bad, 0.0], [0.0, 0.0]], 0.0)],
+                           diag=unit)
         # within 1e-12 counts as symmetric, and C is stored symmetrized
         C = SdpProblem(C=np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])).C
         assert C[0, 1] == C[1, 0]
@@ -404,47 +413,3 @@ class TestSolveSdp:
         for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match="diag"):
                 SdpProblem(C=np.eye(2), diag=bad)
-
-
-class TestSdpaExport:
-    def test_round_trip_entries(self, tmp_path):
-        C = np.array([[1.0, 0.25], [0.25, -2.0]])
-        # a fixed diagonal is written as the first constraint matrices E_ii,
-        # ahead of the ordinary rows: mDIM = d + m
-        cases = [
-            (dict(constraints=diag_constraints(2)), [1.0, 1.0],
-             [{(1, 1): 1.0}, {(2, 2): 1.0}]),
-            (dict(constraints=[(E12, 0.3)], diag=[1.0, 2.0]), [1.0, 2.0, 0.3],
-             [{(1, 1): 1.0}, {(2, 2): 1.0}, {(1, 2): 0.5}]),
-        ]
-        for kwargs, rhs, mats in cases:
-            path = tmp_path / "prob.dat-s"
-            export_sdpa(SdpProblem(C=C, **kwargs), path)
-            text = path.read_text().splitlines()
-            assert text[0] == f"{len(rhs)} = mDIM"
-            assert text[1] == "1 = nBLOCK"
-            assert text[2] == "2 = bLOCKsTRUCT"
-            assert [float(v) for v in text[3].split()] == rhs
-            entries = [{} for _ in range(len(rhs) + 1)]
-            for line in text[4:]:
-                mat, blk, i, j, val = line.split()
-                entries[int(mat)][(int(i), int(j))] = float(val)
-            # objective block: F0 = -C for a Min problem
-            assert entries[0] == {(1, 1): -1.0, (1, 2): -0.25, (2, 2): 2.0}
-            assert entries[1:] == mats
-        # a problem on the face V = (1, 1)'/sqrt(2) is written on it: one
-        # 1 x 1 block, F0 = -V'CV and every row, the diagonal's first, V'AV
-        path = tmp_path / "face.dat-s"
-        V = np.ones((2, 1)) / np.sqrt(2.0)
-        export_sdpa(SdpProblem(C=C, constraints=[(E12, 0.3)], diag=[1.0, 2.0], face=V), path)
-        text = path.read_text().splitlines()
-        assert text[:4] == ["3 = mDIM", "1 = nBLOCK", "1 = bLOCKsTRUCT", "1.0 2.0 0.3"]
-        entries = [line.split() for line in text[4:]]
-        assert [e[:4] for e in entries] == [[str(k), "1", "1", "1"] for k in range(4)]
-        assert [float(e[4]) for e in entries] == pytest.approx([0.25, 0.5, 0.5, 0.5], rel=1e-12)
-
-    def test_nonneg_cone_notes_relaxation(self, tmp_path):
-        p = SdpProblem(C=np.eye(2), constraints=diag_constraints(2), cone=Cone.PSD_NONNEG)
-        path = tmp_path / "prob.dat-s"
-        export_sdpa(p, path)
-        assert "nonnegativity" in path.read_text().splitlines()[0]
