@@ -361,10 +361,10 @@ def cmd_compare(args) -> int:
             for report in reports:
                 if isinstance(report, str):
                     continue
-                a = report.entries.get("maxcut_shor_min")
-                b = report.entries.get(other)
-                if (a is None or b is None or not (a.usable and b.usable)
-                        or not (np.isfinite(a.value) and np.isfinite(b.value))):
+                a = report.entries["maxcut_shor_min"]
+                b = report.entries[other]
+                if not (a.usable and b.usable
+                        and np.isfinite(a.value) and np.isfinite(b.value)):
                     continue
                 total += 1
                 if a.value > b.value:

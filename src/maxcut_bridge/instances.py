@@ -24,16 +24,12 @@ STREAM_GW = 5          # hyperplane draws in rounding (bounds module)
 _BRUTE_FORCE_CAP = 26
 _CHUNK_BITS = 16
 
-# Fixed knapsack data: minimize c'x subject to a'x = b over {-1,1}^n.
+# Fixed knapsack weights a; the costs are a reversed, c = a[::-1]: minimize
+# c'x subject to a'x = b over {-1,1}^n.
 _FIXED_A = {
     4: (3, 7, 11, 13),
     10: (3, 7, 11, 13, 17, 19, 23, 29, 31, 37),
     15: (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 51, 53),
-}
-_FIXED_C = {
-    4: (13.0, 11.0, 7.0, 3.0),
-    10: (37.0, 31.0, 29.0, 23.0, 19.0, 17.0, 13.0, 11.0, 7.0, 3.0),
-    15: (53.0, 51.0, 47.0, 43.0, 41.0, 37.0, 31.0, 29.0, 23.0, 19.0, 17.0, 13.0, 11.0, 7.0, 3.0),
 }
 
 # First odd primes, used as weights for sizes without fixed data.
@@ -64,7 +60,7 @@ def knapsack_fixed(n: int, b: int) -> SignProgram:
     b = int(b)
     if not -limit <= b <= limit:
         raise ValueError(f"b must lie in [{-limit}, {limit}]")
-    return SignProgram(n=n, c=_FIXED_C[n], F=None, A=a.reshape(1, n), b=[b])
+    return SignProgram(n=n, c=a[::-1].astype(float), F=None, A=a.reshape(1, n), b=[b])
 
 
 def knapsack_random(n: int, s: float, seed: int, b: int) -> SignProgram:

@@ -94,17 +94,13 @@ def _int_vector(b, m: int, name: str) -> np.ndarray:
     return _integers(v, name)
 
 
-def _lock(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 @dataclass(frozen=True)
-class ZeroOneProgram:
-    """min c'x + x'Fx + constant  s.t.  Ax = b (EQ rows), Ax <= b (LE rows), x in {0,1}^n.
+class _Program:
+    """The data both program forms share: objective c'x + x'Fx, rows A x vs b.
 
-    A and b are integer; F is exactly symmetric.  ``constant`` is an additive
-    objective term produced by transforms (a 0/1 objective cannot absorb it).
+    c is finite, F exactly symmetric (None stands for zero), and A and b are
+    integer: the penalty reduction's unit margin rests on integer rows.  The
+    validated arrays are read-only.
     """
 
     n: int
@@ -112,26 +108,39 @@ class ZeroOneProgram:
     F: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    row_sense: tuple[str, ...]
-    constant: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "c", _float_vector(self.c, self.n, "c"))
         object.__setattr__(self, "F", _symmetric_matrix(self.F, self.n, "F"))
         object.__setattr__(self, "A", _int_matrix(self.A, self.n, "A"))
-        m = self.A.shape[0]
-        object.__setattr__(self, "b", _int_vector(self.b, m, "b"))
-        object.__setattr__(self, "row_sense", tuple(self.row_sense))
-        if len(self.row_sense) != m:
-            raise InstanceFormatError(f"row_sense must have length {m}")
-        for s in self.row_sense:
-            if s not in (EQ, LE):
-                raise InstanceFormatError(f"unknown row sense {s!r}")
-        _lock(self.c, self.F, self.A, self.b)
+        object.__setattr__(self, "b", _int_vector(self.b, self.m, "b"))
+        for a in (self.c, self.F, self.A, self.b):
+            a.setflags(write=False)
 
     @property
     def m(self) -> int:
         return self.A.shape[0]
+
+
+@dataclass(frozen=True)
+class ZeroOneProgram(_Program):
+    """min c'x + x'Fx + constant  s.t.  Ax = b (EQ rows), Ax <= b (LE rows), x in {0,1}^n.
+
+    ``constant`` is an additive objective term produced by transforms (a 0/1
+    objective cannot absorb it).
+    """
+
+    row_sense: tuple[str, ...]
+    constant: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "row_sense", tuple(self.row_sense))
+        if len(self.row_sense) != self.m:
+            raise InstanceFormatError(f"row_sense must have length {self.m}")
+        for s in self.row_sense:
+            if s not in (EQ, LE):
+                raise InstanceFormatError(f"unknown row sense {s!r}")
 
     @property
     def all_eq(self) -> bool:
@@ -143,18 +152,13 @@ class ZeroOneProgram:
 
     def is_feasible(self, x) -> bool:
         """Exact integer feasibility check of a 0/1 point."""
-        xi = np.asarray(np.round(x), dtype=np.int64)
-        r = self.A @ xi - self.b
-        for j, s in enumerate(self.row_sense):
-            if s == EQ and r[j] != 0:
-                return False
-            if s == LE and r[j] > 0:
-                return False
-        return True
+        r = self.A @ np.asarray(np.round(x), dtype=np.int64) - self.b
+        le = np.asarray(self.row_sense, dtype=str) == LE
+        return bool(np.all(np.where(le, r <= 0, r == 0)))
 
 
 @dataclass(frozen=True)
-class SignProgram:
+class SignProgram(_Program):
     """min c'x + x'Fx  s.t.  Ax = b, x in {-1,1}^n, with A, b integer.
 
     Objective values in the originating problem's units are recovered via
@@ -162,27 +166,13 @@ class SignProgram:
     sign form maps back exactly.
     """
 
-    n: int
-    c: np.ndarray
-    F: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
     offset: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _float_vector(self.c, self.n, "c"))
-        object.__setattr__(self, "F", _symmetric_matrix(self.F, self.n, "F"))
-        object.__setattr__(self, "A", _int_matrix(self.A, self.n, "A"))
-        m = self.A.shape[0]
-        object.__setattr__(self, "b", _int_vector(self.b, m, "b"))
+        super().__post_init__()
         if not (self.scale > 0):
             raise InstanceFormatError("scale must be positive")
-        _lock(self.c, self.F, self.A, self.b)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     def raw_objective(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -233,23 +223,11 @@ def to_zero_one(q: SignProgram) -> ZeroOneProgram:
     c01 = s * (2.0 * q.c - 4.0 * (q.F @ e))
     const = q.offset + s * float(e @ q.F @ e - q.c @ e)
 
-    A2 = 2 * q.A
-    rhs = q.b + q.A @ np.ones(q.n, dtype=np.int64)
-    rows = []
-    bs = []
-    for j in range(q.m):
-        row = A2[j]
-        r = int(rhs[j])
-        g = int(np.gcd.reduce(np.concatenate([np.abs(row), [abs(r)]])))
-        if g > 1:
-            row = row // g
-            r = r // g
-        rows.append(row)
-        bs.append(r)
-    A01 = np.array(rows, dtype=np.int64).reshape(q.m, q.n)
-    b01 = np.array(bs, dtype=np.int64)
+    rows = np.column_stack([2 * q.A, q.b + q.A.sum(axis=1)])
+    g = np.gcd.reduce(rows, axis=1)
+    rows //= np.where(g == 0, 1, g)[:, None]  # an all-zero row has gcd 0
     return ZeroOneProgram(
-        n=q.n, c=c01, F=F01, A=A01, b=b01,
+        n=q.n, c=c01, F=F01, A=rows[:, :-1], b=rows[:, -1],
         row_sense=(EQ,) * q.m, constant=const,
     )
 
@@ -274,12 +252,6 @@ def slack_expand(p: ZeroOneProgram) -> ZeroOneProgram:
     Optimal values of the original and expanded programs coincide.
     """
     le_rows = [j for j, s in enumerate(p.row_sense) if s == LE]
-    if not le_rows:
-        return ZeroOneProgram(
-            n=p.n, c=p.c, F=p.F, A=p.A, b=p.b,
-            row_sense=p.row_sense, constant=p.constant,
-        )
-
     bit_weights: list[list[int]] = []
     for j in le_rows:
         m_j = int(p.b[j] - np.minimum(p.A[j], 0).sum())

@@ -140,13 +140,9 @@ def sparsity_graph(mc: MaxCutInstance) -> SparsityGraph:
     (sum_k A_ki A_kj = 0) never produce an edge: the penalty contributes
     M*(A'A)_ij there, which is zero structurally or by cancellation.
     """
-    d = mc.dim
-    edges = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if mc.Q[i, j] != 0.0:
-                edges.append((i, j, float(mc.Q[i, j])))
-    return SparsityGraph(n_nodes=d, edges=tuple(edges))
+    i, j = np.nonzero(np.triu(mc.Q, k=1))  # row-major: (i, j) in lexicographic order
+    return SparsityGraph(n_nodes=mc.dim,
+                         edges=tuple(zip(i.tolist(), j.tolist(), mc.Q[i, j].tolist())))
 
 
 def penalty_ratio(mc: MaxCutInstance) -> float:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bounds
 from .instances import brute_force
 from .model import SignProgram, ZeroOneProgram, to_zero_one
 from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
@@ -539,11 +540,9 @@ def compute_bounds(
                           inflation=q.scale * res.inflation)
         report.entries[name] = res
     if gw_trials > 0:
-        from .bounds import gw_round  # deferred: bounds imports this module
-
         sol = (report.entries.get("maxcut_shor_min")
                or shor_maxcut(mc, Sense.MIN, cfg)).solution
         if sol is not None and sol.status != SolveStatus.DIVERGED:
-            report.rounding = gw_round(sol, mc, trials=gw_trials, seed=gw_seed,
-                                       polish=True)
+            report.rounding = bounds.gw_round(sol, mc, trials=gw_trials, seed=gw_seed,
+                                              polish=True)
     return report

@@ -33,6 +33,7 @@ and config always produce the same iteration path.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -72,8 +73,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("tolerances must be positive")
-        if not (self.max_iter > 0 and self.admm_rho > 0):
-            raise ValueError("max_iter and admm_rho must be positive")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError("max_iter must be a positive integer")
+        if not self.admm_rho > 0:
+            raise ValueError("admm_rho must be positive")
 
 
 def _asymmetric(M: np.ndarray):
@@ -457,7 +460,6 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     r = len(C)
     R = adjoint(a)
     RZ = np.array([R, C])  # [R, Z]: one Cholesky factorization and inverse for both
-    z_diag = RZ[1].reshape(-1)[:: r + 1]  # without a face Z moves on its diagonal alone
     residual = np.zeros(d)  # without a face X keeps its diagonal from the start
     sigma = 0.1  # the centering; then set by the last step lengths
     status = SolveStatus.ITERATION_LIMIT
@@ -485,10 +487,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         if it == cfg.max_iter:
             break
         RZ[0] = R
-        if V is None:
-            np.subtract(C.diagonal(), y, out=z_diag)
-        else:
-            RZ[1] = C - adjoint(y)
+        RZ[1] = C - adjoint(y)
         try:
             # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
             L_inv = np.linalg.inv(np.linalg.cholesky(RZ))

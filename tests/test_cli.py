@@ -231,6 +231,14 @@ class TestSolve:
         assert rc == EXIT_USAGE
         assert "--gw-trials must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--dnn-max-iter", "-3")])
+    def test_non_positive_budget_is_usage_error(self, knapsack_file, capsys, flag, value):
+        rc = run_cli(["solve", "--instance", knapsack_file, "--selectors",
+                      "maxcut_shor_min", flag, value])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "max_iter must be a positive integer" in err and "admm_rho" not in err
+
     def test_solver_exception_exits_4(self, knapsack_file, monkeypatch):
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("eigh failed to converge")

@@ -51,6 +51,16 @@ class TestKnapsackFixed:
         assert q.c.tolist() == [53.0, 51.0, 47.0, 43.0, 41.0, 37.0, 31.0, 29.0,
                                 23.0, 19.0, 17.0, 13.0, 11.0, 7.0, 3.0]
 
+    @pytest.mark.parametrize("n, costs", [
+        (4, (13.0, 11.0, 7.0, 3.0)),
+        (10, (37.0, 31.0, 29.0, 23.0, 19.0, 17.0, 13.0, 11.0, 7.0, 3.0)),
+        (15, (53.0, 51.0, 47.0, 43.0, 41.0, 37.0, 31.0, 29.0, 23.0, 19.0, 17.0, 13.0,
+              11.0, 7.0, 3.0)),
+    ])
+    def test_costs_match_the_printed_tables(self, n, costs):
+        c = knapsack_fixed(n, 0).c
+        assert c.dtype == np.float64 and c.tolist() == list(costs)
+
     def test_unsupported_sizes_rejected(self):
         with pytest.raises(ValueError):
             knapsack_fixed(5, 0)

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxcut_bridge.model import (
     EQ,
@@ -212,6 +214,60 @@ class TestSlackExpand:
         assert slack_bit_count(4) == 3
         assert slack_bit_count(7) == 3
         assert slack_bit_count(8) == 4
+
+
+@st.composite
+def integer_programs(draw):
+    """An all-EQ 0/1 program whose rows mix signs; each row and its b are
+    multiplied by a drawn factor: 0 gives an all-zero row, 2 and 3 a common factor."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    A = draw(hnp.arrays(np.int64, (m, n), elements=st.integers(-4, 4)))
+    b = draw(hnp.arrays(np.int64, m, elements=st.integers(-6, 6)))
+    factor = draw(hnp.arrays(np.int64, m, elements=st.integers(0, 3)))
+    c = draw(hnp.arrays(float, n, elements=st.floats(-5, 5)))
+    U = draw(hnp.arrays(float, (n, n), elements=st.floats(-5, 5)))
+    return ZeroOneProgram(n=n, c=c, F=np.triu(U) + np.triu(U).T, A=A * factor[:, None],
+                          b=b * factor, row_sense=(EQ,) * m)
+
+
+def per_row_feasible(p: ZeroOneProgram, x) -> bool:
+    r = p.A @ np.asarray(x, dtype=np.int64) - p.b
+    return all(r[j] <= 0 if s == LE else r[j] == 0 for j, s in enumerate(p.row_sense))
+
+
+class TestWholeArrayConversions:
+    @settings(max_examples=150, deadline=None)
+    @given(p=integer_programs())
+    def test_round_trip_reduces_each_row_by_its_gcd(self, p):
+        p2 = to_zero_one(to_sign_form(p))
+        for j in range(p.m):
+            g = math.gcd(*p.A[j].tolist(), int(p.b[j])) or 1  # an all-zero row has gcd 0
+            assert p2.A[j].tolist() == (p.A[j] // g).tolist()
+            assert int(p2.b[j]) == int(p.b[j]) // g
+            if g == 1:  # a primitive or all-zero row comes back exactly
+                assert p2.A[j].tolist() == p.A[j].tolist() and p2.b[j] == p.b[j]
+        assert p2.A.shape == p.A.shape and p2.A.dtype == p2.b.dtype == np.int64
+        for x in all_binary(p.n):
+            assert p2.objective(x) == pytest.approx(p.objective(x), rel=1e-12, abs=1e-9)
+            assert p2.is_feasible(x) == p.is_feasible(x) == to_sign_form(p).is_feasible(2 * x - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=integer_programs(), data=st.data())
+    def test_is_feasible_matches_per_row_reference(self, p, data):
+        sense = tuple(data.draw(st.lists(st.sampled_from((EQ, LE)), min_size=p.m,
+                                         max_size=p.m)))
+        p = ZeroOneProgram(n=p.n, c=p.c, F=p.F, A=p.A, b=p.b, row_sense=sense)
+        for x in all_binary(p.n):
+            assert p.is_feasible(x) == per_row_feasible(p, x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=integer_programs())
+    def test_slack_expand_without_le_rows_is_the_same_program(self, p):
+        p2 = slack_expand(p)
+        assert (p2.n, p2.row_sense, p2.constant) == (p.n, p.row_sense, p.constant)
+        for name in ("c", "F", "A", "b"):
+            assert np.array_equal(getattr(p2, name), getattr(p, name))
 
 
 class TestValidation:

@@ -410,6 +410,14 @@ class TestSolveSdp:
         assert C[0, 1] == C[1, 0]
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(eps_abs=-1.0)
+        # a budget is a whole number of iterations: 2.5 would never equal the
+        # loop counter, and each message names only its own field
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="^max_iter must be a positive integer$"):
+                SolverConfig(max_iter=bad)
+        with pytest.raises(ValueError, match="^admm_rho must be positive$"):
+            SolverConfig(admm_rho=0.0)
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
         for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match="diag"):
                 SdpProblem(C=np.eye(2), diag=bad)
