@@ -76,7 +76,10 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     A low-rank optimum on its own yields few distinct cuts; the rotations
     spread the trials over more of them.  The homogenization spin is fixed
     to +1 by a global flip, and the spin vector with the lowest
-    quadratic-form value wins (ties keep the earliest trial).  With
+    quadratic-form value wins (ties keep the earliest trial).  The values
+    come from one BLAS product of the trials with Q, whose sums round in
+    their own order, so of trials whose values tie within round-off it may
+    pick another than a trial-by-trial s'Qs would.  With
     ``polish`` every sample first descends by greedy single-spin flips; on
     penalized instances this drives samples toward the feasible corners,
     which dominate once the penalty is active.  Fully deterministic given
@@ -104,7 +107,7 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
                      1, -1).astype(np.int64)
     if polish:
         signs = _one_opt_polish(mc.Q, signs).astype(np.int64)
-    vals = np.einsum("ti,ij,tj->t", signs, mc.Q, signs)
+    vals = np.einsum("ti,ti->t", signs @ mc.Q, signs)
     best = int(np.argmin(vals))
     s = signs[best]
     if s[-1] == -1:

@@ -127,15 +127,20 @@ def _generate(spec: GeneratorSpec):
     return prog
 
 
-def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
+def _sign_and_penalty(args, generator=None, last=None) -> tuple[SignProgram, PenaltyBound]:
     """Load or generate the program (``generator`` overrides the run's source),
-    slack-expand its LE rows, bring it to the sign domain and size its penalty."""
+    slack-expand its LE rows, bring it to the sign domain and size its penalty.
+    The penalty depends on c and F alone, so ``last``, the (program, bound)
+    of an earlier call, lends its bound when both are equal."""
     spec = generator or args.generator
     prog = load_instance(args.instance) if spec is None else _generate(spec)
     if isinstance(prog, ZeroOneProgram):
         prog = to_sign_form(slack_expand(prog))
     if args.rho is not None:
         return prog, rho_override(args.rho)
+    if (last is not None and np.array_equal(last[0].c, prog.c)
+            and np.array_equal(last[0].F, prog.F)):
+        return prog, last[1]
     return prog, penalty_rho(prog.c, prog.F, args.solver)
 
 
@@ -329,10 +334,11 @@ def cmd_compare(args) -> int:
     # one report per swept value; a row that fails holds its error message
     selectors = list(args.selectors or SELECTORS)
     reports = []
+    last = None  # a b or k sweep leaves c and F, so one penalty bound serves every row
     for value in values:
         try:
-            sign, pb = _sign_and_penalty(
-                args, dataclasses.replace(args.generator, **{param: value}))
+            sign, pb = last = _sign_and_penalty(
+                args, dataclasses.replace(args.generator, **{param: value}), last)
             reports.append(_run_bounds(sign, args, pb, selectors))
         except (ValueError, np.linalg.LinAlgError) as exc:
             reports.append(str(exc))
@@ -486,6 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _solver_config(fields: dict, max_iter_flag: str = "--max-iter") -> SolverConfig:
+    """SolverConfig(**fields), with a value it refuses reported under the flag that set it."""
+    try:
+        return SolverConfig(**fields)
+    except ValueError as exc:
+        field, rule = str(exc).split(" ", 1)  # SolverConfig's messages lead with the field
+        flag = max_iter_flag if field == "max_iter" else "--" + field.replace("_", "-")
+        raise UsageError(f"{flag} {rule}") from None
+
+
 def _resolve(args) -> None:
     """Check the flags, then attach what every command reads to ``args``:
     ``generator`` (a GeneratorSpec or None), ``selectors`` (a tuple),
@@ -511,12 +527,12 @@ def _resolve(args) -> None:
         raise UsageError(f"unknown selectors: {unknown}; "
                          f"known: {', '.join(SELECTORS)}")
 
-    args.solver = SolverConfig(**{f.name: getattr(args, f.name)
-                                  for f in dataclasses.fields(SolverConfig)
-                                  if hasattr(args, f.name)})
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
+              if hasattr(args, f.name)}
+    args.solver = _solver_config(fields)
     dnn_iter = getattr(args, "dnn_max_iter", None)
     args.dnn_solver = (None if dnn_iter is None
-                       else dataclasses.replace(args.solver, max_iter=dnn_iter))
+                       else _solver_config({**fields, "max_iter": dnn_iter}, "--dnn-max-iter"))
     if args.log_path:
         open(args.log_path, "a").close()
 

@@ -16,7 +16,7 @@ from maxcut_bridge.bounds import (
     gw_round,
     nesterov_sandwich,
 )
-from maxcut_bridge.instances import brute_force, kcluster, knapsack_fixed
+from maxcut_bridge.instances import STREAM_GW, brute_force, kcluster, knapsack_fixed
 from maxcut_bridge.model import SignProgram
 from maxcut_bridge.penalty import rho as penalty_rho, rho_override
 from maxcut_bridge.reduction import homogenize
@@ -156,6 +156,28 @@ class TestGwRound:
             S = rng.choice([-1.0, 1.0], size=(300, mc.dim))
             np.testing.assert_array_equal(_one_opt_polish(mc.Q, S),
                                           [reference(mc.Q, s) for s in S])
+
+    def test_takes_the_least_trial_at_large_d(self):
+        # on 81 spins the trial values come from one BLAS product; rebuilt
+        # one by one as the docstring states them, each valued by its own
+        # s'Qs, the least of them is what the rounding returns
+        q = kcluster(80, 40, 0.5, 1)[1]
+        mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
+        X = shor_maxcut(mc, Sense.MIN, CFG).solution.X
+        trials = 200
+        res = gw_round(X, mc, trials=trials, seed=0)
+        w, P = np.linalg.eigh((X + X.T) / 2.0)
+        V = (P * np.sqrt(np.maximum(w, 0.0))).T
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, STREAM_GW])))
+        R = rng.normal(size=(trials, mc.dim))
+        R2 = rng.normal(size=(trials, mc.dim))
+        values = []
+        for k in range(trials):
+            t = k / trials
+            s = np.where(math.sqrt(1.0 - t) * (R[k] @ V) + math.sqrt(t) * R2[k] >= 0.0, 1.0, -1.0)
+            values.append(float(s @ mc.Q @ s))
+        least = min(values)
+        assert abs(res.value - least) <= 1e-12 * (1.0 + abs(least))
 
     def test_bad_inputs_rejected(self):
         _, mc = unconstrained_instance(1, [-1.0], 1.0)

@@ -25,6 +25,7 @@ from maxcut_bridge.model import (
     load_instance,
     save_instance,
 )
+from maxcut_bridge.penalty import rho as penalty_rho
 
 FAST = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000"]
 
@@ -231,13 +232,14 @@ class TestSolve:
         assert rc == EXIT_USAGE
         assert "--gw-trials must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--dnn-max-iter", "-3")])
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--dnn-max-iter", "-3"),
+                                             ("--eps-abs", "0"), ("--eps-rel", "-0.5")])
     def test_non_positive_budget_is_usage_error(self, knapsack_file, capsys, flag, value):
         rc = run_cli(["solve", "--instance", knapsack_file, "--selectors",
                       "maxcut_shor_min", flag, value])
         assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "max_iter must be a positive integer" in err and "admm_rho" not in err
+        rule = "positive" if flag.startswith("--eps") else "a positive integer"
+        assert capsys.readouterr().err == f"error: {flag} must be {rule}\n"
 
     def test_solver_exception_exits_4(self, knapsack_file, monkeypatch):
         def explode(*args, **kwargs):
@@ -375,6 +377,23 @@ class TestCompare:
         data = [l for l in lines[1:] if not l.startswith("#")]
         assert len(data) == 3
         assert all("requires parameter" in row for row in data)
+
+    def test_b_sweep_sizes_the_penalty_once(self, monkeypatch, capsys):
+        # a b sweep leaves c and F alone, and with them the penalty bound
+        calls = []
+
+        def counting(c, F, cfg):
+            calls.append(1)
+            return penalty_rho(c, F, cfg)
+
+        monkeypatch.setattr("maxcut_bridge.cli.penalty_rho", counting)
+        rc = run_cli(["compare", "--family", "quadratic_knapsack", "--n", "5", "--s", "3",
+                      "--f-density", "0.5", "--seed", "2", "--sweep-param", "b",
+                      "--sweep-from", "0", "--sweep-to", "4",
+                      "--selectors", "maxcut_shor_min,lp_box"] + FAST)
+        assert rc == EXIT_OK
+        assert "# rows: 5" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_k_sweep(self, capsys):
         rc = run_cli(["compare", "--family", "kcluster", "--n", "6",

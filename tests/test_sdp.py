@@ -2,17 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from maxcut_bridge.instances import kcluster
+from maxcut_bridge.penalty import _moment_cost, rho as penalty_rho
+from maxcut_bridge.reduction import homogenize
+from maxcut_bridge.relaxations import shor_maxcut
 from maxcut_bridge.sdp import (
+    _TRI_BLOCK,
     Cone,
     SdpProblem,
     SdpSolution,
     Sense,
     SolveStatus,
     SolverConfig,
+    _tri_inv,
     certified_diag_bound,
     project_psd,
     project_psd_nonneg,
@@ -44,6 +50,83 @@ def symmetric_matrices(draw, max_dim=8):
     B = draw(hnp.arrays(np.float64, (d, d), elements=st.floats(
         -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
     return B + B.T
+
+
+@st.composite
+def lower_factors(draw):
+    """Cholesky factors, single (d, d) or stacked (2, d, d), d from 1 to 100,
+    of matrices with a spread spectrum and a spread diagonal scaling, so that
+    cond(L) reaches 1e12."""
+    d = draw(st.integers(1, 100))
+    shape = draw(st.sampled_from([(d, d), (2, d, d)]))
+    spread = draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.normal(size=shape))[0]
+    lam = 10.0 ** -rng.uniform(0.0, spread, size=shape[:-1])
+    D = 10.0 ** rng.uniform(-spread / 2.0, spread / 2.0, size=shape[:-1])
+    S = (Q * lam[..., None, :]) @ np.swapaxes(Q, -1, -2) * D[..., :, None] * D[..., None, :]
+    try:
+        L = np.linalg.cholesky((S + np.swapaxes(S, -1, -2)) / 2.0)
+    except np.linalg.LinAlgError:
+        assume(False)
+    assume(np.all(np.linalg.cond(L) <= 1e12))
+    return L
+
+
+def tri_leaves(d):
+    """The diagonal blocks (start, stop) that _tri_inv hands to np.linalg.inv."""
+    if d <= _TRI_BLOCK:
+        return [(0, d)]
+    h = d // 2
+    return tri_leaves(h) + [(h + a, h + b) for a, b in tri_leaves(d - h)]
+
+
+class TestTriInv:
+    @settings(max_examples=60, deadline=None)
+    @given(L=lower_factors())
+    def test_matches_inv_and_its_residual(self, L):
+        d = L.shape[-1]
+        T = _tri_inv(L)
+        R = np.linalg.inv(L)
+        if d <= _TRI_BLOCK:
+            assert T.tobytes() == R.tobytes()
+        # np.linalg.inv pivots, so it leaves round-off above the diagonal of
+        # a triangular block; every leaf block is its result bit for bit, and
+        # above the leaf blocks the inverse is exactly 0
+        above = np.triu(np.ones((d, d), dtype=bool), 1)
+        for a, b in tri_leaves(d):
+            leaf = L[..., a:b, a:b]
+            assert T[..., a:b, a:b].tobytes() == np.linalg.inv(leaf).tobytes()
+            above[a:b, a:b] = False
+        assert np.all(T[..., above] == 0.0)
+        eye = np.eye(d)
+        slack = d * np.finfo(float).eps * np.linalg.cond(L)
+        residual = np.abs(T @ L - eye).max(axis=(-2, -1))
+        assert np.all(residual <= np.abs(R @ L - eye).max(axis=(-2, -1)) + slack)
+
+
+class TestLargeDiagonalSolve:
+    def test_iterations_and_certified_bounds(self, monkeypatch):
+        # kcluster(80, 40, 0.5, 1): the moment block and the MAX-CUT form are
+        # 81 x 81, so the interior-point factors split twice before
+        # np.linalg.inv; the iteration counts and certified bounds are those
+        # of the LU inverse of the whole factors
+        rows = []
+
+        def counted(M, _inv=np.linalg.inv):
+            rows.append(M.shape[-1])
+            return _inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        q = kcluster(80, 40, 0.5, 1)[1]
+        p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1))
+        sol = solve_sdp(p, FAST)  # the min side of the penalty bound
+        assert sol.iterations == 9
+        assert certified_diag_bound(p, sol.y) == pytest.approx(-1625.4682752576598, rel=1e-9)
+        entry = shor_maxcut(homogenize(q, penalty_rho(q.c, q.F, FAST)), Sense.MIN, FAST)
+        assert entry.solution.iterations == 13
+        assert entry.value - entry.inflation == pytest.approx(-516.0116194310498, rel=1e-9)
+        assert rows and max(rows) <= _TRI_BLOCK
 
 
 class TestProjectPsd:
@@ -408,8 +491,9 @@ class TestSolveSdp:
         # within 1e-12 counts as symmetric, and C is stored symmetrized
         C = SdpProblem(C=np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])).C
         assert C[0, 1] == C[1, 0]
-        with pytest.raises(ValueError, match="positive"):
-            SolverConfig(eps_abs=-1.0)
+        for name in ("eps_abs", "eps_rel"):
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                SolverConfig(**{name: -1.0})
         # a budget is a whole number of iterations: 2.5 would never equal the
         # loop counter, and each message names only its own field
         for bad in (0, -1, 2.5):
