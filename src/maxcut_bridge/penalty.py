@@ -24,7 +24,10 @@ class PenaltyBound:
 
     On the SDP path, r1 and r2 are bounds certified by the solves' dual
     multipliers, so rho keeps its domination property under approximate
-    solves.
+    solves.  The side of smaller magnitude is only solved until its bound
+    is inside [-rho, rho] (``shor_box_extrema``): it is certified but may be
+    looser than its relaxation's optimum, and rho is the same as with both
+    sides solved to tolerance.
     """
 
     r1: float
@@ -56,21 +59,31 @@ def _moment_cost(c: np.ndarray, F: np.ndarray) -> np.ndarray:
 def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, float]:
     """Outer extrema of c'x + x'Fx over the unit-diagonal moment relaxation.
 
-    Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2.  Both
-    sides are solved (``solve_sdp``) and each is the bound certified by its
-    solve's dual multipliers (``certified_diag_bound``), so the containment
-    holds regardless of solve accuracy.
+    Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2, each
+    the bound certified by its solve's dual multipliers
+    (``certified_diag_bound``), so the containment holds regardless of
+    solve accuracy.  Only the larger of |r1| and |r2| becomes rho, so the
+    side likely to set it, Max where |lambda_max(C)| >= |lambda_min(C)| of
+    the moment cost C and Min otherwise, is solved first (``solve_sdp``),
+    giving R.  The other side stops as soon as its certified bound lies in
+    [-R, R] (``stop_at``), which is looser than its optimum but leaves
+    max(|r1|, |r2|) = R; where the pick was wrong, it runs to convergence.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)
     C = _moment_cost(c, F)
     unit = np.ones(C.shape[0])
 
-    def side(sense):
+    def side(sense, stop_at=None):
         p = SdpProblem(C=C, sense=sense, diag=unit)
-        return certified_diag_bound(p, solve_sdp(p, cfg).y)
+        return certified_diag_bound(p, solve_sdp(p, cfg, stop_at=stop_at).y)
 
-    return side(Sense.MIN), side(Sense.MAX)
+    low, high = np.linalg.eigvalsh(C)[[0, -1]]
+    if abs(high) >= abs(low):
+        r2 = side(Sense.MAX)
+        return side(Sense.MIN, stop_at=-abs(r2)), r2
+    r1 = side(Sense.MIN)
+    return r1, side(Sense.MAX, stop_at=abs(r1))
 
 
 def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:

@@ -13,7 +13,9 @@ original-problem units.
 """
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -257,14 +259,26 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     return _certified(p, cfg)
 
 
+def _box_tableau(q: SignProgram) -> FeasibleTableau | None:
+    """``simplex_phase1`` of Ax = b over the box [-1, 1]^n: one run serves
+    ``lp_box`` and ``convex_quadratic_relaxation`` of a report."""
+    return simplex_phase1(q.A.astype(float), q.b.astype(float), -np.ones(q.n), np.ones(q.n), q.n)
+
+
 def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Linear relaxation: the hypercube replaced by the box [-1, 1]^n."""
     if np.count_nonzero(q.F):
         raise ValueError("lp_box requires a linear objective (F = 0)")
-    res = solve_lp(q.c, q.A.astype(float), q.b.astype(float), -np.ones(q.n), np.ones(q.n))
-    if res.status == "Infeasible":
-        return BoundEntry(value=np.inf, status=INFEASIBLE, solution=res,
+    return _lp_box(q, _box_tableau(q))
+
+
+def _lp_box(q: SignProgram, box: FeasibleTableau | None) -> BoundEntry:
+    """``lp_box`` from the box tableau (``_box_tableau``)."""
+    if box is None:
+        return BoundEntry(value=np.inf, status=INFEASIBLE,
+                          solution=LpResult(np.inf, None, "Infeasible"),
                           note="box LP infeasible: the program has no feasible point")
+    res = simplex_phase2(box, q.c)
     if res.status != "Optimal":
         return BoundEntry(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
     return BoundEntry(value=res.value, status=CONVERGED, solution=res)
@@ -350,16 +364,20 @@ def convex_quadratic_relaxation(q: SignProgram,
     objective (F = 0) needs no loop: the LP with cost c is the relaxation,
     x is its vertex, and the entry is Converged at any budget.
     """
-    n = q.n
-    A, b = q.A.astype(float), q.b.astype(float)
-    box = simplex_phase1(A, b, -np.ones(n), np.ones(n), n)
+    return _convex_quadratic(q, cfg, _box_tableau(q))
+
+
+def _convex_quadratic(q: SignProgram, cfg: SolverConfig,
+                      box: FeasibleTableau | None) -> BoundEntry:
+    """``convex_quadratic_relaxation`` from the box tableau (``_box_tableau``)."""
     if box is None:
         return BoundEntry(value=np.inf, status=INFEASIBLE, note="box/affine intersection empty")
+    n = q.n
     if np.count_nonzero(q.F):
         lam_min = float(np.linalg.eigvalsh(q.F)[0])
         theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
         F_s = q.F + theta * np.eye(n)
-        x, status = _box_qp(F_s, q.c, A, b, cfg.max_iter)
+        x, status = _box_qp(F_s, q.c, q.A.astype(float), q.b.astype(float), cfg.max_iter)
         # Rigorous lower bound on the convex optimum from convexity:
         # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient
         # at x, and f(x) - g'x = -x'F_s x.
@@ -418,7 +436,11 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Bou
         M[nn, i] -= 0.5
         cons.append((M, 0.0))
 
-    problem = SdpProblem(C=_moment_cost(np.pad(p.c, (0, n)), np.pad(p.F, (0, n))),
+    c = np.zeros(nn)
+    c[:n] = p.c
+    F = np.zeros((nn, nn))
+    F[:n, :n] = p.F
+    problem = SdpProblem(C=_moment_cost(c, F),
                          constraints=tuple(cons), cone=Cone.PSD_NONNEG,
                          face=_null_face(np.hstack([S, -rhs[:, None]])))
     return _certified(problem, cfg, p.constant)
@@ -442,13 +464,15 @@ class BoundReport:
 
 
 class _Inputs(NamedTuple):
-    """Everything a selector runner may read."""
+    """Everything a selector runner may read.  ``box()`` is ``_box_tableau(q)``,
+    built on the first call and shared by the later ones."""
 
     q: SignProgram
     mc: MaxCutInstance
     cfg: SolverConfig
     dnn_cfg: SolverConfig
     include_brute_force: bool
+    box: Callable[[], FeasibleTableau | None]
 
 
 class _Skipped(Exception):
@@ -458,7 +482,7 @@ class _Skipped(Exception):
 def _run_lp_box(r: _Inputs) -> BoundEntry:
     if np.count_nonzero(r.q.F):
         raise _Skipped("requires a linear objective (F = 0)")
-    return lp_box(r.q, r.cfg)
+    return _lp_box(r.q, r.box())
 
 
 def _run_brute_force(r: _Inputs) -> BoundEntry:
@@ -471,13 +495,14 @@ def _run_brute_force(r: _Inputs) -> BoundEntry:
 
 # selector -> (runner, whether the result is in sign-form raw units), in report
 # order.  Runners look every solver up by its module name when called, so a
-# wrapper installed on this module's attribute sees each call.
+# wrapper installed on this module's attribute sees each call; lp_box and
+# convex_quadratic call their private forms, which take the shared box tableau.
 _SELECTOR_TABLE = {
     "maxcut_shor_min": (lambda r: shor_maxcut(r.mc, Sense.MIN, r.cfg), True),
     "maxcut_shor_max": (lambda r: shor_maxcut(r.mc, Sense.MAX, r.cfg), True),
     "lasserre1": (lambda r: lasserre1(r.q, cfg=r.cfg), True),
     "lp_box": (_run_lp_box, True),
-    "convex_quadratic": (lambda r: convex_quadratic_relaxation(r.q, r.cfg), True),
+    "convex_quadratic": (lambda r: _convex_quadratic(r.q, r.cfg, r.box()), True),
     "copositive_dnn": (lambda r: copositive_dnn(to_zero_one(r.q), r.dnn_cfg), False),
     "brute_force": (_run_brute_force, False),
 }
@@ -523,7 +548,8 @@ def compute_bounds(
         scale=q.scale,
         offset=q.offset,
     )
-    inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force)
+    inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force,
+                     cache(partial(_box_tableau, q)))
 
     for name, (run, raw_units) in _SELECTOR_TABLE.items():
         if name not in selectors:

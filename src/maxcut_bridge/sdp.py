@@ -36,7 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,9 +52,13 @@ class Cone(Enum):
 
 
 class SolveStatus(Enum):
+    """How a solve ended.  BoundReached: the caller's ``stop_at`` target was
+    met by the bound the current multipliers certify, before convergence."""
+
     CONVERGED = "Converged"
     ITERATION_LIMIT = "IterationLimit"
     DIVERGED = "Diverged"
+    BOUND_REACHED = "BoundReached"
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,31 @@ class SdpProblem:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    # What a face-method solve and the certificate of its multipliers both
+    # need, computed on first use by whichever comes first
+
+    @cached_property
+    def _face(self):
+        """``_face_rows`` of this problem; the arrays it makes are read-only."""
+        face = _face_rows(self)
+        for array in face[1:]:
+            array.setflags(write=False)
+        return face
+
+    @cached_property
+    def _kept(self):
+        """The independent rows of ``_face`` and their QR factorization
+        (``_independent``); raises ``_InconsistentSystem`` where they conflict."""
+        _, rows, rhs, _ = self._face
+        return _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+
+    @cached_property
+    def _trace(self):
+        """``_fixed_trace`` of the kept rows: the trace T and the row weights."""
+        V, rows, rhs, _ = self._face
+        keep = self._kept[0]
+        return _fixed_trace(rows[keep], rhs[keep], V.shape[1])
 
 
 @dataclass
@@ -297,12 +326,13 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     nonpositive part of W.  The result is a true bound for any y and W,
     however rough the solve; it is additionally clamped against the
     spectral bound T * lambda_extreme(V'CV), which is valid on its own.
+    Without a fixed diagonal, T comes from the independent rows
+    (``SdpProblem._trace``): ValueError where they fix none or conflict.
     """
     d = p.dim
     y = np.asarray(y, dtype=float)
     if p.diag is None:
-        V, rows, rhs, _ = _face_rows(p)
-        T = _fixed_trace(rows, rhs, V.shape[1])[0]
+        T = p._trace[0]
         rhs = p.b
         A_y = np.tensordot(y, p.A, axes=1)
     else:
@@ -322,8 +352,15 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     return max(float(value + T * min(0.0, low)), T * float(spectrum[0]))
 
 
-class _InconsistentSystem(Exception):
-    pass
+def _reached(p: SdpProblem, y: np.ndarray, W: np.ndarray | None, stop_at: float) -> bool:
+    """Whether the bound that y and W certify (``certified_diag_bound``) is
+    ``stop_at`` or tighter: at least it for Min, at most it for Max."""
+    bound = certified_diag_bound(p, y, W)
+    return bound >= stop_at if p.sense == Sense.MIN else bound <= stop_at
+
+
+class _InconsistentSystem(ValueError):
+    """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
 def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float):
@@ -423,7 +460,7 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
     """Primal-dual interior-point method for a fixed diagonal, on an optional face.
 
     Solves min <C, X> s.t. diag(X) = a, X = V R V' with R PSD, where V is the
@@ -458,7 +495,11 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     bounds <C, X> for every feasible X, proves the problem infeasible and
     ends the solve as Diverged.  On a face the returned X is the last
     iterate moved onto the diagonal (``_onto_rows``), with
-    ``primal_residual`` its distance to the PSD cone.  Requires a > 0.
+    ``primal_residual`` its distance to the PSD cone.  As Z stays positive
+    definite, a'y is a certified bound at every iterate; with ``stop_at``
+    the solve ends as BoundReached once a'y and then the certificate of y
+    meet it.
+    Requires a > 0.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -472,8 +513,8 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
     keep = slice(None)  # every diagonal row, and M[keep][:, keep] copies nothing
     if V is not None:
-        _, rows, rhs, norms = _face_rows(p)
-        kept, qr = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        _, rows, rhs, norms = p._face
+        kept, qr = p._kept
         if kept.size < d:  # A*(y) from the kept rows alone
             keep = kept
             y_kept = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0]
@@ -511,6 +552,9 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             message = (f"dual objective {sign * dual:.6g} is beyond {sign * bound:.6g}, "
                        "which bounds <C, X> over every feasible X: the constraints are "
                        "infeasible")
+            break
+        if stop_at is not None and dual >= sign * stop_at and _reached(p, sign * y, None, stop_at):
+            status = SolveStatus.BOUND_REACHED
             break
         if it == cfg.max_iter:
             break
@@ -565,7 +609,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     )
 
 
-def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
+def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
     """Primal-dual interior-point method over the face X = V R V'.
 
     Works in the svec coordinates of R, r(r+1)/2 of them.  The rows of
@@ -590,19 +634,21 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     Once b'y passes T * lambda_max(V'CV), which bounds <C, X> over the face,
     that recomputed certificate decides whether the rows are infeasible
     (Diverged).  Converged needs the gap, <R, Z> + v'w and the row and
-    orthant residuals under tolerance.  The returned X is V R V' with R
-    moved onto the rows (``_onto_rows``); ``primal_residual`` is the norm of
-    its distance to the PSD cone and of its negative orthant entries.
+    orthant residuals under tolerance.  With ``stop_at`` the solve ends as
+    BoundReached once b'y and then the certificate of y and w meet it.  The
+    returned X is V R V' with R moved onto the rows (``_onto_rows``);
+    ``primal_residual`` is the norm of its distance to the PSD cone and of
+    its negative orthant entries.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
-    V, rows, rhs, norms = _face_rows(p)
+    V, rows, rhs, norms = p._face
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
-    keep, (Q, R_b) = _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+    keep, (Q, R_b) = p._kept
     A, b = rows[keep], rhs[keep]
     m = len(b)
-    T, weights = _fixed_trace(A, b, r)
+    T, weights = p._trace
     C = sign * (p.C if p.face is None else V.T @ p.C @ V)
     c = C[ia, ib] * s
     bound = T * float(np.linalg.eigvalsh(C)[-1])
@@ -630,6 +676,17 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     shift = float(np.linalg.eigvalsh(_smat(c - G.T @ w, r))[0]) - eta
     y = shift * weights
     z = c - A.T @ y - G.T @ w
+
+    def multipliers():  # y and W in the problem's sense and rows
+        y_rows = np.zeros(len(rows))  # dropped rows keep multiplier 0
+        y_rows[keep] = y / norms[keep]
+        if p.cone != Cone.PSD_NONNEG:
+            return sign * y_rows, None
+        W = np.zeros((d, d))
+        W[pi, pj] += w / 2.0
+        W[pj, pi] += w / 2.0
+        return sign * y_rows, sign * W
+
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
@@ -653,6 +710,9 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
                            f"{sign * bound:.6g}, which bounds <C, X> over every feasible X: "
                            "the constraints are infeasible")
                 break
+        if stop_at is not None and dual >= sign * stop_at and _reached(p, *multipliers(), stop_at):
+            status = SolveStatus.BOUND_REACHED
+            break
         if it == cfg.max_iter:
             break
         try:
@@ -726,13 +786,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
     R, distance = _onto_rows(_smat(rho, r), A, b, (Q, R_b))
     X = R if p.face is None else V @ R @ V.T
-    y_rows = np.zeros(len(rows))  # dropped rows keep multiplier 0
-    y_rows[keep] = y / norms[keep]
-    W = None
-    if p.cone == Cone.PSD_NONNEG:
-        W = np.zeros((d, d))
-        W[pi, pj] += w / 2.0
-        W[pj, pi] += w / 2.0
+    y_rows, W = multipliers()
     diverged = status == SolveStatus.DIVERGED
     return SdpSolution(
         X=X,
@@ -742,12 +796,13 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         iterations=it,
         status=status,
         message=message,
-        y=sign * y_rows,
-        W=None if W is None else sign * W,
+        y=y_rows,
+        W=W,
     )
 
 
-def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
+def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
+              stop_at: float | None = None) -> SdpSolution:
     """Solve the SDP with one of two primal-dual interior-point methods.
 
     A PSD-cone problem with a positive fixed diagonal and no constraint
@@ -755,6 +810,16 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     problem, which needs a fixed diagonal or rows that fix the trace of X
     (ValueError otherwise), to ``_solve_face_ipm``.  ``max_iter`` counts
     interior-point iterations.
+
+    ``stop_at`` asks for a bound, not the optimum: for Min a lower bound of
+    at least ``stop_at``, for Max an upper bound of at most it.  Both methods
+    keep Z positive definite, so the dual objective b'y is a certified bound
+    at every iterate.  Each iteration, after the Converged and Diverged
+    tests, the solve ends with status BoundReached once b'y meets the
+    target and ``certified_diag_bound`` of the multipliers, the bound a
+    caller computes from them, does too.  Only the test is added, so the
+    iterations are those of a solve without it, and at None (the default)
+    the solve is unchanged.
 
     A negative fixed diagonal entry, which no PSD matrix has, and dependent
     rows with conflicting right-hand sides are reported as Diverged up front.
@@ -767,8 +832,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
         try:
             if (p.cone == Cone.PSD and not p.constraints and p.diag is not None
                     and np.all(p.diag > 0.0)):
-                return _solve_diag_ipm(p, cfg)
-            return _solve_face_ipm(p, cfg)
+                return _solve_diag_ipm(p, cfg, stop_at)
+            return _solve_face_ipm(p, cfg, stop_at)
         except _InconsistentSystem as exc:
             infeasible = f"infeasible constraint system: {exc}"
     return SdpSolution(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One SHA-256 per benchmark workload over the seed-0 reports.
 
-    PYTHONPATH=src python3 tests/report_digest.py [corpus dnn scaling budget]
+    PYTHONPATH=src python3 tests/report_digest.py [--by-instance] [corpus dnn scaling budget]
 
 Builds each named workload (all four by default) at seed 0 from
 bench/workloads.py and runs every instance the way bench/run.py does:
@@ -13,10 +13,14 @@ verdict with its value, bound and point; an exception counts by its repr.
 Wall-clock seconds are left out, and BLAS runs on one thread, as in
 bench/run.py.  Two trees whose digests agree give bit-identical reports, so
 a refactor that claims to move no output can be checked by running this at
-the parent commit and at the change.  The file is not a test module: pytest
-does not collect it.
+the parent commit and at the change.  Each line is the workload and its
+digest; with ``--by-instance`` it is the workload, an instance label and the
+digest of that instance's report alone, so a workload digest that moved
+points at the instances that moved it.  The file is not a test module:
+pytest does not collect it.
 """
 
+import argparse
 import hashlib
 import os
 import sys
@@ -67,22 +71,37 @@ def _report(h, inst, wl) -> None:
     _feed(h, cert.kind, cert.value, cert.bound, cert.point)
 
 
-def digest(workload: str) -> str:
+def digests(workload: str, by_instance: bool = False) -> list[tuple[str, str]]:
+    """(name, digest) of the workload, or of each of its instances with ``by_instance``."""
     wl = BUILDERS[workload](0)
-    h = hashlib.sha256()
+    if not by_instance:
+        h = hashlib.sha256()
+        for inst in wl.instances:
+            _report(h, inst, wl)
+        return [(workload, h.hexdigest())]
+    out = []
     for inst in wl.instances:
+        h = hashlib.sha256()
         _report(h, inst, wl)
-    return h.hexdigest()
+        out.append((f"{workload} {inst.label}", h.hexdigest()))
+    return out
 
 
 def main(argv) -> int:
-    names = argv or list(BUILDERS)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--by-instance", action="store_true",
+                        help="one digest per instance label instead of per workload")
+    parser.add_argument("workloads", nargs="*", metavar="workload",
+                        help=f"any of {', '.join(BUILDERS)} (default: all)")
+    args = parser.parse_args(argv)
+    names = args.workloads or list(BUILDERS)
     unknown = [w for w in names if w not in BUILDERS]
     if unknown:
         sys.stderr.write(f"unknown workloads {unknown}; known: {', '.join(BUILDERS)}\n")
         return 2
     for name in names:
-        print(name, digest(name), flush=True)
+        for label, hexdigest in digests(name, args.by_instance):
+            print(label, hexdigest, flush=True)
     return 0
 
 

@@ -2,17 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxcut_bridge.penalty import (
     CLOSED_FORM,
     OVERRIDE,
     SDP,
     PenaltyBound,
+    _moment_cost,
     rho,
     rho_override,
     shor_box_extrema,
 )
-from maxcut_bridge.sdp import SolverConfig
+from maxcut_bridge.sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound, solve_sdp
 
 CFG = SolverConfig(eps_abs=1e-7, eps_rel=1e-6)
 
@@ -56,6 +60,43 @@ class TestShorBoxExtrema:
         lo, hi = hypercube_extrema(c, F)
         assert r1 <= lo + 1e-5 * (1 + abs(lo))
         assert r2 >= hi - 1e-5 * (1 + abs(hi))
+
+
+@st.composite
+def objectives(draw):
+    """(c, F) with n from 1 to 8 and F symmetric with a nonzero entry."""
+    n = draw(st.integers(1, 8))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    c = draw(hnp.arrays(np.float64, n, elements=entries))
+    B = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    B[i, j] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 10.0))
+    return c, B + B.T
+
+
+class TestSmallerSideStopsEarly:
+    @settings(max_examples=100, deadline=None)
+    @given(objective=objectives())
+    def test_rho_is_that_of_both_sides_solved(self, objective):
+        # the side of smaller magnitude stops once its certificate is inside
+        # [-rho, rho]; rho is still the larger magnitude of both sides solved
+        # to tolerance, to the bit unless the two magnitudes agree within
+        # the solve tolerance, and each side still bounds the hypercube
+        c, F = objective
+        pb = rho(c, F, CFG)
+        assert pb.method == SDP
+        C = _moment_cost(c, F)
+        full = [certified_diag_bound(p, solve_sdp(p, CFG).y) for p in
+                (SdpProblem(C=C, sense=sense, diag=np.ones(len(C))) for sense in Sense)]
+        magnitudes = np.abs(full)
+        if abs(magnitudes[0] - magnitudes[1]) > 1e-5 * (1.0 + magnitudes.max()):
+            assert pb.rho == magnitudes.max()
+        else:
+            assert pb.rho == pytest.approx(magnitudes.max(), rel=1e-5, abs=1e-5)
+        lo, hi = hypercube_extrema(c, F)
+        rounding = 1e-9 * (1.0 + np.abs(C).sum())  # eigvalsh round-off only
+        assert pb.r1 <= lo + rounding
+        assert pb.r2 >= hi - rounding
 
 
 class TestRho:

@@ -24,7 +24,7 @@ from maxcut_bridge.instances import (
 from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_zero_one
 from maxcut_bridge.penalty import rho_override
 from maxcut_bridge.reduction import homogenize
-from maxcut_bridge import relaxations
+from maxcut_bridge import relaxations, sdp
 from maxcut_bridge.relaxations import (
     CONVERGED,
     EXACT,
@@ -262,53 +262,66 @@ class TestShorMaxcut:
             certified, rel=1e-12, abs=1e-12)
 
     def test_large_cluster_solves_in_few_iterations(self, monkeypatch):
-        # n = 160: both moment SDPs of rho and the penalized Shor min, whose
-        # cost matrix is ill-conditioned by the penalty, converge quickly and
-        # with a tight certificate
+        # n = 160: the moment SDP that sets rho and the penalized Shor min,
+        # whose cost matrix is ill-conditioned by the penalty, converge
+        # quickly and with a tight certificate; the other side of rho stops
+        # as soon as its certificate is inside [-rho, rho]
         from maxcut_bridge import penalty, relaxations, sdp
 
         solved = []
 
-        def recording(p, cfg):
-            sol = sdp.solve_sdp(p, cfg)
+        def recording(p, cfg, **kwargs):
+            sol = sdp.solve_sdp(p, cfg, **kwargs)
             certified = sdp.certified_diag_bound(p, sol.y)
-            solved.append((sol, abs(sol.objective - certified) / abs(sol.objective)))
+            solved.append((sol, certified, kwargs.get("stop_at")))
             return sol
 
         monkeypatch.setattr(penalty, "solve_sdp", recording)
         monkeypatch.setattr(relaxations, "solve_sdp", recording)
         _, q = kcluster(160, 80, 0.5, 1)
-        mc = homogenize(q, penalty.rho(q.c, q.F, CFG))
-        r = shor_maxcut(mc, Sense.MIN, CFG)
+        pb = penalty.rho(q.c, q.F, CFG)
+        r = shor_maxcut(homogenize(q, pb), Sense.MIN, CFG)
         assert len(solved) == 3
-        for sol, inflation in solved:
-            assert sol.status.value == CONVERGED
-            assert sol.iterations <= 150
-            assert inflation < 1e-3
+        stopped = [(sol, certified) for sol, certified, stop_at in solved if stop_at is not None]
+        assert len(stopped) == 1
+        for sol, certified, stop_at in solved:
+            if stop_at is None:
+                assert sol.status.value == CONVERGED
+                assert sol.iterations <= 150
+                assert abs(sol.objective - certified) / abs(sol.objective) < 1e-3
+        sol, certified = stopped[0]
+        assert sol.status == SolveStatus.BOUND_REACHED
+        assert sol.iterations <= 3
+        assert abs(certified) <= pb.rho
         assert r.inflation < 1e-3 * abs(r.value)
 
     def test_penalized_min_sides_take_few_iterations(self, monkeypatch):
-        # the min sides of rho and of the penalized Shor bound, where ||Q||
-        # dwarfs the optimum, took 26 and 31 iterations at a fixed centering
-        # of 0.1
+        # the min side of the penalized Shor bound, where ||Q|| dwarfs the
+        # optimum, took 31 iterations at a fixed centering of 0.1; the min
+        # side of rho (26 then) is here the side of smaller magnitude, which
+        # stops once its certificate is inside [-rho, rho]
         from maxcut_bridge import penalty, relaxations, sdp
 
         solved = []
 
-        def recording(p, cfg):
-            sol = sdp.solve_sdp(p, cfg)
-            solved.append((p.sense, sol))
+        def recording(p, cfg, **kwargs):
+            sol = sdp.solve_sdp(p, cfg, **kwargs)
+            solved.append((p, sol, kwargs.get("stop_at")))
             return sol
 
         monkeypatch.setattr(penalty, "solve_sdp", recording)
         monkeypatch.setattr(relaxations, "solve_sdp", recording)
         _, q = kcluster(40, 20, 0.5, 1)
-        shor_maxcut(homogenize(q, penalty.rho(q.c, q.F, CFG)), Sense.MIN, CFG)
-        minima = [sol for sense, sol in solved if sense == Sense.MIN]
+        pb = penalty.rho(q.c, q.F, CFG)
+        shor_maxcut(homogenize(q, pb), Sense.MIN, CFG)
+        minima = [(p, sol, stop_at) for p, sol, stop_at in solved if p.sense == Sense.MIN]
         assert len(minima) == 2
-        for sol in minima:
-            assert sol.status == SolveStatus.CONVERGED
-            assert sol.iterations <= 15
+        (rho_p, rho_min, stop_at), (_, shor_min, _) = minima
+        assert stop_at == -pb.rho
+        assert rho_min.status == SolveStatus.BOUND_REACHED and rho_min.iterations <= 3
+        assert abs(sdp.certified_diag_bound(rho_p, rho_min.y)) <= pb.rho
+        assert shor_min.status == SolveStatus.CONVERGED
+        assert shor_min.iterations <= 15
 
 
 class TestLasserre1:
@@ -661,6 +674,19 @@ class TestCopositiveDnn:
         assert r.status == CONVERGED and r.solution.iterations > 0
         assert calls == [1]
 
+    def test_certificate_reuses_the_solves_rows(self, monkeypatch):
+        # the face rows and the trace they fix are computed once per
+        # problem, by the solve, and its certificate reads them back
+        calls = {"_face_rows": 0, "lstsq": 0}
+        for module, name in ((sdp, "_face_rows"), (np.linalg, "lstsq")):
+            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
+        assert r.status == CONVERGED and r.inflation >= 0.0
+        assert calls == {"_face_rows": 1, "lstsq": 1}
+
     def test_lower_bounds_cluster_optimum(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)
         f_star = brute_force(s).value  # original units = 0/1 units here
@@ -755,6 +781,27 @@ class TestComputeBounds:
         e = report.entries["lp_box"]
         assert e.status == SKIPPED
         assert "linear objective" in e.note
+
+    def test_one_box_phase1_per_report(self, monkeypatch):
+        # lp_box and convex_quadratic share one phase 1 of the box LP, run
+        # only when one of them needs it
+        calls = []
+        phase1 = relaxations.simplex_phase1
+        monkeypatch.setattr(relaxations, "simplex_phase1",
+                            lambda *args: calls.append(None) or phase1(*args))
+        linear = knapsack_fixed(4, 34)
+        quadratic = quadratic_knapsack_random(5, s=3.0, seed=3, f_density=0.5, b=9)
+        for q, selectors, runs in ((linear, ["lp_box", "convex_quadratic"], 1),
+                                   (linear, ["maxcut_shor_min"], 0),
+                                   (quadratic, ["lp_box"], 0)):
+            calls.clear()
+            compute_bounds(q, selectors=selectors, cfg=CFG)
+            assert len(calls) == runs
+        # the shared tableau gives what each relaxation gives on its own
+        report = compute_bounds(linear, selectors=["lp_box", "convex_quadratic"], cfg=CFG)
+        assert report.entries["lp_box"].raw == lp_box(linear, CFG).value
+        assert (report.entries["convex_quadratic"].raw
+                == convex_quadratic_relaxation(linear, CFG).value)
 
     def test_brute_force_suppressed_on_request(self):
         q = knapsack_fixed(4, 34)

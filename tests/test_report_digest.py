@@ -1,0 +1,30 @@
+"""``tests/report_digest.py`` runs against the sources in ``src/`` and prints digests."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tests" / "report_digest.py"
+HEX = "[0-9a-f]{64}"
+
+
+def run_digest(*args) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(SCRIPT), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_one_digest_per_workload():
+    assert re.fullmatch(f"dnn {HEX}\n", run_digest("dnn"))
+
+
+def test_one_digest_per_instance():
+    lines = run_digest("--by-instance", "dnn").splitlines()
+    assert len(lines) == 5  # the dnn workload's five instances
+    labels = [re.fullmatch(f"dnn (\\S+) {HEX}", line).group(1) for line in lines]
+    assert len(set(labels)) == 5

@@ -451,6 +451,33 @@ class TestSolveSdp:
             assert side * (bound - extreme) <= rounding
 
     @settings(max_examples=100, deadline=None)
+    @given(Q=symmetric_matrices(max_dim=6), sense=st.sampled_from(list(Sense)),
+           face=st.booleans(), slack=st.floats(-0.5, 1.0))
+    def test_stop_at_ends_once_the_certificate_meets_it(self, Q, sense, face, slack):
+        # the target only adds a test: a solve with it takes at most the
+        # iterations of one without it, and either ends BoundReached with a
+        # certificate that meets the target or is that solve unchanged.  The
+        # target lies between the converged certificate and the spectral
+        # bound (slack in (0, 1]) or beyond the former (slack <= 0)
+        d = Q.shape[0]
+        rows = {"constraints": diag_constraints(d)} if face else {"diag": np.ones(d)}
+        p = SdpProblem(C=Q, sense=sense, **rows)
+        full = solve_sdp(p, FAST)
+        assert full.status == SolveStatus.CONVERGED
+        side = 1.0 if sense == Sense.MIN else -1.0
+        converged = certified_diag_bound(p, full.y)
+        spectral = d * np.linalg.eigvalsh(Q)[0 if sense == Sense.MIN else -1]
+        target = converged + slack * (spectral - converged)
+        sol = solve_sdp(p, FAST, stop_at=target)
+        assert sol.iterations <= full.iterations
+        if sol.status == SolveStatus.BOUND_REACHED:
+            assert side * (certified_diag_bound(p, sol.y) - target) >= 0.0
+        else:
+            assert sol.status == SolveStatus.CONVERGED
+            assert sol.iterations == full.iterations
+            np.testing.assert_array_equal(sol.y, full.y)
+
+    @settings(max_examples=100, deadline=None)
     @given(Q=symmetric_matrices(max_dim=6), data=st.data())
     def test_certificate_holds_for_any_multipliers(self, Q, data):
         # the bounded-trace bound needs no dual feasibility: arbitrary
