@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instances import STREAM_GW
+from .instances import STREAM_GW, _stream
 from .penalty import PenaltyBound
 from .reduction import MaxCutInstance, RecoveredSolution, recover_solution
 from .sdp import SdpSolution
@@ -99,7 +99,7 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     w, P = np.linalg.eigh((X + X.T) / 2.0)
     V = (P * np.sqrt(np.maximum(w, 0.0))).T  # columns are the unit-ish vectors
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), STREAM_GW])))
+    rng = _stream(seed, STREAM_GW)
     R = rng.normal(size=(trials, d))
     R2 = rng.normal(size=(trials, d))
     t = (np.arange(trials) / trials)[:, None]

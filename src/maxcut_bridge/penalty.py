@@ -67,7 +67,9 @@ def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, f
     the moment cost C and Min otherwise, is solved first (``solve_sdp``),
     giving R.  The other side stops as soon as its certified bound lies in
     [-R, R] (``stop_at``), which is looser than its optimum but leaves
-    max(|r1|, |r2|) = R; where the pick was wrong, it runs to convergence.
+    max(|r1|, |r2|) = R, and its bound is the certificate that stopped it
+    (``SdpSolution.bound``); where the pick was wrong, it runs to
+    convergence.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)
@@ -76,7 +78,8 @@ def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, f
 
     def side(sense, stop_at=None):
         p = SdpProblem(C=C, sense=sense, diag=unit)
-        return certified_diag_bound(p, solve_sdp(p, cfg, stop_at=stop_at).y)
+        sol = solve_sdp(p, cfg, stop_at=stop_at)
+        return certified_diag_bound(p, sol.y) if sol.bound is None else sol.bound
 
     low, high = np.linalg.eigvalsh(C)[[0, -1]]
     if abs(high) >= abs(low):
@@ -93,9 +96,7 @@ def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     r2 = -r1 = sum(|c_i|); otherwise (r1, r2) are ``shor_box_extrema``.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
-    n = c.size
-    F = np.zeros((n, n)) if F is None else np.asarray(F, dtype=float)
-    if np.count_nonzero(F) == 0:
+    if F is None or np.count_nonzero(F) == 0:
         s = float(np.abs(c).sum())
         return PenaltyBound(r1=-s, r2=s, rho=s, method=CLOSED_FORM)
     r1, r2 = shor_box_extrema(c, F, cfg)

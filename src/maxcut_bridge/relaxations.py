@@ -13,9 +13,8 @@ original-problem units.
 """
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,35 +77,32 @@ def _pivot(T, basis, row, col):
 
 
 def _bland_min(T, basis, cost):
-    """Minimize cost over the tableau with Bland's anti-cycling rule."""
-    m, width = T.shape
-    n = width - 1
+    """Minimize cost over the tableau with Bland's anti-cycling rule: the first
+    column of negative reduced cost enters, and of the rows whose ratio is
+    within 1e-12 of the least, the one of smallest basic index leaves."""
+    n = T.shape[1] - 1
     while True:
-        red = cost - cost[basis] @ T[:, :n]
-        enter = -1
-        for j in range(n):
-            if red[j] < -_LP_TOL:
-                enter = j
-                break
-        if enter < 0:
+        entering = (cost - cost[basis] @ T[:, :n] < -_LP_TOL).nonzero()[0]
+        if not entering.size:
             return "Optimal"
+        enter = int(entering[0])
         col = T[:, enter]
-        ratios = [(T[i, n] / col[i], i) for i in range(m) if col[i] > _LP_TOL]
-        if not ratios:
+        rows = (col > _LP_TOL).nonzero()[0]
+        if not rows.size:
             return "Unbounded"
-        rmin = min(r for r, _ in ratios)
-        leave = min((i for r, i in ratios if r <= rmin + 1e-12), key=lambda i: basis[i])
-        _pivot(T, basis, leave, enter)
+        ratios = T[rows, n] / col[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        _pivot(T, basis, int(ties[basis[ties].argmin()]), enter)
 
 
 class FeasibleTableau(NamedTuple):
     """A basic feasible solution of the box-and-rows set in standard form:
     the tableau T over [y, t] >= 0 (x = lower + y, t the upper slacks)
     with the right-hand side as its last column, the basic column of each
-    row, and ``lower``."""
+    row (an integer array), and ``lower``."""
 
     T: np.ndarray
-    basis: list
+    basis: np.ndarray
     lower: np.ndarray
 
 
@@ -145,7 +141,7 @@ def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
 
     # phase 1: artificial basis
     T = np.hstack([A, np.eye(rows), b[:, None]])
-    basis = list(range(cols, cols + rows))
+    basis = np.arange(cols, cols + rows)
     cost1 = np.concatenate([np.zeros(cols), np.ones(rows)])
     if _bland_min(T, basis, cost1) != "Optimal" or cost1[basis] @ T[:, -1] > 1e-7:
         return None
@@ -160,7 +156,7 @@ def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
             _pivot(T, basis, i, enter)
         keep.append(i)
     T = np.ascontiguousarray(np.hstack([T[keep][:, :cols], T[keep][:, -1:]]))
-    return FeasibleTableau(T, [basis[i] for i in keep], lower)
+    return FeasibleTableau(T, basis[keep], lower)
 
 
 def simplex_phase2(tableau: FeasibleTableau, c) -> LpResult:
@@ -168,13 +164,12 @@ def simplex_phase2(tableau: FeasibleTableau, c) -> LpResult:
     rule.  It pivots a copy, so the tableau can serve another cost."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
-    T, basis = tableau.T.copy(), list(tableau.basis)
+    T, basis = tableau.T.copy(), tableau.basis.copy()
     status = _bland_min(T, basis, np.concatenate([c, np.zeros(n)]))
     if status != "Optimal":
         return LpResult(-np.inf, None, status)
     y_full = np.zeros(2 * n)
-    for i, j in enumerate(basis):
-        y_full[j] = T[i, -1]
+    y_full[basis] = T[:, -1]
     x = tableau.lower + y_full[:n]
     return LpResult(float(c @ x), x, "Optimal")
 
@@ -205,9 +200,8 @@ def _certified(p: SdpProblem, cfg: SolverConfig, constant: float = 0.0) -> Bound
     as Infeasible with value +inf for Min, -inf for Max.
     """
     sol = solve_sdp(p, cfg)
-    if sol.status == SolveStatus.DIVERGED:
-        return BoundEntry(value=np.inf if p.sense == Sense.MIN else -np.inf,
-                          status=INFEASIBLE, note=sol.message, solution=sol)
+    if sol.status == SolveStatus.DIVERGED:  # its objective is +inf for Min, -inf for Max
+        return BoundEntry(value=sol.objective, status=INFEASIBLE, note=sol.message, solution=sol)
     gap = sol.objective - certified_diag_bound(p, sol.y, sol.W)
     return BoundEntry(
         value=sol.objective + constant,
@@ -259,26 +253,38 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     return _certified(p, cfg)
 
 
-def _box_tableau(q: SignProgram) -> FeasibleTableau | None:
-    """``simplex_phase1`` of Ax = b over the box [-1, 1]^n: one run serves
+@dataclass
+class _Box:
+    """Ax = b over the box [-1, 1]^n: ``tableau`` is its ``simplex_phase1``
+    (None when empty) and ``lp`` its ``simplex_phase2`` for the objective's
+    cost c.  Each is computed on first use, so one run of each serves
     ``lp_box`` and ``convex_quadratic_relaxation`` of a report."""
-    return simplex_phase1(q.A.astype(float), q.b.astype(float), -np.ones(q.n), np.ones(q.n), q.n)
+
+    q: SignProgram
+
+    @cached_property
+    def tableau(self) -> FeasibleTableau | None:
+        return simplex_phase1(self.q.A, self.q.b, -1.0, 1.0, self.q.n)
+
+    @cached_property
+    def lp(self) -> LpResult:
+        return simplex_phase2(self.tableau, self.q.c)
 
 
 def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Linear relaxation: the hypercube replaced by the box [-1, 1]^n."""
     if np.count_nonzero(q.F):
         raise ValueError("lp_box requires a linear objective (F = 0)")
-    return _lp_box(q, _box_tableau(q))
+    return _lp_box(_Box(q))
 
 
-def _lp_box(q: SignProgram, box: FeasibleTableau | None) -> BoundEntry:
-    """``lp_box`` from the box tableau (``_box_tableau``)."""
-    if box is None:
+def _lp_box(box: _Box) -> BoundEntry:
+    """``lp_box`` from the shared box LP (``_Box``)."""
+    if box.tableau is None:
         return BoundEntry(value=np.inf, status=INFEASIBLE,
                           solution=LpResult(np.inf, None, "Infeasible"),
                           note="box LP infeasible: the program has no feasible point")
-    res = simplex_phase2(box, q.c)
+    res = box.lp
     if res.status != "Optimal":
         return BoundEntry(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
     return BoundEntry(value=res.value, status=CONVERGED, solution=res)
@@ -361,16 +367,16 @@ def convex_quadratic_relaxation(q: SignProgram,
     bound) - n*theta is a valid lower bound on the original optimum.  One
     simplex phase 1 serves both the feasibility test and that LP: an empty
     feasible set is reported as Infeasible with value +inf.  A linear
-    objective (F = 0) needs no loop: the LP with cost c is the relaxation,
-    x is its vertex, and the entry is Converged at any budget.
+    objective (F = 0) needs no loop: the LP with cost c, which ``lp_box``
+    solves too, is the relaxation, x is its vertex, and the entry is
+    Converged at any budget.
     """
-    return _convex_quadratic(q, cfg, _box_tableau(q))
+    return _convex_quadratic(q, cfg, _Box(q))
 
 
-def _convex_quadratic(q: SignProgram, cfg: SolverConfig,
-                      box: FeasibleTableau | None) -> BoundEntry:
-    """``convex_quadratic_relaxation`` from the box tableau (``_box_tableau``)."""
-    if box is None:
+def _convex_quadratic(q: SignProgram, cfg: SolverConfig, box: _Box) -> BoundEntry:
+    """``convex_quadratic_relaxation`` from the shared box LP (``_Box``)."""
+    if box.tableau is None:
         return BoundEntry(value=np.inf, status=INFEASIBLE, note="box/affine intersection empty")
     n = q.n
     if np.count_nonzero(q.F):
@@ -382,11 +388,10 @@ def _convex_quadratic(q: SignProgram, cfg: SolverConfig,
         # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient
         # at x, and f(x) - g'x = -x'F_s x.
         g_x = q.c + 2.0 * (F_s @ x)
-        lp = simplex_phase2(box, g_x)
+        lp = simplex_phase2(box.tableau, g_x)
         value = lp.value - float(x @ F_s @ x) - n * theta
     else:
-        theta, status, g_x = 0.0, CONVERGED, q.c
-        lp = simplex_phase2(box, g_x)
+        theta, status, g_x, lp = 0.0, CONVERGED, q.c, box.lp
         x, value = lp.x, lp.value
     return BoundEntry(
         value=value,
@@ -464,15 +469,15 @@ class BoundReport:
 
 
 class _Inputs(NamedTuple):
-    """Everything a selector runner may read.  ``box()`` is ``_box_tableau(q)``,
-    built on the first call and shared by the later ones."""
+    """Everything a selector runner may read.  ``box`` is the box LP of q
+    (``_Box``), shared by lp_box and convex_quadratic."""
 
     q: SignProgram
     mc: MaxCutInstance
     cfg: SolverConfig
     dnn_cfg: SolverConfig
     include_brute_force: bool
-    box: Callable[[], FeasibleTableau | None]
+    box: _Box
 
 
 class _Skipped(Exception):
@@ -482,7 +487,7 @@ class _Skipped(Exception):
 def _run_lp_box(r: _Inputs) -> BoundEntry:
     if np.count_nonzero(r.q.F):
         raise _Skipped("requires a linear objective (F = 0)")
-    return _lp_box(r.q, r.box())
+    return _lp_box(r.box)
 
 
 def _run_brute_force(r: _Inputs) -> BoundEntry:
@@ -496,13 +501,13 @@ def _run_brute_force(r: _Inputs) -> BoundEntry:
 # selector -> (runner, whether the result is in sign-form raw units), in report
 # order.  Runners look every solver up by its module name when called, so a
 # wrapper installed on this module's attribute sees each call; lp_box and
-# convex_quadratic call their private forms, which take the shared box tableau.
+# convex_quadratic call their private forms, which take the shared box LP.
 _SELECTOR_TABLE = {
     "maxcut_shor_min": (lambda r: shor_maxcut(r.mc, Sense.MIN, r.cfg), True),
     "maxcut_shor_max": (lambda r: shor_maxcut(r.mc, Sense.MAX, r.cfg), True),
     "lasserre1": (lambda r: lasserre1(r.q, cfg=r.cfg), True),
     "lp_box": (_run_lp_box, True),
-    "convex_quadratic": (lambda r: _convex_quadratic(r.q, r.cfg, r.box()), True),
+    "convex_quadratic": (lambda r: _convex_quadratic(r.q, r.cfg, r.box), True),
     "copositive_dnn": (lambda r: copositive_dnn(to_zero_one(r.q), r.dnn_cfg), False),
     "brute_force": (_run_brute_force, False),
 }
@@ -549,7 +554,7 @@ def compute_bounds(
         offset=q.offset,
     )
     inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force,
-                     cache(partial(_box_tableau, q)))
+                     _Box(q))
 
     for name, (run, raw_units) in _SELECTOR_TABLE.items():
         if name not in selectors:

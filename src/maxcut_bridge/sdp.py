@@ -206,6 +206,8 @@ class SdpSolution:
     # the nonnegative orthant's multipliers as a symmetric d x d matrix,
     # <W, X> = sum_{i <= j} w_ij X_ij, zero off the orthant (None for Cone.PSD)
     W: np.ndarray | None = field(default=None, repr=False)
+    # ``certified_diag_bound`` of y and W where it met ``stop_at`` (else None)
+    bound: float | None = None
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -352,11 +354,20 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     return max(float(value + T * min(0.0, low)), T * float(spectrum[0]))
 
 
-def _reached(p: SdpProblem, y: np.ndarray, W: np.ndarray | None, stop_at: float) -> bool:
-    """Whether the bound that y and W certify (``certified_diag_bound``) is
-    ``stop_at`` or tighter: at least it for Min, at most it for Max."""
+def _reached(p: SdpProblem, y: np.ndarray, W: np.ndarray | None, stop_at: float):
+    """The bound that y and W certify (``certified_diag_bound``) where it is
+    ``stop_at`` or tighter (at least it for Min, at most it for Max), else None."""
     bound = certified_diag_bound(p, y, W)
-    return bound >= stop_at if p.sense == Sense.MIN else bound <= stop_at
+    return bound if (bound >= stop_at if p.sense == Sense.MIN else bound <= stop_at) else None
+
+
+def _solution(p: SdpProblem, X: np.ndarray, status: SolveStatus, **fields) -> SdpSolution:
+    """The SdpSolution of a solve of ``p`` that ends at X with ``status`` and
+    the other ``fields``: its objective is <C, X>, or +inf for Min and -inf
+    for Max where the solve proved the rows infeasible (Diverged)."""
+    infinite = np.inf if p.sense == Sense.MIN else -np.inf
+    objective = infinite if status == SolveStatus.DIVERGED else float(np.vdot(p.C, X))
+    return SdpSolution(X=X, objective=objective, status=status, **fields)
 
 
 class _InconsistentSystem(ValueError):
@@ -533,6 +544,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     sigma = 0.1  # the centering; then set by the last step lengths
     status = SolveStatus.ITERATION_LIMIT
     message = ""
+    reached = None
     it = 0
     while True:
         RV = R if V is None else R @ V.T  # R V'
@@ -553,7 +565,8 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
                        "which bounds <C, X> over every feasible X: the constraints are "
                        "infeasible")
             break
-        if stop_at is not None and dual >= sign * stop_at and _reached(p, sign * y, None, stop_at):
+        if (stop_at is not None and dual >= sign * stop_at
+                and (reached := _reached(p, sign * y, None, stop_at)) is not None):
             status = SolveStatus.BOUND_REACHED
             break
         if it == cfg.max_iter:
@@ -596,17 +609,8 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     else:
         R, primal_residual = _onto_rows(R, rows, rhs, qr)
         X = V @ R @ V.T
-    diverged = status == SolveStatus.DIVERGED
-    return SdpSolution(
-        X=X,
-        objective=sign * np.inf if diverged else float(np.vdot(p.C, X)),
-        primal_residual=primal_residual,
-        dual_residual=gap,
-        iterations=it,
-        status=status,
-        message=message,
-        y=sign * y,
-    )
+    return _solution(p, X, status, primal_residual=primal_residual, dual_residual=gap,
+                     iterations=it, message=message, y=sign * y, bound=reached)
 
 
 def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
@@ -689,6 +693,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
 
     status = SolveStatus.ITERATION_LIMIT
     message = ""
+    reached = None
     it = 0
     while True:
         primal = float(c @ rho)
@@ -710,7 +715,8 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
                            f"{sign * bound:.6g}, which bounds <C, X> over every feasible X: "
                            "the constraints are infeasible")
                 break
-        if stop_at is not None and dual >= sign * stop_at and _reached(p, *multipliers(), stop_at):
+        if (stop_at is not None and dual >= sign * stop_at
+                and (reached := _reached(p, *multipliers(), stop_at)) is not None):
             status = SolveStatus.BOUND_REACHED
             break
         if it == cfg.max_iter:
@@ -787,18 +793,10 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     R, distance = _onto_rows(_smat(rho, r), A, b, (Q, R_b))
     X = R if p.face is None else V @ R @ V.T
     y_rows, W = multipliers()
-    diverged = status == SolveStatus.DIVERGED
-    return SdpSolution(
-        X=X,
-        objective=sign * np.inf if diverged else float(np.vdot(p.C, X)),
-        primal_residual=math.hypot(distance, _fro(np.minimum(X[pi, pj], 0.0))),
-        dual_residual=gap,
-        iterations=it,
-        status=status,
-        message=message,
-        y=y_rows,
-        W=W,
-    )
+    return _solution(p, X, status,
+                     primal_residual=math.hypot(distance, _fro(np.minimum(X[pi, pj], 0.0))),
+                     dual_residual=gap, iterations=it, message=message, y=y_rows, W=W,
+                     bound=reached)
 
 
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
@@ -817,14 +815,14 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
     at every iterate.  Each iteration, after the Converged and Diverged
     tests, the solve ends with status BoundReached once b'y meets the
     target and ``certified_diag_bound`` of the multipliers, the bound a
-    caller computes from them, does too.  Only the test is added, so the
-    iterations are those of a solve without it, and at None (the default)
-    the solve is unchanged.
+    caller computes from them, does too; that bound is returned as
+    ``SdpSolution.bound``.  Only the test is added, so the iterations are
+    those of a solve without it, and at None (the default) the solve is
+    unchanged.
 
     A negative fixed diagonal entry, which no PSD matrix has, and dependent
     rows with conflicting right-hand sides are reported as Diverged up front.
     """
-    d = p.dim
     infeasible = ""
     if p.diag is not None and np.any(p.diag < 0.0):
         infeasible = "a fixed diagonal entry is negative, which no PSD matrix has"
@@ -836,12 +834,5 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
             return _solve_face_ipm(p, cfg, stop_at)
         except _InconsistentSystem as exc:
             infeasible = f"infeasible constraint system: {exc}"
-    return SdpSolution(
-        X=np.zeros((d, d)),
-        objective=np.inf if p.sense == Sense.MIN else -np.inf,
-        primal_residual=np.inf,
-        dual_residual=np.inf,
-        iterations=0,
-        status=SolveStatus.DIVERGED,
-        message=infeasible,
-    )
+    return _solution(p, np.zeros((p.dim, p.dim)), SolveStatus.DIVERGED, primal_residual=np.inf,
+                     dual_residual=np.inf, iterations=0, message=infeasible)

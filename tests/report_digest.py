@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One SHA-256 per benchmark workload over the seed-0 reports.
 
-    PYTHONPATH=src python3 tests/report_digest.py [--by-instance] [corpus dnn scaling budget]
+    PYTHONPATH=src python3 tests/report_digest.py [--by-instance] [--counts] [corpus dnn scaling budget]
 
 Builds each named workload (all four by default) at seed 0 from
 bench/workloads.py and runs every instance the way bench/run.py does:
@@ -16,11 +16,15 @@ a refactor that claims to move no output can be checked by running this at
 the parent commit and at the change.  Each line is the workload and its
 digest; with ``--by-instance`` it is the workload, an instance label and the
 digest of that instance's report alone, so a workload digest that moved
-points at the instances that moved it.  The file is not a test module:
-pytest does not collect it.
+points at the instances that moved it.  ``--counts`` appends to each line
+how often the reports called ``certified_diag_bound`` (in ``sdp``,
+``penalty`` and ``relaxations``), ``_bland_min`` (simplex runs) and
+``_pivot`` (simplex pivots), so a change that claims to drop repeated work
+can show it.  The file is not a test module: pytest does not collect it.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -35,8 +39,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from workloads import BUILDERS, GW_TRIALS  # noqa: E402
 
-from maxcut_bridge import bounds, penalty, relaxations  # noqa: E402
+from maxcut_bridge import bounds, penalty, relaxations, sdp  # noqa: E402
 from maxcut_bridge.sdp import SdpSolution  # noqa: E402
+
+# function name -> the modules whose calls to it are counted
+COUNTED = {
+    "certified_diag_bound": (sdp, penalty, relaxations),
+    "_bland_min": (relaxations,),
+    "_pivot": (relaxations,),
+}
 
 
 def _feed(h, *items) -> None:
@@ -71,19 +82,46 @@ def _report(h, inst, wl) -> None:
     _feed(h, cert.kind, cert.value, cert.bound, cert.point)
 
 
-def digests(workload: str, by_instance: bool = False) -> list[tuple[str, str]]:
-    """(name, digest) of the workload, or of each of its instances with ``by_instance``."""
+@contextlib.contextmanager
+def counting():
+    """Count the calls to each ``COUNTED`` function in a dict, by name."""
+    counts = dict.fromkeys(COUNTED, 0)
+    saved = [(module, name, getattr(module, name))
+             for name, modules in COUNTED.items() for module in modules]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, fn in saved:
+        setattr(module, name, counted(name, fn))
+    try:
+        yield counts
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
+def digests(workload: str, by_instance: bool = False,
+            counts: bool = False) -> list[tuple[str, str]]:
+    """(name, digest) of the workload, or of each of its instances with
+    ``by_instance``; with ``counts`` the digest is followed by the calls to
+    each ``COUNTED`` function, as name=count."""
     wl = BUILDERS[workload](0)
-    if not by_instance:
-        h = hashlib.sha256()
-        for inst in wl.instances:
-            _report(h, inst, wl)
-        return [(workload, h.hexdigest())]
+    groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
+              else [(workload, wl.instances)])
     out = []
-    for inst in wl.instances:
+    for label, instances in groups:
         h = hashlib.sha256()
-        _report(h, inst, wl)
-        out.append((f"{workload} {inst.label}", h.hexdigest()))
+        with counting() as calls:
+            for inst in instances:
+                _report(h, inst, wl)
+        line = h.hexdigest()
+        if counts:
+            line += "".join(f" {name}={n}" for name, n in calls.items())
+        out.append((label, line))
     return out
 
 
@@ -91,6 +129,8 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--by-instance", action="store_true",
                         help="one digest per instance label instead of per workload")
+    parser.add_argument("--counts", action="store_true",
+                        help="append the calls to " + ", ".join(COUNTED))
     parser.add_argument("workloads", nargs="*", metavar="workload",
                         help=f"any of {', '.join(BUILDERS)} (default: all)")
     args = parser.parse_args(argv)
@@ -100,7 +140,7 @@ def main(argv) -> int:
         sys.stderr.write(f"unknown workloads {unknown}; known: {', '.join(BUILDERS)}\n")
         return 2
     for name in names:
-        for label, hexdigest in digests(name, args.by_instance):
+        for label, hexdigest in digests(name, args.by_instance, args.counts):
             print(label, hexdigest, flush=True)
     return 0
 

@@ -16,7 +16,8 @@ from maxcut_bridge.penalty import (
     rho_override,
     shor_box_extrema,
 )
-from maxcut_bridge.sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound, solve_sdp
+from maxcut_bridge.sdp import (SdpProblem, Sense, SolverConfig, SolveStatus, certified_diag_bound,
+                               solve_sdp)
 
 CFG = SolverConfig(eps_abs=1e-7, eps_rel=1e-6)
 
@@ -97,6 +98,41 @@ class TestSmallerSideStopsEarly:
         rounding = 1e-9 * (1.0 + np.abs(C).sum())  # eigvalsh round-off only
         assert pb.r1 <= lo + rounding
         assert pb.r2 >= hi - rounding
+
+
+    def test_stopped_side_is_certified_once(self, monkeypatch):
+        # the larger side (Max, as |lambda_max(C)| wins) is certified once it
+        # is solved, and the smaller side stops at its first check, whose
+        # certificate it returns (SdpSolution.bound) instead of computing it
+        # again: two certificates, not three
+        from maxcut_bridge import penalty, sdp
+
+        calls = []
+        certify = sdp.certified_diag_bound
+
+        def counted(*args):
+            calls.append(None)
+            return certify(*args)
+
+        for module in (sdp, penalty):
+            monkeypatch.setattr(module, "certified_diag_bound", counted)
+        stopped = []
+
+        def recording(p, cfg, stop_at=None):
+            sol = solve_sdp(p, cfg, stop_at=stop_at)
+            if stop_at is not None:
+                stopped.append(sol)
+            return sol
+
+        monkeypatch.setattr(penalty, "solve_sdp", recording)
+        c, F = [3.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]])
+        pb = rho(c, F, CFG)
+        assert len(stopped) == 1 and stopped[0].status == SolveStatus.BOUND_REACHED
+        assert stopped[0].iterations == 1
+        assert len(calls) == 2
+        assert pb.r1 == stopped[0].bound
+        lo, hi = hypercube_extrema(c, F)
+        assert pb.r1 <= lo and pb.rho == pb.r2 >= hi
 
 
 class TestRho:

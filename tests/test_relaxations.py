@@ -113,6 +113,10 @@ class TestSimplex:
         assert res.value == pytest.approx(-1.0, abs=1e-9)
         np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-9)
 
+    def test_no_variables(self):
+        res = solve_lp([], np.zeros((0, 0)), [], [], [])
+        assert (res.status, res.value, res.x.size) == ("Optimal", 0.0, 0)
+
     def test_pinned_variable_box(self):
         res = solve_lp([2.0], np.zeros((0, 1)), [], [0.3], [0.3])
         assert res.status == "Optimal"
@@ -200,6 +204,42 @@ class TestSimplex:
             assert abs(res.value - fresh.value) <= 1e-9 * (1.0 + abs(fresh.value))
             assert np.all(res.x >= lower - 1e-9) and np.all(res.x <= upper + 1e-9)
             assert np.abs(A @ res.x - b).max(initial=0.0) <= 1e-9
+
+
+def bland_min_reference(T, basis, cost):
+    """Bland's rule one column and one row at a time, as ``_bland_min`` ran
+    before it worked on arrays: the reference its pivots must match."""
+    m, width = T.shape
+    n = width - 1
+    while True:
+        red = cost - cost[basis] @ T[:, :n]
+        enter = next((j for j in range(n) if red[j] < -relaxations._LP_TOL), -1)
+        if enter < 0:
+            return "Optimal"
+        col = T[:, enter]
+        ratios = [(T[i, n] / col[i], i) for i in range(m) if col[i] > relaxations._LP_TOL]
+        if not ratios:
+            return "Unbounded"
+        rmin = min(r for r, _ in ratios)
+        leave = min((i for r, i in ratios if r <= rmin + 1e-12), key=lambda i: basis[i])
+        relaxations._pivot(T, basis, leave, enter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5), n=st.integers(0, 6))
+def test_bland_rule_pivots_as_the_loop_reference(data, m, n):
+    # small integer tableaux [I, N, rhs] tie often in the ratio test and
+    # reach both ends, Optimal and Unbounded; every pivot must be the same,
+    # so the tableaux agree to the bit
+    ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+        st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+    T = np.hstack([np.eye(m), ints(-3, 3, m * n).reshape(m, n), ints(0, 4, m)[:, None]])
+    cost = ints(-3, 3, m + n)
+    T_ref, basis_ref = T.copy(), list(range(m))
+    basis = np.arange(m)
+    assert relaxations._bland_min(T, basis, cost) == bland_min_reference(T_ref, basis_ref, cost)
+    assert basis.tolist() == basis_ref
+    np.testing.assert_array_equal(T, T_ref)
 
 
 def two_by_two_instance():
@@ -802,6 +842,20 @@ class TestComputeBounds:
         assert report.entries["lp_box"].raw == lp_box(linear, CFG).value
         assert (report.entries["convex_quadratic"].raw
                 == convex_quadratic_relaxation(linear, CFG).value)
+
+    def test_one_box_lp_per_linear_report(self, monkeypatch):
+        # on a linear objective convex_quadratic is the LP of lp_box: one
+        # phase 1 and one phase 2 of Bland's rule serve both entries
+        calls = []
+        bland = relaxations._bland_min
+        monkeypatch.setattr(relaxations, "_bland_min",
+                            lambda *args: calls.append(None) or bland(*args))
+        report = compute_bounds(knapsack_fixed(4, 34), selectors=["lp_box", "convex_quadratic"],
+                                cfg=CFG)
+        assert len(calls) == 2
+        lp, convex = report.entries["lp_box"], report.entries["convex_quadratic"]
+        assert lp.status == convex.status == CONVERGED
+        assert lp.value == convex.value
 
     def test_brute_force_suppressed_on_request(self):
         q = knapsack_fixed(4, 34)

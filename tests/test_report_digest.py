@@ -28,3 +28,11 @@ def test_one_digest_per_instance():
     assert len(lines) == 5  # the dnn workload's five instances
     labels = [re.fullmatch(f"dnn (\\S+) {HEX}", line).group(1) for line in lines]
     assert len(set(labels)) == 5
+
+
+def test_counts_follow_each_digest():
+    line = run_digest("--counts", "dnn")
+    match = re.fullmatch(
+        f"dnn {HEX} certified_diag_bound=(\\d+) _bland_min=(\\d+) _pivot=(\\d+)\n", line)
+    assert match, line
+    assert int(match.group(1)) > 0  # the dnn reports certify their SDP bounds

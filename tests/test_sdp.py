@@ -478,6 +478,35 @@ class TestSolveSdp:
             np.testing.assert_array_equal(sol.y, full.y)
 
     @settings(max_examples=100, deadline=None)
+    @given(Q=symmetric_matrices(max_dim=6), sense=st.sampled_from(list(Sense)),
+           kind=st.sampled_from(["diag", "face", "rows", "rows_nonneg"]),
+           slack=st.floats(-0.5, 1.0), max_iter=st.integers(1, 40))
+    def test_stopped_solve_returns_its_certificate(self, Q, sense, kind, slack, max_iter):
+        # a BoundReached solve, of either method, carries the certificate
+        # that stopped it, to the bit; every other end of a solve carries no
+        # bound.  The target lies between the spectral bound and Tr Q
+        # (slack in [0, 1]) or beyond the spectral bound (slack < 0)
+        d = Q.shape[0]
+        assume(d >= 2 or kind != "face")
+        rows = {"diag": np.ones(d)}
+        if kind == "face":  # X e = 0 on the face for e = (1, 1, 0, ..., 0)
+            rows["face"] = np.linalg.svd(np.eye(d)[:1] + np.eye(d)[1:2])[2][1:].T
+        elif kind != "diag":
+            rows = {"constraints": diag_constraints(d),
+                    "cone": Cone.PSD_NONNEG if kind == "rows_nonneg" else Cone.PSD}
+        p = SdpProblem(C=Q, sense=sense, **rows)
+        spectral = d * np.linalg.eigvalsh(Q)[0 if sense == Sense.MIN else -1]
+        target = spectral + slack * (np.trace(Q) - spectral)
+        sol = solve_sdp(p, SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter),
+                        stop_at=target)
+        if sol.status == SolveStatus.BOUND_REACHED:
+            assert sol.bound == certified_diag_bound(p, sol.y, sol.W)
+            assert (sol.bound - target) * (1.0 if sense == Sense.MIN else -1.0) >= 0.0
+        else:
+            assert sol.bound is None
+        assert solve_sdp(p, FAST).bound is None
+
+    @settings(max_examples=100, deadline=None)
     @given(Q=symmetric_matrices(max_dim=6), data=st.data())
     def test_certificate_holds_for_any_multipliers(self, Q, data):
         # the bounded-trace bound needs no dual feasibility: arbitrary
