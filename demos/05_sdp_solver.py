@@ -6,7 +6,7 @@ problems and the random form below) goes to the one built on that
 diagonal, on the whole cone or on a face V R V' (``SdpProblem(face=V)``,
 as ``lasserre1`` does): on the whole cone its iterates stay primal
 feasible, so the primal residual reads zero.  The doubly-nonnegative
-problem, and every problem with constraint rows, goes to the second, which
+problem, and every problem with rows of ``A``, goes to the second, which
 also keeps the entries of X nonnegative and takes a face too (as
 ``copositive_dnn`` does).  Both keep their multipliers (``sol.y``, one per
 row, and ``sol.W`` for the orthant) dual feasible, and

@@ -39,7 +39,7 @@ _ODD_PRIMES = (
 )
 
 
-def _stream(seed: int, field_id: int) -> np.random.Generator:
+def _stream(seed: int, field_id: int) -> "np.random.Generator":
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), field_id])))
 
 

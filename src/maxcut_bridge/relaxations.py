@@ -430,24 +430,19 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Bou
     S[p.m :, n:] = np.eye(n)
     rhs = np.concatenate([p.b.astype(float), np.ones(n)])
 
-    cons = []
-    E = np.zeros((d, d))
-    E[nn, nn] = 1.0
-    cons.append((E, 1.0))
-    for i in range(n):  # on the face, z's links repeat x's: X_ii - x_i = -X_{i,n+i}
-        M = np.zeros((d, d))
-        M[i, i] = 1.0
-        M[i, nn] -= 0.5
-        M[nn, i] -= 0.5
-        cons.append((M, 0.0))
+    # X_nn = 1, then X_ii - x_i = 0 (on the face z's links repeat x's)
+    rows = np.zeros((n + 1, d, d))
+    rows[0, nn, nn] = 1.0
+    i = np.arange(n)
+    rows[1 + i, i, i] = 1.0
+    rows[1 + i, i, nn] = rows[1 + i, nn, i] = -0.5
 
     c = np.zeros(nn)
     c[:n] = p.c
     F = np.zeros((nn, nn))
     F[:n, :n] = p.F
-    problem = SdpProblem(C=_moment_cost(c, F),
-                         constraints=tuple(cons), cone=Cone.PSD_NONNEG,
-                         face=_null_face(np.hstack([S, -rhs[:, None]])))
+    problem = SdpProblem(C=_moment_cost(c, F), A=rows, b=np.eye(1, n + 1)[0],
+                         cone=Cone.PSD_NONNEG, face=_null_face(np.hstack([S, -rhs[:, None]])))
     return _certified(problem, cfg, p.constant)
 
 

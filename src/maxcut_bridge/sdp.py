@@ -1,7 +1,8 @@
 """Solvers for small dense semidefinite programs.
 
-Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and trace
-constraints <A_i, X> = b_i, with X in the positive-semidefinite cone,
+Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and the
+rows of ``A``, in order, <A_k, X> = b_k (one m x d x d array and its m
+right-hand sides), with X in the positive-semidefinite cone,
 optionally intersected with the entrywise nonnegative cone, and optionally
 restricted to a face X = V R V' (facial reduction: V is an orthonormal basis
 that the range of every feasible X lies in).
@@ -11,12 +12,12 @@ their iterates strictly dual feasible, so every solve, at any iteration
 budget, returns multipliers that certify a bound on the optimum
 (``certified_diag_bound``).
 
-A PSD-cone problem with a positive fixed diagonal and no constraint rows
+A PSD-cone problem with a positive fixed diagonal and no rows of ``A``
 (MAX-CUT, the moment relaxations of the penalty bound, and the first
 Lasserre relaxation on the face its constraints cut out) goes to
 ``_solve_diag_ipm``, whose Schur matrix is built from the diagonal.
 
-Every other problem (the doubly-nonnegative cone, and constraint rows with
+Every other problem (the doubly-nonnegative cone, and rows of ``A`` with
 or without a fixed diagonal) goes to ``_solve_face_ipm``.  It solves over
 R in svec coordinates, with R positive semidefinite and, for the
 doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
@@ -92,25 +93,24 @@ def _asymmetric(M: np.ndarray):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """min/max <C, X> s.t. X_ii = diag_i, <A_i, X> = b_i, X in cone.
+    """min/max <C, X> s.t. X_ii = diag_i, <A_k, X> = b_k, X in cone.
 
-    ``C``, every constraint matrix and right-hand side, and ``diag`` (None
-    when no diagonal is fixed, else a vector of length d) must be finite.
-    ``face`` is None or a d x r matrix V with orthonormal columns, which
-    restricts X further to V R V' with R PSD: a face of the PSD cone, such
-    as facial reduction finds when the rows leave X no interior point.
-    ``A`` and ``b`` stack the (symmetrized) matrices and right-hand sides of
-    ``constraints``, m x d x d and m.
+    ``A`` holds the m rows, an m x d x d stack or a sequence of d x d
+    matrices (None for none), and ``b`` their right-hand sides.  ``C``, ``A``, ``b`` and ``diag`` (None when no
+    diagonal is fixed, else a vector of length d) must be finite, and ``C``
+    and each row symmetric; both are stored symmetrized.  ``face`` is None
+    or a d x r matrix V with orthonormal columns, which restricts X further
+    to V R V' with R PSD: a face of the PSD cone, such as facial reduction
+    finds when the rows leave X no interior point.
     """
 
     C: np.ndarray
-    constraints: tuple = ()
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
     sense: Sense = Sense.MIN
     cone: Cone = Cone.PSD
     diag: np.ndarray | None = None
     face: np.ndarray | None = None
-    A: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
@@ -122,20 +122,22 @@ class SdpProblem:
             raise ValueError("C must be symmetric")
         C = (C + C.T) / 2.0
         d = C.shape[0]
-        mats = [np.asarray(A, dtype=float) for A, _ in self.constraints]
-        for k, A in enumerate(mats):
-            if A.shape != (d, d):
-                raise ValueError(f"constraint {k}: matrix must be {d}x{d}")
-        mats = np.array(mats).reshape(-1, d, d)
-        rhs = np.array([float(b) for _, b in self.constraints])
-        infinite = np.flatnonzero(~(np.isfinite(mats).all(axis=(1, 2)) & np.isfinite(rhs)))
+        mats = [np.asarray(M, dtype=float) for M in (() if self.A is None else self.A)]
+        for k, M in enumerate(mats):
+            if M.shape != (d, d):
+                raise ValueError(f"row {k}: matrix must be {d}x{d}")
+        A = np.array(mats).reshape(-1, d, d)
+        b = np.zeros(0) if self.b is None else np.array(self.b, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("b must be a vector")
+        if len(A) != len(b):
+            raise ValueError(f"row {min(len(A), len(b))}: A has {len(A)} rows and b {len(b)}")
+        infinite = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b)))
         if infinite.size:
-            raise ValueError(
-                f"constraint {infinite[0]}: matrix and right-hand side must be finite")
-        asymmetric = np.flatnonzero(_asymmetric(mats))
+            raise ValueError(f"row {infinite[0]}: matrix and right-hand side must be finite")
+        asymmetric = np.flatnonzero(_asymmetric(A))
         if asymmetric.size:
-            raise ValueError(f"constraint {asymmetric[0]}: matrix must be symmetric")
-        mats = (mats + mats.swapaxes(1, 2)) / 2.0
+            raise ValueError(f"row {asymmetric[0]}: matrix must be symmetric")
         if self.diag is not None:
             diag = np.asarray(self.diag, dtype=float)
             if diag.shape != (d,):
@@ -151,9 +153,8 @@ class SdpProblem:
                 raise ValueError("face must have orthonormal columns")
             object.__setattr__(self, "face", V)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "constraints", tuple(zip(mats, rhs.tolist())))
-        object.__setattr__(self, "A", mats)
-        object.__setattr__(self, "b", rhs)
+        object.__setattr__(self, "A", (A + A.swapaxes(1, 2)) / 2.0)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
@@ -198,7 +199,7 @@ class SdpSolution:
     # it, until ROADMAP item 10 drops it
     sigma: float = field(default=0.0, repr=False)
     # multipliers in the problem's sense, one per row: the diagonal first (if
-    # fixed), then ``constraints`` in order, 0 for a dropped dependent row.
+    # fixed), then the rows of ``A`` in order, 0 for a dropped dependent row.
     # With A*(y) = Diag(y[:d]) + sum_k y[d + k] A_k (no Diag term without a
     # fixed diagonal), C - A*(y) - W is PSD on the face for Min, and
     # A*(y) + W - C for Max
@@ -269,8 +270,9 @@ def _svec_index(r: int):
 def _face_rows(p: SdpProblem):
     """The rows of ``p`` on its face, in the svec coordinates of R.
 
-    Every row, the fixed diagonal's E_ii first and then ``p.constraints``,
-    becomes svec(V' A V) for X = V R V' (V the identity without a face),
+    Every row, the fixed diagonal's E_ii first and then those of ``p.A``,
+    becomes svec(V' A V) for X = V R V' (V the identity without a face;
+    V' E_ii V is V's row i times itself, plus 0.0 to make -0.0 into 0.0),
     divided by its norm, and its right-hand side is divided alike.  A row
     that the face shrinks below 1e-9 of its norm in X (such as X_ii = x_i
     for a variable the face pins to 0) is set to zero, not blown up from
@@ -280,14 +282,14 @@ def _face_rows(p: SdpProblem):
     d = p.dim
     V = np.eye(d) if p.face is None else p.face
     a, b, s = _svec_index(V.shape[1])
-    mats, rhs = p.A, p.b
+    lifted, rhs, sizes = V.T @ p.A @ V, p.b, np.linalg.norm(p.A, axis=(1, 2))
     if p.diag is not None:
-        eye = np.eye(d)
-        mats = np.concatenate([eye[:, :, None] * eye[:, None, :], mats])
+        lifted = np.concatenate([V[:, :, None] * V[:, None, :] + 0.0, lifted])
         rhs = np.concatenate([p.diag, rhs])
-    rows = (V.T @ mats @ V)[:, a, b] * s
+        sizes = np.concatenate([np.ones(d), sizes])
+    rows = lifted[:, a, b] * s
     norms = np.linalg.norm(rows, axis=1)
-    norms[norms <= 1e-9 * np.linalg.norm(mats, axis=(1, 2))] = 0.0
+    norms[norms <= 1e-9 * sizes] = 0.0
     rows[norms == 0.0] = 0.0
     scale = np.where(norms > 0.0, norms, 1.0)
     return V, rows / scale[:, None], rhs / scale, norms
@@ -313,7 +315,7 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     """Bound on the optimum of a fixed-trace SDP, certified by any multipliers.
 
     ``y`` holds one multiplier per row in the problem's sense, the diagonal
-    (if fixed) first and then ``p.constraints`` in order, and ``W`` the
+    (if fixed) first and then the rows of ``p.A`` in order, and ``W`` the
     orthant's (``SdpSolution.y`` and ``SdpSolution.W``).  Every feasible X
     has the trace T = sum(diag), or the trace the rows fix, and is V R V'
     with tr R = T on the face V.  So for Min
@@ -803,8 +805,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
               stop_at: float | None = None) -> SdpSolution:
     """Solve the SDP with one of two primal-dual interior-point methods.
 
-    A PSD-cone problem with a positive fixed diagonal and no constraint
-    rows, with or without a face, goes to ``_solve_diag_ipm``; every other
+    A PSD-cone problem with a positive fixed diagonal and no rows of ``A``,
+    with or without a face, goes to ``_solve_diag_ipm``; every other
     problem, which needs a fixed diagonal or rows that fix the trace of X
     (ValueError otherwise), to ``_solve_face_ipm``.  ``max_iter`` counts
     interior-point iterations.
@@ -828,7 +830,7 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
         infeasible = "a fixed diagonal entry is negative, which no PSD matrix has"
     else:
         try:
-            if (p.cone == Cone.PSD and not p.constraints and p.diag is not None
+            if (p.cone == Cone.PSD and not len(p.b) and p.diag is not None
                     and np.all(p.diag > 0.0)):
                 return _solve_diag_ipm(p, cfg, stop_at)
             return _solve_face_ipm(p, cfg, stop_at)

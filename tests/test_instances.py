@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from maxcut_bridge.instances import (
     quadratic_knapsack_random,
 )
 from maxcut_bridge.model import SignProgram
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def enumerate_optimum(q):
@@ -245,3 +251,17 @@ class TestBruteForce:
         vals = [q.objective(np.array(x)) for x in itertools.product((-1, 1), repeat=17)
                 if q.is_feasible(np.array(x))]
         assert res.value == pytest.approx(min(vals), rel=1e-12)
+
+
+def test_import_loads_no_random_module():
+    # the package draws nothing at import, so it leaves numpy.random
+    # unloaded wherever numpy itself does (numpy 2 loads it lazily; numpy 1
+    # loads it with numpy), and commands that draw nothing never pay for it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, numpy; bare = 'numpy.random' in sys.modules; import maxcut_bridge; "
+            "print(bare, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bare, after = proc.stdout.split()
+    assert after == bare

@@ -10,6 +10,8 @@ from maxcut_bridge.instances import kcluster
 from maxcut_bridge.penalty import _moment_cost, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import shor_maxcut
+from maxcut_bridge import sdp
+from maxcut_bridge.relaxations import _null_face
 from maxcut_bridge.sdp import (
     _TRI_BLOCK,
     Cone,
@@ -18,6 +20,8 @@ from maxcut_bridge.sdp import (
     Sense,
     SolveStatus,
     SolverConfig,
+    _face_rows,
+    _svec_index,
     _tri_inv,
     certified_diag_bound,
     project_psd,
@@ -30,13 +34,9 @@ FAST = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 E12 = np.array([[0.0, 0.5], [0.5, 0.0]])  # <E12, X> = X_12 for symmetric X
 
 
-def diag_constraints(d, value=1.0):
-    out = []
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = 1.0
-        out.append((E, value))
-    return out
+def diag_rows(d):
+    """The rows E_ii, <E_ii, X> = X_ii, as one d x d x d stack."""
+    return np.array([np.diag(e) for e in np.eye(d)])
 
 
 def brute_min_quadratic_form(Q):
@@ -229,7 +229,7 @@ class TestSolveSdp:
         B = rng.normal(size=(6, 6))
         C = B + B.T
         ipm = solve_sdp(SdpProblem(C=C, diag=np.ones(6)), CFG)
-        general = solve_sdp(SdpProblem(C=C, constraints=diag_constraints(6)), CFG)
+        general = solve_sdp(SdpProblem(C=C, A=diag_rows(6), b=np.ones(6)), CFG)
         assert ipm.status == general.status == SolveStatus.CONVERGED
         assert ipm.objective == pytest.approx(general.objective, rel=1e-5, abs=1e-5)
         np.testing.assert_allclose(ipm.X, general.X, atol=1e-3)
@@ -256,7 +256,7 @@ class TestSolveSdp:
         C = np.array([[2.0, -1.0, 0.5], [-1.0, 0.5, 0.0], [0.5, 0.0, 1.0]])
         E = np.zeros((3, 3))
         E[0, 1] = E[1, 0] = 0.5
-        p = SdpProblem(C=C, diag=np.ones(3), constraints=[(E, 0.3), (2.0 * E, 0.6)])
+        p = SdpProblem(C=C, diag=np.ones(3), A=[E, 2.0 * E], b=[0.3, 0.6])
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.y is not None and sol.y.shape == (3 + 2,)
@@ -275,7 +275,7 @@ class TestSolveSdp:
         # passes the bound every feasible X obeys
         E = np.zeros((2, 2))
         E[0, 1] = E[1, 0] = 0.5
-        p = SdpProblem(C=E, diag=np.ones(2), constraints=[(E, 2.0)])
+        p = SdpProblem(C=E, diag=np.ones(2), A=[E], b=[2.0])
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
@@ -285,24 +285,23 @@ class TestSolveSdp:
     def test_general_constraint_path_pins_all_entries(self):
         # X_11 = 1, X_22 = 1, X_12 = 0.3 fixes X entirely; objective is <C, X>.
         C = np.array([[2.0, -1.0], [-1.0, 0.5]])
-        cons = diag_constraints(2) + [(E12, 0.3)]
-        sol = solve_sdp(SdpProblem(C=C, constraints=cons), CFG)
+        A = [*diag_rows(2), E12]
+        sol = solve_sdp(SdpProblem(C=C, A=A, b=[1.0, 1.0, 0.3]), CFG)
         assert sol.status == SolveStatus.CONVERGED
         expected = 2.0 + 0.5 + 2 * 0.3 * (-1.0)
         assert sol.objective == pytest.approx(expected, abs=1e-5)
 
     def test_redundant_rows_tolerated(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cons = diag_constraints(2) + diag_constraints(2)
-        sol = solve_sdp(SdpProblem(C=C, constraints=cons), CFG)
+        A = np.concatenate([diag_rows(2), diag_rows(2)])
+        sol = solve_sdp(SdpProblem(C=C, A=A, b=np.ones(4)), CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(-2.0, abs=1e-5)
 
     def test_inconsistent_rows_diverge(self):
         E = np.zeros((2, 2))
         E[0, 0] = 1.0
-        cons = [(E, 1.0), (E, 2.0)]
-        sol = solve_sdp(SdpProblem(C=np.eye(2), constraints=cons), CFG)
+        sol = solve_sdp(SdpProblem(C=np.eye(2), A=[E, E], b=[1.0, 2.0]), CFG)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
         assert "infeasible" in sol.message
@@ -311,8 +310,8 @@ class TestSolveSdp:
         # the interior-point path drops dependent rows with the same routine
         E = np.zeros((2, 2))
         E[0, 1] = E[1, 0] = 0.5
-        cons = [(E, 0.5), (2.0 * E, 2.0)]
-        sol = solve_sdp(SdpProblem(C=np.eye(2), constraints=cons, diag=np.ones(2)), CFG)
+        p = SdpProblem(C=np.eye(2), A=[E, 2.0 * E], b=[0.5, 2.0], diag=np.ones(2))
+        sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
         assert "infeasible constraint system" in sol.message
@@ -443,7 +442,7 @@ class TestSolveSdp:
         values = np.einsum("ti,ij,tj->t", signs, Q, signs)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum())
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
-            p = SdpProblem(C=Q, sense=sense, constraints=diag_constraints(d), cone=cone)
+            p = SdpProblem(C=Q, sense=sense, A=diag_rows(d), b=np.ones(d), cone=cone)
             sol = solve_sdp(p, cfg)
             assert sol.status != SolveStatus.DIVERGED and sol.iterations <= max_iter
             bound = certified_diag_bound(p, sol.y, sol.W)
@@ -460,7 +459,7 @@ class TestSolveSdp:
         # target lies between the converged certificate and the spectral
         # bound (slack in (0, 1]) or beyond the former (slack <= 0)
         d = Q.shape[0]
-        rows = {"constraints": diag_constraints(d)} if face else {"diag": np.ones(d)}
+        rows = {"A": diag_rows(d), "b": np.ones(d)} if face else {"diag": np.ones(d)}
         p = SdpProblem(C=Q, sense=sense, **rows)
         full = solve_sdp(p, FAST)
         assert full.status == SolveStatus.CONVERGED
@@ -492,7 +491,7 @@ class TestSolveSdp:
         if kind == "face":  # X e = 0 on the face for e = (1, 1, 0, ..., 0)
             rows["face"] = np.linalg.svd(np.eye(d)[:1] + np.eye(d)[1:2])[2][1:].T
         elif kind != "diag":
-            rows = {"constraints": diag_constraints(d),
+            rows = {"A": diag_rows(d), "b": np.ones(d),
                     "cone": Cone.PSD_NONNEG if kind == "rows_nonneg" else Cone.PSD}
         p = SdpProblem(C=Q, sense=sense, **rows)
         spectral = d * np.linalg.eigvalsh(Q)[0 if sense == Sense.MIN else -1]
@@ -525,14 +524,14 @@ class TestSolveSdp:
         values = np.einsum("ti,ij,tj->t", signs, Q, signs)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum() + np.abs(y).sum())
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
-            p = SdpProblem(C=Q, sense=sense, diag=np.ones(d), constraints=[(E, b)])
+            p = SdpProblem(C=Q, sense=sense, diag=np.ones(d), A=[E], b=[b])
             extreme = values.min() if sense == Sense.MIN else values.max()
             assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
     def test_validation(self):
         for C in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0 + 1e-9, 0.0]]):
             with pytest.raises(ValueError, match="C must be symmetric"):
-                SdpProblem(C=np.array(C), constraints=())
+                SdpProblem(C=np.array(C))
         # non-finite data is rejected up front, before any symmetry or
         # trace check could misreport it
         unit = np.ones(2)
@@ -540,9 +539,9 @@ class TestSolveSdp:
             with pytest.raises(ValueError, match="C must be finite"):
                 SdpProblem(C=np.array([[bad, 0.0], [0.0, 1.0]]), diag=unit)
             with pytest.raises(ValueError, match="must be finite"):
-                SdpProblem(C=np.eye(2), constraints=[(E12, bad)], diag=unit)
+                SdpProblem(C=np.eye(2), A=[E12], b=[bad], diag=unit)
             with pytest.raises(ValueError, match="must be finite"):
-                SdpProblem(C=np.eye(2), constraints=[(E12, 0.0), ([[bad, 0.0], [0.0, 0.0]], 0.0)],
+                SdpProblem(C=np.eye(2), A=[E12, [[bad, 0.0], [0.0, 0.0]]], b=[0.0, 0.0],
                            diag=unit)
         # within 1e-12 counts as symmetric, and C is stored symmetrized
         C = SdpProblem(C=np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])).C
@@ -561,3 +560,89 @@ class TestSolveSdp:
         for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match="diag"):
                 SdpProblem(C=np.eye(2), diag=bad)
+
+    def test_row_validation(self, monkeypatch):
+        # the rows are one m x d x d stack with m right-hand sides; each
+        # refusal names the first row at fault
+        E11 = np.diag([1.0, 0.0])
+        cases = [
+            (dict(A=[E11, E12]), "^row 0: A has 2 rows and b 0$"),
+            (dict(A=[E11, E12], b=[1.0]), "^row 1: A has 2 rows and b 1$"),
+            (dict(b=[1.0]), "^row 0: A has 0 rows and b 1$"),
+            (dict(A=[E11, [[np.nan, 0.0], [0.0, 0.0]]], b=[1.0, 0.0]),
+             "^row 1: matrix and right-hand side must be finite$"),
+            (dict(A=[E11, E12], b=[1.0, np.inf]),
+             "^row 1: matrix and right-hand side must be finite$"),
+            (dict(A=[E11, [[0.0, 1.0], [1.0 + 1e-9, 0.0]]], b=[1.0, 0.0]),
+             "^row 1: matrix must be symmetric$"),
+            (dict(A=[E11, np.eye(3)], b=[1.0, 1.0]), "^row 1: matrix must be 2x2$"),
+            (dict(A=np.zeros((2, 3, 3)), b=[1.0, 1.0]), "^row 0: matrix must be 2x2$"),
+            (dict(A=E11, b=[1.0]), "^row 0: matrix must be 2x2$"),
+            (dict(A=[E11], b=1.0), "^b must be a vector$"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ValueError, match=message):
+                SdpProblem(C=np.eye(2), diag=np.ones(2), **rows)
+        # within 1e-12 a row counts as symmetric, and it is stored symmetrized
+        A = SdpProblem(C=np.eye(2), A=[[[0.0, 1.0], [1.0 + 1e-13, 0.0]]], b=[0.5]).A
+        assert A.shape == (1, 2, 2) and A[0, 0, 1] == A[0, 1, 0]
+        # A=None is no rows, and a positive diagonal with none takes the
+        # diagonal method
+        calls = []
+        diag_ipm = sdp._solve_diag_ipm
+        monkeypatch.setattr(sdp, "_solve_diag_ipm",
+                            lambda *args: calls.append(None) or diag_ipm(*args))
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = SdpProblem(C=C, A=None, diag=np.ones(2))
+        assert p.A.shape == (0, 2, 2) and p.b.shape == (0,)
+        assert solve_sdp(p, CFG).objective == pytest.approx(-2.0, abs=1e-5)
+        assert len(calls) == 1
+
+
+def face_rows_reference(p):
+    """``_face_rows`` that lifts the fixed diagonal through the stack of E_ii."""
+    d = p.dim
+    V = np.eye(d) if p.face is None else p.face
+    a, b, s = _svec_index(V.shape[1])
+    mats, rhs = p.A, p.b
+    if p.diag is not None:
+        eye = np.eye(d)
+        mats = np.concatenate([eye[:, :, None] * eye[:, None, :], mats])
+        rhs = np.concatenate([p.diag, rhs])
+    rows = (V.T @ mats @ V)[:, a, b] * s
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms <= 1e-9 * np.linalg.norm(mats, axis=(1, 2))] = 0.0
+    rows[norms == 0.0] = 0.0
+    scale = np.where(norms > 0.0, norms, 1.0)
+    return V, rows / scale[:, None], rhs / scale, norms
+
+
+@st.composite
+def fixed_diagonal_problems(draw):
+    """Problems with a fixed diagonal, d from 2 to 14, up to three rows of A,
+    and no face, a random orthonormal one, or the null space of a small
+    integer system (as ``lasserre1`` finds, with rows it pins or equates)."""
+    d = draw(st.integers(2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["none", "orthonormal", "null"]))
+    face = None
+    if kind == "orthonormal":
+        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
+    elif kind == "null":
+        K = rng.integers(-1, 2, size=(draw(st.integers(1, d - 1)), d)).astype(float)
+        face = _null_face(K)
+        assume(face is not None and face.shape[1] > 0)
+    B = rng.normal(size=(draw(st.integers(0, 3)), d, d))
+    return SdpProblem(C=np.eye(d), A=B + B.swapaxes(1, 2), b=rng.normal(size=len(B)),
+                      diag=rng.uniform(0.5, 2.0, size=d), face=face)
+
+
+class TestFaceRows:
+    @settings(max_examples=300, deadline=None)
+    @given(p=fixed_diagonal_problems())
+    def test_matches_the_identity_stack(self, p):
+        # V' E_ii V as the outer product of V's row i: the rows, right-hand
+        # sides and norms of the E_ii lift, bit for bit
+        for new, old in zip(_face_rows(p), face_rows_reference(p)):
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
