@@ -313,6 +313,10 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))
     sgn = np.array([[1.0], [-1.0]])  # s = 1 + sgn x, so ds = sgn dx
     x, y, z = np.zeros(n), np.zeros(m), np.ones((2, n))
+    K = np.zeros((n + m, n + m))  # the Newton matrix; only its diagonal block changes
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    H2 = 2.0 * H
 
     def step_to(v, dv):
         shrink = dv < 0.0
@@ -327,7 +331,8 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
             return x, CONVERGED
         if s.min() <= 1e3 * np.finfo(float).eps:
             break
-        K = np.block([[2.0 * H + np.diag((z / s).sum(0)), A.T], [A, np.zeros((m, m))]])
+        K[:n, :n] = H2
+        K[:n, :n].flat[:: n + 1] += (z / s).sum(0)  # 2H + Diag(D)
         try:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError:

@@ -21,11 +21,17 @@ Every other problem (the doubly-nonnegative cone, and rows of ``A`` with
 or without a fixed diagonal) goes to ``_solve_face_ipm``.  It solves over
 R in svec coordinates, with R positive semidefinite and, for the
 doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
-zero kept nonnegative.
+zero kept nonnegative.  Its iterate is two stacked vectors, (rho, v) for
+R and those entries and (y, w) for the multipliers of the rows and the
+orthant, so one product with the stacked rows gives both primal residuals
+and one update moves each side; one cached basis matrix maps svec
+coordinates to and from matrices (``_svec_basis``), and the Newton block
+of both cones is one gather from a small matrix (``_newton_index``).
 
 Both methods drop dependent rows up front with one routine
 (``_independent``), which the box QP of ``relaxations`` shares; its QR
-factorization of the kept rows serves the rest of the solve.  A solve
+factorization of the kept rows serves the rest of the solve, the row
+weights that fix the trace (``_fixed_trace``) among it.  A solve
 whose X meets its rows only in the limit (every face-method solve, and a
 diagonal solve on a face) ends with one routine too (``_onto_rows``): X
 moved onto its rows by that factorization, and ``primal_residual`` its
@@ -91,7 +97,7 @@ def _asymmetric(M: np.ndarray):
     return (np.abs(M - np.swapaxes(M, -1, -2)) > 1e-12).any(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """min/max <C, X> s.t. X_ii = diag_i, <A_k, X> = b_k, X in cone.
 
@@ -101,7 +107,8 @@ class SdpProblem:
     and each row symmetric; both are stored symmetrized.  ``face`` is None
     or a d x r matrix V with orthonormal columns, which restricts X further
     to V R V' with R PSD: a face of the PSD cone, such as facial reduction
-    finds when the rows leave X no interior point.
+    finds when the rows leave X no interior point.  Problems compare and
+    hash by identity, as the data they cache belongs to the one object.
     """
 
     C: np.ndarray
@@ -116,44 +123,48 @@ class SdpProblem:
         C = np.asarray(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError("C must be square")
-        if not np.all(np.isfinite(C)):
+        if not np.isfinite(C).all():
             raise ValueError("C must be finite")
         if _asymmetric(C):
             raise ValueError("C must be symmetric")
         C = (C + C.T) / 2.0
         d = C.shape[0]
-        mats = [np.asarray(M, dtype=float) for M in (() if self.A is None else self.A)]
-        for k, M in enumerate(mats):
-            if M.shape != (d, d):
-                raise ValueError(f"row {k}: matrix must be {d}x{d}")
-        A = np.array(mats).reshape(-1, d, d)
-        b = np.zeros(0) if self.b is None else np.array(self.b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("b must be a vector")
-        if len(A) != len(b):
-            raise ValueError(f"row {min(len(A), len(b))}: A has {len(A)} rows and b {len(b)}")
-        infinite = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b)))
-        if infinite.size:
-            raise ValueError(f"row {infinite[0]}: matrix and right-hand side must be finite")
-        asymmetric = np.flatnonzero(_asymmetric(A))
-        if asymmetric.size:
-            raise ValueError(f"row {asymmetric[0]}: matrix must be symmetric")
+        if self.A is None and self.b is None:  # no rows: nothing to check
+            A, b = np.zeros((0, d, d)), np.zeros(0)
+        else:
+            mats = [np.asarray(M, dtype=float) for M in (() if self.A is None else self.A)]
+            for k, M in enumerate(mats):
+                if M.shape != (d, d):
+                    raise ValueError(f"row {k}: matrix must be {d}x{d}")
+            A = np.array(mats).reshape(-1, d, d)
+            b = np.zeros(0) if self.b is None else np.array(self.b, dtype=float)
+            if b.ndim != 1:
+                raise ValueError("b must be a vector")
+            if len(A) != len(b):
+                raise ValueError(f"row {min(len(A), len(b))}: A has {len(A)} rows and b {len(b)}")
+            infinite = np.flatnonzero(~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b)))
+            if infinite.size:
+                raise ValueError(f"row {infinite[0]}: matrix and right-hand side must be finite")
+            asymmetric = np.flatnonzero(_asymmetric(A))
+            if asymmetric.size:
+                raise ValueError(f"row {asymmetric[0]}: matrix must be symmetric")
+            A = (A + A.swapaxes(1, 2)) / 2.0
         if self.diag is not None:
             diag = np.asarray(self.diag, dtype=float)
             if diag.shape != (d,):
                 raise ValueError(f"diag must be a vector of length {d}")
-            if not np.all(np.isfinite(diag)):
+            if not np.isfinite(diag).all():
                 raise ValueError("diag must be finite")
             object.__setattr__(self, "diag", diag)
         if self.face is not None:
             V = np.asarray(self.face, dtype=float)
-            if V.ndim != 2 or V.shape[0] != d or not np.all(np.isfinite(V)):
+            if V.ndim != 2 or V.shape[0] != d or not np.isfinite(V).all():
                 raise ValueError(f"face must be a finite matrix with {d} rows")
-            if not np.allclose(V.T @ V, np.eye(V.shape[1]), rtol=0.0, atol=1e-9):
+            if not (np.abs(V.T @ V - np.eye(V.shape[1])) <= 1e-9).all():
                 raise ValueError("face must have orthonormal columns")
             object.__setattr__(self, "face", V)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "A", (A + A.swapaxes(1, 2)) / 2.0)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
     @property
@@ -182,8 +193,8 @@ class SdpProblem:
     def _trace(self):
         """``_fixed_trace`` of the kept rows: the trace T and the row weights."""
         V, rows, rhs, _ = self._face
-        keep = self._kept[0]
-        return _fixed_trace(rows[keep], rhs[keep], V.shape[1])
+        keep, qr = self._kept
+        return _fixed_trace(rows[keep], rhs[keep], qr, V.shape[1])
 
 
 @dataclass
@@ -267,6 +278,44 @@ def _svec_index(r: int):
     return a, b, s
 
 
+@lru_cache(maxsize=64)
+def _svec_basis(r: int) -> np.ndarray:
+    """The svec basis of r x r symmetric matrices, one flattened matrix a row.
+
+    Row k holds 1 at (a, a) for a diagonal coordinate and 1/sqrt(2) at
+    (a, b) and (b, a) otherwise, so the rows are orthonormal, smat(u) =
+    (u @ basis).reshape(r, r) and svec(M) = basis @ M.ravel() for symmetric
+    M.  Shared by every caller, so read-only.
+    """
+    a, b, s = _svec_index(r)
+    basis = np.zeros((len(s), r, r))
+    k = np.arange(len(s))
+    basis[k, a, b] = basis[k, b, a] = 1.0 / s
+    basis = basis.reshape(len(s), r * r)
+    basis.setflags(write=False)
+    return basis
+
+
+@lru_cache(maxsize=64)
+def _newton_index(r: int) -> np.ndarray:
+    """Flat indices into an N x N matrix over svec coordinates (N = r(r+1)/2)
+    that assemble a symmetrized Kronecker block, shape (2, N, N).
+
+    With k = (a, b) and l = (c, e) and pos(i, j) the svec coordinate of
+    {i, j}, the block of Om is (Om[pos(a, c), pos(b, e)] + Om[pos(a, e),
+    pos(b, c)]) * s_k s_l / 2.  For Om = svec'(P) svec'(P) (P's entries
+    unscaled) that is P (x)s P in svec coordinates.  Read-only.
+    """
+    a, b, _ = _svec_index(r)
+    n = len(a)
+    pos = np.zeros((r, r), dtype=np.intp)
+    pos[a, b] = pos[b, a] = np.arange(n)
+    a, b = a[:, None], b[:, None]
+    index = np.array([pos[a, a.T] * n + pos[b, b.T], pos[a, b.T] * n + pos[b, a.T]])
+    index.setflags(write=False)
+    return index
+
+
 def _face_rows(p: SdpProblem):
     """The rows of ``p`` on its face, in the svec coordinates of R.
 
@@ -295,15 +344,18 @@ def _face_rows(p: SdpProblem):
     return V, rows / scale[:, None], rhs / scale, norms
 
 
-def _fixed_trace(rows: np.ndarray, rhs: np.ndarray, r: int):
+def _fixed_trace(rows: np.ndarray, rhs: np.ndarray, qr, r: int):
     """The trace T that the rows fix, and the row weights u with sum_k u_k A_k = I.
 
-    ``rows`` are svec rows of r x r matrices.  Raises ValueError unless the
-    identity is a combination of the rows and T = u'rhs is positive.
+    ``rows`` are independent svec rows of r x r matrices, and ``qr`` the QR
+    factorization (Q, R) of rows' that ``_independent`` returns with them, so
+    the least-squares weights are R^-1 Q' svec(I).  Raises ValueError unless
+    the identity is a combination of the rows and T = u'rhs is positive.
     """
     a, b, _ = _svec_index(r)
     target = (a == b).astype(float)  # svec(I)
-    u = np.linalg.lstsq(rows.T, target, rcond=None)[0]
+    Q, R = qr
+    u = np.linalg.solve(R, Q.T @ target)
     T = float(u @ rhs)
     if np.linalg.norm(rows.T @ u - target) > 1e-8 * (1.0 + math.sqrt(r)) or not T > 0.0:
         raise ValueError("solve_sdp needs a fixed diagonal or constraint rows that fix "
@@ -341,8 +393,10 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
         A_y = np.tensordot(y, p.A, axes=1)
     else:
         T = p.diag.sum()
-        rhs = np.concatenate([p.diag, p.b])
-        A_y = np.diag(y[:d]) + np.tensordot(y[d:], p.A, axes=1)
+        rhs, A_y = p.diag, np.diag(y[:d])
+        if len(p.b):  # rows besides the diagonal
+            rhs = np.concatenate([rhs, p.b])
+            A_y = A_y + np.tensordot(y[d:], p.A, axes=1)
     if W is not None and p.cone == Cone.PSD_NONNEG:
         A_y = A_y + (np.maximum(W, 0.0) if p.sense == Sense.MIN else np.minimum(W, 0.0))
     value = (rhs * y).sum()
@@ -428,8 +482,9 @@ def _smat(u: np.ndarray, r: int) -> np.ndarray:
     return M
 
 
-def _onto_rows(R: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr):
-    """R moved onto its rows, and the distance of the result to the PSD cone.
+def _onto_rows(rho: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr):
+    """The r x r matrix R with svec coordinates ``rho``, moved onto its
+    rows, and the distance of the result to the PSD cone.
 
     Every solve whose iterate meets its rows only in the limit ends here.
     ``rows`` are independent svec rows of R, and ``qr`` is the QR
@@ -438,10 +493,8 @@ def _onto_rows(R: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr):
     round-off; the distance to the PSD cone (``project_psd``) is then the
     same for R as for V R V'.
     """
-    r = len(R)
-    ia, ib, s = _svec_index(r)
     Q, R_b = qr
-    rho = R[ia, ib] * s
+    r = math.isqrt(2 * len(rho))  # len(rho) = r(r + 1)/2
     R = _smat(rho + Q @ np.linalg.solve(R_b.T, rhs - rows @ rho), r)
     return R, _fro(R - project_psd(R))
 
@@ -524,7 +577,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(a)))
     off = np.abs(C).sum(axis=1) - np.abs(C.diagonal())
     y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
-    keep = slice(None)  # every diagonal row, and M[keep][:, keep] copies nothing
+    keep = None  # the kept diagonal rows, where the face drops some
     if V is not None:
         _, rows, rhs, norms = p._face
         kept, qr = p._kept
@@ -539,10 +592,17 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     def adjoint(v):  # A*(v) = V' Diag(v) V
         return np.diag(v) if V is None else (V.T * v) @ V
 
+    def schur(M, rhs):  # M^-1 rhs on the kept rows, 0 on the dropped ones
+        if keep is None:
+            return _schur_solve(M, rhs)
+        out = np.zeros(d)
+        out[keep] = _schur_solve(M, rhs[keep])
+        return out
+
     r = len(C)
     R = adjoint(a)
     RZ = np.array([R, C])  # [R, Z]: one Cholesky factorization and inverse for both
-    residual = np.zeros(d)  # without a face X keeps its diagonal from the start
+    Z_diag = RZ[1].reshape(-1)[:: r + 1]  # without a face only Z's diagonal moves
     sigma = 0.1  # the centering; then set by the last step lengths
     status = SolveStatus.ITERATION_LIMIT
     message = ""
@@ -554,11 +614,12 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
         primal = float(C.ravel() @ R.ravel())
         dual = float(a @ y)
         gap = primal - dual
+        xz, res_norm = gap, 0.0  # without a face X keeps its diagonal from the start
         if V is not None:
             residual = a - X.diagonal()
-        xz = gap + float(y @ residual)  # <X, Z>; the gap once X meets the diagonal
+            xz, res_norm = gap + float(y @ residual), _fro(residual)  # <X, Z>
         tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
-        if gap <= tol and xz <= tol and _fro(residual) <= res_tol:
+        if gap <= tol and xz <= tol and res_norm <= res_tol:
             status = SolveStatus.CONVERGED
             break
         if dual > bound + tol:
@@ -574,28 +635,32 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
         if it == cfg.max_iter:
             break
         RZ[0] = R
-        RZ[1] = C - adjoint(y)
+        if V is None:
+            np.subtract(C.diagonal(), y, out=Z_diag)
+        else:
+            RZ[1] = C - adjoint(y)
         try:
             # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
             L_inv = _tri_inv(np.linalg.cholesky(RZ))
             Z_inv = L_inv[1].T @ L_inv[1]
             VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
             Z_lift = VZ if V is None else VZ @ V.T
-            M = (X * Z_lift)[keep][:, keep]  # the Schur matrix
-            dy_a = np.zeros(d)
-            dy_a[keep] = _schur_solve(M, a[keep])  # the affine predictor
+            M = X * Z_lift  # the Schur matrix
+            if keep is not None:
+                M = M[keep][:, keep]
+            dy_a = schur(M, a)  # the affine predictor
             dR_a = (RV * dy_a) @ VZ - R
             dR_a = (dR_a + dR_a.T) / 2.0
             dR_aV = dR_a if V is None else dR_a @ V.T  # dR_a V'
             lifted = dR_aV if V is None else V @ dR_aV  # V dR_a V'
             mu = sigma * xz / r
-            dy = np.zeros(d)
-            dy[keep] = _schur_solve(
-                M, (a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)[keep])
+            dy = schur(M, a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)
             dR = mu * Z_inv - R + (RV * dy + dR_aV * dy_a) @ VZ  # + dR_a A*(dy_a) Z^-1
             dR = (dR + dR.T) / 2.0
-            # the most negative eigenvalue of L^-1 dM L^-T limits each side's step
-            scaled = L_inv @ np.array([dR, -adjoint(dy)]) @ L_inv.transpose(0, 2, 1)
+            # the most negative eigenvalue of L^-1 dM L^-T limits each side's step;
+            # without a face L_Z^-1 dZ = -L_Z^-1 Diag(dy) scales columns
+            L_dZ = L_inv[1] * -dy if V is None else L_inv[1] @ -adjoint(dy)
+            scaled = np.array([L_inv[0] @ dR, L_dZ]) @ L_inv.transpose(0, 2, 1)
             low = np.linalg.eigvalsh(scaled)[:, 0]
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
@@ -609,7 +674,8 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     if V is None:
         primal_residual = _fro(a - X.diagonal())
     else:
-        R, primal_residual = _onto_rows(R, rows, rhs, qr)
+        ia, ib, s = _svec_index(r)
+        R, primal_residual = _onto_rows(R[ia, ib] * s, rows, rhs, qr)
         X = V @ R @ V.T
     return _solution(p, X, status, primal_residual=primal_residual, dual_residual=gap,
                      iterations=it, message=message, y=sign * y, bound=reached)
@@ -618,20 +684,31 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
 def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
     """Primal-dual interior-point method over the face X = V R V'.
 
-    Works in the svec coordinates of R, r(r+1)/2 of them.  The rows of
-    ``_face_rows``, less the dependent ones, read A rho = b.  For the
-    doubly-nonnegative cone, G rho = v >= 0 collects the entries X_ij,
+    Works in the svec coordinates of R, r(r+1)/2 of them, which one cached
+    basis matrix maps to and from r x r matrices (``_svec_basis``).  The
+    rows of ``_face_rows``, less the dependent ones, read A rho = b.  For
+    the doubly-nonnegative cone, G rho = v >= 0 collects the entries X_ij,
     i <= j, that the rows do not pin to zero.  An entry is pinned when its
     row G_ij is a combination of the rows with right-hand side 0, such as
     x_i z_i when x_i + z_i = 1; kept, it would leave the orthant without an
     interior point.  The dual is max b'y s.t. Z = C - A'y - G'w PSD, w >= 0.
+    The iterate is two stacked vectors, x = (rho, v) and u = (y, w), over
+    the stacked rows B = [A; G]: one product B rho gives both primal
+    residuals, b - A rho and v - G rho, one product B'u gives Z, and one
+    update moves each side.
 
     Each iteration is a Mehrotra predictor-corrector step in the
     Nesterov-Todd scaling (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998).
     One Newton matrix, [[W^-1 (x)s W^-1 + G' Diag(w/v) G, A'], [A, 0]] with
     the scaling point W (W Z W = R), serves both the affine step, which sets
-    the centering (mu_affine / mu)^3, and the corrector.  Each side moves
-    0.95 of the way to the boundary of its cones, at most a full step.
+    the centering (mu_affine / mu)^3, and the corrector.  Both terms of H
+    are symmetrized Kronecker products, so one gather (``_newton_index``)
+    of one N x N matrix gives H: Om = p p' + Y' E Y, with p the entries
+    P_ab, a <= b, of P = W^-1, row i of Y (d x N) those of V_i' V_i for
+    V's row V_i, and E the symmetric d x d matrix that puts w/v on the
+    orthant entries, half on each of E_ij and E_ji off the diagonal.  Each
+    side moves 0.95 of the way to the boundary of its cones, at most a full
+    step.
     R starts at (T/r) I, where T is the trace the rows fix, v at T/d, w at
     1 + max|C_ij|, and y at the multiple of the row weights that sum to the
     identity which puts lambda_min(Z) there too.  Z is recomputed from y and
@@ -651,12 +728,14 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     V, rows, rhs, norms = p._face
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
+    basis = _svec_basis(r)
+    N = len(s)
     keep, (Q, R_b) = p._kept
     A, b = rows[keep], rhs[keep]
     m = len(b)
     T, weights = p._trace
     C = sign * (p.C if p.face is None else V.T @ p.C @ V)
-    c = C[ia, ib] * s
+    c = basis @ C.ravel()
     bound = T * float(np.linalg.eigvalsh(C)[-1])
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
 
@@ -669,19 +748,30 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     free = (outside > 1e-9) | (np.abs(pinned_to) > 1e-9)
     pi, pj, G = pi[free], pj[free], G[free]
     q = len(G)
+    B = np.concatenate([A, G])  # A rho = b and G rho = v, stacked
 
-    N = len(c)
     K = np.zeros((N + m, N + m))  # the Newton matrix [[H, A'], [A, 0]]; H changes
     K[:N, N:] = A.T
     K[N:, :N] = A
+    H = K[:N, :N]
+    kkt = np.empty(N + m)  # its right-hand side; the rows' residual is shared
+    gather = _newton_index(r)
     half_ss = np.outer(s, s / 2.0)
-    rho = (T / r) * (ia == ib)
-    v = np.full(q, T / d)
+    # Om = Y_p' E_p Y_p with Y_p = [Y; p'] and E_p = [[E, 0], [0, 1]]
+    Y_p = np.concatenate([Va * Vb, np.zeros((1, N))])  # row i: V_ia V_ib, a <= b
+    E_p = np.zeros((d + 1, d + 1))
+    E_p[d, d] = 1.0
+    upper, lower = pi * (d + 1) + pj, pj * (d + 1) + pi  # E_ij and E_ji in E_p.ravel()
+    halves = np.where(pi == pj, 1.0, 0.5)
+    entries = ia * r + ib  # P_ab, a <= b, in P.ravel()
+
     eta = 1.0 + float(np.abs(C).max())
-    w = np.full(q, eta)
-    shift = float(np.linalg.eigvalsh(_smat(c - G.T @ w, r))[0]) - eta
-    y = shift * weights
-    z = c - A.T @ y - G.T @ w
+    x = np.concatenate([(T / r) * (ia == ib), np.full(q, T / d)])  # (rho, v)
+    u = np.concatenate([np.zeros(m), np.full(q, eta)])  # (y, w)
+    u[:m] = (float(np.linalg.eigvalsh(((c - u @ B) @ basis).reshape(r, r))[0]) - eta) * weights
+    rho, v = x[:N], x[N:]
+    y, w = u[:m], u[m:]
+    b_0 = np.concatenate([b, np.zeros(q)])
 
     def multipliers():  # y and W in the problem's sense and rows
         y_rows = np.zeros(len(rows))  # dropped rows keep multiplier 0
@@ -698,17 +788,19 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     reached = None
     it = 0
     while True:
+        slack = np.concatenate([c - u @ B, w])  # (z, w), paired with x = (rho, v)
+        z = slack[:N]
         primal = float(c @ rho)
         dual = float(b @ y)
         gap = primal - dual
-        r_p = b - A @ rho
-        r_g = v - G @ rho
-        comp = float(rho @ z + v @ w)  # <R, Z> + v'w
+        residual = b_0 - B @ rho  # (b - A rho, v - G rho)
+        residual[m:] += v
+        comp = float(x @ slack)  # <R, Z> + v'w
         tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
-        if gap <= tol and comp <= tol and math.hypot(_fro(r_p), _fro(r_g)) <= res_tol:
+        if gap <= tol and comp <= tol and _fro(residual) <= res_tol:
             status = SolveStatus.CONVERGED
             break
-        Z = _smat(z, r)
+        Z = (z @ basis).reshape(r, r)
         if dual > bound + tol:
             certified = dual + T * min(0.0, float(np.linalg.eigvalsh(Z)[0]))
             if certified > bound + tol:
@@ -727,7 +819,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
             # NT scaling: with L L' = R and L'ZL = U Diag(l)^2 U', the map
             # S = L U Diag(l)^(-1/2) takes R and Z to the same diagonal,
             # S^-1 R S^-T = S' Z S = Diag(l), and W^-1 = S^-T S^-1 = F F'
-            L = np.linalg.cholesky(_smat(rho, r))
+            L = np.linalg.cholesky((rho @ basis).reshape(r, r))
             lam, U = np.linalg.eigh(L.T @ Z @ L)
             if not lam[0] > 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
@@ -736,63 +828,61 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
             S = L @ (U / root)
             F = Z @ S / l  # S^-T, as S' Z S = Diag(l)
             scalings = np.array([F, S])
-            P = F @ F.T
-            Pa, Pb = P[ia], P[ib]
             D = w / v
             # H = W^-1 (x)s W^-1 + G' Diag(w/v) G, in svec coordinates
-            K[:N, :N] = (Pa[:, ia] * Pb[:, ib] + Pa[:, ib] * Pb[:, ia]) * half_ss
-            G_D = G * np.sqrt(D)[:, None]
-            GDG = G_D.T @ G_D
-            K[:N, :N] += GDG
+            np.take(F @ F.T, entries, out=Y_p[d])
+            E_p.flat[upper] = E_p.flat[lower] = D * halves
+            Om = (Y_p.T @ (E_p @ Y_p)).take(gather)
+            np.multiply(Om[0] + Om[1], half_ss, out=H)
             pair = 2.0 / (l[:, None] + l[None, :])
             unit = 1.0 / np.outer(root, root)  # scales Diag(l) to I
+            r_g = residual[m:]
             shifted = D * r_g
+            kkt[N:] = residual[:m]
 
             def direction(r_c, t):
                 # Newton step for Diag(l) o (S^-1 dR S^-T + S' dZ S) = target
                 # (o the symmetrized product), given as r_c = svec(S^-T E S^-1)
-                # for the E with Diag(l) o E = target, and for w dv + v dw = t
+                # for the E with Diag(l) o E = target, and for w dv + v dw = t;
+                # returns dx = (d_rho, dv), du = (dy, dw) and (dZ, dw)
                 t_v = t / v
-                pulled = G.T @ (t_v + shifted)
-                step = np.linalg.solve(K, np.concatenate([r_c + pulled, r_p]))
-                d_rho, dy = step[:N], -step[N:]
-                dv = G @ d_rho - r_g
-                dw = t_v - D * dv  # so G' dw = pulled - G'DG d_rho
+                pulled = (t_v + shifted) @ G
+                np.add(r_c, pulled, out=kkt[:N])
+                step = np.linalg.solve(K, kkt)
+                d_rho = step[:N]
+                dx = np.concatenate([d_rho, G @ d_rho - r_g])
+                dv = dx[N:]
+                du = np.concatenate([-step[N:], t_v - D * dv])
+                d_slack = np.concatenate([-(du @ B), du[m:]])
                 # S^-1 dR S^-T and S' dZ S, whose eigenvalues against Diag(l)
                 # limit the steps
-                scaled = scalings.transpose(0, 2, 1) @ _smat(
-                    np.array([d_rho, GDG @ d_rho - pulled - A.T @ dy]), r) @ scalings
+                scaled = scalings.transpose(0, 2, 1) @ (
+                    np.array([d_rho, d_slack[:N]]) @ basis).reshape(2, r, r) @ scalings
                 low = np.linalg.eigvalsh(scaled * unit)[:, 0]
-                return (d_rho, dv, dy, dw, scaled[0], scaled[1],
+                return (dx, du, d_slack, scaled[0], scaled[1],
                         _step_to(min(low[0], (dv / v).min(initial=0.0))),
-                        _step_to(min(low[1], (dw / w).min(initial=0.0))))
+                        _step_to(min(low[1], (du[m:] / w).min(initial=0.0))))
 
             # the affine step (target -Diag(l)^2, so r_c = -Z) sets the
             # centering; its second-order term enters the corrector
             mu = comp / (r + q)
-            _, dv, _, dw, scaled_r, scaled_z, step_p, step_d = direction(-z, -v * w)
-            mu_aff = (comp + step_p * float(np.diag(scaled_r) @ l)
-                      + step_d * float(np.diag(scaled_z) @ l)
-                      + step_p * step_d * float(np.vdot(scaled_r, scaled_z))
-                      + step_p * float(dv @ w) + step_d * float(v @ dw)
-                      + step_p * step_d * float(dv @ dw)) / (r + q)
+            dx, _, d_slack, scaled_r, scaled_z, step_p, step_d = direction(-z, -v * w)
+            mu_aff = (comp + step_p * float(dx @ slack) + step_d * float(x @ d_slack)
+                      + step_p * step_d * float(dx @ d_slack)) / (r + q)
             centering = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
             target = (scaled_r @ scaled_z + scaled_z @ scaled_r) / -2.0
             target.flat[:: r + 1] += centering - lam
             r_c = F @ (target * pair) @ F.T
-            d_rho, dv, dy, dw, _, _, step_p, step_d = direction(
-                r_c[ia, ib] * s, centering - v * w - dv * dw)
+            dx, du, _, _, _, step_p, step_d = direction(
+                basis @ r_c.ravel(), centering - v * w - dx[N:] * d_slack[N:])
         except np.linalg.LinAlgError as exc:
             message = f"interior-point step failed after {it} iterations: {exc}"
             break
-        rho = rho + step_p * d_rho
-        v = v + step_p * dv
-        y = y + step_d * dy
-        w = w + step_d * dw
-        z = c - A.T @ y - G.T @ w
+        x += step_p * dx
+        u += step_d * du
         it += 1
 
-    R, distance = _onto_rows(_smat(rho, r), A, b, (Q, R_b))
+    R, distance = _onto_rows(rho, A, b, (Q, R_b))
     X = R if p.face is None else V @ R @ V.T
     y_rows, W = multipliers()
     return _solution(p, X, status,

@@ -20,7 +20,10 @@ points at the instances that moved it.  ``--counts`` appends to each line
 how often the reports called ``certified_diag_bound`` (in ``sdp``,
 ``penalty`` and ``relaxations``), ``_bland_min`` (simplex runs) and
 ``_pivot`` (simplex pivots), so a change that claims to drop repeated work
-can show it.  The file is not a test module: pytest does not collect it.
+can show it, and then the iterations of each interior-point method
+(``diag_ipm_iterations``, ``face_ipm_iterations``), so a change to a
+solver can show that its iterations did not move.  The file is not a test
+module: pytest does not collect it.
 """
 
 import argparse
@@ -48,6 +51,8 @@ COUNTED = {
     "_bland_min": (relaxations,),
     "_pivot": (relaxations,),
 }
+# interior-point method of ``sdp`` -> the name its iterations are summed under
+ITERATED = {"_solve_diag_ipm": "diag_ipm_iterations", "_solve_face_ipm": "face_ipm_iterations"}
 
 
 def _feed(h, *items) -> None:
@@ -84,10 +89,12 @@ def _report(h, inst, wl) -> None:
 
 @contextlib.contextmanager
 def counting():
-    """Count the calls to each ``COUNTED`` function in a dict, by name."""
-    counts = dict.fromkeys(COUNTED, 0)
+    """Count the calls to each ``COUNTED`` function and the iterations of
+    each ``ITERATED`` method in a dict, by name."""
+    counts = dict.fromkeys([*COUNTED, *ITERATED.values()], 0)
     saved = [(module, name, getattr(module, name))
              for name, modules in COUNTED.items() for module in modules]
+    saved += [(sdp, name, getattr(sdp, name)) for name in ITERATED]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -95,8 +102,16 @@ def counting():
             return fn(*args, **kwargs)
         return wrapper
 
+    def iterated(name, fn):
+        def wrapper(*args, **kwargs):
+            solution = fn(*args, **kwargs)
+            counts[name] += solution.iterations
+            return solution
+        return wrapper
+
     for module, name, fn in saved:
-        setattr(module, name, counted(name, fn))
+        setattr(module, name, iterated(ITERATED[name], fn) if name in ITERATED
+                else counted(name, fn))
     try:
         yield counts
     finally:
@@ -108,7 +123,8 @@ def digests(workload: str, by_instance: bool = False,
             counts: bool = False) -> list[tuple[str, str]]:
     """(name, digest) of the workload, or of each of its instances with
     ``by_instance``; with ``counts`` the digest is followed by the calls to
-    each ``COUNTED`` function, as name=count."""
+    each ``COUNTED`` function and the iterations of each ``ITERATED``
+    method, as name=count."""
     wl = BUILDERS[workload](0)
     groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
               else [(workload, wl.instances)])
@@ -130,7 +146,8 @@ def main(argv) -> int:
     parser.add_argument("--by-instance", action="store_true",
                         help="one digest per instance label instead of per workload")
     parser.add_argument("--counts", action="store_true",
-                        help="append the calls to " + ", ".join(COUNTED))
+                        help="append the calls to " + ", ".join(COUNTED)
+                        + " and the interior-point iterations")
     parser.add_argument("workloads", nargs="*", metavar="workload",
                         help=f"any of {', '.join(BUILDERS)} (default: all)")
     args = parser.parse_args(argv)

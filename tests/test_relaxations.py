@@ -717,15 +717,15 @@ class TestCopositiveDnn:
     def test_certificate_reuses_the_solves_rows(self, monkeypatch):
         # the face rows and the trace they fix are computed once per
         # problem, by the solve, and its certificate reads them back
-        calls = {"_face_rows": 0, "lstsq": 0}
-        for module, name in ((sdp, "_face_rows"), (np.linalg, "lstsq")):
-            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+        calls = {"_face_rows": 0, "_fixed_trace": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(sdp, name), **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(sdp, name, counted)
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.inflation >= 0.0
-        assert calls == {"_face_rows": 1, "lstsq": 1}
+        assert calls == {"_face_rows": 1, "_fixed_trace": 1}
 
     def test_lower_bounds_cluster_optimum(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)

@@ -33,6 +33,9 @@ def test_one_digest_per_instance():
 def test_counts_follow_each_digest():
     line = run_digest("--counts", "dnn")
     match = re.fullmatch(
-        f"dnn {HEX} certified_diag_bound=(\\d+) _bland_min=(\\d+) _pivot=(\\d+)\n", line)
+        f"dnn {HEX} certified_diag_bound=(\\d+) _bland_min=(\\d+) _pivot=(\\d+)"
+        " diag_ipm_iterations=(\\d+) face_ipm_iterations=(\\d+)\n", line)
     assert match, line
     assert int(match.group(1)) > 0  # the dnn reports certify their SDP bounds
+    # rho and the Shor bounds take the diagonal method, copositive_dnn the face one
+    assert int(match.group(4)) > 0 and int(match.group(5)) > 0

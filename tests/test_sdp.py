@@ -1,17 +1,21 @@
+import copy
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from maxcut_bridge.instances import kcluster
+from maxcut_bridge.instances import kcluster, knapsack_fixed
+from maxcut_bridge.model import EQ, ZeroOneProgram, to_zero_one
 from maxcut_bridge.penalty import _moment_cost, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import shor_maxcut
-from maxcut_bridge import sdp
-from maxcut_bridge.relaxations import _null_face
+from maxcut_bridge import relaxations, sdp
+from maxcut_bridge.relaxations import _null_face, copositive_dnn
 from maxcut_bridge.sdp import (
     _TRI_BLOCK,
     Cone,
@@ -646,3 +650,270 @@ class TestFaceRows:
         for new, old in zip(_face_rows(p), face_rows_reference(p)):
             assert new.shape == old.shape
             assert new.tobytes() == old.tobytes()
+
+
+def face_ipm_reference(p, cfg, stop_at):
+    """``_solve_face_ipm`` as it was before its iterate was stacked: rho, v,
+    y and w apart, matrices from svec coordinates by scatter, and H built
+    from a four-way gather and G'DG.  The loop the stacked one must follow."""
+    d = p.dim
+    sign = 1.0 if p.sense == Sense.MIN else -1.0
+    V, rows, rhs, norms = p._face
+    r = V.shape[1]
+    ia, ib, s = _svec_index(r)
+    keep, (Q, R_b) = p._kept
+    A, b = rows[keep], rhs[keep]
+    m = len(b)
+    T, weights = p._trace
+    C = sign * (p.C if p.face is None else V.T @ p.C @ V)
+    c = C[ia, ib] * s
+    bound = T * float(np.linalg.eigvalsh(C)[-1])
+    res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
+
+    pi, pj = _svec_index(d)[:2] if p.cone == Cone.PSD_NONNEG else (np.zeros(0, int),) * 2
+    Va, Vb = V[:, ia], V[:, ib]
+    G = (Va[pi] * Vb[pj] + Vb[pi] * Va[pj]) * (s / 2.0)
+    along = G @ Q
+    outside = np.linalg.norm(G - along @ Q.T, axis=1)
+    pinned_to = along @ np.linalg.solve(R_b.T, b)
+    free = (outside > 1e-9) | (np.abs(pinned_to) > 1e-9)
+    pi, pj, G = pi[free], pj[free], G[free]
+    q = len(G)
+
+    N = len(c)
+    K = np.zeros((N + m, N + m))
+    K[:N, N:] = A.T
+    K[N:, :N] = A
+    half_ss = np.outer(s, s / 2.0)
+    rho = (T / r) * (ia == ib)
+    v = np.full(q, T / d)
+    eta = 1.0 + float(np.abs(C).max())
+    w = np.full(q, eta)
+    shift = float(np.linalg.eigvalsh(sdp._smat(c - G.T @ w, r))[0]) - eta
+    y = shift * weights
+    z = c - A.T @ y - G.T @ w
+
+    def multipliers():
+        y_rows = np.zeros(len(rows))
+        y_rows[keep] = y / norms[keep]
+        if p.cone != Cone.PSD_NONNEG:
+            return sign * y_rows, None
+        W = np.zeros((d, d))
+        W[pi, pj] += w / 2.0
+        W[pj, pi] += w / 2.0
+        return sign * y_rows, sign * W
+
+    status = SolveStatus.ITERATION_LIMIT
+    message = ""
+    reached = None
+    it = 0
+    while True:
+        primal = float(c @ rho)
+        dual = float(b @ y)
+        gap = primal - dual
+        r_p = b - A @ rho
+        r_g = v - G @ rho
+        comp = float(rho @ z + v @ w)
+        tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
+        if gap <= tol and comp <= tol and math.hypot(sdp._fro(r_p), sdp._fro(r_g)) <= res_tol:
+            status = SolveStatus.CONVERGED
+            break
+        Z = sdp._smat(z, r)
+        if dual > bound + tol:
+            certified = dual + T * min(0.0, float(np.linalg.eigvalsh(Z)[0]))
+            if certified > bound + tol:
+                status = SolveStatus.DIVERGED
+                break
+        if (stop_at is not None and dual >= sign * stop_at
+                and (reached := sdp._reached(p, *multipliers(), stop_at)) is not None):
+            status = SolveStatus.BOUND_REACHED
+            break
+        if it == cfg.max_iter:
+            break
+        try:
+            L = np.linalg.cholesky(sdp._smat(rho, r))
+            lam, U = np.linalg.eigh(L.T @ Z @ L)
+            if not lam[0] > 0.0:
+                raise np.linalg.LinAlgError("Z is not positive definite")
+            l = np.sqrt(lam)
+            root = np.sqrt(l)
+            S = L @ (U / root)
+            F = Z @ S / l
+            scalings = np.array([F, S])
+            P = F @ F.T
+            Pa, Pb = P[ia], P[ib]
+            D = w / v
+            K[:N, :N] = (Pa[:, ia] * Pb[:, ib] + Pa[:, ib] * Pb[:, ia]) * half_ss
+            G_D = G * np.sqrt(D)[:, None]
+            GDG = G_D.T @ G_D
+            K[:N, :N] += GDG
+            pair = 2.0 / (l[:, None] + l[None, :])
+            unit = 1.0 / np.outer(root, root)
+            shifted = D * r_g
+
+            def direction(r_c, t):
+                t_v = t / v
+                pulled = G.T @ (t_v + shifted)
+                step = np.linalg.solve(K, np.concatenate([r_c + pulled, r_p]))
+                d_rho, dy = step[:N], -step[N:]
+                dv = G @ d_rho - r_g
+                dw = t_v - D * dv
+                scaled = scalings.transpose(0, 2, 1) @ sdp._smat(
+                    np.array([d_rho, GDG @ d_rho - pulled - A.T @ dy]), r) @ scalings
+                low = np.linalg.eigvalsh(scaled * unit)[:, 0]
+                return (d_rho, dv, dy, dw, scaled[0], scaled[1],
+                        sdp._step_to(min(low[0], (dv / v).min(initial=0.0))),
+                        sdp._step_to(min(low[1], (dw / w).min(initial=0.0))))
+
+            mu = comp / (r + q)
+            _, dv, _, dw, scaled_r, scaled_z, step_p, step_d = direction(-z, -v * w)
+            mu_aff = (comp + step_p * float(np.diag(scaled_r) @ l)
+                      + step_d * float(np.diag(scaled_z) @ l)
+                      + step_p * step_d * float(np.vdot(scaled_r, scaled_z))
+                      + step_p * float(dv @ w) + step_d * float(v @ dw)
+                      + step_p * step_d * float(dv @ dw)) / (r + q)
+            centering = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
+            target = (scaled_r @ scaled_z + scaled_z @ scaled_r) / -2.0
+            target.flat[:: r + 1] += centering - lam
+            r_c = F @ (target * pair) @ F.T
+            d_rho, dv, dy, dw, _, _, step_p, step_d = direction(
+                r_c[ia, ib] * s, centering - v * w - dv * dw)
+        except np.linalg.LinAlgError:
+            break
+        rho = rho + step_p * d_rho
+        v = v + step_p * dv
+        y = y + step_d * dy
+        w = w + step_d * dw
+        z = c - A.T @ y - G.T @ w
+        it += 1
+
+    R, _ = sdp._onto_rows(rho, A, b, (Q, R_b))
+    X = R if p.face is None else V @ R @ V.T
+    y_rows, W = multipliers()
+    return sdp._solution(p, X, status, primal_residual=0.0, dual_residual=gap, iterations=it,
+                         y=y_rows, W=W, bound=reached)
+
+
+@st.composite
+def face_problems(draw):
+    """Problems the face method solves: d from 2 to 7, no face, a random
+    orthonormal one or the null space of a small integer system, the
+    diagonal of a point X0 = V R0 V' fixed (as ``diag`` or as rows), up to
+    two more rows that X0 meets, and either cone and sense."""
+    d = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["none", "orthonormal", "null"]))
+    face = None
+    if kind == "orthonormal":
+        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
+    elif kind == "null":
+        K = rng.integers(-1, 2, size=(draw(st.integers(1, d - 1)), d)).astype(float)
+        face = _null_face(K)
+        assume(face is not None and face.shape[1] > 0)
+    V = np.eye(d) if face is None else face
+    B = rng.normal(size=(V.shape[1], V.shape[1]))
+    X0 = V @ (B @ B.T + np.eye(len(B))) @ V.T
+    cone = draw(st.sampled_from(list(Cone)))
+    rows = rng.normal(size=(draw(st.integers(0, 2)), d, d))
+    rows = rows + rows.swapaxes(1, 2)
+    b = np.einsum("kij,ij->k", rows, X0)
+    if draw(st.booleans()) or (cone == Cone.PSD and not len(rows)):
+        rows, b = np.concatenate([diag_rows(d), rows]), np.concatenate([X0.diagonal(), b])
+        diag = None
+    else:
+        diag = X0.diagonal()
+    assume(np.all(X0.diagonal() > 1e-6))
+    C = rng.normal(size=(d, d))
+    return SdpProblem(C=C + C.T, A=rows, b=b, sense=draw(st.sampled_from(list(Sense))),
+                      cone=cone, diag=diag, face=face)
+
+
+def dnn_problem_of(prog):
+    """The SdpProblem that ``copositive_dnn`` solves for ``prog``."""
+    with mock.patch.object(relaxations, "_certified", side_effect=lambda p, *_: p):
+        return copositive_dnn(prog)
+
+
+@st.composite
+def dnn_problems(draw):
+    """The SdpProblem of ``copositive_dnn`` for an all-EQ 0/1 program with
+    n <= 6 and one to three integer rows, most of them met by a 0/1 point."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+
+    A = ints(-3, 3, m * n).reshape(m, n)
+    b = A @ ints(0, 1, n) + ints(-1, 1, m) * draw(st.sampled_from([0, 0, 1]))
+    F = ints(-3, 3, n * n).reshape(n, n) * draw(st.sampled_from([0, 1]))
+    return dnn_problem_of(
+        ZeroOneProgram(n=n, c=ints(-10, 10, n), F=F + F.T, A=A, b=b, row_sense=[EQ] * m))
+
+
+class TestFaceIpm:
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(face_problems(), dnn_problems()), max_iter=st.integers(1, 40),
+           stop=st.none() | st.floats(-1.0, 1.0))
+    def test_follows_the_reference_loop(self, p, max_iter, stop):
+        # the stacked iterate, the basis-matrix svec maps and the one-gather
+        # Newton block change round-off only: the same statuses and
+        # iterations, and values and certificates within 1e-6 (1 + |v|), a
+        # tenth of the solve's eps_rel.  The last steps before convergence
+        # amplify round-off, most where the dual optimum is not unique:
+        # G'DG by gemm in place of syrk moves the reference itself by up to
+        # 7e-9 (1 + |v|) on these problems, so a tighter bound would fail
+        # now and then on round-off alone.  A Diverged solve's y runs along
+        # a ray, so only its status and objective are compared
+        cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
+        try:
+            full = face_ipm_reference(p, cfg, None)
+        except ValueError:  # rows that fix no trace, or conflict
+            assume(False)
+        # a target about the value the loop reaches (for stop in [-1, 1])
+        value = full.objective if np.isfinite(full.objective) else 0.0
+        stop_at = None if stop is None else value + stop * (1.0 + abs(value))
+        ref = face_ipm_reference(p, cfg, stop_at)
+        sol = sdp._solve_face_ipm(p, cfg, stop_at)
+        event(ref.status.value)
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        pairs = [(sol.objective, ref.objective)]
+        if ref.status != SolveStatus.DIVERGED:
+            pairs.append((certified_diag_bound(p, sol.y, sol.W),
+                          certified_diag_bound(p, ref.y, ref.W)))
+        if ref.bound is not None:
+            pairs.append((sol.bound, ref.bound))
+        for new, old in pairs:
+            assert new == old or abs(new - old) <= 1e-6 * (1.0 + abs(old)), (new, old)
+
+    def test_factorization_budget(self, monkeypatch):
+        # per iteration one Cholesky factorization of R, one eigh of the
+        # scaled Z, two solves of the Newton matrix (predictor and
+        # corrector) and two eigvalsh of the stacked step matrices; the
+        # setup adds one solve for the trace weights and one for the pinned
+        # entries, and eigvalsh of C and of the start's Z, and the end one
+        # solve and one eigh in _onto_rows
+        calls = dict.fromkeys(["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        p = dnn_problem_of(to_zero_one(knapsack_fixed(4, 28)))
+        sol = solve_sdp(p, FAST)
+        k = sol.iterations
+        assert sol.status == SolveStatus.CONVERGED and k > 0
+        assert calls == dict(cholesky=k, eigh=k + 1, solve=2 * k + 3, eigvalsh=2 * k + 2,
+                             inv=0, lstsq=0)
+
+
+class TestSdpProblemIdentity:
+    def test_compares_and_hashes_by_identity(self):
+        # frozen with array fields: the generated __eq__ and __hash__ would
+        # raise, so problems compare and hash as objects
+        p = SdpProblem(C=np.eye(2), diag=np.ones(2))
+        twin = copy.copy(p)
+        assert p == p and not p != p
+        assert twin != p and not twin == p
+        assert hash(p) == hash(p) and hash(p) != hash(twin)
+        assert p in {p} and twin not in {p}
