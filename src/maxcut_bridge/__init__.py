@@ -1,13 +1,13 @@
 """Reformulate linear/quadratic 0/1 programs as MAX-CUT and bound them.
 
 The pipeline: move the program onto the {-1,1} hypercube, fold the integer
-equality constraints into the objective with a computed penalty constant,
+equality constraints into the objective with a closed-form penalty constant,
 homogenize to a quadratic form in n+1 variables, then bound the optimum with
 built-in interior-point semidefinite solvers (one for the fixed-diagonal
-Shor/MAX-CUT, penalty-constant and Lasserre level-1 SDPs, one for every
-other SDP, the doubly-nonnegative bound among them; the Lasserre and
-doubly-nonnegative bounds are solved on the face that facial reduction
-finds), an LP box relaxation, a convex-quadratic eigenvalue-shift relaxation,
+Shor/MAX-CUT and Lasserre level-1 SDPs, one for every other SDP, the
+doubly-nonnegative bound among them; the Lasserre and doubly-nonnegative
+bounds are solved on the face that facial reduction finds), an LP box
+relaxation, a convex-quadratic eigenvalue-shift relaxation,
 Goemans-Williamson rounding with outward rotations and an infeasibility
 certificate.
 """

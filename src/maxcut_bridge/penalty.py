@@ -1,45 +1,42 @@
 """Penalty constant sizing for folding equality constraints into the objective.
 
-The constant must dominate the absolute value of the objective over the whole
-sign hypercube.  For a linear objective that extremum is the closed form
-sum(|c_i|); with a quadratic term the two extrema are bounded from outside by
-a pair of semidefinite relaxations over the moment block [[X, x], [x', 1]]
-with unit diagonal (min side and max side).
+The constant rho must dominate |c's + s'Fs| over the whole sign hypercube.
+Any such rho is sound: the reduction needs only that every infeasible point
+pays more than the objective can vary, and a larger rho only raises the
+weight M = 2 rho + 1 of a term that is nonnegative on the PSD cone, so the
+Shor bound can only rise with it.  Two bounds hold at every sign point s:
+
+    |s'Fs| <= sum_ij |F_ij|                        (as |s_i s_j| = 1)
+    |s'Fs| <= ||s||^2 max|lambda(F)| = n max(|lambda_min(F)|, |lambda_max(F)|)
+
+and |c's| <= sum_i |c_i|, so rho is sum |c_i| plus the smaller of the two:
+one ``eigvalsh`` and no solve.  With F = 0 it is the exact extremum
+sum |c_i|.  ``shor_box_extrema`` keeps the unit-diagonal moment relaxation
+of both extrema, which is never looser than rho and is solved on request.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sdp import SdpProblem, Sense, SolverConfig, certified_diag_bound, solve_sdp
+from .sdp import SdpProblem, Sense, SolverConfig, _asymmetric, certified_diag_bound, solve_sdp
 
 CLOSED_FORM = "ClosedForm"
-SDP = "Sdp"
 OVERRIDE = "Override"
 
 
 @dataclass(frozen=True)
 class PenaltyBound:
-    """Outer estimates (r1, r2) of the hypercube extrema and rho = max(|r1|, |r2|).
+    """A penalty constant rho >= |c's + s'Fs| on the hypercube, and how it
+    was found: ``CLOSED_FORM`` (``rho``) or ``OVERRIDE`` (``rho_override``)."""
 
-    On the SDP path, r1 and r2 are bounds certified by the solves' dual
-    multipliers, so rho keeps its domination property under approximate
-    solves.  The side of smaller magnitude is only solved until its bound
-    is inside [-rho, rho] (``shor_box_extrema``): it is certified but may be
-    looser than its relaxation's optimum, and rho is the same as with both
-    sides solved to tolerance.
-    """
-
-    r1: float
-    r2: float
     rho: float
     method: str
 
     def __post_init__(self):
-        if self.r1 > self.r2:
-            raise ValueError("r1 must not exceed r2")
-        if self.rho != max(abs(self.r1), abs(self.r2)):
-            raise ValueError("rho must equal max(|r1|, |r2|)")
+        if not (self.rho >= 0.0 and math.isfinite(self.rho)):
+            raise ValueError("rho must be a finite nonnegative number")
 
     @property
     def penalty_m(self) -> float:
@@ -62,45 +59,59 @@ def shor_box_extrema(c, F, cfg: SolverConfig = SolverConfig()) -> tuple[float, f
     Returns (r1, r2) with r1 <= min over the hypercube <= max <= r2, each
     the bound certified by its solve's dual multipliers
     (``certified_diag_bound``), so the containment holds regardless of
-    solve accuracy.  Only the larger of |r1| and |r2| becomes rho, so the
-    side likely to set it, Max where |lambda_max(C)| >= |lambda_min(C)| of
-    the moment cost C and Min otherwise, is solved first (``solve_sdp``),
-    giving R.  The other side stops as soon as its certified bound lies in
-    [-R, R] (``stop_at``), which is looser than its optimum but leaves
-    max(|r1|, |r2|) = R, and its bound is the certificate that stopped it
-    (``SdpSolution.bound``); where the pick was wrong, it runs to
-    convergence.
+    solve accuracy.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     F = np.zeros((c.size, c.size)) if F is None else np.asarray(F, dtype=float)
     C = _moment_cost(c, F)
     unit = np.ones(C.shape[0])
 
-    def side(sense, stop_at=None):
+    def side(sense):
         p = SdpProblem(C=C, sense=sense, diag=unit)
-        sol = solve_sdp(p, cfg, stop_at=stop_at)
-        return certified_diag_bound(p, sol.y) if sol.bound is None else sol.bound
+        return certified_diag_bound(p, solve_sdp(p, cfg).y)
 
-    low, high = np.linalg.eigvalsh(C)[[0, -1]]
-    if abs(high) >= abs(low):
-        r2 = side(Sense.MAX)
-        return side(Sense.MIN, stop_at=-abs(r2)), r2
-    r1 = side(Sense.MIN)
-    return r1, side(Sense.MAX, stop_at=abs(r1))
+    return side(Sense.MIN), side(Sense.MAX)
+
+
+def _sum_up(terms: list) -> float:
+    """The least float at or above the exact sum of the floats ``terms``."""
+    total = math.fsum(terms)
+    return math.nextafter(total, math.inf) if math.fsum([*terms, -total]) > 0.0 else total
 
 
 def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     """Penalty constant dominating |c'x + x'Fx| over the sign hypercube.
 
-    A zero quadratic part short-circuits to the exact closed form
-    r2 = -r1 = sum(|c_i|); otherwise (r1, r2) are ``shor_box_extrema``.
+    rho = sum |c_i| + min(sum_ij |F_ij|, n max(|lambda_min(F)|, |lambda_max(F)|)),
+    with F = None read as zero.  It is exact for a linear objective.  It is
+    rounded up so that round-off cannot leave it below the exact maximum:
+    both sums are taken exactly and then rounded up (``_sum_up``), and the
+    eigenvalue term is widened by the factor 1 + 4 n eps, above the error of
+    computed eigenvalues, which LAPACK bounds by a slowly growing multiple
+    of eps max|lambda(F)| (at most 8 eps, relative, on n <= 40 sign
+    patterns where the bound is tight).  ``c`` must be a finite vector and
+    ``F`` None or a finite symmetric n x n matrix (ValueError naming the
+    argument otherwise).  ``cfg`` is accepted for callers that pass a
+    solver configuration; no solve is made, so it has no effect.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if F is None or np.count_nonzero(F) == 0:
-        s = float(np.abs(c).sum())
-        return PenaltyBound(r1=-s, r2=s, rho=s, method=CLOSED_FORM)
-    r1, r2 = shor_box_extrema(c, F, cfg)
-    return PenaltyBound(r1=r1, r2=r2, rho=max(abs(r1), abs(r2)), method=SDP)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"c must be a vector, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("c must be finite")
+    n = c.size
+    F = np.zeros((n, n)) if F is None else np.asarray(F, dtype=float)
+    if F.shape != (n, n):
+        raise ValueError(f"F must be {n}x{n}, got shape {F.shape}")
+    if not np.isfinite(F).all():
+        raise ValueError("F must be finite")
+    if _asymmetric(F):
+        raise ValueError("F must be symmetric")
+    F = (F + F.T) / 2.0
+    extreme = float(np.abs(np.linalg.eigvalsh(F)).max(initial=0.0))
+    spectral = n * extreme * (1.0 + 4 * n * np.finfo(float).eps)
+    quadratic = min(_sum_up(np.abs(F).ravel().tolist()), spectral)
+    return PenaltyBound(rho=_sum_up([*np.abs(c).tolist(), quadratic]), method=CLOSED_FORM)
 
 
 def rho_override(value: float) -> PenaltyBound:
@@ -108,4 +119,4 @@ def rho_override(value: float) -> PenaltyBound:
     v = float(value)
     if not (v >= 0.0 and np.isfinite(v)):
         raise ValueError("penalty override must be a finite nonnegative number")
-    return PenaltyBound(r1=-v, r2=v, rho=v, method=OVERRIDE)
+    return PenaltyBound(rho=v, method=OVERRIDE)

@@ -13,7 +13,7 @@ budget, returns multipliers that certify a bound on the optimum
 (``certified_diag_bound``).
 
 A PSD-cone problem with a positive fixed diagonal and no rows of ``A``
-(MAX-CUT, the moment relaxations of the penalty bound, and the first
+(MAX-CUT, the moment relaxations of ``shor_box_extrema``, and the first
 Lasserre relaxation on the face its constraints cut out) goes to
 ``_solve_diag_ipm``, whose Schur matrix is built from the diagonal.
 
@@ -59,13 +59,9 @@ class Cone(Enum):
 
 
 class SolveStatus(Enum):
-    """How a solve ended.  BoundReached: the caller's ``stop_at`` target was
-    met by the bound the current multipliers certify, before convergence."""
-
     CONVERGED = "Converged"
     ITERATION_LIMIT = "IterationLimit"
     DIVERGED = "Diverged"
-    BOUND_REACHED = "BoundReached"
 
 
 @dataclass(frozen=True)
@@ -218,8 +214,6 @@ class SdpSolution:
     # the nonnegative orthant's multipliers as a symmetric d x d matrix,
     # <W, X> = sum_{i <= j} w_ij X_ij, zero off the orthant (None for Cone.PSD)
     W: np.ndarray | None = field(default=None, repr=False)
-    # ``certified_diag_bound`` of y and W where it met ``stop_at`` (else None)
-    bound: float | None = None
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -410,13 +404,6 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     return max(float(value + T * min(0.0, low)), T * float(spectrum[0]))
 
 
-def _reached(p: SdpProblem, y: np.ndarray, W: np.ndarray | None, stop_at: float):
-    """The bound that y and W certify (``certified_diag_bound``) where it is
-    ``stop_at`` or tighter (at least it for Min, at most it for Max), else None."""
-    bound = certified_diag_bound(p, y, W)
-    return bound if (bound >= stop_at if p.sense == Sense.MIN else bound <= stop_at) else None
-
-
 def _solution(p: SdpProblem, X: np.ndarray, status: SolveStatus, **fields) -> SdpSolution:
     """The SdpSolution of a solve of ``p`` that ends at X with ``status`` and
     the other ``fields``: its objective is <C, X>, or +inf for Min and -inf
@@ -526,7 +513,7 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
+def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     """Primal-dual interior-point method for a fixed diagonal, on an optional face.
 
     Solves min <C, X> s.t. diag(X) = a, X = V R V' with R PSD, where V is the
@@ -562,9 +549,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     ends the solve as Diverged.  On a face the returned X is the last
     iterate moved onto the diagonal (``_onto_rows``), with
     ``primal_residual`` its distance to the PSD cone.  As Z stays positive
-    definite, a'y is a certified bound at every iterate; with ``stop_at``
-    the solve ends as BoundReached once a'y and then the certificate of y
-    meet it.
+    definite, a'y is a certified bound at every iterate.
     Requires a > 0.
     """
     d = p.dim
@@ -606,7 +591,6 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     sigma = 0.1  # the centering; then set by the last step lengths
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    reached = None
     it = 0
     while True:
         RV = R if V is None else R @ V.T  # R V'
@@ -627,10 +611,6 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
             message = (f"dual objective {sign * dual:.6g} is beyond {sign * bound:.6g}, "
                        "which bounds <C, X> over every feasible X: the constraints are "
                        "infeasible")
-            break
-        if (stop_at is not None and dual >= sign * stop_at
-                and (reached := _reached(p, sign * y, None, stop_at)) is not None):
-            status = SolveStatus.BOUND_REACHED
             break
         if it == cfg.max_iter:
             break
@@ -678,10 +658,10 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
         R, primal_residual = _onto_rows(R[ia, ib] * s, rows, rhs, qr)
         X = V @ R @ V.T
     return _solution(p, X, status, primal_residual=primal_residual, dual_residual=gap,
-                     iterations=it, message=message, y=sign * y, bound=reached)
+                     iterations=it, message=message, y=sign * y)
 
 
-def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> SdpSolution:
+def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     """Primal-dual interior-point method over the face X = V R V'.
 
     Works in the svec coordinates of R, r(r+1)/2 of them, which one cached
@@ -717,11 +697,9 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     Once b'y passes T * lambda_max(V'CV), which bounds <C, X> over the face,
     that recomputed certificate decides whether the rows are infeasible
     (Diverged).  Converged needs the gap, <R, Z> + v'w and the row and
-    orthant residuals under tolerance.  With ``stop_at`` the solve ends as
-    BoundReached once b'y and then the certificate of y and w meet it.  The
-    returned X is V R V' with R moved onto the rows (``_onto_rows``);
-    ``primal_residual`` is the norm of its distance to the PSD cone and of
-    its negative orthant entries.
+    orthant residuals under tolerance.  The returned X is V R V' with R
+    moved onto the rows (``_onto_rows``); ``primal_residual`` is the norm
+    of its distance to the PSD cone and of its negative orthant entries.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -785,7 +763,6 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
 
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    reached = None
     it = 0
     while True:
         slack = np.concatenate([c - u @ B, w])  # (z, w), paired with x = (rho, v)
@@ -809,10 +786,6 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
                            f"{sign * bound:.6g}, which bounds <C, X> over every feasible X: "
                            "the constraints are infeasible")
                 break
-        if (stop_at is not None and dual >= sign * stop_at
-                and (reached := _reached(p, *multipliers(), stop_at)) is not None):
-            status = SolveStatus.BOUND_REACHED
-            break
         if it == cfg.max_iter:
             break
         try:
@@ -887,30 +860,19 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig, stop_at: float | None) -> 
     y_rows, W = multipliers()
     return _solution(p, X, status,
                      primal_residual=math.hypot(distance, _fro(np.minimum(X[pi, pj], 0.0))),
-                     dual_residual=gap, iterations=it, message=message, y=y_rows, W=W,
-                     bound=reached)
+                     dual_residual=gap, iterations=it, message=message, y=y_rows, W=W)
 
 
-def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
-              stop_at: float | None = None) -> SdpSolution:
+def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     """Solve the SDP with one of two primal-dual interior-point methods.
 
     A PSD-cone problem with a positive fixed diagonal and no rows of ``A``,
     with or without a face, goes to ``_solve_diag_ipm``; every other
     problem, which needs a fixed diagonal or rows that fix the trace of X
     (ValueError otherwise), to ``_solve_face_ipm``.  ``max_iter`` counts
-    interior-point iterations.
-
-    ``stop_at`` asks for a bound, not the optimum: for Min a lower bound of
-    at least ``stop_at``, for Max an upper bound of at most it.  Both methods
-    keep Z positive definite, so the dual objective b'y is a certified bound
-    at every iterate.  Each iteration, after the Converged and Diverged
-    tests, the solve ends with status BoundReached once b'y meets the
-    target and ``certified_diag_bound`` of the multipliers, the bound a
-    caller computes from them, does too; that bound is returned as
-    ``SdpSolution.bound``.  Only the test is added, so the iterations are
-    those of a solve without it, and at None (the default) the solve is
-    unchanged.
+    interior-point iterations.  Both methods keep Z positive definite, so
+    the multipliers of every solve, at any iteration budget, certify a
+    bound (``certified_diag_bound``).
 
     A negative fixed diagonal entry, which no PSD matrix has, and dependent
     rows with conflicting right-hand sides are reported as Diverged up front.
@@ -922,8 +884,8 @@ def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig(),
         try:
             if (p.cone == Cone.PSD and not len(p.b) and p.diag is not None
                     and np.all(p.diag > 0.0)):
-                return _solve_diag_ipm(p, cfg, stop_at)
-            return _solve_face_ipm(p, cfg, stop_at)
+                return _solve_diag_ipm(p, cfg)
+            return _solve_face_ipm(p, cfg)
         except _InconsistentSystem as exc:
             infeasible = f"infeasible constraint system: {exc}"
     return _solution(p, np.zeros((p.dim, p.dim)), SolveStatus.DIVERGED, primal_residual=np.inf,

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""One SHA-256 per benchmark workload over the seed-0 reports.
+"""One SHA-256 per benchmark workload over the reports of one seed.
 
-    PYTHONPATH=src python3 tests/report_digest.py [--by-instance] [--counts] [corpus dnn scaling budget]
+    PYTHONPATH=src python3 tests/report_digest.py [--by-instance] [--counts] [--values]
+        [--seed N] [corpus dnn scaling budget]
 
-Builds each named workload (all four by default) at seed 0 from
+Builds each named workload (all four by default) at seed 0, or ``--seed``, from
 bench/workloads.py and runs every instance the way bench/run.py does:
 ``penalty.rho``, then ``compute_bounds`` with the workload's selectors and
 solver settings, then ``certify``.  The digest covers rho, every entry's
@@ -22,8 +23,13 @@ how often the reports called ``certified_diag_bound`` (in ``sdp``,
 ``_pivot`` (simplex pivots), so a change that claims to drop repeated work
 can show it, and then the iterations of each interior-point method
 (``diag_ipm_iterations``, ``face_ipm_iterations``), so a change to a
-solver can show that its iterations did not move.  The file is not a test
-module: pytest does not collect it.
+solver can show that its iterations did not move.  ``--values`` prints,
+in place of digests, one readable line per instance: rho, each entry's
+status and certified bound (value - inflation, or + for a max-sense
+entry), the rounded point's objective, feasibility and 0/1 point, and the
+verdict, all floats by repr.  Diffing that output from two trees shows
+which values moved and that no status or verdict did.  The file is not a
+test module: pytest does not collect it.
 """
 
 import argparse
@@ -40,6 +46,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+from oracle import MAX_SENSE  # noqa: E402
 from workloads import BUILDERS, GW_TRIALS  # noqa: E402
 
 from maxcut_bridge import bounds, penalty, relaxations, sdp  # noqa: E402
@@ -66,14 +73,19 @@ def _feed(h, *items) -> None:
         h.update(b"\0")
 
 
+def _run(inst, wl):
+    """(pb, report, certificate) of one instance, run as bench/run.py does."""
+    pb = penalty.rho(inst.sign.c, inst.sign.F, wl.cfg)
+    rep = relaxations.compute_bounds(
+        inst.sign, selectors=list(wl.selectors), cfg=wl.cfg, pb=pb,
+        gw_trials=GW_TRIALS, gw_seed=0, dnn_cfg=wl.dnn_cfg)
+    return pb, rep, bounds.certify(rep, pb)
+
+
 def _report(h, inst, wl) -> None:
     _feed(h, inst.label)
     try:
-        pb = penalty.rho(inst.sign.c, inst.sign.F, wl.cfg)
-        rep = relaxations.compute_bounds(
-            inst.sign, selectors=list(wl.selectors), cfg=wl.cfg, pb=pb,
-            gw_trials=GW_TRIALS, gw_seed=0, dnn_cfg=wl.dnn_cfg)
-        cert = bounds.certify(rep, pb)
+        pb, rep, cert = _run(inst, wl)
     except Exception as exc:
         _feed(h, repr(exc))
         return
@@ -85,6 +97,24 @@ def _report(h, inst, wl) -> None:
     if rep.rounding is not None:
         _feed(h, rep.rounding.spin, rep.rounding.value, rep.rounding.feasible)
     _feed(h, cert.kind, cert.value, cert.bound, cert.point)
+
+
+def _values(inst, wl) -> str:
+    """One line of an instance's values: rho, entries, rounding and verdict."""
+    try:
+        pb, rep, cert = _run(inst, wl)
+    except Exception as exc:
+        return f"{inst.label} error={exc!r}"
+    fields = [inst.label, f"rho={float(pb.rho)!r}"]
+    for name, e in rep.entries.items():
+        side = 1.0 if name in MAX_SENSE else -1.0
+        fields.append(f"{name}={e.status}:{float(e.value + side * e.inflation)!r}")
+    if rep.rounding is not None:
+        rec = rep.rounding.recovered
+        point = "".join(str(int(v)) for v in rec.x_zero_one)
+        fields.append(f"rounded={float(rec.objective)!r}:{rec.feasible}:{point}")
+    fields.append(f"verdict={cert.kind}")
+    return " ".join(fields)
 
 
 @contextlib.contextmanager
@@ -119,13 +149,19 @@ def counting():
             setattr(module, name, fn)
 
 
+def values(workload: str, seed: int = 0) -> list[str]:
+    """The ``_values`` line of each instance of the workload at ``seed``."""
+    wl = BUILDERS[workload](seed)
+    return [f"{workload} {_values(inst, wl)}" for inst in wl.instances]
+
+
 def digests(workload: str, by_instance: bool = False,
-            counts: bool = False) -> list[tuple[str, str]]:
+            counts: bool = False, seed: int = 0) -> list[tuple[str, str]]:
     """(name, digest) of the workload, or of each of its instances with
     ``by_instance``; with ``counts`` the digest is followed by the calls to
     each ``COUNTED`` function and the iterations of each ``ITERATED``
     method, as name=count."""
-    wl = BUILDERS[workload](0)
+    wl = BUILDERS[workload](seed)
     groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
               else [(workload, wl.instances)])
     out = []
@@ -148,6 +184,9 @@ def main(argv) -> int:
     parser.add_argument("--counts", action="store_true",
                         help="append the calls to " + ", ".join(COUNTED)
                         + " and the interior-point iterations")
+    parser.add_argument("--values", action="store_true",
+                        help="print one line of values per instance instead of digests")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument("workloads", nargs="*", metavar="workload",
                         help=f"any of {', '.join(BUILDERS)} (default: all)")
     args = parser.parse_args(argv)
@@ -157,7 +196,10 @@ def main(argv) -> int:
         sys.stderr.write(f"unknown workloads {unknown}; known: {', '.join(BUILDERS)}\n")
         return 2
     for name in names:
-        for label, hexdigest in digests(name, args.by_instance, args.counts):
+        if args.values:
+            print("\n".join(values(name, args.seed)), flush=True)
+            continue
+        for label, hexdigest in digests(name, args.by_instance, args.counts, args.seed):
             print(label, hexdigest, flush=True)
     return 0
 

@@ -21,7 +21,7 @@ from maxcut_bridge.instances import (
     knapsack_random,
     quadratic_knapsack_random,
 )
-from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_zero_one
+from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_sign_form, to_zero_one
 from maxcut_bridge.penalty import rho_override
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge import relaxations, sdp
@@ -302,66 +302,54 @@ class TestShorMaxcut:
             certified, rel=1e-12, abs=1e-12)
 
     def test_large_cluster_solves_in_few_iterations(self, monkeypatch):
-        # n = 160: the moment SDP that sets rho and the penalized Shor min,
-        # whose cost matrix is ill-conditioned by the penalty, converge
-        # quickly and with a tight certificate; the other side of rho stops
-        # as soon as its certificate is inside [-rho, rho]
+        # n = 160: rho is a closed form and makes no solve; the penalized
+        # Shor min, whose cost matrix is ill-conditioned by the penalty,
+        # converges quickly and with a tight certificate
         from maxcut_bridge import penalty, relaxations, sdp
 
         solved = []
 
-        def recording(p, cfg, **kwargs):
-            sol = sdp.solve_sdp(p, cfg, **kwargs)
-            certified = sdp.certified_diag_bound(p, sol.y)
-            solved.append((sol, certified, kwargs.get("stop_at")))
+        def recording(p, cfg):
+            sol = sdp.solve_sdp(p, cfg)
+            solved.append((sol, sdp.certified_diag_bound(p, sol.y)))
             return sol
 
         monkeypatch.setattr(penalty, "solve_sdp", recording)
         monkeypatch.setattr(relaxations, "solve_sdp", recording)
         _, q = kcluster(160, 80, 0.5, 1)
         pb = penalty.rho(q.c, q.F, CFG)
+        assert solved == []
         r = shor_maxcut(homogenize(q, pb), Sense.MIN, CFG)
-        assert len(solved) == 3
-        stopped = [(sol, certified) for sol, certified, stop_at in solved if stop_at is not None]
-        assert len(stopped) == 1
-        for sol, certified, stop_at in solved:
-            if stop_at is None:
-                assert sol.status.value == CONVERGED
-                assert sol.iterations <= 150
-                assert abs(sol.objective - certified) / abs(sol.objective) < 1e-3
-        sol, certified = stopped[0]
-        assert sol.status == SolveStatus.BOUND_REACHED
-        assert sol.iterations <= 3
-        assert abs(certified) <= pb.rho
+        [(sol, certified)] = solved
+        assert sol.status.value == CONVERGED
+        assert sol.iterations <= 150
+        assert abs(sol.objective - certified) / abs(sol.objective) < 1e-3
         assert r.inflation < 1e-3 * abs(r.value)
 
     def test_penalized_min_sides_take_few_iterations(self, monkeypatch):
         # the min side of the penalized Shor bound, where ||Q|| dwarfs the
-        # optimum, took 31 iterations at a fixed centering of 0.1; the min
-        # side of rho (26 then) is here the side of smaller magnitude, which
-        # stops once its certificate is inside [-rho, rho]
+        # optimum, took 31 iterations at a fixed centering of 0.1; rho makes
+        # no solve, so it is the only solve
         from maxcut_bridge import penalty, relaxations, sdp
 
         solved = []
 
-        def recording(p, cfg, **kwargs):
-            sol = sdp.solve_sdp(p, cfg, **kwargs)
-            solved.append((p, sol, kwargs.get("stop_at")))
+        def recording(p, cfg):
+            sol = sdp.solve_sdp(p, cfg)
+            solved.append((p, sol))
             return sol
 
         monkeypatch.setattr(penalty, "solve_sdp", recording)
         monkeypatch.setattr(relaxations, "solve_sdp", recording)
         _, q = kcluster(40, 20, 0.5, 1)
         pb = penalty.rho(q.c, q.F, CFG)
-        shor_maxcut(homogenize(q, pb), Sense.MIN, CFG)
-        minima = [(p, sol, stop_at) for p, sol, stop_at in solved if p.sense == Sense.MIN]
-        assert len(minima) == 2
-        (rho_p, rho_min, stop_at), (_, shor_min, _) = minima
-        assert stop_at == -pb.rho
-        assert rho_min.status == SolveStatus.BOUND_REACHED and rho_min.iterations <= 3
-        assert abs(sdp.certified_diag_bound(rho_p, rho_min.y)) <= pb.rho
+        assert solved == []
+        r = shor_maxcut(homogenize(q, pb), Sense.MIN, CFG)
+        [(p, shor_min)] = solved
+        assert p.sense == Sense.MIN
         assert shor_min.status == SolveStatus.CONVERGED
         assert shor_min.iterations <= 15
+        assert r.inflation < 1e-3 * abs(r.value)
 
 
 class TestLasserre1:
@@ -639,14 +627,14 @@ class TestConvexQuadratic:
 
 
 @st.composite
-def eq_zero_one_programs(draw):
-    """All-EQ 0/1 programs with n <= 6 and one or two integer rows.
+def eq_zero_one_programs(draw, max_rows=2):
+    """All-EQ 0/1 programs with n <= 6 and one to ``max_rows`` integer rows.
 
     Half of them get a row that pins one variable, such as 3 x_1 = 0, and
     most right-hand sides are met by a drawn 0/1 point.
     """
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, max_rows))
 
     def ints(lo, hi, size):
         return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
@@ -677,6 +665,34 @@ def _infeasible_programs():
         out.append(pytest.param(knapsack_random(n, s, g, b),
                                 id=f"knapsack_random(n={n},s={s},seed={g},b={b})"))
     return out
+
+
+class TestShorInRho:
+    @settings(max_examples=60, deadline=None)
+    @given(p=eq_zero_one_programs(max_rows=3))
+    def test_nondecreasing_in_rho_up_to_lasserre1(self, p):
+        # the penalty term M <K'K, X> is >= 0 on the PSD cone, so the Shor
+        # optimum can only rise with rho, and never past lasserre1, whose
+        # points pay no penalty: with rho scaled by 1, 2 and 8, each
+        # certified bound is at least the one before and at most
+        # lasserre1's value.  A converged certified bound lies at most the
+        # solve's gap tolerance, d eps_abs + eps_rel (1 + |v|), below its
+        # optimum, so that is the slack
+        from maxcut_bridge.penalty import rho as penalty_rho
+
+        q = to_sign_form(p)
+        base = penalty_rho(q.c, q.F, CFG).rho
+        upper = lasserre1(q, cfg=CFG)
+        slack = lambda v: (q.n + 1) * CFG.eps_abs + CFG.eps_rel * (1.0 + abs(v))
+        before = -np.inf
+        for factor in (1, 2, 8):
+            r = shor_maxcut(homogenize(q, rho_override(factor * base)), Sense.MIN, CFG)
+            assert r.status == CONVERGED
+            bound = r.value - r.inflation
+            assert bound >= before - slack(bound)
+            if upper.status == CONVERGED:
+                assert bound <= upper.value + slack(upper.value)
+            before = bound
 
 
 class TestCopositiveDnn:

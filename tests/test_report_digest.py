@@ -39,3 +39,24 @@ def test_counts_follow_each_digest():
     assert int(match.group(1)) > 0  # the dnn reports certify their SDP bounds
     # rho and the Shor bounds take the diagonal method, copositive_dnn the face one
     assert int(match.group(4)) > 0 and int(match.group(5)) > 0
+
+
+def test_values_one_line_per_instance():
+    lines = run_digest("--values", "dnn").splitlines()
+    labels = [re.fullmatch(f"dnn (\\S+) {HEX}", line).group(1)
+              for line in run_digest("--by-instance", "dnn").splitlines()]
+    assert len(lines) == len(labels) == 5
+    for line, label in zip(lines, labels):
+        match = re.fullmatch(
+            "dnn (\\S+) rho=(\\S+) maxcut_shor_min=(\\w+):(\\S+) copositive_dnn=(\\w+):(\\S+)"
+            " rounded=(\\S+):(True|False):([01]+) verdict=(\\w+)", line)
+        assert match, line
+        assert match.group(1) == label
+        float(match.group(2)), float(match.group(4)), float(match.group(6))
+    # the infeasible kcluster(n=4, k=5) is proved so by its gap
+    assert any(line.endswith("verdict=InfeasibleByGap") for line in lines)
+
+
+def test_seed_picks_the_workload():
+    assert run_digest("dnn") == run_digest("--seed", "0", "dnn")
+    assert run_digest("--seed", "1", "dnn") != run_digest("dnn")

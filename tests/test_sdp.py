@@ -454,62 +454,6 @@ class TestSolveSdp:
             assert side * (bound - extreme) <= rounding
 
     @settings(max_examples=100, deadline=None)
-    @given(Q=symmetric_matrices(max_dim=6), sense=st.sampled_from(list(Sense)),
-           face=st.booleans(), slack=st.floats(-0.5, 1.0))
-    def test_stop_at_ends_once_the_certificate_meets_it(self, Q, sense, face, slack):
-        # the target only adds a test: a solve with it takes at most the
-        # iterations of one without it, and either ends BoundReached with a
-        # certificate that meets the target or is that solve unchanged.  The
-        # target lies between the converged certificate and the spectral
-        # bound (slack in (0, 1]) or beyond the former (slack <= 0)
-        d = Q.shape[0]
-        rows = {"A": diag_rows(d), "b": np.ones(d)} if face else {"diag": np.ones(d)}
-        p = SdpProblem(C=Q, sense=sense, **rows)
-        full = solve_sdp(p, FAST)
-        assert full.status == SolveStatus.CONVERGED
-        side = 1.0 if sense == Sense.MIN else -1.0
-        converged = certified_diag_bound(p, full.y)
-        spectral = d * np.linalg.eigvalsh(Q)[0 if sense == Sense.MIN else -1]
-        target = converged + slack * (spectral - converged)
-        sol = solve_sdp(p, FAST, stop_at=target)
-        assert sol.iterations <= full.iterations
-        if sol.status == SolveStatus.BOUND_REACHED:
-            assert side * (certified_diag_bound(p, sol.y) - target) >= 0.0
-        else:
-            assert sol.status == SolveStatus.CONVERGED
-            assert sol.iterations == full.iterations
-            np.testing.assert_array_equal(sol.y, full.y)
-
-    @settings(max_examples=100, deadline=None)
-    @given(Q=symmetric_matrices(max_dim=6), sense=st.sampled_from(list(Sense)),
-           kind=st.sampled_from(["diag", "face", "rows", "rows_nonneg"]),
-           slack=st.floats(-0.5, 1.0), max_iter=st.integers(1, 40))
-    def test_stopped_solve_returns_its_certificate(self, Q, sense, kind, slack, max_iter):
-        # a BoundReached solve, of either method, carries the certificate
-        # that stopped it, to the bit; every other end of a solve carries no
-        # bound.  The target lies between the spectral bound and Tr Q
-        # (slack in [0, 1]) or beyond the spectral bound (slack < 0)
-        d = Q.shape[0]
-        assume(d >= 2 or kind != "face")
-        rows = {"diag": np.ones(d)}
-        if kind == "face":  # X e = 0 on the face for e = (1, 1, 0, ..., 0)
-            rows["face"] = np.linalg.svd(np.eye(d)[:1] + np.eye(d)[1:2])[2][1:].T
-        elif kind != "diag":
-            rows = {"A": diag_rows(d), "b": np.ones(d),
-                    "cone": Cone.PSD_NONNEG if kind == "rows_nonneg" else Cone.PSD}
-        p = SdpProblem(C=Q, sense=sense, **rows)
-        spectral = d * np.linalg.eigvalsh(Q)[0 if sense == Sense.MIN else -1]
-        target = spectral + slack * (np.trace(Q) - spectral)
-        sol = solve_sdp(p, SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter),
-                        stop_at=target)
-        if sol.status == SolveStatus.BOUND_REACHED:
-            assert sol.bound == certified_diag_bound(p, sol.y, sol.W)
-            assert (sol.bound - target) * (1.0 if sense == Sense.MIN else -1.0) >= 0.0
-        else:
-            assert sol.bound is None
-        assert solve_sdp(p, FAST).bound is None
-
-    @settings(max_examples=100, deadline=None)
     @given(Q=symmetric_matrices(max_dim=6), data=st.data())
     def test_certificate_holds_for_any_multipliers(self, Q, data):
         # the bounded-trace bound needs no dual feasibility: arbitrary
@@ -652,7 +596,7 @@ class TestFaceRows:
             assert new.tobytes() == old.tobytes()
 
 
-def face_ipm_reference(p, cfg, stop_at):
+def face_ipm_reference(p, cfg):
     """``_solve_face_ipm`` as it was before its iterate was stacked: rho, v,
     y and w apart, matrices from svec coordinates by scatter, and H built
     from a four-way gather and G'DG.  The loop the stacked one must follow."""
@@ -705,7 +649,6 @@ def face_ipm_reference(p, cfg, stop_at):
 
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    reached = None
     it = 0
     while True:
         primal = float(c @ rho)
@@ -724,10 +667,6 @@ def face_ipm_reference(p, cfg, stop_at):
             if certified > bound + tol:
                 status = SolveStatus.DIVERGED
                 break
-        if (stop_at is not None and dual >= sign * stop_at
-                and (reached := sdp._reached(p, *multipliers(), stop_at)) is not None):
-            status = SolveStatus.BOUND_REACHED
-            break
         if it == cfg.max_iter:
             break
         try:
@@ -791,7 +730,7 @@ def face_ipm_reference(p, cfg, stop_at):
     X = R if p.face is None else V @ R @ V.T
     y_rows, W = multipliers()
     return sdp._solution(p, X, status, primal_residual=0.0, dual_residual=gap, iterations=it,
-                         y=y_rows, W=W, bound=reached)
+                         y=y_rows, W=W)
 
 
 @st.composite
@@ -853,9 +792,8 @@ def dnn_problems(draw):
 
 class TestFaceIpm:
     @settings(max_examples=300, deadline=None)
-    @given(p=st.one_of(face_problems(), dnn_problems()), max_iter=st.integers(1, 40),
-           stop=st.none() | st.floats(-1.0, 1.0))
-    def test_follows_the_reference_loop(self, p, max_iter, stop):
+    @given(p=st.one_of(face_problems(), dnn_problems()), max_iter=st.integers(1, 40))
+    def test_follows_the_reference_loop(self, p, max_iter):
         # the stacked iterate, the basis-matrix svec maps and the one-gather
         # Newton block change round-off only: the same statuses and
         # iterations, and values and certificates within 1e-6 (1 + |v|), a
@@ -867,22 +805,16 @@ class TestFaceIpm:
         # a ray, so only its status and objective are compared
         cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
         try:
-            full = face_ipm_reference(p, cfg, None)
+            ref = face_ipm_reference(p, cfg)
         except ValueError:  # rows that fix no trace, or conflict
             assume(False)
-        # a target about the value the loop reaches (for stop in [-1, 1])
-        value = full.objective if np.isfinite(full.objective) else 0.0
-        stop_at = None if stop is None else value + stop * (1.0 + abs(value))
-        ref = face_ipm_reference(p, cfg, stop_at)
-        sol = sdp._solve_face_ipm(p, cfg, stop_at)
+        sol = sdp._solve_face_ipm(p, cfg)
         event(ref.status.value)
         assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
         pairs = [(sol.objective, ref.objective)]
         if ref.status != SolveStatus.DIVERGED:
             pairs.append((certified_diag_bound(p, sol.y, sol.W),
                           certified_diag_bound(p, ref.y, ref.W)))
-        if ref.bound is not None:
-            pairs.append((sol.bound, ref.bound))
         for new, old in pairs:
             assert new == old or abs(new - old) <= 1e-6 * (1.0 + abs(old)), (new, old)
 
