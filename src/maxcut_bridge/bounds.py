@@ -129,16 +129,16 @@ class Certificate:
 def certify(report, pb: PenaltyBound) -> Certificate:
     """Decide Feasible / InfeasibleByGap / Unknown from a BoundReport.
 
-    The gap test is sound by construction: the min-sense SDP value is first
-    *lowered* by its inflation to the bound its dual multipliers certify, so
-    clearing rho genuinely implies that every sign point pays the penalty,
-    i.e. no feasible point exists.
+    The gap test is sound by construction: it reads the min-sense SDP
+    entry's ``bound``, its value lowered by its inflation to the bound its
+    dual multipliers certify, so clearing rho genuinely implies that every
+    sign point pays the penalty, i.e. no feasible point exists.
     The feasible verdict only ever comes from an explicitly checked point
     (hyperplane rounding); bounds alone never prove feasibility.
     """
     entry = report.entries.get("maxcut_shor_min")
     if entry is not None and entry.usable:
-        safe_lb = entry.value - entry.inflation
+        safe_lb = entry.bound
         if safe_lb > report.rho_original:
             return Certificate(
                 kind=INFEASIBLE_BY_GAP,

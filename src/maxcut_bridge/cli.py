@@ -127,21 +127,16 @@ def _generate(spec: GeneratorSpec):
     return prog
 
 
-def _sign_and_penalty(args, generator=None, last=None) -> tuple[SignProgram, PenaltyBound]:
+def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
     """Load or generate the program (``generator`` overrides the run's source),
-    slack-expand its LE rows, bring it to the sign domain and size its penalty.
-    The penalty depends on c and F alone, so ``last``, the (program, bound)
-    of an earlier call, lends its bound when both are equal."""
+    slack-expand its LE rows, bring it to the sign domain and size its penalty."""
     spec = generator or args.generator
     prog = load_instance(args.instance) if spec is None else _generate(spec)
     if isinstance(prog, ZeroOneProgram):
         prog = to_sign_form(slack_expand(prog))
     if args.rho is not None:
         return prog, rho_override(args.rho)
-    if (last is not None and np.array_equal(last[0].c, prog.c)
-            and np.array_equal(last[0].F, prog.F)):
-        return prog, last[1]
-    return prog, penalty_rho(prog.c, prog.F, args.solver)
+    return prog, penalty_rho(prog.c, prog.F)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -206,9 +201,7 @@ def _render_solve(report, cert, fmt) -> str:
     e_max = report.entries.get("maxcut_shor_max")
     if (e_min is not None and e_max is not None
             and e_min.usable and e_max.usable):
-        upper = nesterov_sandwich(e_min.value - e_min.inflation,
-                                  e_max.value + e_max.inflation)
-        meta.append(("sandwich_upper", upper))
+        meta.append(("sandwich_upper", nesterov_sandwich(e_min.bound, e_max.bound)))
 
     if fmt == "json":
         doc = {
@@ -279,7 +272,7 @@ def cmd_round(args) -> int:
     sign, pb = _sign_and_penalty(args)
     mc = homogenize(sign, pb)
     res = shor_maxcut(mc, Sense.MIN, args.solver)
-    if not res.usable or res.solution is None:
+    if not res.usable:
         sys.stderr.write(f"rounding unavailable: SDP status {res.status}\n")
         return EXIT_SOLVER_FAILURE
     rounding = gw_round(res.solution, mc, trials=args.trials, seed=args.seed,
@@ -291,7 +284,7 @@ def cmd_round(args) -> int:
         ("feasible", rec.feasible),
         ("cut_value_raw", rounding.value),
         ("shor_min_raw", res.value),
-        ("gap_to_shor_raw", rounding.value - (res.value - res.inflation)),
+        ("gap_to_shor_raw", rounding.value - res.bound),
         ("trials", args.trials),
         ("seed", args.seed),
     ]
@@ -334,11 +327,10 @@ def cmd_compare(args) -> int:
     # one report per swept value; a row that fails holds its error message
     selectors = list(args.selectors or SELECTORS)
     reports = []
-    last = None  # a b or k sweep leaves c and F, so one penalty bound serves every row
     for value in values:
         try:
-            sign, pb = last = _sign_and_penalty(
-                args, dataclasses.replace(args.generator, **{param: value}), last)
+            sign, pb = _sign_and_penalty(
+                args, dataclasses.replace(args.generator, **{param: value}))
             reports.append(_run_bounds(sign, args, pb, selectors))
         except (ValueError, np.linalg.LinAlgError) as exc:
             reports.append(str(exc))

@@ -115,8 +115,6 @@ def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
 
 
 def rho_override(value: float) -> PenaltyBound:
-    """A user-supplied penalty constant (the equivalence guarantee is then theirs)."""
-    v = float(value)
-    if not (v >= 0.0 and np.isfinite(v)):
-        raise ValueError("penalty override must be a finite nonnegative number")
-    return PenaltyBound(rho=v, method=OVERRIDE)
+    """A user-supplied penalty constant (the equivalence guarantee is then
+    theirs); ``PenaltyBound`` refuses a negative, infinite or NaN one."""
+    return PenaltyBound(rho=float(value), method=OVERRIDE)

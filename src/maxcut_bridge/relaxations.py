@@ -3,13 +3,12 @@
 Every operation returns a BoundEntry whose ``value`` is in the units of its
 input program (sign-form raw units for the sign-program relaxations, 0/1
 units for the copositive one).  ``inflation`` is the one-sided widening that
-makes an approximately solved bound safe: subtract it from a min-sense value
-before claiming a valid lower bound, add it for max-sense.  For the MAX-CUT
-SDP, ``lasserre1`` and ``copositive_dnn`` it is the gap from the value to the
-bound certified by the solve's own dual multipliers (``_certified``), so
-value -/+ inflation is a true bound at any iteration budget.  compute_bounds
-assembles the entries into a BoundReport with all values mapped to
-original-problem units.
+makes an approximately solved bound safe, and ``BoundEntry.bound`` applies it
+in the entry's ``sense``.  For the MAX-CUT SDP, ``lasserre1`` and
+``copositive_dnn`` it is the gap from the value to the bound certified by the
+solve's own dual multipliers (``_certified``), so ``bound`` is a true bound
+at any iteration budget.  compute_bounds assembles the entries into a
+BoundReport with all values mapped to original-problem units.
 """
 
 import time
@@ -24,8 +23,8 @@ from .instances import brute_force
 from .model import SignProgram, ZeroOneProgram, to_zero_one
 from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
 from .reduction import MaxCutInstance, homogenize
-from .sdp import (Cone, SdpProblem, Sense, SolveStatus, SolverConfig, _independent,
-                  certified_diag_bound, solve_sdp)
+from .sdp import (Cone, SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfig,
+                  _independent, certified_diag_bound, solve_sdp)
 
 _LP_TOL = 1e-9
 
@@ -37,25 +36,35 @@ SKIPPED = "Skipped"
 EXACT = "Exact"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundEntry:
     """One bound.  A relaxation returns it in the units of its input program;
     compute_bounds maps sign-form entries to original-problem units, keeps
-    the sign-form value in ``raw`` and sets ``seconds``.  ``solution`` is
-    what the solver returned (an SdpSolution, an LpResult or the box-QP
-    point), or None."""
+    the sign-form value in ``raw`` and sets ``seconds``.  ``solution`` is the
+    SdpSolution of an SDP-backed entry (Infeasible exactly when that solve
+    Diverged), None for every other entry.  ``sense`` says which way
+    ``inflation`` widens ``value``; ``bound`` is the result, the one place
+    that direction is applied."""
 
     value: float
     status: str
     inflation: float = 0.0
     note: str = ""
-    solution: object = None
+    solution: SdpSolution | None = None
     raw: float | None = None
     seconds: float = 0.0
+    sense: Sense = Sense.MIN
 
     @property
     def usable(self) -> bool:
         return self.status in (CONVERGED, ITERATION_LIMIT, EXACT)
+
+    @property
+    def bound(self) -> float:
+        """The certified bound: value - inflation for Min, value + inflation for Max."""
+        if self.sense == Sense.MIN:
+            return self.value - self.inflation
+        return self.value + self.inflation
 
 
 # --- dense two-phase simplex -------------------------------------------------
@@ -193,15 +202,16 @@ def _certified(p: SdpProblem, cfg: SolverConfig, constant: float = 0.0) -> Bound
     """Solve an SDP bound and widen it to the bound its own multipliers certify.
 
     The inflation is the gap from the solve's value to
-    ``certified_diag_bound`` of its multipliers, so value -/+ inflation
-    (Min/Max) is exactly that certified bound: a rigorous outer bound even
-    when the solve stops far from the SDP optimum.  ``constant`` is added to
-    the value.  A Diverged solve proves the rows infeasible and is reported
-    as Infeasible with value +inf for Min, -inf for Max.
+    ``certified_diag_bound`` of its multipliers, so the entry's ``bound`` is
+    exactly that certified bound: a rigorous outer bound even when the solve
+    stops far from the SDP optimum.  ``constant`` is added to the value.  A
+    Diverged solve proves the rows infeasible and is reported as Infeasible
+    with value +inf for Min, -inf for Max.
     """
     sol = solve_sdp(p, cfg)
     if sol.status == SolveStatus.DIVERGED:  # its objective is +inf for Min, -inf for Max
-        return BoundEntry(value=sol.objective, status=INFEASIBLE, note=sol.message, solution=sol)
+        return BoundEntry(value=sol.objective, status=INFEASIBLE, note=sol.message,
+                          solution=sol, sense=p.sense)
     gap = sol.objective - certified_diag_bound(p, sol.y, sol.W)
     return BoundEntry(
         value=sol.objective + constant,
@@ -209,6 +219,7 @@ def _certified(p: SdpProblem, cfg: SolverConfig, constant: float = 0.0) -> Bound
         inflation=gap if p.sense == Sense.MIN else -gap,
         note=sol.message,
         solution=sol,
+        sense=p.sense,
     )
 
 
@@ -271,23 +282,28 @@ class _Box:
         return simplex_phase2(self.tableau, self.q.c)
 
 
+class _Skipped(ValueError):
+    """The selector does not apply to this program; the message says why."""
+
+
 def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
-    """Linear relaxation: the hypercube replaced by the box [-1, 1]^n."""
-    if np.count_nonzero(q.F):
-        raise ValueError("lp_box requires a linear objective (F = 0)")
+    """Linear relaxation: the hypercube replaced by the box [-1, 1]^n.  A
+    quadratic objective raises a ValueError (compute_bounds reports the
+    entry Skipped)."""
     return _lp_box(_Box(q))
 
 
 def _lp_box(box: _Box) -> BoundEntry:
     """``lp_box`` from the shared box LP (``_Box``)."""
+    if np.count_nonzero(box.q.F):
+        raise _Skipped("requires a linear objective (F = 0)")
     if box.tableau is None:
         return BoundEntry(value=np.inf, status=INFEASIBLE,
-                          solution=LpResult(np.inf, None, "Infeasible"),
                           note="box LP infeasible: the program has no feasible point")
     res = box.lp
     if res.status != "Optimal":
-        return BoundEntry(value=-np.inf, status=DIVERGED, note=res.status, solution=res)
-    return BoundEntry(value=res.value, status=CONVERGED, solution=res)
+        return BoundEntry(value=-np.inf, status=DIVERGED, note=res.status)
+    return BoundEntry(value=res.value, status=CONVERGED)
 
 
 def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -402,7 +418,6 @@ def _convex_quadratic(q: SignProgram, cfg: SolverConfig, box: _Box) -> BoundEntr
         value=value,
         status=status,
         note=f"theta={theta:.6g} fw_gap={float(g_x @ x) - lp.value:.3e}",
-        solution=x,
     )
 
 
@@ -480,16 +495,6 @@ class _Inputs(NamedTuple):
     box: _Box
 
 
-class _Skipped(Exception):
-    """The selector does not apply to this program; the message says why."""
-
-
-def _run_lp_box(r: _Inputs) -> BoundEntry:
-    if np.count_nonzero(r.q.F):
-        raise _Skipped("requires a linear objective (F = 0)")
-    return _lp_box(r.box)
-
-
 def _run_brute_force(r: _Inputs) -> BoundEntry:
     if not r.include_brute_force:
         raise _Skipped(f"enumeration suppressed (n={r.q.n})")
@@ -506,7 +511,7 @@ _SELECTOR_TABLE = {
     "maxcut_shor_min": (lambda r: shor_maxcut(r.mc, Sense.MIN, r.cfg), True),
     "maxcut_shor_max": (lambda r: shor_maxcut(r.mc, Sense.MAX, r.cfg), True),
     "lasserre1": (lambda r: lasserre1(r.q, cfg=r.cfg), True),
-    "lp_box": (_run_lp_box, True),
+    "lp_box": (lambda r: _lp_box(r.box), True),
     "convex_quadratic": (lambda r: _convex_quadratic(r.q, r.cfg, r.box), True),
     "copositive_dnn": (lambda r: copositive_dnn(to_zero_one(r.q), r.dnn_cfg), False),
     "brute_force": (_run_brute_force, False),
@@ -528,10 +533,11 @@ def compute_bounds(
 
     All entry values are in original-problem units.  ``inflation`` per entry
     is the widening in those units that makes the value safe (the gap to the
-    dual certificate for every SDP entry); subtract it from min-sense
-    entries before treating them as valid lower bounds.  Selector names are
-    validated before anything is solved.  ``include_brute_force`` defaults to
-    n <= 18; gw_trials > 0 attaches a hyperplane-rounding result.
+    dual certificate for every SDP entry), and each entry's ``bound`` is the
+    value so widened: read that, not ``value``, as the certified bound.
+    Selector names are validated before anything is solved.
+    ``include_brute_force`` defaults to n <= 18; gw_trials > 0 attaches a
+    hyperplane-rounding result.
     ``dnn_cfg`` gives the doubly-nonnegative solve separate tolerances and
     iteration budget (default: same ``cfg``).
     """
@@ -543,7 +549,7 @@ def compute_bounds(
     if include_brute_force is None:
         include_brute_force = q.n <= _BRUTE_FORCE_AUTO_N
     if pb is None:
-        pb = penalty_rho(q.c, q.F, cfg)
+        pb = penalty_rho(q.c, q.F)
     mc = homogenize(q, pb)
     report = BoundReport(
         n=q.n,
@@ -565,15 +571,13 @@ def compute_bounds(
         except _Skipped as exc:
             report.entries[name] = BoundEntry(value=np.nan, status=SKIPPED, note=str(exc))
             continue
-        res.seconds = time.perf_counter() - start
-        if raw_units:
-            res = replace(res, value=q.to_original(res.value), raw=res.value,
-                          inflation=q.scale * res.inflation)
-        report.entries[name] = res
+        seconds = time.perf_counter() - start
+        units = (dict(value=q.to_original(res.value), raw=res.value,
+                      inflation=q.scale * res.inflation) if raw_units else {})
+        report.entries[name] = replace(res, seconds=seconds, **units)
     if gw_trials > 0:
-        sol = (report.entries.get("maxcut_shor_min")
-               or shor_maxcut(mc, Sense.MIN, cfg)).solution
-        if sol is not None and sol.status != SolveStatus.DIVERGED:
-            report.rounding = bounds.gw_round(sol, mc, trials=gw_trials, seed=gw_seed,
-                                              polish=True)
+        shor = report.entries.get("maxcut_shor_min") or shor_maxcut(mc, Sense.MIN, cfg)
+        if shor.usable:
+            report.rounding = bounds.gw_round(shor.solution, mc, trials=gw_trials,
+                                              seed=gw_seed, polish=True)
     return report

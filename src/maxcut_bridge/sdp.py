@@ -197,7 +197,12 @@ class SdpProblem:
 class SdpSolution:
     X: np.ndarray
     objective: float
+    # the returned X's distance to the PSD cone (and to the orthant, for
+    # Cone.PSD_NONNEG) once moved onto its rows; for a diagonal solve without
+    # a face, the distance of its diagonal from the fixed one (inf if Diverged)
     primal_residual: float
+    # the final duality gap, primal minus dual objective, not a residual; the
+    # benchmark reads it under this name until ROADMAP item 10
     dual_residual: float
     iterations: int
     status: SolveStatus

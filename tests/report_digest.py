@@ -25,9 +25,9 @@ can show it, and then the iterations of each interior-point method
 (``diag_ipm_iterations``, ``face_ipm_iterations``), so a change to a
 solver can show that its iterations did not move.  ``--values`` prints,
 in place of digests, one readable line per instance: rho, each entry's
-status and certified bound (value - inflation, or + for a max-sense
-entry), the rounded point's objective, feasibility and 0/1 point, and the
-verdict, all floats by repr.  Diffing that output from two trees shows
+status and certified bound (``BoundEntry.bound``: value - inflation, or +
+for a max-sense entry), the rounded point's objective, feasibility and 0/1
+point, and the verdict, all floats by repr.  Diffing that output from two trees shows
 which values moved and that no status or verdict did.  The file is not a
 test module: pytest does not collect it.
 """
@@ -46,11 +46,9 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from oracle import MAX_SENSE  # noqa: E402
 from workloads import BUILDERS, GW_TRIALS  # noqa: E402
 
 from maxcut_bridge import bounds, penalty, relaxations, sdp  # noqa: E402
-from maxcut_bridge.sdp import SdpSolution  # noqa: E402
 
 # function name -> the modules whose calls to it are counted
 COUNTED = {
@@ -92,7 +90,7 @@ def _report(h, inst, wl) -> None:
     _feed(h, pb.rho)
     for name, e in rep.entries.items():
         _feed(h, name, e.value, e.raw, e.status, e.note, e.inflation)
-        if isinstance(e.solution, SdpSolution):
+        if e.solution is not None:
             _feed(h, e.solution.X, e.solution.y)
     if rep.rounding is not None:
         _feed(h, rep.rounding.spin, rep.rounding.value, rep.rounding.feasible)
@@ -107,8 +105,7 @@ def _values(inst, wl) -> str:
         return f"{inst.label} error={exc!r}"
     fields = [inst.label, f"rho={float(pb.rho)!r}"]
     for name, e in rep.entries.items():
-        side = 1.0 if name in MAX_SENSE else -1.0
-        fields.append(f"{name}={e.status}:{float(e.value + side * e.inflation)!r}")
+        fields.append(f"{name}={e.status}:{float(e.bound)!r}")
     if rep.rounding is not None:
         rec = rep.rounding.recovered
         point = "".join(str(int(v)) for v in rec.x_zero_one)

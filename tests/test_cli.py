@@ -25,7 +25,6 @@ from maxcut_bridge.model import (
     load_instance,
     save_instance,
 )
-from maxcut_bridge.penalty import rho as penalty_rho
 
 FAST = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000"]
 
@@ -232,6 +231,16 @@ class TestSolve:
         assert rc == EXIT_USAGE
         assert "--gw-trials must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", ["-1", "nan"])
+    def test_bad_rho_is_usage_error(self, knapsack_file, capsys, monkeypatch, rho):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before --rho was checked")
+
+        monkeypatch.setattr("maxcut_bridge.cli.compute_bounds", unreachable)
+        rc = run_cli(["solve", "--instance", knapsack_file, "--rho", rho] + FAST)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: rho must be a finite nonnegative number\n"
+
     @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--dnn-max-iter", "-3"),
                                              ("--eps-abs", "0"), ("--eps-rel", "-0.5")])
     def test_non_positive_budget_is_usage_error(self, knapsack_file, capsys, flag, value):
@@ -377,23 +386,6 @@ class TestCompare:
         data = [l for l in lines[1:] if not l.startswith("#")]
         assert len(data) == 3
         assert all("requires parameter" in row for row in data)
-
-    def test_b_sweep_sizes_the_penalty_once(self, monkeypatch, capsys):
-        # a b sweep leaves c and F alone, and with them the penalty bound
-        calls = []
-
-        def counting(c, F, cfg):
-            calls.append(1)
-            return penalty_rho(c, F, cfg)
-
-        monkeypatch.setattr("maxcut_bridge.cli.penalty_rho", counting)
-        rc = run_cli(["compare", "--family", "quadratic_knapsack", "--n", "5", "--s", "3",
-                      "--f-density", "0.5", "--seed", "2", "--sweep-param", "b",
-                      "--sweep-from", "0", "--sweep-to", "4",
-                      "--selectors", "maxcut_shor_min,lp_box"] + FAST)
-        assert rc == EXIT_OK
-        assert "# rows: 5" in capsys.readouterr().out
-        assert len(calls) == 1
 
     def test_k_sweep(self, capsys):
         rc = run_cli(["compare", "--family", "kcluster", "--n", "6",

@@ -8,6 +8,7 @@ rather than against itself.
 
 import itertools
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from maxcut_bridge.instances import (
     quadratic_knapsack_random,
 )
 from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_sign_form, to_zero_one
-from maxcut_bridge.penalty import rho_override
+from maxcut_bridge.penalty import rho as penalty_rho, rho_override
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge import relaxations, sdp
 from maxcut_bridge.relaxations import (
@@ -274,8 +275,6 @@ class TestShorMaxcut:
 
     @pytest.mark.parametrize("b", [34, 8, -8])
     def test_sandwich_contains_hypercube_extrema(self, b):
-        from maxcut_bridge.penalty import rho as penalty_rho
-
         q = knapsack_fixed(4, b)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         lo, hi = brute_form_extrema(mc.Q)
@@ -289,8 +288,6 @@ class TestShorMaxcut:
     def test_inflated_value_is_the_dual_certificate(self, sense, max_iter):
         # value -/+ inflation is the bound certified by the solve's own
         # multipliers, converged or not
-        from maxcut_bridge.penalty import rho as penalty_rho
-
         q = quadratic_knapsack_random(5, s=3.0, seed=3, f_density=0.5, b=9)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         r = shor_maxcut(mc, sense, SolverConfig(eps_abs=1e-6, eps_rel=1e-5,
@@ -678,8 +675,6 @@ class TestShorInRho:
         # lasserre1's value.  A converged certified bound lies at most the
         # solve's gap tolerance, d eps_abs + eps_rel (1 + |v|), below its
         # optimum, so that is the slack
-        from maxcut_bridge.penalty import rho as penalty_rho
-
         q = to_sign_form(p)
         base = penalty_rho(q.c, q.F, CFG).rho
         upper = lasserre1(q, cfg=CFG)
@@ -917,3 +912,45 @@ class TestComputeBounds:
         dnn = report.entries["copositive_dnn"]
         assert dnn.raw is None  # computed directly in 0/1 units
         assert dnn.value - dnn.inflation <= f_star + 1e-4 * (1 + abs(f_star))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 40))
+    def test_report_bounds_certified_at_any_budget(self, data, n, max_iter):
+        # every usable entry's bound holds in original units whatever the
+        # budget: min-sense ones lie below f*, and the max-sense Shor bound
+        # above the largest s'Qs of the MAX-CUT form; a power-of-two scale
+        # and an offset make the units mapping count, and a third of the
+        # objectives are linear, so lp_box runs
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=np.int64)
+        m = data.draw(st.integers(1, 3))
+        A = ints(-3, 3, m * n).reshape(m, n)
+        if data.draw(st.booleans()):
+            b = A @ (2 * ints(0, 1, n) - 1)  # attained by a sign point
+        else:
+            b = ints(-6, 6, m)
+        F = ints(-4, 4, n * n).reshape(n, n) * data.draw(st.sampled_from([0, 1, 1]))
+        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b,
+                        scale=2.0 ** data.draw(st.integers(-3, 3)),
+                        offset=data.draw(st.floats(-100.0, 100.0)))
+        cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
+        pb = penalty_rho(q.c, q.F)
+        report = compute_bounds(q, cfg=cfg, pb=pb)
+        Q = homogenize(q, pb).Q
+        tol = 1e-10 * (1.0 + abs(q.offset) + q.scale * (
+            np.abs(Q).sum() + np.abs(q.c).sum() + np.abs(q.F).sum()))
+        f_star = report.entries["brute_force"].value
+        assert f_star == brute_force(q).value
+        for name, e in report.entries.items():
+            with pytest.raises(FrozenInstanceError):
+                e.value = 0.0
+            if not e.usable:
+                continue
+            if name == "maxcut_shor_max":
+                assert e.sense == Sense.MAX
+                assert e.bound == e.value + e.inflation
+                assert e.bound >= q.to_original(brute_form_extrema(Q)[1]) - tol
+            else:
+                assert e.sense == Sense.MIN, name
+                assert e.bound == e.value - e.inflation
+                assert e.bound <= f_star + tol, name
