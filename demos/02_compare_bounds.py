@@ -22,7 +22,7 @@ dnn_budget = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=100)
 report = compute_bounds(instance, cfg=cfg, gw_trials=200, dnn_cfg=dnn_budget)
 
 print(f"\npenalty rho = {report.rho_original:.6g}, "
-      f"M = {report.penalty_m:.6g}\n")
+      f"M = {report.penalty.penalty_m:.6g}\n")
 print(f"{'entry':<18} {'status':<15} {'value':>15} {'inflation':>11} {'bound':>15}")
 for name, entry in report.entries.items():
     print(f"{name:<18} {entry.status:<15} {entry.value:>15.6f} "

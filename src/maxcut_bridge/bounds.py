@@ -74,9 +74,10 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     plain Goemans-Williamson rounding, and later trials apply ever larger
     outward rotations (Zwick, STOC 1999), which blend in independent signs.
     A low-rank optimum on its own yields few distinct cuts; the rotations
-    spread the trials over more of them.  The homogenization spin is fixed
-    to +1 by a global flip, and the spin vector with the lowest
-    quadratic-form value wins (ties keep the earliest trial).  The values
+    spread the trials over more of them.  The spin vector with the lowest
+    quadratic-form value wins (ties keep the earliest trial), and
+    ``recover_solution`` fixes its homogenization spin at +1 by a global
+    flip: the returned spin is that x_sign followed by +1.  The values
     come from one BLAS product of the trials with Q, whose sums round in
     their own order, so of trials whose values tie within round-off it may
     pick another than a trial-by-trial s'Qs would.  With
@@ -108,11 +109,8 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     if polish:
         signs = _one_opt_polish(mc.Q, signs).astype(np.int64)
     vals = np.einsum("ti,ti->t", signs @ mc.Q, signs)
-    best = int(np.argmin(vals))
-    s = signs[best]
-    if s[-1] == -1:
-        s = -s
-    rec = recover_solution(mc, s)
+    rec = recover_solution(mc, signs[int(np.argmin(vals))])
+    s = np.append(rec.x_sign, 1)
     return RoundingResult(spin=s, value=mc.value(s), feasible=rec.feasible, recovered=rec)
 
 

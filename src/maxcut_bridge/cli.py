@@ -36,7 +36,7 @@ from .reduction import (
     penalty_ratio,
     sparsity_graph,
 )
-from .relaxations import SELECTORS, compute_bounds, shor_maxcut
+from .relaxations import EXACT, SELECTORS, compute_bounds, shor_maxcut
 from .sdp import Sense, SolverConfig
 
 EXIT_OK = 0
@@ -172,11 +172,11 @@ def cmd_convert(args) -> int:
 def _render_solve(report, cert, fmt) -> str:
     f_star = None
     entry = report.entries.get("brute_force")
-    if entry is not None and entry.status == "Exact" and np.isfinite(entry.value):
+    if entry is not None and entry.status == EXACT and np.isfinite(entry.value):
         f_star = entry.value
     # an optimum within round-off of zero, on the problem's own scale, has no
     # relative delta, as an exact zero has none
-    zero = 1e-12 * (abs(report.offset) + report.scale * report.rho_raw)
+    zero = 1e-12 * (abs(report.offset) + report.scale * report.penalty.rho)
     rows = []
     for name in SELECTORS:
         if name not in report.entries:
@@ -191,8 +191,8 @@ def _render_solve(report, cert, fmt) -> str:
     meta = [
         ("n", report.n),
         ("rho", report.rho_original),
-        ("rho_raw", report.rho_raw),
-        ("penalty_m", report.penalty_m),
+        ("rho_raw", report.penalty.rho),
+        ("penalty_m", report.penalty.penalty_m),
         ("scale", report.scale),
         ("offset", report.offset),
         ("certificate", cert.kind),

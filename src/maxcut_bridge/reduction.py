@@ -39,13 +39,15 @@ def penalized_objective(q: SignProgram, pb: PenaltyBound):
 class MaxCutInstance:
     """Symmetric (n+1)x(n+1) form Q with the homogenization variable last.
 
-    `source` keeps the originating sign program so recovered solutions can be
-    mapped back (feasibility against A, b; objective in original units via
-    the program's scale and offset).
+    `penalty` is the PenaltyBound that Q was built with: it holds rho and
+    the weight M = 2 rho + 1 of the constraint term.  `source` keeps the
+    originating sign program so recovered solutions can be mapped back
+    (feasibility against A, b; objective in original units via the
+    program's scale and offset).
     """
 
     Q: np.ndarray
-    rho: float
+    penalty: PenaltyBound
     source: SignProgram
 
     def __post_init__(self):
@@ -58,8 +60,6 @@ class MaxCutInstance:
         Q = Q.copy()
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -68,10 +68,6 @@ class MaxCutInstance:
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
-
-    @property
-    def penalty_m(self) -> float:
-        return 2.0 * self.rho + 1.0
 
     def value(self, spin) -> float:
         """Raw quadratic form value s'Qs of a full (n+1)-spin vector."""
@@ -88,7 +84,7 @@ def homogenize(q: SignProgram, pb: PenaltyBound) -> MaxCutInstance:
     c_p, F_p, const = penalized_objective(q, pb)
     Q = _moment_cost(c_p, F_p)
     Q[q.n, q.n] = const
-    return MaxCutInstance(Q=Q, rho=pb.rho, source=q)
+    return MaxCutInstance(Q=Q, penalty=pb, source=q)
 
 
 class RecoveredSolution(NamedTuple):
@@ -148,7 +144,7 @@ def sparsity_graph(mc: MaxCutInstance) -> SparsityGraph:
 def penalty_ratio(mc: MaxCutInstance) -> float:
     """Conditioning diagnostic ||M*A'A||_F / ||F||_F (inf when F = 0 but A isn't)."""
     A = mc.source.A.astype(float)
-    num = mc.penalty_m * np.linalg.norm(A.T @ A)
+    num = mc.penalty.penalty_m * np.linalg.norm(A.T @ A)
     den = np.linalg.norm(mc.source.F)
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
@@ -174,8 +170,8 @@ def export_q_json(mc: MaxCutInstance, path) -> None:
     doc = {
         "n_nodes": mc.dim,
         "Q": mc.Q.tolist(),
-        "rho": mc.rho,
-        "penalty_m": mc.penalty_m,
+        "rho": mc.penalty.rho,
+        "penalty_m": mc.penalty.penalty_m,
         "offset": mc.source.offset,
         "scale": mc.source.scale,
     }

@@ -28,9 +28,9 @@ from .sdp import (Cone, SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfi
 
 _LP_TOL = 1e-9
 
-CONVERGED = "Converged"
-ITERATION_LIMIT = "IterationLimit"
-DIVERGED = "Diverged"
+CONVERGED = SolveStatus.CONVERGED.value
+ITERATION_LIMIT = SolveStatus.ITERATION_LIMIT.value
+DIVERGED = SolveStatus.DIVERGED.value
 INFEASIBLE = "Infeasible"
 SKIPPED = "Skipped"
 EXACT = "Exact"
@@ -473,10 +473,15 @@ _BRUTE_FORCE_AUTO_N = 18
 
 @dataclass
 class BoundReport:
+    """The entries of one program by selector name, in original-problem
+    units, with the ``penalty`` its MAX-CUT form was built with (rho and M
+    in sign-form raw units), rho in original units, the program's ``scale``
+    and ``offset`` (original = scale * raw + offset) and, when requested, a
+    hyperplane rounding of the min-sense Shor solution."""
+
     n: int
-    rho_raw: float
+    penalty: PenaltyBound
     rho_original: float
-    penalty_m: float
     scale: float
     offset: float
     entries: dict = field(default_factory=dict)
@@ -553,9 +558,8 @@ def compute_bounds(
     mc = homogenize(q, pb)
     report = BoundReport(
         n=q.n,
-        rho_raw=pb.rho,
+        penalty=pb,
         rho_original=q.to_original(pb.rho),
-        penalty_m=pb.penalty_m,
         scale=q.scale,
         offset=q.offset,
     )

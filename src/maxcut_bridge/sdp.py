@@ -31,7 +31,9 @@ of both cones is one gather from a small matrix (``_newton_index``).
 Both methods drop dependent rows up front with one routine
 (``_independent``), which the box QP of ``relaxations`` shares; its QR
 factorization of the kept rows serves the rest of the solve, the row
-weights that fix the trace (``_fixed_trace``) among it.  A solve
+weights that fix the trace (``_fixed_trace``) among it.  The dropped
+rows appear only at entry and exit: each method iterates on the kept rows
+alone and returns 0 as a dropped row's multiplier.  A solve
 whose X meets its rows only in the limit (every face-method solve, and a
 diagonal solve on a face) ends with one routine too (``_onto_rows``): X
 moved onto its rows by that factorization, and ``primal_residual`` its
@@ -548,8 +550,10 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     and the residual a - diag(V R V') enters <X, Z> and the stopping test.
     Diagonal rows that coincide on the face (X_11 and X_22 when
     x_1 + x_2 = 0) are dropped as ``_solve_face_ipm`` drops dependent rows,
-    with multiplier 0: the start's share of them moves onto the rows they
-    depend on.  A dual objective above sum_ij |C_ij| sqrt(a_i a_j), which
+    and appear only at entry and exit: V and a are cut to the kept rows
+    once, a least-squares fit moves the start's y onto them, every
+    iteration runs on them alone, and the returned y has 0 at each dropped
+    row.  A dual objective above sum_ij |C_ij| sqrt(a_i a_j), which
     bounds <C, X> for every feasible X, proves the problem infeasible and
     ends the solve as Diverged.  On a face the returned X is the last
     iterate moved onto the diagonal (``_onto_rows``), with
@@ -567,27 +571,17 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(a)))
     off = np.abs(C).sum(axis=1) - np.abs(C.diagonal())
     y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
-    keep = None  # the kept diagonal rows, where the face drops some
     if V is not None:
         _, rows, rhs, norms = p._face
-        kept, qr = p._kept
-        if kept.size < d:  # A*(y) from the kept rows alone
-            keep = kept
-            y_kept = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0]
-            y = np.zeros(d)
-            y[keep] = y_kept / norms[keep]
-        rows, rhs = rows[kept], rhs[kept]
+        keep, qr = p._kept
         C = V.T @ C @ V
+        if keep.size < d:  # from here on the kept diagonal rows alone
+            y = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0] / norms[keep]
+            V, a = V[keep], a[keep]
+        rows, rhs = rows[keep], rhs[keep]
 
     def adjoint(v):  # A*(v) = V' Diag(v) V
         return np.diag(v) if V is None else (V.T * v) @ V
-
-    def schur(M, rhs):  # M^-1 rhs on the kept rows, 0 on the dropped ones
-        if keep is None:
-            return _schur_solve(M, rhs)
-        out = np.zeros(d)
-        out[keep] = _schur_solve(M, rhs[keep])
-        return out
 
     r = len(C)
     R = adjoint(a)
@@ -631,15 +625,13 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
             Z_lift = VZ if V is None else VZ @ V.T
             M = X * Z_lift  # the Schur matrix
-            if keep is not None:
-                M = M[keep][:, keep]
-            dy_a = schur(M, a)  # the affine predictor
+            dy_a = _schur_solve(M, a)  # the affine predictor
             dR_a = (RV * dy_a) @ VZ - R
             dR_a = (dR_a + dR_a.T) / 2.0
             dR_aV = dR_a if V is None else dR_a @ V.T  # dR_a V'
             lifted = dR_aV if V is None else V @ dR_aV  # V dR_a V'
             mu = sigma * xz / r
-            dy = schur(M, a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)
+            dy = _schur_solve(M, a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)
             dR = mu * Z_inv - R + (RV * dy + dR_aV * dy_a) @ VZ  # + dR_a A*(dy_a) Z^-1
             dR = (dR + dR.T) / 2.0
             # the most negative eigenvalue of L^-1 dM L^-T limits each side's step;
@@ -661,7 +653,9 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     else:
         ia, ib, s = _svec_index(r)
         R, primal_residual = _onto_rows(R[ia, ib] * s, rows, rhs, qr)
-        X = V @ R @ V.T
+        X = p.face @ R @ p.face.T
+        y_kept, y = y, np.zeros(d)  # a dropped row's multiplier is 0
+        y[keep] = y_kept
     return _solution(p, X, status, primal_residual=primal_residual, dual_residual=gap,
                      iterations=it, message=message, y=sign * y)
 

@@ -23,7 +23,7 @@ from maxcut_bridge.penalty import PenaltyBound, rho as penalty_rho
 from maxcut_bridge.sdp import SolverConfig
 
 FAST_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
-DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000, admm_rho=0.1)
+DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000)
 
 
 @dataclass(frozen=True)

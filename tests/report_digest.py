@@ -7,8 +7,9 @@
 Builds each named workload (all four by default) at seed 0, or ``--seed``, from
 bench/workloads.py and runs every instance the way bench/run.py does:
 ``penalty.rho``, then ``compute_bounds`` with the workload's selectors and
-solver settings, then ``certify``.  The digest covers rho, every entry's
-name, value, raw value, status, note and inflation, the X and y of each
+solver settings, then ``certify``.  The digest covers rho, the report's
+n, rho in original units, scale and offset, every entry's name, value, raw
+value, status, note and inflation, the X, y, W and iterations of each
 entry's SDP solution, the rounding spin, value and feasibility, and the
 verdict with its value, bound and point; an exception counts by its repr.
 Wall-clock seconds are left out, and BLAS runs on one thread, as in
@@ -87,11 +88,11 @@ def _report(h, inst, wl) -> None:
     except Exception as exc:
         _feed(h, repr(exc))
         return
-    _feed(h, pb.rho)
+    _feed(h, pb.rho, rep.n, rep.rho_original, rep.scale, rep.offset)
     for name, e in rep.entries.items():
         _feed(h, name, e.value, e.raw, e.status, e.note, e.inflation)
         if e.solution is not None:
-            _feed(h, e.solution.X, e.solution.y)
+            _feed(h, e.solution.X, e.solution.y, e.solution.W, e.solution.iterations)
     if rep.rounding is not None:
         _feed(h, rep.rounding.spin, rep.rounding.value, rep.rounding.feasible)
     _feed(h, cert.kind, cert.value, cert.bound, cert.point)

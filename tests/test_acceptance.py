@@ -38,7 +38,7 @@ from maxcut_bridge.sdp import (
 )
 
 FAST_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
-DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000, admm_rho=0.1)
+DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000)
 TIGHT_CFG = SolverConfig(eps_abs=1e-9, eps_rel=1e-9, max_iter=200000)
 
 CHAIN = ("maxcut_shor_min", "lasserre1", "lp_box", "convex_quadratic",

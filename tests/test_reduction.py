@@ -125,7 +125,7 @@ class TestHomogenize:
         q = SignProgram(n=4, c=C4, F=None, A=[A4], b=[1])
         assert not any(q.is_feasible(x) for x in all_signs(4))
         mc = homogenize(q, rho(q.c, None))
-        assert min(mc.value(s) for s in all_signs(5)) > mc.rho
+        assert min(mc.value(s) for s in all_signs(5)) > mc.penalty.rho
 
 
 class TestRecoverSolution:
@@ -250,6 +250,6 @@ class TestDiagnostics:
     def test_instance_validation(self):
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
         with pytest.raises(ValueError, match="symmetric"):
-            MaxCutInstance(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), rho=1.0, source=q)
+            MaxCutInstance(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), penalty=rho_override(1.0), source=q)
         with pytest.raises(ValueError, match="2x2"):
-            MaxCutInstance(Q=np.zeros((3, 3)), rho=1.0, source=q)
+            MaxCutInstance(Q=np.zeros((3, 3)), penalty=rho_override(1.0), source=q)

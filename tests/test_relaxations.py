@@ -47,7 +47,7 @@ from maxcut_bridge.sdp import (SdpProblem, SdpSolution, Sense, SolveStatus, Solv
                                certified_diag_bound)
 
 CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
-DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000, admm_rho=0.1)
+DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 
 
 def count_qr(monkeypatch) -> list:
@@ -453,6 +453,41 @@ class TestLasserre1:
             rounding = 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(q.F).sum())
             assert r.value - r.inflation <= f_star + rounding
 
+    def test_coinciding_diagonal_rows_at_any_budget(self, monkeypatch):
+        # x_1 + x_2 = 0 makes rows 1 and 2 of every face point opposite, so
+        # their diagonal rows coincide on the face and the second is dropped;
+        # at every budget each dropped row's multiplier is exactly 0 and the
+        # certified bound stays below the enumerated optimum
+        problems = []
+        solve = relaxations.solve_sdp
+        monkeypatch.setattr(relaxations, "solve_sdp",
+                            lambda p, cfg: problems.append(p) or solve(p, cfg))
+        rng = np.random.default_rng(29)
+        dropped_solves = 0
+        for k in range(60):
+            n = int(rng.integers(3, 8))
+            A = np.zeros((2, n), dtype=int)
+            A[0, :2] = 1
+            A[1] = rng.integers(-3, 4, n)
+            s = rng.choice([-1, 1], n)
+            s[1] = -s[0]
+            b = A @ s if k % 3 else np.array([0, rng.integers(-6, 7)])
+            F = rng.integers(-4, 5, (n, n)) * (k % 2)
+            q = SignProgram(n=n, c=rng.integers(-5, 6, n), F=(F + F.T) / 2.0, A=A, b=b)
+            f_star = brute_force(q).value
+            for max_iter in (1, 2, 5, 30, 30000):
+                problems.clear()
+                e = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5,
+                                                  max_iter=max_iter))
+                assert e.bound <= f_star + 1e-9 * (1.0 + abs(f_star)), (k, max_iter)
+                if e.solution is None or e.solution.y is None:
+                    continue  # no solve, or rows that conflict on the face
+                dropped = np.setdiff1d(np.arange(n + 1), problems[0]._kept[0])
+                assert 1 in dropped, k
+                assert (e.solution.y[dropped] == 0.0).all(), (k, max_iter)
+                dropped_solves += 1
+        assert dropped_solves >= 200
+
 
 class TestLpBox:
     def test_forced_vertex(self):
@@ -801,7 +836,7 @@ class TestComputeBounds:
         q = knapsack_fixed(4, 34)
         report = compute_bounds(q, cfg=CFG, gw_trials=20,
                                 dnn_cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5,
-                                                     max_iter=5000, admm_rho=0.1))
+                                                     max_iter=5000))
         assert isinstance(report, BoundReport)
         assert set(report.entries) == {
             "maxcut_shor_min", "maxcut_shor_max", "lasserre1", "lp_box",
@@ -825,6 +860,36 @@ class TestComputeBounds:
         assert report.rounding is not None
         assert report.rounding.recovered.feasible
         assert report.rounding.recovered.objective == pytest.approx(34.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), m=st.integers(1, 3))
+    def test_paper_comparison_order(self, data, n, m):
+        # the paper's comparison holds by theorem: a lasserre1 point pays no
+        # penalty in Q and its x lies in box ∩ {Ax = b} (so Shor, lp_box
+        # and convex_quadratic are at most lasserre1), and a DNN point maps
+        # to a lasserre1 point.  Each weaker certified bound is at most the
+        # stronger converged value plus its solve tolerance
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        A = ints(-3, 3, m * n).reshape(m, n)
+        if data.draw(st.booleans()):
+            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
+        else:
+            b = ints(-6, 6, m)
+        F = ints(-4, 4, n * n).reshape(n, n) * data.draw(st.sampled_from([0.0, 1.0]))
+        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b)
+        report = compute_bounds(q, selectors=["maxcut_shor_min", "lasserre1", "lp_box",
+                                              "convex_quadratic", "copositive_dnn"],
+                                cfg=CFG, dnn_cfg=CFG)
+        e = report.entries
+        for weaker, stronger in (("maxcut_shor_min", "lasserre1"), ("lp_box", "lasserre1"),
+                                 ("convex_quadratic", "lasserre1"),
+                                 ("lasserre1", "copositive_dnn")):
+            low, high = e[weaker], e[stronger]
+            if not (low.usable and high.usable and high.status == CONVERGED
+                    and np.isfinite(low.bound) and np.isfinite(high.value)):
+                continue
+            assert low.bound <= high.value + 1e-6 * (1.0 + abs(high.value)), (weaker, stronger)
 
     def test_lp_box_skipped_for_quadratic_objective(self):
         q = quadratic_knapsack_random(5, s=3.0, seed=3, f_density=0.5, b=9)
