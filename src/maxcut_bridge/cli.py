@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .bounds import certify, gw_round, nesterov_sandwich
-from .instances import GeneratorSpec
+from .instances import FAMILIES, GeneratorSpec
 from .model import (
     InfeasibleRowError,
     InstanceFormatError,
@@ -44,8 +44,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE_INPUT = 3
 EXIT_SOLVER_FAILURE = 4
 
-FAMILIES = ("knapsack_fixed", "knapsack_random", "quadratic_knapsack", "kcluster")
-
 _MIN_SENSE_SELECTORS = ("maxcut_shor_min", "lasserre1", "lp_box",
                         "convex_quadratic", "copositive_dnn")
 
@@ -69,6 +67,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_number(x):
+    """JSON has no inf or nan: a non-finite float is written as null."""
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _csv_line(cells) -> str:
     out = []
     for cell in cells:
@@ -77,6 +80,14 @@ def _csv_line(cells) -> str:
             text = '"' + text.replace('"', '""') + '"'
         out.append(text)
     return ",".join(out)
+
+
+def _csv_text(headers, rows, notes) -> str:
+    """A header line, one line per row, then one ``# note`` line per note."""
+    lines = [_csv_line(headers)]
+    lines += [_csv_line(r) for r in rows]
+    lines += [f"# {note}" for note in notes]
+    return "\n".join(lines) + "\n"
 
 
 def _table(rows, headers) -> str:
@@ -96,8 +107,7 @@ def _render_pairs(pairs, fmt) -> str:
         doc = {k: (v.item() if isinstance(v, np.generic) else v) for k, v in pairs}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        return (_csv_line([k for k, _ in pairs]) + "\n"
-                + _csv_line([v for _, v in pairs]) + "\n")
+        return _csv_text([k for k, _ in pairs], [[v for _, v in pairs]], [])
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n"
 
 
@@ -122,7 +132,7 @@ def _emit(args, text: str, digest: str) -> None:
 
 def _generate(spec: GeneratorSpec):
     prog = spec.generate()
-    if isinstance(prog, tuple):  # kcluster yields (0/1 program, sign form)
+    if isinstance(prog, tuple):  # a 0/1-built family yields (0/1 program, sign form)
         prog = prog[1]
     return prog
 
@@ -178,14 +188,21 @@ def _render_solve(report, cert, fmt) -> str:
     # relative delta, as an exact zero has none
     zero = 1e-12 * (abs(report.offset) + report.scale * report.penalty.rho)
     rows = []
-    for name in SELECTORS:
-        if name not in report.entries:
-            continue
-        e = report.entries[name]
+    records = {}
+    for name, e in report.entries.items():
         delta = None
         if f_star is not None and abs(f_star) > zero and np.isfinite(e.value):
             delta = 100.0 * (e.value - f_star) / abs(f_star)
         rows.append([name, e.status, e.value, e.raw, e.inflation, delta, e.note])
+        records[name] = {
+            "status": e.status,
+            "value": _json_number(e.value),
+            "value_text": _fmt(e.value),
+            "raw": _json_number(e.raw),
+            "inflation": e.inflation,
+            "delta_pct_vs_brute": delta,
+            "note": e.note,
+        }
     headers = ["selector", "status", "value", "raw", "inflation",
                "delta_pct_vs_brute", "note"]
     meta = [
@@ -206,18 +223,7 @@ def _render_solve(report, cert, fmt) -> str:
     if fmt == "json":
         doc = {
             "meta": {k: v for k, v in meta},
-            "entries": {
-                r[0]: {
-                    "status": r[1],
-                    "value": None if r[2] is None or not np.isfinite(r[2]) else r[2],
-                    "value_text": _fmt(r[2]),
-                    "raw": None if r[3] is None or not np.isfinite(r[3]) else r[3],
-                    "inflation": r[4],
-                    "delta_pct_vs_brute": r[5],
-                    "note": r[6],
-                }
-                for r in rows
-            },
+            "entries": records,
             "certificate": {
                 "kind": cert.kind,
                 "explanation": cert.explanation,
@@ -228,10 +234,7 @@ def _render_solve(report, cert, fmt) -> str:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = [_csv_line(headers)]
-        lines += [_csv_line(r) for r in rows]
-        lines += [f"# {k}: {_fmt(v)}" for k, v in meta]
-        return "\n".join(lines) + "\n"
+        return _csv_text(headers, rows, [f"{k}: {_fmt(v)}" for k, v in meta])
     return _table(rows, headers) + "\n\n" + _render_pairs(meta, "table")
 
 
@@ -349,7 +352,7 @@ def cmd_compare(args) -> int:
                 out += [e.value, e.raw, e.status]
         table_rows.append(out)
 
-    # win counts: how often the homogenized SDP bound beats each alternative
+    # win counts: how often the homogenized SDP's certified bound beats each alternative
     summary = []
     if "maxcut_shor_min" in selectors:
         for other in _MIN_SENSE_SELECTORS:
@@ -362,10 +365,10 @@ def cmd_compare(args) -> int:
                 a = report.entries["maxcut_shor_min"]
                 b = report.entries[other]
                 if not (a.usable and b.usable
-                        and np.isfinite(a.value) and np.isfinite(b.value)):
+                        and np.isfinite(a.bound) and np.isfinite(b.bound)):
                     continue
                 total += 1
-                if a.value > b.value:
+                if a.bound > b.bound:
                     wins += 1
             summary.append(f"wins maxcut_shor_min>{other}: {wins}/{total}")
     summary.append(f"rows: {len(reports)}")
@@ -374,8 +377,7 @@ def cmd_compare(args) -> int:
         doc = {
             "sweep": {"param": param, "values": values},
             "rows": [
-                {h: None if isinstance(c, float) and not np.isfinite(c) else c
-                 for h, c in zip(headers, r)}
+                {h: _json_number(c) for h, c in zip(headers, r)}
                 for r in table_rows
             ],
             "summary": summary,
@@ -384,10 +386,7 @@ def cmd_compare(args) -> int:
     elif args.format == "table":
         text = _table(table_rows, headers) + "\n" + "\n".join(summary) + "\n"
     else:
-        lines = [_csv_line(headers)]
-        lines += [_csv_line(r) for r in table_rows]
-        lines += [f"# {s}" for s in summary]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(headers, table_rows, summary)
     _emit(args, text, f"rows={len(reports)} param={param}")
     return EXIT_OK
 

@@ -131,13 +131,22 @@ def kcluster(n: int, k: int, zero_prob: float, seed: int) -> tuple[ZeroOneProgra
     return p01, q
 
 
+# family -> (generator, the GeneratorSpec fields it takes after n, in call order)
+FAMILIES = {
+    "knapsack_fixed": (knapsack_fixed, ("b",)),
+    "knapsack_random": (knapsack_random, ("s", "seed", "b")),
+    "quadratic_knapsack": (quadratic_knapsack_random, ("s", "seed", "f_density", "b")),
+    "kcluster": (kcluster, ("k", "zero_prob", "seed")),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A fully seeded description of one generated instance.
 
-    family: knapsack_fixed | knapsack_random | quadratic_knapsack | kcluster.
-    Unused parameters for a family must be left at None; equal field values
-    always regenerate a bitwise-identical instance.
+    family: a key of FAMILIES.  Unused parameters for a family must be left
+    at None; equal field values always regenerate a bitwise-identical
+    instance.
     """
 
     family: str
@@ -150,17 +159,11 @@ class GeneratorSpec:
     zero_prob: float | None = None
 
     def generate(self):
-        if self.family == "knapsack_fixed":
-            return knapsack_fixed(self.n, self._req("b"))
-        if self.family == "knapsack_random":
-            return knapsack_random(self.n, self._req("s"), self.seed, self._req("b"))
-        if self.family == "quadratic_knapsack":
-            return quadratic_knapsack_random(
-                self.n, self._req("s"), self.seed, self._req("f_density"), self._req("b")
-            )
-        if self.family == "kcluster":
-            return kcluster(self.n, self._req("k"), self._req("zero_prob"), self.seed)
-        raise ValueError(f"unknown family {self.family!r}")
+        """The family's generator on these fields; kcluster returns its (0/1, sign) pair."""
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        make, params = FAMILIES[self.family]
+        return make(self.n, *(self._req(name) for name in params))
 
     def _req(self, name):
         v = getattr(self, name)

@@ -62,10 +62,6 @@ class MaxCutInstance:
         object.__setattr__(self, "Q", Q)
 
     @property
-    def n(self) -> int:
-        return self.source.n
-
-    @property
     def dim(self) -> int:
         return self.Q.shape[0]
 

@@ -473,11 +473,12 @@ _BRUTE_FORCE_AUTO_N = 18
 
 @dataclass
 class BoundReport:
-    """The entries of one program by selector name, in original-problem
-    units, with the ``penalty`` its MAX-CUT form was built with (rho and M
-    in sign-form raw units), rho in original units, the program's ``scale``
-    and ``offset`` (original = scale * raw + offset) and, when requested, a
-    hyperplane rounding of the min-sense Shor solution."""
+    """The entries of one program by selector name, in SELECTORS order and
+    original-problem units, with the ``penalty`` its MAX-CUT form was built
+    with (rho and M in sign-form raw units), rho in original units, the
+    program's ``scale`` and ``offset`` (original = scale * raw + offset)
+    and, when requested, a hyperplane rounding of the min-sense Shor
+    solution."""
 
     n: int
     penalty: PenaltyBound

@@ -25,6 +25,8 @@ from maxcut_bridge.model import (
     load_instance,
     save_instance,
 )
+from maxcut_bridge.penalty import rho_override
+from maxcut_bridge.relaxations import CONVERGED, INFEASIBLE, BoundEntry, BoundReport
 
 FAST = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000"]
 
@@ -309,6 +311,15 @@ class TestRound:
         assert rc == EXIT_OK
         assert "feasible = true" in capsys.readouterr().out
 
+    def test_unusable_shor_entry_exits_4(self, knapsack_file, capsys, monkeypatch):
+        monkeypatch.setattr("maxcut_bridge.cli.shor_maxcut",
+                            lambda *args: BoundEntry(value=np.inf, status=INFEASIBLE))
+        rc = run_cli(["round", "--instance", knapsack_file] + FAST)
+        assert rc == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rounding unavailable: SDP status Infeasible\n"
+
 
 class TestCertify:
     def test_feasible_verdict(self, knapsack_file, capsys):
@@ -365,6 +376,25 @@ class TestCompare:
         assert "# wins maxcut_shor_min>lp_box:" in out
         assert "# rows: 5" in out
 
+    def test_wins_compare_certified_bounds(self, capsys, monkeypatch):
+        # b = 30: Shor's value 10 is above the LP's 9, but its bound 10 - 2
+        # is below; b = 31: an infinite inflation certifies nothing
+        def fake_bounds(sign, selectors, **kwargs):
+            inflation = 2.0 if sign.b[0] == 30 else np.inf
+            shor = BoundEntry(value=10.0, status=CONVERGED, inflation=inflation)
+            return BoundReport(n=sign.n, penalty=rho_override(1.0), rho_original=1.0,
+                               scale=1.0, offset=0.0,
+                               entries={"maxcut_shor_min": shor,
+                                        "lp_box": BoundEntry(value=9.0, status=CONVERGED)})
+
+        monkeypatch.setattr("maxcut_bridge.cli.compute_bounds", fake_bounds)
+        rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
+                      "--sweep-param", "b", "--sweep-from", "30", "--sweep-to", "31",
+                      "--selectors", "maxcut_shor_min,lp_box"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "# wins maxcut_shor_min>lp_box: 0/1\n" in out
+
     def test_empty_sweep_is_usage_error(self):
         rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
                       "--sweep-param", "b", "--sweep-from", "5",
@@ -386,6 +416,44 @@ class TestCompare:
         data = [l for l in lines[1:] if not l.startswith("#")]
         assert len(data) == 3
         assert all("requires parameter" in row for row in data)
+
+    # b = 33 is infeasible (brute_force reads inf) and b = 35 lies outside
+    # [-34, 34], so its row holds the generator's error
+    EDGE = ["compare", "--family", "knapsack_fixed", "--n", "4",
+            "--sweep-param", "b", "--sweep-from", "33", "--sweep-to", "35",
+            "--selectors", "maxcut_shor_min,lp_box,brute_force"] + FAST
+
+    def test_json_sweep(self, capsys):
+        assert run_cli(self.EDGE + ["--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"sweep", "rows", "summary"}
+        assert doc["sweep"] == {"param": "b", "values": [33, 34, 35]}
+        assert [row["b"] for row in doc["rows"]] == [33, 34, 35]
+        infeasible, feasible, failed = doc["rows"]
+        assert infeasible["brute_force"] is None  # inf is not JSON
+        assert infeasible["brute_force_status"] == "Exact"
+        assert feasible["brute_force"] == 34.0
+        assert failed["lp_box"] is None
+        assert failed["lp_box_status"] == "b must lie in [-34, 34]"
+        assert doc["summary"][-1] == "rows: 3"
+        assert doc["summary"][0].startswith("wins maxcut_shor_min>lp_box: ")
+
+    def test_table_sweep(self, capsys):
+        assert run_cli(self.EDGE + ["--format", "table"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == [
+            "b", "maxcut_shor_min", "maxcut_shor_min_raw", "maxcut_shor_min_status",
+            "lp_box", "lp_box_raw", "lp_box_status",
+            "brute_force", "brute_force_raw", "brute_force_status"]
+        assert set(lines[1]) == {"-", " "}
+        assert [l.split()[0] for l in lines[2:5]] == ["33", "34", "35"]
+        assert lines[5].startswith("wins maxcut_shor_min>lp_box: ")
+        assert lines[6:] == ["rows: 3"]
+
+    def test_csv_quotes_a_cell_with_a_comma(self, capsys):
+        assert run_cli(list(self.EDGE)) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "35" + ',,,"b must lie in [-34, 34]"' * 3
 
     def test_k_sweep(self, capsys):
         rc = run_cli(["compare", "--family", "kcluster", "--n", "6",

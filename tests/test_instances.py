@@ -189,10 +189,21 @@ class TestGeneratorSpec:
         assert np.array_equal(a.c, b.c) and np.array_equal(a.F, b.F)
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(ValueError, match="requires parameter"):
+        with pytest.raises(ValueError) as exc:
             GeneratorSpec("kcluster", n=5, seed=1, k=2).generate()
-        with pytest.raises(ValueError, match="unknown family"):
+        assert str(exc.value) == "family 'kcluster' requires parameter 'zero_prob'"
+        with pytest.raises(ValueError) as exc:
             GeneratorSpec("mystery", n=5).generate()
+        assert str(exc.value) == "unknown family 'mystery'"
+
+    @pytest.mark.parametrize("given, missing", [
+        ({}, "s"), ({"s": 2.0}, "f_density"), ({"s": 2.0, "f_density": 0.4}, "b"),
+    ])
+    def test_parameters_checked_in_call_order(self, given, missing):
+        spec = GeneratorSpec("quadratic_knapsack", n=6, **given)
+        with pytest.raises(ValueError) as exc:
+            spec.generate()
+        assert str(exc.value) == f"family 'quadratic_knapsack' requires parameter {missing!r}"
 
 
 class TestBruteForce:

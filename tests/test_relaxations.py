@@ -612,6 +612,21 @@ class TestConvexQuadratic:
             assert status == ITERATION_LIMIT
             assert calls == {"inv": max_iter, "lstsq": 0}
 
+    def test_pinned_row_stops_at_the_slack_floor(self, monkeypatch):
+        # x2 = 1 pins x2 to its upper bound, so there is no interior point:
+        # 1 - x2 runs down to the floor and the loop stops after a few steps,
+        # far inside its budget, with the closing LP's value still below f*
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append(None) or inv(*args))
+        q = SignProgram(n=2, c=[-2.7, -1.9], F=[[1.1, 0.25], [0.25, 2.2]], A=[[0, 1]], b=[1])
+        r = convex_quadratic_relaxation(q, CFG)
+        assert r.status == ITERATION_LIMIT
+        assert len(calls) < 100
+        f_star = brute_force(q).value
+        assert f_star == pytest.approx(-0.8)
+        assert r.value <= f_star
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8))
     def test_linear_objective_is_the_box_lp(self, data, n):
@@ -772,6 +787,29 @@ class TestCopositiveDnn:
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.inflation >= 0.0
         assert calls == {"_face_rows": 1, "_fixed_trace": 1}
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_failed_step_keeps_a_sound_bound(self, k, monkeypatch):
+        # a face-IPM step whose factorization fails ends the solve with the
+        # multipliers of its last strictly feasible iterate, the start's
+        # included
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        sign = knapsack_random(5, 3, 12, 7)
+        r = copositive_dnn(to_zero_one(sign), DNN_CFG)
+        assert r.status == ITERATION_LIMIT
+        assert r.solution.iterations == k - 1
+        assert r.solution.message == (f"interior-point step failed after {k - 1} iterations: "
+                                      "Matrix is not positive definite")
+        assert r.bound <= brute_force(sign).value
 
     def test_lower_bounds_cluster_optimum(self):
         q01, s = kcluster(8, 3, zero_prob=0.5, seed=11)
