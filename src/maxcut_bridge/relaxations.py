@@ -311,19 +311,22 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     """min c'x + x'Hx s.t. Ax = b, -1 <= x <= 1 (H PSD), by Mehrotra's
     primal-dual interior-point method (SIAM J. Optim. 2, 1992).
 
-    The rows must be consistent.  Dependent ones are dropped up front
-    (``_independent``), so with D, the sum of z/s over both bounds, positive
-    the Newton matrix [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted
-    once per iteration, and the inverse serves the affine step, which sets
-    the centering (mu_affine / mu)^3, and the corrector; least squares
-    stands in only where the inversion fails.  The slacks s = (1 + x, 1 - x)
-    and their multipliers z stay positive: each side moves 0.99 of the way
-    to the boundary, at most a full step.  Converged needs the dual and
+    The rows must be consistent.  Dependent ones are dropped up front by
+    ``_independent`` on the Gram matrix of the rows scaled to unit norm, so
+    with D, the sum of z/s over both bounds, positive the Newton matrix
+    [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted once per
+    iteration, and the inverse serves the affine step, which sets the
+    centering (mu_affine / mu)^3, and the corrector; least squares stands in
+    only where the inversion fails.  The slacks s = (1 + x, 1 - x) and their
+    multipliers z stay positive: each side moves 0.99 of the way to the
+    boundary, at most a full step.  Converged needs the dual and
     primal residuals and the mean of s o z at most 1e-9 (1 + sum |c|).
     Where the rows pin variables to a bound there is no interior point and
     s tends to zero: the loop stops while 1 - x still has digits to step on.
     """
-    keep, _ = _independent(A, b, slack=np.inf)
+    norm = np.linalg.norm(A, axis=1, keepdims=True)
+    unit = A / np.where(norm > 1e-6, norm, 1.0)  # a row of norm <= 1e-6 is dropped
+    keep, _ = _independent(unit @ unit.T, b, slack=np.inf)
     A, b = A[keep], b[keep]
     n, m = len(c), len(b)
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))

@@ -28,17 +28,18 @@ and one update moves each side; one cached basis matrix maps svec
 coordinates to and from matrices (``_svec_basis``), and the Newton block
 of both cones is one gather from a small matrix (``_newton_index``).
 
-Both methods drop dependent rows up front with one routine
-(``_independent``), which the box QP of ``relaxations`` shares; its QR
-factorization of the kept rows serves the rest of the solve, the row
-weights that fix the trace (``_fixed_trace``) among it.  The dropped
-rows appear only at entry and exit: each method iterates on the kept rows
-alone and returns 0 as a dropped row's multiplier.  A solve
-whose X meets its rows only in the limit (every face-method solve, and a
-diagonal solve on a face) ends with one routine too (``_onto_rows``): X
-moved onto its rows by that factorization, and ``primal_residual`` its
-distance to the PSD cone.  Both methods are deterministic: the same problem
-and config always produce the same iteration path.
+Both methods drop dependent rows up front with one pass over the rows'
+Gram matrix (``_independent``, which the box QP of ``relaxations``
+shares).  The face method's rows are svec coordinates (``_face_rows``);
+on a face, the diagonal method's Gram matrix is P o P, P = V V', and it
+builds no rows.  The inverse Cholesky factor of the kept rows that the
+pass returns serves the rest of the solve: the row weights that fix the
+trace (``_fixed_trace``), and the move of X onto its rows at the end of
+a solve whose X meets them only in the limit (every face-method solve,
+and a diagonal solve on a face), where ``primal_residual`` is then its
+distance to the PSD cone.  Each method iterates on the kept rows alone
+and returns 0 as a dropped row's multiplier.  Both are deterministic: the
+same problem and config always produce the same iteration path.
 """
 
 import math
@@ -182,17 +183,18 @@ class SdpProblem:
 
     @cached_property
     def _kept(self):
-        """The independent rows of ``_face`` and their QR factorization
-        (``_independent``); raises ``_InconsistentSystem`` where they conflict."""
+        """The independent rows of ``_face`` and the inverse Cholesky factor of
+        their Gram block (``_independent``); raises ``_InconsistentSystem``
+        where they conflict."""
         _, rows, rhs, _ = self._face
-        return _independent(rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        return _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
 
     @cached_property
     def _trace(self):
         """``_fixed_trace`` of the kept rows: the trace T and the row weights."""
         V, rows, rhs, _ = self._face
-        keep, qr = self._kept
-        return _fixed_trace(rows[keep], rhs[keep], qr, V.shape[1])
+        keep, L_inv = self._kept
+        return _fixed_trace(rows[keep], rhs[keep], L_inv, V.shape[1])
 
 
 @dataclass
@@ -345,18 +347,18 @@ def _face_rows(p: SdpProblem):
     return V, rows / scale[:, None], rhs / scale, norms
 
 
-def _fixed_trace(rows: np.ndarray, rhs: np.ndarray, qr, r: int):
+def _fixed_trace(rows: np.ndarray, rhs: np.ndarray, L_inv: np.ndarray, r: int):
     """The trace T that the rows fix, and the row weights u with sum_k u_k A_k = I.
 
-    ``rows`` are independent svec rows of r x r matrices, and ``qr`` the QR
-    factorization (Q, R) of rows' that ``_independent`` returns with them, so
-    the least-squares weights are R^-1 Q' svec(I).  Raises ValueError unless
-    the identity is a combination of the rows and T = u'rhs is positive.
+    ``rows`` are independent svec rows of r x r matrices, and ``L_inv`` the
+    inverse Cholesky factor of their Gram matrix that ``_independent``
+    returns with them, so the least-squares weights are
+    L^-T L^-1 rows svec(I).  Raises ValueError unless the identity is a
+    combination of the rows and T = u'rhs is positive.
     """
     a, b, _ = _svec_index(r)
     target = (a == b).astype(float)  # svec(I)
-    Q, R = qr
-    u = np.linalg.solve(R, Q.T @ target)
+    u = L_inv.T @ (L_inv @ (rows @ target))
     T = float(u @ rhs)
     if np.linalg.norm(rows.T @ u - target) > 1e-8 * (1.0 + math.sqrt(r)) or not T > 0.0:
         raise ValueError("solve_sdp needs a fixed diagonal or constraint rows that fix "
@@ -424,35 +426,42 @@ class _InconsistentSystem(ValueError):
     """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
-def _independent(rows: np.ndarray, rhs: np.ndarray, slack: float):
-    """Indices of the rows that do not depend on the rows ahead of them, and
-    the QR factorization (Q, R) of the kept rows' transpose.
+def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float):
+    """Indices of the rows that do not depend on the rows kept ahead of them,
+    and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block.
 
-    A QR factorization of the rows gives, on its diagonal, the norm of each
-    row less its projection onto the rows before it.  The first row where
-    that norm is at most 1e-6 (a zero row included) is a combination of the
-    rows before it; it is dropped if its right-hand side is the same
-    combination of theirs within ``slack``, and otherwise no X satisfies the
-    rows and ``_InconsistentSystem`` is raised.  The factorization is
-    repeated without it until no such row is left, so the last one is the
-    kept rows' own.
+    ``gram`` holds the products of the rows, which have unit norm or are
+    zero.  One pass measures each row against the rows kept so far: with g
+    its products with them, l = L^-1 g (refined once against L) and
+    c = L^-T l its combination of them, the row less c has norm sqrt(s),
+    s = gram_ii - l'l, which the Gram matrix's round-off moves by up to
+    about eps (1 + |c|_1)^2.  A row with s at most 1e-12 plus four times
+    that, or plus 1e-3 where less, is dropped (a remainder above 0.03 is
+    kept, and one inside that round-off reads as zero); if c'rhs
+    misses its right-hand side by more than ``slack`` plus four times that
+    sum's round-off, eps (1 + |c|_1) |L^-1| |x| with x = L^-1 rhs, no X
+    meets the rows and ``_InconsistentSystem`` is raised.  A kept row
+    borders L with (l', sqrt(s)) and L^-1 with (-c', 1) / sqrt(s).
     """
-    keep = np.arange(len(rows))
-    while keep.size:
-        Q, R = np.linalg.qr(rows[keep].T)
-        remainder = np.zeros(keep.size)
-        remainder[: min(R.shape)] = np.abs(np.diag(R))
-        small = np.flatnonzero(remainder <= 1e-6)
-        if not small.size:
-            return keep, (Q, R)
-        i = small[0]
-        c = np.linalg.solve(R[:i, :i], R[:i, i])  # row i in terms of the rows before it
-        if abs(rhs[keep[i]] - c @ rhs[keep[:i]]) > slack:
-            raise _InconsistentSystem(
-                "constraint rows are linearly dependent with conflicting right-hand sides"
-            )
-        keep = np.delete(keep, i)
-    return keep, (np.zeros((rows.shape[1], 0)), np.zeros((0, 0)))
+    keep, k, tol = np.zeros(len(gram), dtype=np.intp), 0, 4.0 * np.finfo(float).eps
+    L, L_inv, x = np.zeros(gram.shape), np.zeros(gram.shape), np.zeros(len(gram))
+    for i in range(len(gram)):
+        Lk_inv, g = L_inv[:k, :k], gram[keep[:k], i]
+        l = Lk_inv @ g
+        l += Lk_inv @ (g - L[:k, :k] @ l)  # L l = g to round-off
+        c = l @ Lk_inv
+        size = 1.0 + np.abs(c).sum()
+        s = gram[i, i] - l @ l
+        if s <= 1e-12 + min(tol * size**2, 1e-3):
+            if abs(rhs[i] - l @ x[:k]) > slack + tol * size * _fro(Lk_inv) * _fro(x[:k]):
+                raise _InconsistentSystem(
+                    "constraint rows are linearly dependent with conflicting right-hand sides")
+            continue
+        L[k, :k], L[k, k] = l, math.sqrt(s)
+        L_inv[k, :k], L_inv[k, k] = -c / L[k, k], 1.0 / L[k, k]
+        x[k] = (rhs[i] - l @ x[:k]) / L[k, k]
+        keep[k], k = i, k + 1
+    return keep[:k], L_inv[:k, :k]
 
 
 def _step_to(low: float) -> float:
@@ -466,31 +475,6 @@ def _schur_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(M, rhs, rcond=None)[0]
-
-
-def _smat(u: np.ndarray, r: int) -> np.ndarray:
-    """Symmetric r x r matrices from svec coordinates (the last axis of ``u``)."""
-    ia, ib, s = _svec_index(r)
-    M = np.zeros(u.shape[:-1] + (r, r))
-    M[..., ia, ib] = M[..., ib, ia] = u / s
-    return M
-
-
-def _onto_rows(rho: np.ndarray, rows: np.ndarray, rhs: np.ndarray, qr):
-    """The r x r matrix R with svec coordinates ``rho``, moved onto its
-    rows, and the distance of the result to the PSD cone.
-
-    Every solve whose iterate meets its rows only in the limit ends here.
-    ``rows`` are independent svec rows of R, and ``qr`` is the QR
-    factorization of rows' that ``_independent`` returns with them.  The
-    least-norm correction in the svec coordinates of R meets them to
-    round-off; the distance to the PSD cone (``project_psd``) is then the
-    same for R as for V R V'.
-    """
-    Q, R_b = qr
-    r = math.isqrt(2 * len(rho))  # len(rho) = r(r + 1)/2
-    R = _smat(rho + Q @ np.linalg.solve(R_b.T, rhs - rows @ rho), r)
-    return R, _fro(R - project_psd(R))
 
 
 _TRI_BLOCK = 24  # triangular blocks of at most this many rows go to np.linalg.inv
@@ -548,18 +532,20 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     congruence, and it stays strictly dual feasible throughout.  Without a
     face X meets the diagonal from the start; on a face only in the limit,
     and the residual a - diag(V R V') enters <X, Z> and the stopping test.
-    Diagonal rows that coincide on the face (X_11 and X_22 when
-    x_1 + x_2 = 0) are dropped as ``_solve_face_ipm`` drops dependent rows,
-    and appear only at entry and exit: V and a are cut to the kept rows
-    once, a least-squares fit moves the start's y onto them, every
-    iteration runs on them alone, and the returned y has 0 at each dropped
-    row.  A dual objective above sum_ij |C_ij| sqrt(a_i a_j), which
-    bounds <C, X> for every feasible X, proves the problem infeasible and
-    ends the solve as Diverged.  On a face the returned X is the last
-    iterate moved onto the diagonal (``_onto_rows``), with
-    ``primal_residual`` its distance to the PSD cone.  As Z stays positive
-    definite, a'y is a certified bound at every iterate.
-    Requires a > 0.
+    On a face the rows X_ii = <V_i' V_i, R>, for V's rows V_i, have the
+    Gram matrix P o P, P = V V' ((V_i . V_j)^2), and one with |V_i|^2 <=
+    1e-9 counts as zero.  ``_independent`` of P o P, scaled to unit rows,
+    drops the rows that coincide on the face (X_11 and X_22 when
+    x_1 + x_2 = 0): V and a are cut to the kept rows once, a least-squares
+    fit through its factor moves the start's y onto them, every iteration
+    runs on them alone, and the returned y has 0 at each dropped row.  The
+    returned X is the last iterate moved onto the kept diagonal,
+    R + V' Diag((P o P)^-1 (a - diag(V R V'))) V through that factor, with
+    ``primal_residual`` its distance to the PSD cone.  A dual objective
+    above sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every
+    feasible X, proves the problem infeasible and ends the solve as
+    Diverged.  As Z stays positive definite, a'y is a certified bound at
+    every iterate.  Requires a > 0.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -572,13 +558,18 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     off = np.abs(C).sum(axis=1) - np.abs(C.diagonal())
     y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
     if V is not None:
-        _, rows, rhs, norms = p._face
-        keep, qr = p._kept
+        P = V @ V.T
+        norms = np.where(P.diagonal() > 1e-9, P.diagonal(), 0.0)  # |V_i' V_i| = |V_i|^2
+        inv = np.divide(1.0, norms, out=np.zeros(d), where=norms > 0.0)
+        PP = P * P  # the diagonal rows' Gram matrix
+        rhs = np.where(norms > 0.0, a * inv, a)
+        keep, factor = _independent(PP * np.outer(inv, inv), rhs,
+                                    1e-9 * (1.0 + np.linalg.norm(rhs)))
+        F = factor * inv[keep]  # F'F = (P o P)^-1 on the kept rows
         C = V.T @ C @ V
         if keep.size < d:  # from here on the kept diagonal rows alone
-            y = np.linalg.lstsq(rows[keep].T, (y * norms) @ rows, rcond=None)[0] / norms[keep]
+            y = F.T @ (F @ (PP[keep] @ (y * (norms > 0.0))))
             V, a = V[keep], a[keep]
-        rows, rhs = rows[keep], rhs[keep]
 
     def adjoint(v):  # A*(v) = V' Diag(v) V
         return np.diag(v) if V is None else (V.T * v) @ V
@@ -651,8 +642,8 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     if V is None:
         primal_residual = _fro(a - X.diagonal())
     else:
-        ia, ib, s = _svec_index(r)
-        R, primal_residual = _onto_rows(R[ia, ib] * s, rows, rhs, qr)
+        R = R + adjoint(F.T @ (F @ residual))  # onto the kept diagonal
+        primal_residual = _fro(R - project_psd(R))
         X = p.face @ R @ p.face.T
         y_kept, y = y, np.zeros(d)  # a dropped row's multiplier is 0
         y[keep] = y_kept
@@ -697,8 +688,10 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     that recomputed certificate decides whether the rows are infeasible
     (Diverged).  Converged needs the gap, <R, Z> + v'w and the row and
     orthant residuals under tolerance.  The returned X is V R V' with R
-    moved onto the rows (``_onto_rows``); ``primal_residual`` is the norm
-    of its distance to the PSD cone and of its negative orthant entries.
+    moved onto the rows by the least-norm correction Q'L^-1 (b - A rho),
+    where Q = L^-1 A with the factor of ``_independent``; ``primal_residual``
+    is the norm of R's distance to the PSD cone and of X's negative orthant
+    entries.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -707,7 +700,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     ia, ib, s = _svec_index(r)
     basis = _svec_basis(r)
     N = len(s)
-    keep, (Q, R_b) = p._kept
+    keep, L_inv = p._kept
     A, b = rows[keep], rhs[keep]
     m = len(b)
     T, weights = p._trace
@@ -719,9 +712,10 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     pi, pj = _svec_index(d)[:2] if p.cone == Cone.PSD_NONNEG else (np.zeros(0, int),) * 2
     Va, Vb = V[:, ia], V[:, ib]
     G = (Va[pi] * Vb[pj] + Vb[pi] * Va[pj]) * (s / 2.0)  # X_ij = G_ij rho
-    along = G @ Q
-    outside = np.linalg.norm(G - along @ Q.T, axis=1)
-    pinned_to = along @ np.linalg.solve(R_b.T, b)
+    Q = L_inv @ A  # orthonormal rows that span A's
+    along = G @ Q.T
+    outside = np.linalg.norm(G - along @ Q, axis=1)  # explicit: |G|^2 - |along|^2 cancels
+    pinned_to = along @ (L_inv @ b)
     free = (outside > 1e-9) | (np.abs(pinned_to) > 1e-9)
     pi, pj, G = pi[free], pj[free], G[free]
     q = len(G)
@@ -854,12 +848,12 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         u += step_d * du
         it += 1
 
-    R, distance = _onto_rows(rho, A, b, (Q, R_b))
+    R = ((rho + (L_inv @ (b - A @ rho)) @ Q) @ basis).reshape(r, r)  # moved onto the rows
     X = R if p.face is None else V @ R @ V.T
     y_rows, W = multipliers()
-    return _solution(p, X, status,
-                     primal_residual=math.hypot(distance, _fro(np.minimum(X[pi, pj], 0.0))),
-                     dual_residual=gap, iterations=it, message=message, y=y_rows, W=W)
+    distance = math.hypot(_fro(R - project_psd(R)), _fro(np.minimum(X[pi, pj], 0.0)))
+    return _solution(p, X, status, primal_residual=distance, dual_residual=gap,
+                     iterations=it, message=message, y=y_rows, W=W)
 
 
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:

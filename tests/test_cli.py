@@ -395,6 +395,17 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "# wins maxcut_shor_min>lp_box: 0/1\n" in out
 
+    def test_noise_is_no_win(self, capsys):
+        # at b = -34 Shor's certified bound passes lasserre1's by solver
+        # round-off alone, where theory has Shor <= lasserre1; a win needs
+        # Shor's bound above lasserre1's value, its bound widened back by
+        # its own inflation, and there is none
+        rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
+                      "--sweep-param", "b", "--sweep-from", "-34", "--sweep-to", "-34",
+                      "--selectors", "maxcut_shor_min,lasserre1"] + FAST)
+        assert rc == EXIT_OK
+        assert "# wins maxcut_shor_min>lasserre1: 0/1\n" in capsys.readouterr().out
+
     def test_empty_sweep_is_usage_error(self):
         rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
                       "--sweep-param", "b", "--sweep-from", "5",

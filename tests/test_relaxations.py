@@ -50,16 +50,14 @@ CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 
 
-def count_qr(monkeypatch) -> list:
-    """A one-element list that counts the np.linalg.qr calls from now on."""
-    calls = [0]
-    qr = np.linalg.qr
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
+def count_reductions(monkeypatch) -> dict:
+    """The np.linalg.qr and ``sdp._independent`` calls from now on, counted."""
+    calls = {"qr": 0, "_independent": 0}
+    for module, name in ((np.linalg, "qr"), (sdp, "_independent")):
+        def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -372,14 +370,31 @@ class TestLasserre1:
         assert r.usable if hasattr(r, "usable") else r.status in (CONVERGED, ITERATION_LIMIT)
         assert r.value - r.inflation <= f_star + 1e-4 * (1 + abs(f_star))
 
-    def test_one_qr_per_face_solve(self, monkeypatch):
-        # the independence check of the diagonal rows on the face factors
-        # them once, and that factorization also moves the last iterate onto
-        # them
-        calls = count_qr(monkeypatch)
+    def test_one_reduction_per_face_solve(self, monkeypatch):
+        # the independence check of the diagonal rows on the face is one
+        # pass over their Gram matrix, and its factor also moves the last
+        # iterate onto them; nothing is QR-factored
+        calls = count_reductions(monkeypatch)
         r = lasserre1(knapsack_random(6, s=3.0, seed=5, b=14), cfg=CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == [1]
+        assert calls == {"qr": 0, "_independent": 1}
+
+    def test_diagonal_face_builds_no_svec_rows(self, monkeypatch):
+        # the diagonal method reads its face through P o P alone: with the
+        # svec rows and QR refused, x_1 + x_2 = 0 still drops the diagonal
+        # row of x_2, which coincides with that of x_1 on the face, and
+        # its multiplier is exactly 0 under a bound below the optimum
+        def refuse(*args, **kwargs):
+            raise AssertionError("svec rows or a QR factorization on the diagonal path")
+
+        monkeypatch.setattr(sdp, "_face_rows", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        q = SignProgram(n=3, c=[1.0, -2.0, 0.5], F=[[0, 1, 0], [1, 0, -2], [0, -2, 0]],
+                        A=[[1, 1, 0]], b=[0])
+        r = lasserre1(q, cfg=CFG)
+        assert r.status == CONVERGED and r.solution.iterations > 0
+        assert r.solution.y[1] == 0.0 and (r.solution.y[[0, 2, 3]] != 0.0).all()
+        assert r.bound <= brute_force(q).value
 
     def test_unsatisfiable_cluster_size_reported_infeasible(self):
         _, s = kcluster(8, 9, zero_prob=0.5, seed=3)
@@ -455,13 +470,14 @@ class TestLasserre1:
 
     def test_coinciding_diagonal_rows_at_any_budget(self, monkeypatch):
         # x_1 + x_2 = 0 makes rows 1 and 2 of every face point opposite, so
-        # their diagonal rows coincide on the face and the second is dropped;
-        # at every budget each dropped row's multiplier is exactly 0 and the
-        # certified bound stays below the enumerated optimum
-        problems = []
-        solve = relaxations.solve_sdp
-        monkeypatch.setattr(relaxations, "solve_sdp",
-                            lambda p, cfg: problems.append(p) or solve(p, cfg))
+        # their diagonal rows coincide on the face and the second is dropped
+        # by the solve's one pass of _independent; at every budget each
+        # dropped row's multiplier is exactly 0 and the certified bound
+        # stays below the enumerated optimum
+        kept = []
+        independent = sdp._independent
+        monkeypatch.setattr(sdp, "_independent",
+                            lambda *args: kept.append(independent(*args)) or kept[-1])
         rng = np.random.default_rng(29)
         dropped_solves = 0
         for k in range(60):
@@ -476,13 +492,14 @@ class TestLasserre1:
             q = SignProgram(n=n, c=rng.integers(-5, 6, n), F=(F + F.T) / 2.0, A=A, b=b)
             f_star = brute_force(q).value
             for max_iter in (1, 2, 5, 30, 30000):
-                problems.clear()
+                kept.clear()
                 e = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5,
                                                   max_iter=max_iter))
                 assert e.bound <= f_star + 1e-9 * (1.0 + abs(f_star)), (k, max_iter)
                 if e.solution is None or e.solution.y is None:
                     continue  # no solve, or rows that conflict on the face
-                dropped = np.setdiff1d(np.arange(n + 1), problems[0]._kept[0])
+                (keep, _), = kept  # one reduction per solve
+                dropped = np.setdiff1d(np.arange(n + 1), keep)
                 assert 1 in dropped, k
                 assert (e.solution.y[dropped] == 0.0).all(), (k, max_iter)
                 dropped_solves += 1
@@ -611,6 +628,17 @@ class TestConvexQuadratic:
             _, status = relaxations._box_qp(H, np.array([1.0, -3.0, 2.0]), A, b, max_iter)
             assert status == ITERATION_LIMIT
             assert calls == {"inv": max_iter, "lstsq": 0}
+
+    @pytest.mark.parametrize("norm, x1", [(1e-7, -1.0), (1e-5, 0.0)])
+    def test_box_qp_drops_a_row_of_tiny_norm(self, norm, x1):
+        # min x1 s.t. x2 + x3 = 1 and norm * x1 = 0: a row of norm at most
+        # 1e-6 counts as zero and is dropped, so x1 reaches its bound -1,
+        # while a row just above that is kept and holds x1 at 0
+        A = np.array([[0.0, 1.0, 1.0], [norm, 0.0, 0.0]])
+        x, status = relaxations._box_qp(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]), A,
+                                        np.array([1.0, 0.0]), 100)
+        assert status == CONVERGED
+        assert x[0] == pytest.approx(x1, abs=1e-6)
 
     def test_pinned_row_stops_at_the_slack_floor(self, monkeypatch):
         # x2 = 1 pins x2 to its upper bound, so there is no interior point:
@@ -766,14 +794,14 @@ class TestCopositiveDnn:
         assert r.status == CONVERGED
         assert r.value == pytest.approx(1.0, abs=1e-3 + r.inflation)
 
-    def test_one_qr_per_solve(self, monkeypatch):
-        # one factorization of the kept rows serves the independence check,
-        # the rows' projection of the orthant entries and the final move
-        # onto the rows
-        calls = count_qr(monkeypatch)
+    def test_one_reduction_per_solve(self, monkeypatch):
+        # one pass over the rows' Gram matrix serves the independence
+        # check, and its factor the rows' projection of the orthant entries
+        # and the final move onto the rows; nothing is QR-factored
+        calls = count_reductions(monkeypatch)
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == [1]
+        assert calls == {"qr": 0, "_independent": 1}
 
     def test_certificate_reuses_the_solves_rows(self, monkeypatch):
         # the face rows and the trace they fix are computed once per

@@ -395,23 +395,29 @@ class TestSolveSdp:
     def test_one_factorization_per_iteration(self, face, monkeypatch):
         # R and Z are factored and inverted as one stack, the Schur matrix
         # is solved for the predictor and the corrector, and both step
-        # lengths come from one eigvalsh call
-        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0, "solve": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # lengths come from one eigvalsh call; on a face the one pass of
+        # _independent over P o P factors the diagonal rows, and its factor
+        # moves the last iterate onto them without a solve
         rng = np.random.default_rng(11)
         B = rng.normal(size=(5, 5))
         # on the face e' x = 0 the unit diagonal still has the interior
         # point (5 I - ee') / 4
         V = np.linalg.qr(np.eye(5) - np.ones((5, 5)) / 5.0)[0][:, :4] if face else None
+        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0, "solve": 0, "qr": 0, "lstsq": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        reductions = []
+        independent = sdp._independent
+        monkeypatch.setattr(sdp, "_independent",
+                            lambda *args: reductions.append(None) or independent(*args))
         sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=V), CFG)
         assert sol.status == SolveStatus.CONVERGED and sol.iterations > 0
-        # on a face, _onto_rows makes one more solve after the loop
         assert calls == dict(cholesky=sol.iterations, inv=sol.iterations,
-                             eigvalsh=sol.iterations, solve=2 * sol.iterations + face)
+                             eigvalsh=sol.iterations, solve=2 * sol.iterations, qr=0, lstsq=0)
+        assert len(reductions) == face
 
     @settings(max_examples=150, deadline=None)
     @given(Q=symmetric_matrices(), max_iter=st.integers(1, 60))
@@ -596,6 +602,214 @@ class TestFaceRows:
             assert new.tobytes() == old.tobytes()
 
 
+def independent_reference(rows, rhs, slack):
+    """``_independent`` as it was, on the rows themselves: a QR
+    factorization of the rows, repeated after each dropped row.  Returns
+    the kept indices, or raises ``_InconsistentSystem`` where it did."""
+    keep = np.arange(len(rows))
+    while keep.size:
+        _, R = np.linalg.qr(rows[keep].T)
+        remainder = np.zeros(keep.size)
+        remainder[: min(R.shape)] = np.abs(np.diag(R))
+        small = np.flatnonzero(remainder <= 1e-6)
+        if not small.size:
+            return keep
+        i = small[0]
+        c = np.linalg.solve(R[:i, :i], R[:i, i])
+        if abs(rhs[keep[i]] - c @ rhs[keep[:i]]) > slack:
+            raise sdp._InconsistentSystem("conflicting right-hand sides")
+        keep = np.delete(keep, i)
+    return keep
+
+
+def verdict(f, *args):
+    """The kept indices that ``f`` returns, or None where it raises
+    ``_InconsistentSystem``."""
+    try:
+        keep = f(*args)
+    except sdp._InconsistentSystem:
+        return None
+    return (keep[0] if isinstance(keep, tuple) else keep).tolist()
+
+
+def _outside(rows, N, rng):
+    """A random unit row orthogonal to every row of ``rows``, or None where
+    they span all N coordinates."""
+    null = np.eye(N)
+    if rows:
+        _, sv, Vt = np.linalg.svd(np.array(rows))
+        null = Vt[(sv > 1e-9).sum():]
+    if not len(null):
+        return None
+    e = rng.normal(size=len(null)) @ null
+    return e / np.linalg.norm(e)
+
+
+@st.composite
+def row_systems(draw, near_conflicts=False):
+    """Up to ten rows of length 1 to 12 and their right-hand sides.  Each
+    row is a fresh unit row, an earlier unit row repeated up to sign, a
+    unit combination of earlier unit rows, a zero row, a row of norm
+    1e-10, a row at an angle of 2e-6 to 1e-3 to an earlier unit row
+    ("near": it leaves the kept rows nearly dependent), or the difference
+    of such a pair plus 0.05 to 1 of a unit row outside the earlier rows'
+    span ("outside": its combination of the kept rows reaches 1e6 in
+    size).  A dependent row's right-hand side repeats the combination or
+    conflicts with it by 1; so does an outside row's, and a near row's
+    repeats its partner's unless ``near_conflicts``.  Angles stop at 2e-6,
+    twice the remainder where the drop test turns, and outside parts start
+    at 0.05, where the remainder squared is still ten times the round-off,
+    eps |c|_1^2, of reading it off a Gram matrix.  Combinations take unit
+    rows only: one of 1e-10 rows, scaled to unit norm, would carry a
+    right-hand side near 1e10, which puts a conflict of 1 at the slack."""
+    N = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, rhs, pairs = [], [], []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "sum", "zero", "tiny", "near",
+                                     "outside"]))
+        e = _outside(rows, N, rng)
+        units = [j for j, row in enumerate(rows) if abs(row @ row - 1.0) < 1e-12]
+        if kind == "near" and units and e is not None:
+            j = units[rng.integers(len(units))]
+            row, value = rows[j] + 10.0 ** rng.uniform(math.log10(2e-6), -3.0) * e, rhs[j]
+            pairs.append((j, len(rows)))
+        elif kind == "outside" and pairs and e is not None:
+            j, k = pairs[rng.integers(len(pairs))]
+            step = np.linalg.norm(rows[k] - rows[j])
+            row = (rows[k] - rows[j]) / step + rng.uniform(0.05, 1.0) * e
+            value = (rhs[k] - rhs[j]) / step
+        elif kind in ("fresh", "near", "outside") or (kind in ("repeat", "sum") and not units):
+            kind, row, value = "fresh", rng.normal(size=N), rng.normal()
+        elif kind in ("repeat", "sum"):
+            picked = rng.choice(units, size=1 if kind == "repeat" else rng.integers(1, 4))
+            weights = rng.choice([-1.0, 1.0], size=len(picked)) * (
+                1.0 if kind == "repeat" else rng.uniform(0.2, 2.0, size=len(picked)))
+            row, value = weights @ np.array(rows)[picked], weights @ np.array(rhs)[picked]
+        else:
+            row, value = np.zeros(N) if kind == "zero" else 1e-10 * rng.normal(size=N), 0.0
+        if kind != "fresh" and (kind != "near" or near_conflicts) and draw(st.booleans()):
+            value += 1.0  # conflicts with the rows it depends on
+        norm = np.linalg.norm(row)
+        if kind != "tiny" and norm > 0.0:
+            row, value = row / norm, value / norm
+        rows.append(row)
+        rhs.append(value)
+    return np.array(rows).reshape(-1, N), np.array(rhs)
+
+
+@st.composite
+def diagonal_faces(draw):
+    """Problems that ``_solve_diag_ipm`` solves on a face: d from 2 to 10,
+    a random orthonormal face or the null space of a small integer system,
+    which may pin a coordinate (a zero diagonal row) or equate two up to
+    sign (coinciding rows), and a diagonal of ones, a random one, or that of
+    a point on the face."""
+    d = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
+    else:
+        K = rng.integers(-1, 2, size=(draw(st.integers(0, d - 2)), d)).astype(float)
+        i, j = rng.choice(d, size=2, replace=False)
+        extra = {"none": [], "pin": [np.eye(d)[i]],
+                 "equate": [np.eye(d)[i] + rng.choice([-1.0, 1.0]) * np.eye(d)[j]]}
+        face = _null_face(np.array(list(K) + extra[draw(st.sampled_from(list(extra)))])
+                          .reshape(-1, d))
+        assume(face is not None and face.shape[1] > 0)
+    kind = draw(st.sampled_from(["ones", "random", "attained"]))
+    if kind == "attained":
+        B = rng.normal(size=(face.shape[1],) * 2)
+        diag = (face @ (B @ B.T + np.eye(len(B))) @ face.T).diagonal()
+        assume(np.all(diag > 1e-6))
+    else:
+        diag = np.ones(d) if kind == "ones" else rng.uniform(0.5, 2.0, size=d)
+    return SdpProblem(C=np.eye(d), diag=diag, face=face)
+
+
+class TestIndependent:
+    @settings(max_examples=500, deadline=None)
+    @given(system=row_systems())
+    def test_follows_the_qr_reference(self, system):
+        # one pass over the Gram matrix keeps the rows that the QR loop
+        # keeps and raises where it raises, and the factor it returns is
+        # the inverse of the Cholesky factor of the kept rows' Gram block
+        # (read as L = (L^-1)^-1: on nearly dependent rows L^-1 itself
+        # carries the Gram matrix's round-off times its condition number)
+        rows, rhs = system
+        slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
+        keep = verdict(independent_reference, rows, rhs, slack)
+        event("inconsistent" if keep is None else f"{len(rows) - len(keep)} dropped")
+        assert verdict(sdp._independent, rows @ rows.T, rhs, slack) == keep
+        if keep:
+            _, L_inv = sdp._independent(rows @ rows.T, rhs, slack)
+            kept, L = rows[keep], np.linalg.inv(L_inv)
+            assert (np.triu(L_inv, 1) == 0.0).all() and (L_inv.diagonal() > 0.0).all()
+            assert np.allclose(L @ L.T, kept @ kept.T, rtol=0.0, atol=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=row_systems(near_conflicts=True))
+    def test_keeps_what_the_qr_reference_keeps(self, system):
+        # where a near row's right-hand side is free, L^-1 rhs grows as
+        # the inverse angle and a later row's conflict can fall below
+        # the round-off of reading c'rhs off the Gram matrix: the pass
+        # may then keep or drop such a row where the QR loop raises, but
+        # wherever the QR loop finds the rows consistent it keeps the
+        # same rows, and never raises
+        rows, rhs = system
+        slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
+        keep = verdict(independent_reference, rows, rhs, slack)
+        got = verdict(sdp._independent, rows @ rows.T, rhs, slack)
+        event("same" if got == keep else "conflict unresolved")
+        assert keep is None or got == keep
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 0.5), (1.0, 1.0, 0.0)])
+    def test_nearly_dependent_rows_are_kept(self, point):
+        # the second row is 2e-6 off the first and the third 0.05 off
+        # their span, so its combination of them sums to 1e6 in size:
+        # the QR reference keeps all three, whether or not the third's
+        # right-hand side is the combination of theirs
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 2e-6, 0.0], [0.0, 1.0, 0.05]])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rhs = rows @ np.array(point)
+        slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
+        assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
+        assert sdp._independent(rows @ rows.T, rhs, slack)[0].tolist() == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=diagonal_faces())
+    def test_diagonal_rows_through_p_o_p(self, p):
+        # the diagonal method's pass over P o P keeps the diagonal rows,
+        # and reaches the verdict, that the QR reference does on the svec
+        # rows of _face_rows
+        _, rows, rhs, _ = _face_rows(p)
+        keep = verdict(independent_reference, rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        event("inconsistent" if keep is None else f"{p.dim - len(keep)} dropped")
+        outcomes = []
+        independent = sdp._independent
+
+        def recorded(*args):
+            outcomes.append(verdict(independent, *args))
+            return independent(*args)
+
+        with mock.patch.object(sdp, "_independent", recorded):
+            sol = solve_sdp(p, SolverConfig(max_iter=1))
+        assert outcomes == [keep], (outcomes, keep)
+        if keep is None:
+            assert sol.status == SolveStatus.DIVERGED and sol.y is None
+        else:
+            assert (np.delete(sol.y, keep) == 0.0).all()
+
+
+def smat(u, r):
+    """Symmetric r x r matrices from svec coordinates (the last axis of
+    ``u``), by scatter."""
+    ia, ib, s = _svec_index(r)
+    M = np.zeros(u.shape[:-1] + (r, r))
+    M[..., ia, ib] = M[..., ib, ia] = u / s
+    return M
+
+
 def face_ipm_reference(p, cfg):
     """``_solve_face_ipm`` as it was before its iterate was stacked: rho, v,
     y and w apart, matrices from svec coordinates by scatter, and H built
@@ -605,7 +819,7 @@ def face_ipm_reference(p, cfg):
     V, rows, rhs, norms = p._face
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
-    keep, (Q, R_b) = p._kept
+    keep, L_inv = p._kept
     A, b = rows[keep], rhs[keep]
     m = len(b)
     T, weights = p._trace
@@ -617,9 +831,10 @@ def face_ipm_reference(p, cfg):
     pi, pj = _svec_index(d)[:2] if p.cone == Cone.PSD_NONNEG else (np.zeros(0, int),) * 2
     Va, Vb = V[:, ia], V[:, ib]
     G = (Va[pi] * Vb[pj] + Vb[pi] * Va[pj]) * (s / 2.0)
-    along = G @ Q
-    outside = np.linalg.norm(G - along @ Q.T, axis=1)
-    pinned_to = along @ np.linalg.solve(R_b.T, b)
+    Q = L_inv @ A
+    along = G @ Q.T
+    outside = np.linalg.norm(G - along @ Q, axis=1)
+    pinned_to = along @ (L_inv @ b)
     free = (outside > 1e-9) | (np.abs(pinned_to) > 1e-9)
     pi, pj, G = pi[free], pj[free], G[free]
     q = len(G)
@@ -633,7 +848,7 @@ def face_ipm_reference(p, cfg):
     v = np.full(q, T / d)
     eta = 1.0 + float(np.abs(C).max())
     w = np.full(q, eta)
-    shift = float(np.linalg.eigvalsh(sdp._smat(c - G.T @ w, r))[0]) - eta
+    shift = float(np.linalg.eigvalsh(smat(c - G.T @ w, r))[0]) - eta
     y = shift * weights
     z = c - A.T @ y - G.T @ w
 
@@ -661,7 +876,7 @@ def face_ipm_reference(p, cfg):
         if gap <= tol and comp <= tol and math.hypot(sdp._fro(r_p), sdp._fro(r_g)) <= res_tol:
             status = SolveStatus.CONVERGED
             break
-        Z = sdp._smat(z, r)
+        Z = smat(z, r)
         if dual > bound + tol:
             certified = dual + T * min(0.0, float(np.linalg.eigvalsh(Z)[0]))
             if certified > bound + tol:
@@ -670,7 +885,7 @@ def face_ipm_reference(p, cfg):
         if it == cfg.max_iter:
             break
         try:
-            L = np.linalg.cholesky(sdp._smat(rho, r))
+            L = np.linalg.cholesky(smat(rho, r))
             lam, U = np.linalg.eigh(L.T @ Z @ L)
             if not lam[0] > 0.0:
                 raise np.linalg.LinAlgError("Z is not positive definite")
@@ -697,7 +912,7 @@ def face_ipm_reference(p, cfg):
                 d_rho, dy = step[:N], -step[N:]
                 dv = G @ d_rho - r_g
                 dw = t_v - D * dv
-                scaled = scalings.transpose(0, 2, 1) @ sdp._smat(
+                scaled = scalings.transpose(0, 2, 1) @ smat(
                     np.array([d_rho, GDG @ d_rho - pulled - A.T @ dy]), r) @ scalings
                 low = np.linalg.eigvalsh(scaled * unit)[:, 0]
                 return (d_rho, dv, dy, dw, scaled[0], scaled[1],
@@ -726,7 +941,7 @@ def face_ipm_reference(p, cfg):
         z = c - A.T @ y - G.T @ w
         it += 1
 
-    R, _ = sdp._onto_rows(rho, A, b, (Q, R_b))
+    R = smat(rho + (L_inv @ (b - A @ rho)) @ L_inv @ A, r)
     X = R if p.face is None else V @ R @ V.T
     y_rows, W = multipliers()
     return sdp._solution(p, X, status, primal_residual=0.0, dual_residual=gap, iterations=it,
@@ -822,21 +1037,27 @@ class TestFaceIpm:
         # per iteration one Cholesky factorization of R, one eigh of the
         # scaled Z, two solves of the Newton matrix (predictor and
         # corrector) and two eigvalsh of the stacked step matrices; the
-        # setup adds one solve for the trace weights and one for the pinned
-        # entries, and eigvalsh of C and of the start's Z, and the end one
-        # solve and one eigh in _onto_rows
-        calls = dict.fromkeys(["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq"], 0)
+        # setup adds eigvalsh of C and of the start's Z, and the end one
+        # eigh for R's distance to the PSD cone.  The trace weights, the
+        # pinned entries and the move onto the rows read the factor of the
+        # one pass of _independent, and solve nothing
+        calls = dict.fromkeys(["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq", "qr"], 0)
         for name in calls:
             def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         p = dnn_problem_of(to_zero_one(knapsack_fixed(4, 28)))
+        reductions = []
+        independent = sdp._independent
+        monkeypatch.setattr(sdp, "_independent",
+                            lambda *args: reductions.append(None) or independent(*args))
         sol = solve_sdp(p, FAST)
         k = sol.iterations
         assert sol.status == SolveStatus.CONVERGED and k > 0
-        assert calls == dict(cholesky=k, eigh=k + 1, solve=2 * k + 3, eigvalsh=2 * k + 2,
-                             inv=0, lstsq=0)
+        assert calls == dict(cholesky=k, eigh=k + 1, solve=2 * k, eigvalsh=2 * k + 2,
+                             inv=0, lstsq=0, qr=0)
+        assert len(reductions) == 1
 
 
 class TestSdpProblemIdentity:
