@@ -319,6 +319,9 @@ def cmd_compare(args) -> int:
     param = args.sweep_param
     if param is None:
         raise UsageError("compare requires --sweep-param with --sweep-from/--sweep-to")
+    family, takes = args.generator.family, FAMILIES[args.generator.family][1]
+    if param not in takes:
+        raise UsageError(f"--sweep-param {param}: family {family} takes {', '.join(takes)}")
     if args.sweep_from is None or args.sweep_to is None:
         raise UsageError("compare requires --sweep-from and --sweep-to")
     if args.sweep_step <= 0:

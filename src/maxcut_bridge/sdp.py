@@ -30,12 +30,14 @@ of both cones is one gather from a small matrix (``_newton_index``).
 
 Both methods drop dependent rows up front with one pass over the rows'
 Gram matrix (``_independent``, which the box QP of ``relaxations``
-shares).  The face method's rows are svec coordinates (``_face_rows``);
-on a face, the diagonal method's Gram matrix is P o P, P = V V', and it
-builds no rows.  The inverse Cholesky factor of the kept rows that the
-pass returns serves the rest of the solve: the row weights that fix the
-trace (``_fixed_trace``), and the move of X onto its rows at the end of
-a solve whose X meets them only in the limit (every face-method solve,
+shares).  The face method's rows are svec coordinates (``_face_rows``),
+and what it derives from them, the kept rows, the inverse Cholesky factor
+of their Gram block and the trace they fix, is one record per problem
+(``SdpProblem._rows``), which the certificate of its multipliers reads
+too.  On a face, the diagonal method's Gram matrix is P o P, P = V V',
+and it builds no rows.  The factor serves the rest of the solve: the row
+weights that fix the trace, and the move of X onto its rows at the end
+of a solve whose X meets them only in the limit (every face-method solve,
 and a diagonal solve on a face), where ``primal_residual`` is then its
 distance to the PSD cone.  Each method iterates on the kept rows alone
 and returns 0 as a dropped row's multiplier.  Both are deterministic: the
@@ -47,6 +49,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +97,19 @@ class SolverConfig:
 def _asymmetric(M: np.ndarray):
     """Whether np.allclose(A, A.T, rtol=0, atol=1e-12) fails, for each finite matrix A of ``M``."""
     return (np.abs(M - np.swapaxes(M, -1, -2)) > 1e-12).any(axis=(-2, -1))
+
+
+class _Rows(NamedTuple):
+    """What the face method reads of a problem (``SdpProblem._rows``)."""
+
+    V: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    norms: np.ndarray
+    keep: np.ndarray
+    L_inv: np.ndarray
+    T: float
+    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,31 +186,31 @@ class SdpProblem:
     def dim(self) -> int:
         return self.C.shape[0]
 
-    # What a face-method solve and the certificate of its multipliers both
-    # need, computed on first use by whichever comes first
-
     @cached_property
-    def _face(self):
-        """``_face_rows`` of this problem; the arrays it makes are read-only."""
-        face = _face_rows(self)
-        for array in face[1:]:
+    def _rows(self) -> _Rows:
+        """What the face method and the certificate of its multipliers read of
+        this problem, derived once from ``_face_rows``: the face V (the
+        identity without one), the unit svec rows A that ``_independent``
+        keeps and their right-hand sides b, every row's norm on the face (0
+        for a zero row), the kept indices with the inverse Cholesky factor
+        L^-1 of their Gram block, and the trace T = u'b that the rows fix
+        with the least-squares row weights u = L^-T L^-1 A svec(I).  Raises
+        ``_InconsistentSystem`` where the rows conflict, then ValueError
+        unless A'u = svec(I) and T > 0.  Its arrays but V are read-only."""
+        V, rows, rhs, norms = _face_rows(self)
+        keep, L_inv = _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        A, b = rows[keep], rhs[keep]
+        r = V.shape[1]
+        ia, ib, _ = _svec_index(r)
+        target = (ia == ib).astype(float)  # svec(I)
+        weights = L_inv.T @ (L_inv @ (A @ target))
+        T = float(weights @ b)
+        if np.linalg.norm(A.T @ weights - target) > 1e-8 * (1.0 + math.sqrt(r)) or not T > 0.0:
+            raise ValueError("solve_sdp needs a fixed diagonal or constraint rows that fix "
+                             "the trace of X at a positive value")
+        for array in (A, b, norms, keep, L_inv, weights):
             array.setflags(write=False)
-        return face
-
-    @cached_property
-    def _kept(self):
-        """The independent rows of ``_face`` and the inverse Cholesky factor of
-        their Gram block (``_independent``); raises ``_InconsistentSystem``
-        where they conflict."""
-        _, rows, rhs, _ = self._face
-        return _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
-
-    @cached_property
-    def _trace(self):
-        """``_fixed_trace`` of the kept rows: the trace T and the row weights."""
-        V, rows, rhs, _ = self._face
-        keep, L_inv = self._kept
-        return _fixed_trace(rows[keep], rhs[keep], L_inv, V.shape[1])
+        return _Rows(V, A, b, norms, keep, L_inv, T, weights)
 
 
 @dataclass
@@ -347,25 +363,6 @@ def _face_rows(p: SdpProblem):
     return V, rows / scale[:, None], rhs / scale, norms
 
 
-def _fixed_trace(rows: np.ndarray, rhs: np.ndarray, L_inv: np.ndarray, r: int):
-    """The trace T that the rows fix, and the row weights u with sum_k u_k A_k = I.
-
-    ``rows`` are independent svec rows of r x r matrices, and ``L_inv`` the
-    inverse Cholesky factor of their Gram matrix that ``_independent``
-    returns with them, so the least-squares weights are
-    L^-T L^-1 rows svec(I).  Raises ValueError unless the identity is a
-    combination of the rows and T = u'rhs is positive.
-    """
-    a, b, _ = _svec_index(r)
-    target = (a == b).astype(float)  # svec(I)
-    u = L_inv.T @ (L_inv @ (rows @ target))
-    T = float(u @ rhs)
-    if np.linalg.norm(rows.T @ u - target) > 1e-8 * (1.0 + math.sqrt(r)) or not T > 0.0:
-        raise ValueError("solve_sdp needs a fixed diagonal or constraint rows that fix "
-                         "the trace of X at a positive value")
-    return T, u
-
-
 def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = None) -> float:
     """Bound on the optimum of a fixed-trace SDP, certified by any multipliers.
 
@@ -385,13 +382,13 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     nonpositive part of W.  The result is a true bound for any y and W,
     however rough the solve; it is additionally clamped against the
     spectral bound T * lambda_extreme(V'CV), which is valid on its own.
-    Without a fixed diagonal, T comes from the independent rows
-    (``SdpProblem._trace``): ValueError where they fix none or conflict.
+    Without a fixed diagonal, T is the trace the independent rows fix
+    (``SdpProblem._rows``): ValueError where they fix none or conflict.
     """
     d = p.dim
     y = np.asarray(y, dtype=float)
     if p.diag is None:
-        T = p._trace[0]
+        T = p._rows.T
         rhs = p.b
         A_y = np.tensordot(y, p.A, axes=1)
     else:
@@ -656,7 +653,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 
     Works in the svec coordinates of R, r(r+1)/2 of them, which one cached
     basis matrix maps to and from r x r matrices (``_svec_basis``).  The
-    rows of ``_face_rows``, less the dependent ones, read A rho = b.  For
+    kept rows of the record ``SdpProblem._rows`` read A rho = b.  For
     the doubly-nonnegative cone, G rho = v >= 0 collects the entries X_ij,
     i <= j, that the rows do not pin to zero.  An entry is pinned when its
     row G_ij is a combination of the rows with right-hand side 0, such as
@@ -689,21 +686,18 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     (Diverged).  Converged needs the gap, <R, Z> + v'w and the row and
     orthant residuals under tolerance.  The returned X is V R V' with R
     moved onto the rows by the least-norm correction Q'L^-1 (b - A rho),
-    where Q = L^-1 A with the factor of ``_independent``; ``primal_residual``
+    where Q = L^-1 A with the record's factor; ``primal_residual``
     is the norm of R's distance to the PSD cone and of X's negative orthant
     entries.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
-    V, rows, rhs, norms = p._face
+    V, A, b, norms, keep, L_inv, T, weights = p._rows
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
     basis = _svec_basis(r)
     N = len(s)
-    keep, L_inv = p._kept
-    A, b = rows[keep], rhs[keep]
     m = len(b)
-    T, weights = p._trace
     C = sign * (p.C if p.face is None else V.T @ p.C @ V)
     c = basis @ C.ravel()
     bound = T * float(np.linalg.eigvalsh(C)[-1])
@@ -745,7 +739,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     b_0 = np.concatenate([b, np.zeros(q)])
 
     def multipliers():  # y and W in the problem's sense and rows
-        y_rows = np.zeros(len(rows))  # dropped rows keep multiplier 0
+        y_rows = np.zeros(len(norms))  # dropped rows keep multiplier 0
         y_rows[keep] = y / norms[keep]
         if p.cone != Cone.PSD_NONNEG:
             return sign * y_rows, None

@@ -416,6 +416,30 @@ class TestCompare:
         rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sweep-to", "3"], "compare requires --sweep-from and --sweep-to"),
+        (["--sweep-from", "1"], "compare requires --sweep-from and --sweep-to"),
+        (["--sweep-from", "1", "--sweep-to", "3", "--sweep-step", "0"],
+         "--sweep-step must be positive"),
+    ], ids=["no_from", "no_to", "step_0"])
+    def test_sweep_range_flags_are_checked(self, capsys, flags, message):
+        rc = run_cli(["compare", "--family", "knapsack_fixed", "--n", "4",
+                      "--sweep-param", "b"] + flags)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("family, param, message", [
+        (["knapsack_fixed", "--b", "2"], "k", "family knapsack_fixed takes b"),
+        (["kcluster", "--k", "2", "--zero-prob", "0.5"], "b",
+         "family kcluster takes k, zero_prob, seed"),
+    ], ids=["knapsack_fixed_k", "kcluster_b"])
+    def test_sweep_of_a_parameter_the_family_ignores(self, capsys, family, param, message):
+        # every row would be the same instance under a different label
+        rc = run_cli(["compare", "--family"] + family + [
+            "--n", "4", "--sweep-param", param, "--sweep-from", "1", "--sweep-to", "3"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --sweep-param {param}: {message}\n"
+
     def test_row_failures_recorded_and_run_continues(self, capsys):
         # knapsack_random needs --s; every row fails but the sweep completes
         rc = run_cli(["compare", "--family", "knapsack_random", "--n", "5",
@@ -499,6 +523,11 @@ class TestBadInput:
         rc = run_cli(["certify", "--instance", str(path)] + FAST)
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_family_without_n_is_usage_error(self, capsys):
+        rc = run_cli(["solve", "--family", "knapsack_fixed", "--b", "2"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --family requires --n\n"
 
     def test_output_directory_is_usage_error(self, tmp_path, capsys):
         rc = run_cli(["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "8",

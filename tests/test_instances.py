@@ -98,6 +98,11 @@ class TestKnapsackRandom:
         q = knapsack_random(6, 0.0, seed=0, b=0)
         assert q.A[0].tolist() == [3, 5, 7, 11, 13, 17]
 
+    def test_no_weights_beyond_the_odd_primes(self):
+        assert knapsack_random(26, 0.0, seed=0, b=0).A[0, -1] == 103
+        with pytest.raises(ValueError, match="^no weight vector defined for n=27$"):
+            knapsack_random(27, 0.0, seed=0, b=0)
+
 
 class TestQuadraticKnapsack:
     def test_f_symmetric_zero_diag(self):
@@ -115,6 +120,11 @@ class TestQuadraticKnapsack:
     def test_indefinite_at_default_density(self):
         q = quadratic_knapsack_random(10, 10.0, seed=5, f_density=0.5, b=0)
         assert np.linalg.eigvalsh(q.F)[0] < 0
+
+    @pytest.mark.parametrize("f_density", [-0.1, 1.5, np.nan])
+    def test_density_outside_unit_interval_rejected(self, f_density):
+        with pytest.raises(ValueError, match=r"^f_density must lie in \[0, 1\]$"):
+            quadratic_knapsack_random(8, 10.0, seed=2, f_density=f_density, b=2)
 
     def test_eta_stream_shared_with_linear_family(self):
         lin = knapsack_random(8, 10.0, seed=2, b=2)
@@ -156,6 +166,16 @@ class TestKCluster:
     def test_k_above_n_infeasible(self):
         _, q = kcluster(4, 5, zero_prob=0.5, seed=1)
         assert enumerate_optimum(q)[0] == np.inf
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            kcluster(n, 0, zero_prob=0.5, seed=1)
+
+    @pytest.mark.parametrize("zero_prob", [-0.1, 1.5, np.nan])
+    def test_zero_prob_outside_unit_interval_rejected(self, zero_prob):
+        with pytest.raises(ValueError, match=r"^zero_prob must lie in \[0, 1\]$"):
+            kcluster(4, 2, zero_prob=zero_prob, seed=1)
 
     def test_matrix_properties(self):
         p01, _ = kcluster(30, 5, zero_prob=0.6, seed=9)
@@ -249,6 +269,11 @@ class TestBruteForce:
         # c = 0: every point ties at 0; the all-minus vector enumerates first.
         q = SignProgram(n=3, c=[0.0, 0.0, 0.0], F=None, A=np.zeros((0, 3)), b=[])
         assert brute_force(q).x.tolist() == [-1, -1, -1]
+
+    def test_zero_one_program_rejected(self):
+        p01, _ = kcluster(4, 2, zero_prob=0.5, seed=1)
+        with pytest.raises(TypeError, match="to_sign_form"):
+            brute_force(p01)
 
     def test_cap_rejected(self):
         q = SignProgram(n=27, c=np.zeros(27), F=None, A=np.zeros((0, 27)), b=[])

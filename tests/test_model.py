@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from maxcut_bridge.instances import knapsack_random
 from maxcut_bridge.model import (
     EQ,
     LE,
@@ -16,6 +18,7 @@ from maxcut_bridge.model import (
     SignProgram,
     ZeroOneProgram,
     dumps_instance,
+    load_instance,
     program_from_dict,
     program_to_dict,
     slack_bit_count,
@@ -287,6 +290,23 @@ class TestValidation:
         with pytest.raises(InstanceFormatError):
             ZeroOneProgram(n=2, c=[1.0, 1.0], F=None, A=[[1, 1]], b=[1], row_sense=(EQ, EQ))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InstanceFormatError, match="^F contains non-finite entries$"):
+            ZeroOneProgram(n=2, c=[0, 0], F=[[0, bad], [bad, 0]], A=[[1, 1]], b=[1],
+                           row_sense=(EQ,))
+        with pytest.raises(InstanceFormatError, match="^A contains non-finite entries$"):
+            SignProgram(n=2, c=[0, 0], F=None, A=[[1, bad]], b=[1])
+
+    def test_unknown_row_sense_rejected(self):
+        with pytest.raises(InstanceFormatError, match="^unknown row sense 'GE'$"):
+            ZeroOneProgram(n=1, c=[0.0], F=None, A=[[1]], b=[1], row_sense=("GE",))
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(InstanceFormatError, match="^scale must be positive$"):
+            SignProgram(n=1, c=[0.0], F=None, A=[[1]], b=[1], scale=scale)
+
     def test_arrays_locked(self):
         p = ZeroOneProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1], row_sense=(EQ,))
         with pytest.raises(ValueError):
@@ -358,6 +378,36 @@ class TestJson:
         except InstanceFormatError:
             return
         assert isinstance(prog, (ZeroOneProgram, SignProgram))
+
+    def test_round_trip_zero_one_with_constant(self):
+        # program_to_dict writes the constant only when it is nonzero, as here
+        p = to_zero_one(knapsack_random(5, 3, 12, 3))
+        assert p.constant == pytest.approx(-44.7842007547)
+        doc = json.loads(dumps_instance(p))
+        assert doc["constant"] == p.constant
+        p2 = program_from_dict(doc)
+        assert p2.constant == p.constant and p2.row_sense == p.row_sense
+        for name in ("c", "F", "A", "b"):
+            assert np.array_equal(getattr(p2, name), getattr(p, name))
+        assert "constant" not in program_to_dict(dataclasses.replace(p, constant=0.0))
+
+    @pytest.mark.parametrize("key", ["domain", "n", "c", "A", "b", "sense"])
+    def test_missing_key_rejected(self, key):
+        doc = dict(self.VALID[0])
+        del doc[key]
+        with pytest.raises(InstanceFormatError, match=f"^missing required key '{key}'$"):
+            program_from_dict(doc)
+
+    @pytest.mark.parametrize("n", [2.5, -0.5])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(InstanceFormatError, match="^n must be an integer$"):
+            program_from_dict(dict(self.VALID[0], n=n))
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2,')
+        with pytest.raises(InstanceFormatError, match="^invalid JSON: "):
+            load_instance(path)
 
     @pytest.mark.parametrize("doc", [[1, 2], "x", None])
     def test_non_object_document_rejected(self, doc):

@@ -514,6 +514,30 @@ class TestSolveSdp:
         for bad in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match="diag"):
                 SdpProblem(C=np.eye(2), diag=bad)
+        for C in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match="^C must be square$"):
+                SdpProblem(C=C)
+        for face in (np.ones(2), np.eye(3)[:, :2], [[1.0], [np.nan]]):
+            with pytest.raises(ValueError, match="^face must be a finite matrix with 2 rows$"):
+                SdpProblem(C=np.eye(2), diag=np.ones(2), face=face)
+        for face in ([[1.0], [1.0]], [[1.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="^face must have orthonormal columns$"):
+                SdpProblem(C=np.eye(2), diag=np.ones(2), face=face)
+
+    def test_rows_that_fix_no_trace(self):
+        # X_12 = 0.5 leaves the trace free: the solve and the certificate
+        # both refuse; conflicting rows are found first and read Diverged
+        p = SdpProblem(C=np.eye(2), A=[[[0, 1], [1, 0]]], b=[0.5])
+        message = "^solve_sdp needs a fixed diagonal or constraint rows that fix the trace"
+        with pytest.raises(ValueError, match=message):
+            solve_sdp(p, CFG)
+        with pytest.raises(ValueError, match=message):
+            certified_diag_bound(p, np.zeros(1))
+        p = SdpProblem(C=np.eye(2), A=[E12, E12], b=[0.5, 0.25])
+        sol = solve_sdp(p, CFG)
+        assert sol.status == SolveStatus.DIVERGED and "conflicting" in sol.message
+        with pytest.raises(sdp._InconsistentSystem):
+            certified_diag_bound(p, np.zeros(2))
 
     def test_row_validation(self, monkeypatch):
         # the rows are one m x d x d stack with m right-hand sides; each
@@ -816,13 +840,10 @@ def face_ipm_reference(p, cfg):
     from a four-way gather and G'DG.  The loop the stacked one must follow."""
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
-    V, rows, rhs, norms = p._face
+    V, A, b, norms, keep, L_inv, T, weights = p._rows
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
-    keep, L_inv = p._kept
-    A, b = rows[keep], rhs[keep]
     m = len(b)
-    T, weights = p._trace
     C = sign * (p.C if p.face is None else V.T @ p.C @ V)
     c = C[ia, ib] * s
     bound = T * float(np.linalg.eigvalsh(C)[-1])
@@ -853,7 +874,7 @@ def face_ipm_reference(p, cfg):
     z = c - A.T @ y - G.T @ w
 
     def multipliers():
-        y_rows = np.zeros(len(rows))
+        y_rows = np.zeros(len(norms))
         y_rows[keep] = y / norms[keep]
         if p.cone != Cone.PSD_NONNEG:
             return sign * y_rows, None
