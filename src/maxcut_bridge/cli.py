@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -130,18 +131,11 @@ def _emit(args, text: str, digest: str) -> None:
 # --- instance plumbing ---------------------------------------------------------
 
 
-def _generate(spec: GeneratorSpec):
-    prog = spec.generate()
-    if isinstance(prog, tuple):  # a 0/1-built family yields (0/1 program, sign form)
-        prog = prog[1]
-    return prog
-
-
 def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
     """Load or generate the program (``generator`` overrides the run's source),
     slack-expand its LE rows, bring it to the sign domain and size its penalty."""
     spec = generator or args.generator
-    prog = load_instance(args.instance) if spec is None else _generate(spec)
+    prog = load_instance(args.instance) if spec is None else spec.generate()
     if isinstance(prog, ZeroOneProgram):
         prog = to_sign_form(slack_expand(prog))
     if args.rho is not None:
@@ -154,7 +148,7 @@ def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
 
 def cmd_gen(args) -> int:
     spec = args.generator
-    prog = _generate(spec)
+    prog = spec.generate()
     digest = (f"family={spec.family} n={prog.n} m={prog.m} "
               f"seed={spec.seed} path={args.output or '-'}")
     _emit(args, dumps_instance(prog), digest)
@@ -319,9 +313,6 @@ def cmd_compare(args) -> int:
     param = args.sweep_param
     if param is None:
         raise UsageError("compare requires --sweep-param with --sweep-from/--sweep-to")
-    family, takes = args.generator.family, FAMILIES[args.generator.family][1]
-    if param not in takes:
-        raise UsageError(f"--sweep-param {param}: family {family} takes {', '.join(takes)}")
     if args.sweep_from is None or args.sweep_to is None:
         raise UsageError("compare requires --sweep-from and --sweep-to")
     if args.sweep_step <= 0:
@@ -329,14 +320,14 @@ def cmd_compare(args) -> int:
     values = list(range(args.sweep_from, args.sweep_to + 1, args.sweep_step))
     if not values:
         raise UsageError("empty sweep: no values between --sweep-from and --sweep-to")
+    specs = [dataclasses.replace(args.generator, **{param: value}) for value in values]
 
     # one report per swept value; a row that fails holds its error message
     selectors = list(args.selectors or SELECTORS)
     reports = []
-    for value in values:
+    for spec in specs:
         try:
-            sign, pb = _sign_and_penalty(
-                args, dataclasses.replace(args.generator, **{param: value}))
+            sign, pb = _sign_and_penalty(args, spec)
             reports.append(_run_bounds(sign, args, pb, selectors))
         except (ValueError, np.linalg.LinAlgError) as exc:
             reports.append(str(exc))
@@ -402,13 +393,10 @@ def _add_source_flags(p, with_instance=True):
     if with_instance:
         p.add_argument("--instance", help="path to a JSON instance file")
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--f-density", dest="f_density", type=float)
-    p.add_argument("--zero-prob", dest="zero_prob", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(GeneratorSpec)[1:]:
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=(typing.get_args(f.type) or (f.type,))[0],  # int | None -> int
+                       default=None if f.default is dataclasses.MISSING else f.default)
 
 
 def _add_solver_flags(p, with_selectors=False):
@@ -502,12 +490,17 @@ def _resolve(args) -> None:
     ``generator`` (a GeneratorSpec or None), ``selectors`` (a tuple),
     ``solver`` and ``dnn_solver``.  The ``--log`` sidecar is opened here, so
     a path that cannot be appended to fails before any work."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(GeneratorSpec)}
     args.generator = None
     if args.family is not None:
         if args.n is None:
             raise UsageError("--family requires --n")
-        args.generator = GeneratorSpec(**{f.name: getattr(args, f.name)
-                                          for f in dataclasses.fields(GeneratorSpec)})
+        args.generator = GeneratorSpec(**flags)
+    else:  # --seed alone also seeds rounding
+        given = ["--" + k.replace("_", "-") for k, v in flags.items()
+                 if k != "seed" and v is not None]
+        if given:
+            raise UsageError(f"generator flags need --family: {', '.join(given)}")
     if args.command in ("gen", "compare"):
         if args.generator is None:
             raise UsageError(f"{args.command} requires --family")

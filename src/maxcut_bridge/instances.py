@@ -7,7 +7,7 @@ adding or reordering draws in one field can never shift the values of
 another, and identical seeds reproduce identical instances on any platform.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,8 @@ def _stream(seed: int, field_id: int) -> "np.random.Generator":
 
 
 def _weights(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be positive")
     if n in _FIXED_A:
         return np.array(_FIXED_A[n], dtype=np.int64)
     if n > len(_ODD_PRIMES):
@@ -131,12 +133,13 @@ def kcluster(n: int, k: int, zero_prob: float, seed: int) -> tuple[ZeroOneProgra
     return p01, q
 
 
-# family -> (generator, the GeneratorSpec fields it takes after n, in call order)
+# family -> (sign-program generator, the GeneratorSpec fields it takes after n, in call order)
 FAMILIES = {
     "knapsack_fixed": (knapsack_fixed, ("b",)),
     "knapsack_random": (knapsack_random, ("s", "seed", "b")),
     "quadratic_knapsack": (quadratic_knapsack_random, ("s", "seed", "f_density", "b")),
-    "kcluster": (kcluster, ("k", "zero_prob", "seed")),
+    "kcluster": (lambda n, k, zero_prob, seed: kcluster(n, k, zero_prob, seed)[1],
+                 ("k", "zero_prob", "seed")),
 }
 
 
@@ -144,9 +147,10 @@ FAMILIES = {
 class GeneratorSpec:
     """A fully seeded description of one generated instance.
 
-    family: a key of FAMILIES.  Unused parameters for a family must be left
-    at None; equal field values always regenerate a bitwise-identical
-    instance.
+    family: a key of FAMILIES.  A parameter the family does not take must be
+    left at None; construction raises a ValueError otherwise.  Every family
+    accepts seed, which also seeds rounding where the instance is solved.
+    Equal field values always regenerate a bitwise-identical instance.
     """
 
     family: str
@@ -158,10 +162,19 @@ class GeneratorSpec:
     f_density: float | None = None
     zero_prob: float | None = None
 
-    def generate(self):
-        """The family's generator on these fields; kcluster returns its (0/1, sign) pair."""
+    def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        takes = FAMILIES[self.family][1]
+        for f in fields(self):
+            if (f.name not in ("family", "n", "seed", *takes)
+                    and getattr(self, f.name) is not None):
+                raise ValueError(f"family {self.family!r} takes {', '.join(takes)}, "
+                                 f"not {f.name!r}")
+
+    def generate(self) -> SignProgram:
+        """The family's sign program on these fields; a missing parameter
+        raises a ValueError, checked in call order."""
         make, params = FAMILIES[self.family]
         return make(self.n, *(self._req(name) for name in params))
 

@@ -289,7 +289,8 @@ class _Skipped(ValueError):
 def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """Linear relaxation: the hypercube replaced by the box [-1, 1]^n.  A
     quadratic objective raises a ValueError (compute_bounds reports the
-    entry Skipped)."""
+    entry Skipped).  ``cfg`` is accepted for a signature uniform with the
+    other relaxations and has no effect."""
     return _lp_box(_Box(q))
 
 

@@ -305,6 +305,13 @@ class TestRound:
         assert rc == EXIT_USAGE
         assert "--trials must be >= 1" in capsys.readouterr().err
 
+    def test_seed_on_a_family_without_draws(self, capsys):
+        # --seed is also the rounding seed, so every family takes it
+        rc = run_cli(["round", "--family", "knapsack_fixed", "--n", "4", "--b", "2",
+                      "--seed", "9"])
+        assert rc == EXIT_OK
+        assert "seed = 9\n" in capsys.readouterr().out
+
     def test_polish_flag_accepted(self, knapsack_file, capsys):
         rc = run_cli(["round", "--instance", knapsack_file, "--trials", "20",
                       "--polish"] + FAST)
@@ -429,16 +436,16 @@ class TestCompare:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("family, param, message", [
-        (["knapsack_fixed", "--b", "2"], "k", "family knapsack_fixed takes b"),
+        (["knapsack_fixed", "--b", "2"], "k", "family 'knapsack_fixed' takes b, not 'k'"),
         (["kcluster", "--k", "2", "--zero-prob", "0.5"], "b",
-         "family kcluster takes k, zero_prob, seed"),
+         "family 'kcluster' takes k, zero_prob, seed, not 'b'"),
     ], ids=["knapsack_fixed_k", "kcluster_b"])
     def test_sweep_of_a_parameter_the_family_ignores(self, capsys, family, param, message):
         # every row would be the same instance under a different label
         rc = run_cli(["compare", "--family"] + family + [
             "--n", "4", "--sweep-param", param, "--sweep-from", "1", "--sweep-to", "3"])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: --sweep-param {param}: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_row_failures_recorded_and_run_continues(self, capsys):
         # knapsack_random needs --s; every row fails but the sweep completes
@@ -528,6 +535,30 @@ class TestBadInput:
         rc = run_cli(["solve", "--family", "knapsack_fixed", "--b", "2"])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == "error: --family requires --n\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "2", "--k", "3"],
+         "family 'knapsack_fixed' takes b, not 'k'"),
+        (["solve", "--family", "kcluster", "--n", "6", "--k", "3", "--zero-prob", "0.5",
+          "--s", "2"], "family 'kcluster' takes k, zero_prob, seed, not 's'"),
+    ], ids=["gen_knapsack_fixed_k", "solve_kcluster_s"])
+    def test_flag_the_family_ignores_is_usage_error(self, capsys, argv, message):
+        # the instance built without the flag is not the one asked for
+        rc = run_cli(argv)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--b", "3"], "--b"),
+        (["--b", "3", "--k", "2"], "--b, --k"),
+        (["--n", "6", "--zero-prob", "0.5"], "--n, --zero-prob"),
+    ], ids=["b", "b_k", "n_zero_prob"])
+    def test_generator_flag_with_instance_is_usage_error(self, knapsack_file, capsys,
+                                                         flags, named):
+        capsys.readouterr()
+        rc = run_cli(["solve", "--instance", knapsack_file] + flags + FAST)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: generator flags need --family: {named}\n")
 
     def test_output_directory_is_usage_error(self, tmp_path, capsys):
         rc = run_cli(["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "8",

@@ -103,6 +103,15 @@ class TestKnapsackRandom:
         with pytest.raises(ValueError, match="^no weight vector defined for n=27$"):
             knapsack_random(27, 0.0, seed=0, b=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", [
+        lambda n: knapsack_random(n, 3.0, seed=1, b=0),
+        lambda n: quadratic_knapsack_random(n, 3.0, seed=1, f_density=0.5, b=0),
+    ], ids=["knapsack_random", "quadratic_knapsack_random"])
+    def test_n_must_be_positive(self, make, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            make(n)
+
 
 class TestQuadraticKnapsack:
     def test_f_symmetric_zero_diag(self):
@@ -200,8 +209,9 @@ class TestGeneratorSpec:
         assert GeneratorSpec("knapsack_random", n=6, seed=1, s=2.0, b=0).generate().n == 6
         q = GeneratorSpec("quadratic_knapsack", n=6, seed=1, s=2.0, f_density=0.4, b=0).generate()
         assert q.F.any()
-        p01, q = GeneratorSpec("kcluster", n=5, seed=1, k=2, zero_prob=0.5).generate()
-        assert p01.n == q.n == 5
+        q = GeneratorSpec("kcluster", n=5, seed=1, k=2, zero_prob=0.5).generate()
+        assert isinstance(q, SignProgram) and q.n == 5
+        assert q.F.tolist() == kcluster(5, 2, zero_prob=0.5, seed=1)[1].F.tolist()
 
     def test_same_spec_identical_instance(self):
         s = GeneratorSpec("quadratic_knapsack", n=8, seed=3, s=5.0, f_density=0.5, b=2)
@@ -215,6 +225,20 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError) as exc:
             GeneratorSpec("mystery", n=5).generate()
         assert str(exc.value) == "unknown family 'mystery'"
+
+    @pytest.mark.parametrize("family, given, message", [
+        ("knapsack_fixed", {"b": 2, "k": 3, "zero_prob": 0.5},
+         "family 'knapsack_fixed' takes b, not 'k'"),
+        ("knapsack_random", {"s": 2.0, "b": 0, "f_density": 0.4},
+         "family 'knapsack_random' takes s, seed, b, not 'f_density'"),
+        ("kcluster", {"k": 3, "zero_prob": 0.5, "s": 2.0},
+         "family 'kcluster' takes k, zero_prob, seed, not 's'"),
+    ], ids=["knapsack_fixed", "knapsack_random", "kcluster"])
+    def test_parameter_the_family_ignores_rejected(self, family, given, message):
+        # the first such field in declaration order is named
+        with pytest.raises(ValueError) as exc:
+            GeneratorSpec(family, n=4, **given)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("given, missing", [
         ({}, "s"), ({"s": 2.0}, "f_density"), ({"s": 2.0, "f_density": 0.4}, "b"),

@@ -7,6 +7,7 @@ rather than against itself.
 """
 
 import itertools
+import sys
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -640,6 +641,31 @@ class TestConvexQuadratic:
         assert status == CONVERGED
         assert x[0] == pytest.approx(x1, abs=1e-6)
 
+    def test_singular_newton_matrix_falls_back_to_least_squares(self, monkeypatch):
+        # where _box_qp cannot invert its Newton matrix, each step solves it
+        # by least squares: the same steps to the same optimum
+        q = quadratic_knapsack_random(6, 3.0, seed=4, f_density=0.5, b=2)
+        inv = np.linalg.inv
+        calls = {True: 0, False: 0}  # _box_qp's inversions, by whether they fail
+
+        def run(fail):
+            def patched(*args):
+                if sys._getframe(1).f_code is relaxations._box_qp.__code__:
+                    calls[fail] += 1
+                    if fail:
+                        raise np.linalg.LinAlgError("Singular matrix")
+                return inv(*args)
+
+            monkeypatch.setattr(np.linalg, "inv", patched)
+            return convex_quadratic_relaxation(q, CFG)
+
+        reference, r = run(False), run(True)
+        assert calls[True] == calls[False] > 0
+        assert r.status == reference.status == CONVERGED
+        assert r.note.startswith("theta=")
+        assert r.value == pytest.approx(reference.value, abs=1e-6)
+        assert r.value <= brute_force(q).value
+
     def test_pinned_row_stops_at_the_slack_floor(self, monkeypatch):
         # x2 = 1 pins x2 to its upper bound, so there is no interior point:
         # 1 - x2 runs down to the floor and the loop stops after a few steps,
@@ -834,6 +860,30 @@ class TestCopositiveDnn:
         assert r.solution.iterations == k - 1
         assert r.solution.message == (f"interior-point step failed after {k - 1} iterations: "
                                       "Matrix is not positive definite")
+        assert r.bound <= brute_force(sign).value
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_z_not_positive_definite_ends_the_solve(self, k, monkeypatch):
+        # a scaled dual matrix L'ZL without a positive spectrum stops the
+        # face IPM at its k-th step, with a sound bound from the last iterate
+        calls = []
+        eigh = np.linalg.eigh
+
+        def failing(*args, **kwargs):
+            lam, U = eigh(*args, **kwargs)
+            if sys._getframe(1).f_code is sdp._solve_face_ipm.__code__:
+                calls.append(None)
+                if len(calls) == k:
+                    lam = np.concatenate([[0.0], lam[1:]])
+            return lam, U
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        sign = knapsack_random(5, 3, 12, 7)
+        r = copositive_dnn(to_zero_one(sign), DNN_CFG)
+        assert r.status == ITERATION_LIMIT
+        assert r.solution.iterations == k - 1
+        assert r.solution.message == (f"interior-point step failed after {k - 1} iterations: "
+                                      "Z is not positive definite")
         assert r.bound <= brute_force(sign).value
 
     def test_lower_bounds_cluster_optimum(self):
