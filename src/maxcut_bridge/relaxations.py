@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds
+from . import bounds, sdp
 from .instances import brute_force
 from .model import SignProgram, ZeroOneProgram, to_zero_one
 from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
@@ -324,6 +324,9 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     primal residuals and the mean of s o z at most 1e-9 (1 + sum |c|).
     Where the rows pin variables to a bound there is no interior point and
     s tends to zero: the loop stops while 1 - x still has digits to step on.
+    It runs under one ``sdp._raising`` errstate and inverts through the
+    LAPACK seam (``sdp._inv``); an invalid value anywhere in a step ends the
+    loop at its last iterate, as IterationLimit.
     """
     norm = np.linalg.norm(A, axis=1, keepdims=True)
     unit = A / np.where(norm > 1e-6, norm, 1.0)  # a row of norm <= 1e-6 is dropped
@@ -342,40 +345,46 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
         shrink = dv < 0.0
         return min(1.0, 0.99 * float((-v[shrink] / dv[shrink]).min(initial=np.inf)))
 
-    for _ in range(max_iter):
-        s = 1.0 + sgn * x
-        r_d = c + 2.0 * (H @ x) - A.T @ y - (z[0] - z[1])
-        r_p = b - A @ x
-        mu = float(np.vdot(s, z)) / (2 * n)
-        if max(np.abs(r_d).max(), np.abs(r_p).max(initial=0.0), mu) <= tol:
-            return x, CONVERGED
-        if s.min() <= 1e3 * np.finfo(float).eps:
-            break
-        K[:n, :n] = H2
-        K[:n, :n].flat[:: n + 1] += (z / s).sum(0)  # 2H + Diag(D)
-        try:
-            K_inv = np.linalg.inv(K)
-        except np.linalg.LinAlgError:
-            K_inv = None
+    with sdp._raising():  # one errstate for the whole loop
+        for _ in range(max_iter):
+            s = 1.0 + sgn * x
+            r_d = c + 2.0 * (H @ x) - A.T @ y - (z[0] - z[1])
+            r_p = b - A @ x
+            mu = float(np.vdot(s, z)) / (2 * n)
+            if max(np.abs(r_d).max(), np.abs(r_p).max(initial=0.0), mu) <= tol:
+                return x, CONVERGED
+            if s.min() <= 1e3 * np.finfo(float).eps:
+                break
+            try:
+                K[:n, :n] = H2
+                K[:n, :n].flat[:: n + 1] += (z / s).sum(0)  # 2H + Diag(D)
+                try:
+                    K_inv = sdp._inv(K)
+                except np.linalg.LinAlgError:
+                    K_inv = None
 
-        def direction(t):
-            # Newton step that moves s o z to s o z + t
-            ts = t / s
-            rhs = np.concatenate([ts[0] - ts[1] - r_d, r_p])
-            step = K_inv @ rhs if K_inv is not None else np.linalg.lstsq(K, rhs, rcond=None)[0]
-            ds = sgn * step[:n]
-            return step[:n], -step[n:], ds, (t - z * ds) / s
+                def direction(t):
+                    # Newton step that moves s o z to s o z + t
+                    ts = t / s
+                    rhs = np.concatenate([ts[0] - ts[1] - r_d, r_p])
+                    step = (K_inv @ rhs if K_inv is not None
+                            else np.linalg.lstsq(K, rhs, rcond=None)[0])
+                    ds = sgn * step[:n]
+                    return step[:n], -step[n:], ds, (t - z * ds) / s
 
-        # the affine step (target 0) sets the centering; its second-order
-        # term enters the corrector
-        _, _, ds, dz = direction(-s * z)
-        mu_aff = float(np.vdot(s + step_to(s, ds) * ds, z + step_to(z, dz) * dz)) / (2 * n)
-        centering = min(1.0, mu_aff / mu) ** 3 * mu
-        dx, dy, ds, dz = direction(centering - s * z - ds * dz)
-        a_p, a_d = step_to(s, ds), step_to(z, dz)
-        x = x + a_p * dx
-        y = y + a_d * dy
-        z = z + a_d * dz
+                # the affine step (target 0) sets the centering; its second-order
+                # term enters the corrector
+                _, _, ds, dz = direction(-s * z)
+                mu_aff = float(np.vdot(s + step_to(s, ds) * ds,
+                                       z + step_to(z, dz) * dz)) / (2 * n)
+                centering = min(1.0, mu_aff / mu) ** 3 * mu
+                dx, dy, ds, dz = direction(centering - s * z - ds * dz)
+                a_p, a_d = step_to(s, ds), step_to(z, dz)
+                x = x + a_p * dx
+                y = y + a_d * dy
+                z = z + a_d * dz
+            except np.linalg.LinAlgError:  # an invalid value, or least squares failed
+                break
     return x, ITERATION_LIMIT
 
 

@@ -42,6 +42,18 @@ and a diagonal solve on a face), where ``primal_residual`` is then its
 distance to the PSD cone.  Each method iterates on the kept rows alone
 and returns 0 as a dropped row's multiplier.  Both are deterministic: the
 same problem and config always produce the same iteration path.
+
+Inside the loops of both methods, and of the box QP of ``relaxations``,
+every factorization and eigenvalue call goes through one seam, ``_cholesky``,
+``_inv``, ``_solve``, ``_eigvalsh`` and ``_eigh``: the gufuncs that
+numpy.linalg dispatches to, with its signatures, so every result is bit for
+bit numpy.linalg's, without its per-call wrapper.  Each loop runs under one
+errstate per solve (``_raising``), in which an invalid floating-point
+result raises a LinAlgError.  A seam call that fails raises numpy.linalg's
+error for its routine, and an invalid value anywhere else in a step ends
+that step the same way: the solve stops as a failed step, with the
+multipliers of its last iterate.  The public functions, ``project_psd``
+and ``certified_diag_bound``, keep numpy.linalg.
 """
 
 import math
@@ -52,6 +64,11 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+# The gufuncs that numpy.linalg dispatches to.  The interior-point loops call
+# them directly (``_lapack``): at d <= 25 each numpy.linalg call spends 3-5 us
+# on type checks and an errstate around 2-12 us of LAPACK, and the loops make
+# thousands of such calls.
+from numpy.linalg import _umath_linalg
 
 
 class Sense(Enum):
@@ -92,6 +109,43 @@ class SolverConfig:
             raise ValueError("max_iter must be a positive integer")
         if not self.admm_rho > 0:
             raise ValueError("admm_rho must be positive")
+
+
+class _Invalid(np.linalg.LinAlgError):
+    """An invalid floating-point result under ``_raising``."""
+
+
+def _raise_invalid(kind, flag):
+    raise _Invalid("invalid floating-point result")
+
+
+def _raising():
+    """The errstate an interior-point loop runs under, one per solve: an
+    invalid floating-point result raises ``_Invalid``, a LinAlgError, so it
+    ends the step it occurs in as a failed factorization does."""
+    return np.errstate(call=_raise_invalid, invalid="call")
+
+
+def _lapack(gufunc, signature: str, message: str):
+    """``gufunc`` of numpy.linalg's float64 path, with its signature: the
+    result is bit for bit that of the numpy.linalg function, and the invalid
+    flag that the gufunc sets on failure is re-raised as numpy.linalg's
+    LinAlgError with ``message``.  Call it only under ``_raising``."""
+    def call(*args):
+        try:
+            return gufunc(*args, signature=signature)
+        except _Invalid:
+            raise np.linalg.LinAlgError(message) from None
+    return call
+
+
+# The seam of the interior-point loops: np.linalg.cholesky, inv, solve (of a
+# vector right-hand side), eigvalsh and eigh, lower triangle read
+_cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+_inv = _lapack(_umath_linalg.inv, "d->d", "Singular matrix")
+_solve = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
+_eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
 
 
 def _asymmetric(M: np.ndarray):
@@ -469,12 +523,12 @@ def _step_to(low: float) -> float:
 def _schur_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """M^-1 rhs, or a least-squares solution when M is singular."""
     try:
-        return np.linalg.solve(M, rhs)
+        return _solve(M, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-_TRI_BLOCK = 24  # triangular blocks of at most this many rows go to np.linalg.inv
+_TRI_BLOCK = 24  # triangular blocks of at most this many rows go to _inv
 
 
 def _tri_inv(L: np.ndarray) -> np.ndarray:
@@ -484,13 +538,14 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     Algorithms, 2nd ed., section 14.2; LAPACK trtri): split at d/2 into
     L = [[A, 0], [B, C]], whose inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]],
     with A and C inverted the same way.  Blocks of at most ``_TRI_BLOCK``
-    rows go to ``np.linalg.inv`` as they are, so a small L gets exactly its
-    result.  A large one costs about 2d^3/3 flops, nearly all in matrix
-    products, against 8d^3/3 for the LU inverse of the whole of L.
+    rows go to ``_inv``, np.linalg.inv's gufunc, as they are, so a small L
+    gets exactly np.linalg.inv's result.  A large one costs about 2d^3/3
+    flops, nearly all in matrix products, against 8d^3/3 for the LU inverse
+    of the whole of L.
     """
     d = L.shape[-1]
     if d <= _TRI_BLOCK:
-        return np.linalg.inv(L)
+        return _inv(L)
     h = d // 2
     A_inv = _tri_inv(L[..., :h, :h])
     C_inv = _tri_inv(L[..., h:, h:])
@@ -511,7 +566,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996) with Mehrotra's
     second-order correction (SIAM J. Optim. 2, 1992).  One Cholesky
     factorization of the stack [R, Z] gives L_R and L_Z, one blocked
-    triangular inverse (``_tri_inv``; np.linalg.inv on blocks of at most
+    triangular inverse (``_tri_inv``; ``_inv`` on blocks of at most
     ``_TRI_BLOCK`` rows) gives L_R^-1 and L_Z^-1, and Z^-1 = L_Z^-T L_Z^-1.
     The Schur matrix M = (V R V') o (V Z^-1 V') is solved twice.  The
     affine predictor solves M dy_a = a, with dR_a = sym(-R + R A*(dy_a) Z^-1).
@@ -542,7 +597,10 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     above sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every
     feasible X, proves the problem infeasible and ends the solve as
     Diverged.  As Z stays positive definite, a'y is a certified bound at
-    every iterate.  Requires a > 0.
+    every iterate.  The loop runs under one ``_raising`` errstate and calls
+    LAPACK through the seam only: a factorization that fails, or an invalid
+    value anywhere in a step, ends the solve at the last iterate with the
+    step's error as its message.  Requires a > 0.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -579,62 +637,62 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
-    while True:
-        RV = R if V is None else R @ V.T  # R V'
-        X = RV if V is None else V @ RV
-        primal = float(C.ravel() @ R.ravel())
-        dual = float(a @ y)
-        gap = primal - dual
-        xz, res_norm = gap, 0.0  # without a face X keeps its diagonal from the start
-        if V is not None:
-            residual = a - X.diagonal()
-            xz, res_norm = gap + float(y @ residual), _fro(residual)  # <X, Z>
-        tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
-        if gap <= tol and xz <= tol and res_norm <= res_tol:
-            status = SolveStatus.CONVERGED
-            break
-        if dual > bound + tol:
-            status = SolveStatus.DIVERGED
-            message = (f"dual objective {sign * dual:.6g} is beyond {sign * bound:.6g}, "
-                       "which bounds <C, X> over every feasible X: the constraints are "
-                       "infeasible")
-            break
-        if it == cfg.max_iter:
-            break
-        RZ[0] = R
-        if V is None:
-            np.subtract(C.diagonal(), y, out=Z_diag)
-        else:
-            RZ[1] = C - adjoint(y)
-        try:
-            # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
-            L_inv = _tri_inv(np.linalg.cholesky(RZ))
-            Z_inv = L_inv[1].T @ L_inv[1]
-            VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
-            Z_lift = VZ if V is None else VZ @ V.T
-            M = X * Z_lift  # the Schur matrix
-            dy_a = _schur_solve(M, a)  # the affine predictor
-            dR_a = (RV * dy_a) @ VZ - R
-            dR_a = (dR_a + dR_a.T) / 2.0
-            dR_aV = dR_a if V is None else dR_a @ V.T  # dR_a V'
-            lifted = dR_aV if V is None else V @ dR_aV  # V dR_a V'
-            mu = sigma * xz / r
-            dy = _schur_solve(M, a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)
-            dR = mu * Z_inv - R + (RV * dy + dR_aV * dy_a) @ VZ  # + dR_a A*(dy_a) Z^-1
-            dR = (dR + dR.T) / 2.0
-            # the most negative eigenvalue of L^-1 dM L^-T limits each side's step;
-            # without a face L_Z^-1 dZ = -L_Z^-1 Diag(dy) scales columns
-            L_dZ = L_inv[1] * -dy if V is None else L_inv[1] @ -adjoint(dy)
-            scaled = np.array([L_inv[0] @ dR, L_dZ]) @ L_inv.transpose(0, 2, 1)
-            low = np.linalg.eigvalsh(scaled)[:, 0]
-        except np.linalg.LinAlgError as exc:
-            message = f"interior-point step failed after {it} iterations: {exc}"
-            break
-        step_p, step_d = _step_to(float(low[0])), _step_to(float(low[1]))
-        R = R + step_p * dR
-        y = y + step_d * dy
-        sigma = min(max(1.0 - min(step_p, step_d), 0.05), 0.5)
-        it += 1
+    with _raising():  # one errstate for the whole loop
+        while True:
+            RV = R if V is None else R @ V.T  # R V'
+            X = RV if V is None else V @ RV
+            primal = float(C.ravel() @ R.ravel())
+            dual = float(a @ y)
+            gap = primal - dual
+            xz, res_norm = gap, 0.0  # without a face X keeps its diagonal from the start
+            if V is not None:
+                residual = a - X.diagonal()
+                xz, res_norm = gap + float(y @ residual), _fro(residual)  # <X, Z>
+            tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
+            if gap <= tol and xz <= tol and res_norm <= res_tol:
+                status = SolveStatus.CONVERGED
+                break
+            if dual > bound + tol:
+                status = SolveStatus.DIVERGED
+                message = (f"dual objective {sign * dual:.6g} is beyond {sign * bound:.6g}, "
+                           "which bounds <C, X> over every feasible X: the constraints are "
+                           "infeasible")
+                break
+            if it == cfg.max_iter:
+                break
+            try:
+                RZ[0] = R
+                if V is None:
+                    np.subtract(C.diagonal(), y, out=Z_diag)
+                else:
+                    RZ[1] = C - adjoint(y)
+                # inverse Cholesky factors of R and Z; LinAlgError unless both are PD
+                L_inv = _tri_inv(_cholesky(RZ))
+                Z_inv = L_inv[1].T @ L_inv[1]
+                VZ = Z_inv if V is None else V @ Z_inv  # V Z^-1
+                Z_lift = VZ if V is None else VZ @ V.T
+                M = X * Z_lift  # the Schur matrix
+                dy_a = _schur_solve(M, a)  # the affine predictor
+                dR_a = (RV * dy_a) @ VZ - R
+                dR_a = (dR_a + dR_a.T) / 2.0
+                dR_aV = dR_a if V is None else dR_a @ V.T  # dR_a V'
+                lifted = dR_aV if V is None else V @ dR_aV  # V dR_a V'
+                mu = sigma * xz / r
+                dy = _schur_solve(M, a - mu * Z_lift.diagonal() - (lifted * Z_lift) @ dy_a)
+                dR = mu * Z_inv - R + (RV * dy + dR_aV * dy_a) @ VZ  # + dR_a A*(dy_a) Z^-1
+                dR = (dR + dR.T) / 2.0
+                # the most negative eigenvalue of L^-1 dM L^-T limits each side's step;
+                # without a face L_Z^-1 dZ = -L_Z^-1 Diag(dy) scales columns
+                L_dZ = L_inv[1] * -dy if V is None else L_inv[1] @ -adjoint(dy)
+                scaled = np.array([L_inv[0] @ dR, L_dZ]) @ L_inv.transpose(0, 2, 1)
+                low = _eigvalsh(scaled)[:, 0]
+                step_p, step_d = _step_to(float(low[0])), _step_to(float(low[1]))
+                R, y = R + step_p * dR, y + step_d * dy
+            except np.linalg.LinAlgError as exc:
+                message = f"interior-point step failed after {it} iterations: {exc}"
+                break
+            sigma = min(max(1.0 - min(step_p, step_d), 0.05), 0.5)
+            it += 1
 
     if V is None:
         primal_residual = _fro(a - X.diagonal())
@@ -688,7 +746,10 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     moved onto the rows by the least-norm correction Q'L^-1 (b - A rho),
     where Q = L^-1 A with the record's factor; ``primal_residual``
     is the norm of R's distance to the PSD cone and of X's negative orthant
-    entries.
+    entries.  The loop runs under one ``_raising`` errstate and calls LAPACK
+    through the seam only: a factorization that fails, an L'ZL without a
+    positive spectrum, or an invalid value anywhere in a step ends the solve
+    at the last iterate with the step's error as its message.
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -751,96 +812,97 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     status = SolveStatus.ITERATION_LIMIT
     message = ""
     it = 0
-    while True:
-        slack = np.concatenate([c - u @ B, w])  # (z, w), paired with x = (rho, v)
-        z = slack[:N]
-        primal = float(c @ rho)
-        dual = float(b @ y)
-        gap = primal - dual
-        residual = b_0 - B @ rho  # (b - A rho, v - G rho)
-        residual[m:] += v
-        comp = float(x @ slack)  # <R, Z> + v'w
-        tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
-        if gap <= tol and comp <= tol and _fro(residual) <= res_tol:
-            status = SolveStatus.CONVERGED
-            break
-        Z = (z @ basis).reshape(r, r)
-        if dual > bound + tol:
-            certified = dual + T * min(0.0, float(np.linalg.eigvalsh(Z)[0]))
-            if certified > bound + tol:
-                status = SolveStatus.DIVERGED
-                message = (f"certified bound {sign * certified:.6g} is beyond "
-                           f"{sign * bound:.6g}, which bounds <C, X> over every feasible X: "
-                           "the constraints are infeasible")
+    with _raising():  # one errstate for the whole loop
+        while True:
+            slack = np.concatenate([c - u @ B, w])  # (z, w), paired with x = (rho, v)
+            z = slack[:N]
+            primal = float(c @ rho)
+            dual = float(b @ y)
+            gap = primal - dual
+            residual = b_0 - B @ rho  # (b - A rho, v - G rho)
+            residual[m:] += v
+            comp = float(x @ slack)  # <R, Z> + v'w
+            tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + abs(primal))
+            if gap <= tol and comp <= tol and _fro(residual) <= res_tol:
+                status = SolveStatus.CONVERGED
                 break
-        if it == cfg.max_iter:
-            break
-        try:
-            # NT scaling: with L L' = R and L'ZL = U Diag(l)^2 U', the map
-            # S = L U Diag(l)^(-1/2) takes R and Z to the same diagonal,
-            # S^-1 R S^-T = S' Z S = Diag(l), and W^-1 = S^-T S^-1 = F F'
-            L = np.linalg.cholesky((rho @ basis).reshape(r, r))
-            lam, U = np.linalg.eigh(L.T @ Z @ L)
-            if not lam[0] > 0.0:
-                raise np.linalg.LinAlgError("Z is not positive definite")
-            l = np.sqrt(lam)
-            root = np.sqrt(l)
-            S = L @ (U / root)
-            F = Z @ S / l  # S^-T, as S' Z S = Diag(l)
-            scalings = np.array([F, S])
-            D = w / v
-            # H = W^-1 (x)s W^-1 + G' Diag(w/v) G, in svec coordinates
-            np.take(F @ F.T, entries, out=Y_p[d])
-            E_p.flat[upper] = E_p.flat[lower] = D * halves
-            Om = (Y_p.T @ (E_p @ Y_p)).take(gather)
-            np.multiply(Om[0] + Om[1], half_ss, out=H)
-            pair = 2.0 / (l[:, None] + l[None, :])
-            unit = 1.0 / np.outer(root, root)  # scales Diag(l) to I
-            r_g = residual[m:]
-            shifted = D * r_g
-            kkt[N:] = residual[:m]
+            Z = (z @ basis).reshape(r, r)
+            if dual > bound + tol:
+                certified = dual + T * min(0.0, float(_eigvalsh(Z)[0]))
+                if certified > bound + tol:
+                    status = SolveStatus.DIVERGED
+                    message = (f"certified bound {sign * certified:.6g} is beyond "
+                               f"{sign * bound:.6g}, which bounds <C, X> over every feasible X: "
+                               "the constraints are infeasible")
+                    break
+            if it == cfg.max_iter:
+                break
+            try:
+                # NT scaling: with L L' = R and L'ZL = U Diag(l)^2 U', the map
+                # S = L U Diag(l)^(-1/2) takes R and Z to the same diagonal,
+                # S^-1 R S^-T = S' Z S = Diag(l), and W^-1 = S^-T S^-1 = F F'
+                L = _cholesky((rho @ basis).reshape(r, r))
+                lam, U = _eigh(L.T @ Z @ L)
+                if not lam[0] > 0.0:
+                    raise np.linalg.LinAlgError("Z is not positive definite")
+                l = np.sqrt(lam)
+                root = np.sqrt(l)
+                S = L @ (U / root)
+                F = Z @ S / l  # S^-T, as S' Z S = Diag(l)
+                scalings = np.array([F, S])
+                D = w / v
+                # H = W^-1 (x)s W^-1 + G' Diag(w/v) G, in svec coordinates
+                np.take(F @ F.T, entries, out=Y_p[d])
+                E_p.flat[upper] = E_p.flat[lower] = D * halves
+                Om = (Y_p.T @ (E_p @ Y_p)).take(gather)
+                np.multiply(Om[0] + Om[1], half_ss, out=H)
+                pair = 2.0 / (l[:, None] + l[None, :])
+                unit = 1.0 / np.outer(root, root)  # scales Diag(l) to I
+                r_g = residual[m:]
+                shifted = D * r_g
+                kkt[N:] = residual[:m]
 
-            def direction(r_c, t):
-                # Newton step for Diag(l) o (S^-1 dR S^-T + S' dZ S) = target
-                # (o the symmetrized product), given as r_c = svec(S^-T E S^-1)
-                # for the E with Diag(l) o E = target, and for w dv + v dw = t;
-                # returns dx = (d_rho, dv), du = (dy, dw) and (dZ, dw)
-                t_v = t / v
-                pulled = (t_v + shifted) @ G
-                np.add(r_c, pulled, out=kkt[:N])
-                step = np.linalg.solve(K, kkt)
-                d_rho = step[:N]
-                dx = np.concatenate([d_rho, G @ d_rho - r_g])
-                dv = dx[N:]
-                du = np.concatenate([-step[N:], t_v - D * dv])
-                d_slack = np.concatenate([-(du @ B), du[m:]])
-                # S^-1 dR S^-T and S' dZ S, whose eigenvalues against Diag(l)
-                # limit the steps
-                scaled = scalings.transpose(0, 2, 1) @ (
-                    np.array([d_rho, d_slack[:N]]) @ basis).reshape(2, r, r) @ scalings
-                low = np.linalg.eigvalsh(scaled * unit)[:, 0]
-                return (dx, du, d_slack, scaled[0], scaled[1],
-                        _step_to(min(low[0], (dv / v).min(initial=0.0))),
-                        _step_to(min(low[1], (du[m:] / w).min(initial=0.0))))
+                def direction(r_c, t):
+                    # Newton step for Diag(l) o (S^-1 dR S^-T + S' dZ S) = target
+                    # (o the symmetrized product), given as r_c = svec(S^-T E S^-1)
+                    # for the E with Diag(l) o E = target, and for w dv + v dw = t;
+                    # returns dx = (d_rho, dv), du = (dy, dw) and (dZ, dw)
+                    t_v = t / v
+                    pulled = (t_v + shifted) @ G
+                    np.add(r_c, pulled, out=kkt[:N])
+                    step = _solve(K, kkt)
+                    d_rho = step[:N]
+                    dx = np.concatenate([d_rho, G @ d_rho - r_g])
+                    dv = dx[N:]
+                    du = np.concatenate([-step[N:], t_v - D * dv])
+                    d_slack = np.concatenate([-(du @ B), du[m:]])
+                    # S^-1 dR S^-T and S' dZ S, whose eigenvalues against Diag(l)
+                    # limit the steps
+                    scaled = scalings.transpose(0, 2, 1) @ (
+                        np.array([d_rho, d_slack[:N]]) @ basis).reshape(2, r, r) @ scalings
+                    low = _eigvalsh(scaled * unit)[:, 0]
+                    return (dx, du, d_slack, scaled[0], scaled[1],
+                            _step_to(min(low[0], (dv / v).min(initial=0.0))),
+                            _step_to(min(low[1], (du[m:] / w).min(initial=0.0))))
 
-            # the affine step (target -Diag(l)^2, so r_c = -Z) sets the
-            # centering; its second-order term enters the corrector
-            mu = comp / (r + q)
-            dx, _, d_slack, scaled_r, scaled_z, step_p, step_d = direction(-z, -v * w)
-            mu_aff = (comp + step_p * float(dx @ slack) + step_d * float(x @ d_slack)
-                      + step_p * step_d * float(dx @ d_slack)) / (r + q)
-            centering = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
-            target = (scaled_r @ scaled_z + scaled_z @ scaled_r) / -2.0
-            target.flat[:: r + 1] += centering - lam
-            r_c = F @ (target * pair) @ F.T
-            dx, du, _, _, _, step_p, step_d = direction(
-                basis @ r_c.ravel(), centering - v * w - dx[N:] * d_slack[N:])
-        except np.linalg.LinAlgError as exc:
-            message = f"interior-point step failed after {it} iterations: {exc}"
-            break
-        x += step_p * dx
-        u += step_d * du
-        it += 1
+                # the affine step (target -Diag(l)^2, so r_c = -Z) sets the
+                # centering; its second-order term enters the corrector
+                mu = comp / (r + q)
+                dx, _, d_slack, scaled_r, scaled_z, step_p, step_d = direction(-z, -v * w)
+                mu_aff = (comp + step_p * float(dx @ slack) + step_d * float(x @ d_slack)
+                          + step_p * step_d * float(dx @ d_slack)) / (r + q)
+                centering = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
+                target = (scaled_r @ scaled_z + scaled_z @ scaled_r) / -2.0
+                target.flat[:: r + 1] += centering - lam
+                r_c = F @ (target * pair) @ F.T
+                dx, du, _, _, _, step_p, step_d = direction(
+                    basis @ r_c.ravel(), centering - v * w - dx[N:] * d_slack[N:])
+                x += step_p * dx
+                u += step_d * du
+            except np.linalg.LinAlgError as exc:
+                message = f"interior-point step failed after {it} iterations: {exc}"
+                break
+            it += 1
 
     R = ((rho + (L_inv @ (b - A @ rho)) @ Q) @ basis).reshape(r, r)  # moved onto the rows
     X = R if p.face is None else V @ R @ V.T

@@ -94,6 +94,21 @@ def build_suite() -> list:
     return suite
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, names)`` patches each named function of
+    ``module`` to count its calls from then on, in the dict it returns."""
+    def install(module, names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+    return install
+
+
 @pytest.fixture(scope="session")
 def suite50() -> list:
     return build_suite()

@@ -22,9 +22,12 @@ points at the instances that moved it.  ``--counts`` appends to each line
 how often the reports called ``certified_diag_bound`` (in ``sdp``,
 ``penalty`` and ``relaxations``), ``_bland_min`` (simplex runs) and
 ``_pivot`` (simplex pivots), so a change that claims to drop repeated work
-can show it, and then the iterations of each interior-point method
+can show it, then the iterations of each interior-point method
 (``diag_ipm_iterations``, ``face_ipm_iterations``), so a change to a
-solver can show that its iterations did not move.  ``--values`` prints,
+solver can show that its iterations did not move, and last the calls
+through the LAPACK seam of ``sdp`` (``lapack_calls``: ``_cholesky``,
+``_inv``, ``_solve``, ``_eigvalsh`` and ``_eigh``), so a change that adds
+or drops factorizations shows it as an exact count.  ``--values`` prints,
 in place of digests, one readable line per instance: rho, each entry's
 status and certified bound (``BoundEntry.bound``: value - inflation, or +
 for a max-sense entry), the rounded point's objective, feasibility and 0/1
@@ -59,6 +62,8 @@ COUNTED = {
 }
 # interior-point method of ``sdp`` -> the name its iterations are summed under
 ITERATED = {"_solve_diag_ipm": "diag_ipm_iterations", "_solve_face_ipm": "face_ipm_iterations"}
+# the LAPACK seam of ``sdp``, whose calls are summed under "lapack_calls"
+SEAM = ("_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh")
 
 
 def _feed(h, *items) -> None:
@@ -117,12 +122,13 @@ def _values(inst, wl) -> str:
 
 @contextlib.contextmanager
 def counting():
-    """Count the calls to each ``COUNTED`` function and the iterations of
-    each ``ITERATED`` method in a dict, by name."""
-    counts = dict.fromkeys([*COUNTED, *ITERATED.values()], 0)
+    """Count the calls to each ``COUNTED`` function, the iterations of each
+    ``ITERATED`` method and the calls through the ``SEAM`` in a dict, by
+    name."""
+    counts = dict.fromkeys([*COUNTED, *ITERATED.values(), "lapack_calls"], 0)
     saved = [(module, name, getattr(module, name))
              for name, modules in COUNTED.items() for module in modules]
-    saved += [(sdp, name, getattr(sdp, name)) for name in ITERATED]
+    saved += [(sdp, name, getattr(sdp, name)) for name in (*ITERATED, *SEAM)]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -139,7 +145,7 @@ def counting():
 
     for module, name, fn in saved:
         setattr(module, name, iterated(ITERATED[name], fn) if name in ITERATED
-                else counted(name, fn))
+                else counted("lapack_calls" if name in SEAM else name, fn))
     try:
         yield counts
     finally:
@@ -157,8 +163,8 @@ def digests(workload: str, by_instance: bool = False,
             counts: bool = False, seed: int = 0) -> list[tuple[str, str]]:
     """(name, digest) of the workload, or of each of its instances with
     ``by_instance``; with ``counts`` the digest is followed by the calls to
-    each ``COUNTED`` function and the iterations of each ``ITERATED``
-    method, as name=count."""
+    each ``COUNTED`` function, the iterations of each ``ITERATED`` method
+    and the calls through the ``SEAM``, as name=count."""
     wl = BUILDERS[workload](seed)
     groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
               else [(workload, wl.instances)])
@@ -181,7 +187,7 @@ def main(argv) -> int:
                         help="one digest per instance label instead of per workload")
     parser.add_argument("--counts", action="store_true",
                         help="append the calls to " + ", ".join(COUNTED)
-                        + " and the interior-point iterations")
+                        + ", the interior-point iterations and the LAPACK calls")
     parser.add_argument("--values", action="store_true",
                         help="print one line of values per instance instead of digests")
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")

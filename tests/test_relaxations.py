@@ -397,6 +397,25 @@ class TestLasserre1:
         assert r.solution.y[1] == 0.0 and (r.solution.y[[0, 2, 3]] != 0.0).all()
         assert r.bound <= brute_force(q).value
 
+    def test_real_cholesky_failure_keeps_a_sound_bound(self):
+        # nothing faked: on this 4-row multi-knapsack the diagonal IPM's
+        # Cholesky factorization of [R, Z] fails at iteration 51, and the
+        # bound of the last iterate stays below the exact optimum
+        rng = np.random.default_rng(304)
+        A = rng.integers(1, 20, (4, 16))
+        x_hat = rng.integers(0, 2, 16)
+        c = rng.uniform(-10, 10, 16)
+        q = to_sign_form(ZeroOneProgram(n=16, c=c, F=None, A=A, b=A @ x_hat, row_sense=[EQ] * 4))
+        report = compute_bounds(q, selectors=["lasserre1", "brute_force"],
+                                cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=60))
+        entry, exact = report.entries["lasserre1"], report.entries["brute_force"]
+        assert entry.status == ITERATION_LIMIT and entry.solution.iterations == 51
+        assert entry.solution.message == ("interior-point step failed after 51 iterations: "
+                                          "Matrix is not positive definite")
+        assert entry.bound == pytest.approx(5.6787196532251984, rel=1e-9)
+        assert exact.bound == pytest.approx(5.679508144518082, rel=1e-12)
+        assert entry.bound <= exact.bound
+
     def test_unsatisfiable_cluster_size_reported_infeasible(self):
         _, s = kcluster(8, 9, zero_prob=0.5, seed=3)
         # x_1 = -1 and x_1 = 1: A x = b has no real solution, so the face is empty
@@ -611,24 +630,23 @@ class TestConvexQuadratic:
         assert r.note == "theta=0 fw_gap=0.000e+00"
 
     @pytest.mark.parametrize("rows", [[[1, 1, 0]], [[1, 1, 0], [1, 1, 0], [0, 1, -1]]])
-    def test_box_qp_one_factorization_per_iteration(self, rows, monkeypatch):
+    def test_box_qp_one_factorization_per_iteration(self, rows, count_calls):
         # dependent rows are dropped before the loop, so the Newton matrix
-        # is nonsingular: one inversion per iteration serves the predictor
-        # and the corrector, and least squares never runs
-        calls = {"inv": 0, "lstsq": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # is nonsingular: one inversion per iteration, through the LAPACK
+        # seam, serves the predictor and the corrector, and least squares
+        # never runs
+        seam = count_calls(sdp, ["_inv"])
+        calls = count_calls(np.linalg, ["inv", "lstsq"])
         H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         A = np.array(rows, dtype=float)
         b = A @ np.array([0.5, -0.5, -0.5])
         for max_iter in (1, 2, 5):
+            seam.update(_inv=0)
             calls.update(inv=0, lstsq=0)
             _, status = relaxations._box_qp(H, np.array([1.0, -3.0, 2.0]), A, b, max_iter)
             assert status == ITERATION_LIMIT
-            assert calls == {"inv": max_iter, "lstsq": 0}
+            assert seam == {"_inv": max_iter}
+            assert calls == {"inv": 0, "lstsq": 0}
 
     @pytest.mark.parametrize("norm, x1", [(1e-7, -1.0), (1e-5, 0.0)])
     def test_box_qp_drops_a_row_of_tiny_norm(self, norm, x1):
@@ -645,7 +663,7 @@ class TestConvexQuadratic:
         # where _box_qp cannot invert its Newton matrix, each step solves it
         # by least squares: the same steps to the same optimum
         q = quadratic_knapsack_random(6, 3.0, seed=4, f_density=0.5, b=2)
-        inv = np.linalg.inv
+        inv = sdp._inv
         calls = {True: 0, False: 0}  # _box_qp's inversions, by whether they fail
 
         def run(fail):
@@ -656,7 +674,7 @@ class TestConvexQuadratic:
                         raise np.linalg.LinAlgError("Singular matrix")
                 return inv(*args)
 
-            monkeypatch.setattr(np.linalg, "inv", patched)
+            monkeypatch.setattr(sdp, "_inv", patched)
             return convex_quadratic_relaxation(q, CFG)
 
         reference, r = run(False), run(True)
@@ -671,12 +689,12 @@ class TestConvexQuadratic:
         # 1 - x2 runs down to the floor and the loop stops after a few steps,
         # far inside its budget, with the closing LP's value still below f*
         calls = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append(None) or inv(*args))
+        inv = sdp._inv
+        monkeypatch.setattr(sdp, "_inv", lambda *args: calls.append(None) or inv(*args))
         q = SignProgram(n=2, c=[-2.7, -1.9], F=[[1.1, 0.25], [0.25, 2.2]], A=[[0, 1]], b=[1])
         r = convex_quadratic_relaxation(q, CFG)
         assert r.status == ITERATION_LIMIT
-        assert len(calls) < 100
+        assert 0 < len(calls) < 100
         f_star = brute_force(q).value
         assert f_star == pytest.approx(-0.8)
         assert r.value <= f_star
@@ -845,15 +863,15 @@ class TestCopositiveDnn:
         # multipliers of its last strictly feasible iterate, the start's
         # included
         calls = []
-        cholesky = np.linalg.cholesky
+        cholesky = sdp._cholesky
 
-        def failing(*args, **kwargs):
+        def failing(*args):
             calls.append(None)
             if len(calls) == k:
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(*args, **kwargs)
+            return cholesky(*args)
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(sdp, "_cholesky", failing)
         sign = knapsack_random(5, 3, 12, 7)
         r = copositive_dnn(to_zero_one(sign), DNN_CFG)
         assert r.status == ITERATION_LIMIT
@@ -867,23 +885,47 @@ class TestCopositiveDnn:
         # a scaled dual matrix L'ZL without a positive spectrum stops the
         # face IPM at its k-th step, with a sound bound from the last iterate
         calls = []
-        eigh = np.linalg.eigh
+        eigh = sdp._eigh
 
-        def failing(*args, **kwargs):
-            lam, U = eigh(*args, **kwargs)
+        def failing(*args):
+            lam, U = eigh(*args)
             if sys._getframe(1).f_code is sdp._solve_face_ipm.__code__:
                 calls.append(None)
                 if len(calls) == k:
                     lam = np.concatenate([[0.0], lam[1:]])
             return lam, U
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(sdp, "_eigh", failing)
         sign = knapsack_random(5, 3, 12, 7)
         r = copositive_dnn(to_zero_one(sign), DNN_CFG)
         assert r.status == ITERATION_LIMIT
         assert r.solution.iterations == k - 1
         assert r.solution.message == (f"interior-point step failed after {k - 1} iterations: "
                                       "Z is not positive definite")
+        assert r.bound <= brute_force(sign).value
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_invalid_value_ends_the_solve(self, k, monkeypatch):
+        # an eigenvalue of L'ZL below zero past the smallest, which the
+        # positivity test reads, makes its square root invalid at the k-th
+        # step: the solve ends there, with a sound bound from the last iterate
+        calls = []
+        eigh = sdp._eigh
+
+        def unsorted(*args):
+            lam, U = eigh(*args)
+            calls.append(None)
+            if len(calls) == k:
+                lam = np.concatenate([lam[:-1], -lam[-1:]])
+            return lam, U
+
+        monkeypatch.setattr(sdp, "_eigh", unsorted)
+        sign = knapsack_random(5, 3, 12, 7)
+        r = copositive_dnn(to_zero_one(sign), DNN_CFG)
+        assert r.status == ITERATION_LIMIT
+        assert r.solution.iterations == k - 1
+        assert r.solution.message == (f"interior-point step failed after {k - 1} iterations: "
+                                      "invalid floating-point result")
         assert r.bound <= brute_force(sign).value
 
     def test_lower_bounds_cluster_optimum(self):

@@ -36,6 +36,7 @@ from maxcut_bridge.sdp import (
 CFG = SolverConfig()
 FAST = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 E12 = np.array([[0.0, 0.5], [0.5, 0.0]])  # <E12, X> = X_12 for symmetric X
+SEAM = ["_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh"]  # sdp's LAPACK calls
 
 
 def diag_rows(d):
@@ -109,19 +110,70 @@ class TestTriInv:
         assert np.all(residual <= np.abs(R @ L - eye).max(axis=(-2, -1)) + slack)
 
 
+class TestLapackSeam:
+    # the interior-point loops call numpy.linalg's gufuncs directly, so a
+    # numpy release that changes that private module fails here
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 30), stack=st.sampled_from([(), (2,), (3, 2)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_numpy_linalg(self, d, stack, seed):
+        rng = np.random.default_rng(seed)
+        N = rng.normal(size=stack + (d, d))
+        S = (N + np.swapaxes(N, -1, -2)) / 2.0  # symmetric, indefinite
+        P = N @ np.swapaxes(N, -1, -2) + d * np.eye(d)  # positive definite
+        v = rng.normal(size=d)
+        with sdp._raising():
+            pairs = [(sdp._cholesky(P), np.linalg.cholesky(P)),
+                     (sdp._inv(N), np.linalg.inv(N)),
+                     (sdp._solve(N, v), np.linalg.solve(N, v)),
+                     (sdp._eigvalsh(S), np.linalg.eigvalsh(S)),
+                     *zip(sdp._eigh(S), np.linalg.eigh(S))]
+        for new, old in pairs:
+            assert (new.dtype, new.shape) == (old.dtype, old.shape)
+            assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 4, 30])
+    def test_failures_raise_numpy_linalg_errors(self, d):
+        indefinite = np.diag(np.r_[np.ones(d - 1), -1.0])
+        singular = np.tril(np.ones((d, d)), -1)  # a zero diagonal
+        for seam, public, args in [(sdp._cholesky, np.linalg.cholesky, (indefinite,)),
+                                   (sdp._inv, np.linalg.inv, (singular,)),
+                                   (sdp._solve, np.linalg.solve, (singular, np.ones(d)))]:
+            with pytest.raises(np.linalg.LinAlgError) as expected:
+                public(*args)
+            with sdp._raising(), pytest.raises(np.linalg.LinAlgError) as raised:
+                seam(*args)
+            assert type(raised.value) is np.linalg.LinAlgError
+            assert str(raised.value) == str(expected.value)
+
+    def test_invalid_value_in_a_diagonal_step_fails_it(self, monkeypatch):
+        # an infinite Schur solution meets the zeros of the start R = I in
+        # R A*(dy), so inf * 0 makes the step invalid: the solve ends as a
+        # failed step, on the start's multipliers, and warns nothing
+        monkeypatch.setattr(sdp, "_schur_solve", lambda M, rhs: np.full(len(rhs), np.inf))
+        rng = np.random.default_rng(6)
+        B = rng.normal(size=(5, 5))
+        p = SdpProblem(C=B + B.T, diag=np.ones(5))
+        sol = solve_sdp(p, FAST)
+        assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 0)
+        assert sol.message == ("interior-point step failed after 0 iterations: "
+                               "invalid floating-point result")
+        assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(B + B.T)
+
+
 class TestLargeDiagonalSolve:
     def test_iterations_and_certified_bounds(self, monkeypatch):
         # kcluster(80, 40, 0.5, 1): the moment block and the MAX-CUT form are
         # 81 x 81, so the interior-point factors split twice before
-        # np.linalg.inv; the iteration counts and certified bounds are those
-        # of the LU inverse of the whole factors
+        # sdp._inv; the iteration counts and certified bounds are those of
+        # the LU inverse of the whole factors
         rows = []
 
-        def counted(M, _inv=np.linalg.inv):
+        def counted(M, _inv=sdp._inv):
             rows.append(M.shape[-1])
             return _inv(M)
 
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(sdp, "_inv", counted)
         q = kcluster(80, 40, 0.5, 1)[1]
         p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1))
         sol = solve_sdp(p, FAST)  # the min side of the penalty bound
@@ -373,17 +425,17 @@ class TestSolveSdp:
         rng = np.random.default_rng(6)
         B = rng.normal(size=(5, 5))
         p = SdpProblem(C=B + B.T, diag=np.ones(5))
-        cholesky = np.linalg.cholesky
+        cholesky = sdp._cholesky
         for k in (1, 4):
             calls = []
 
-            def failing(*args, _k=k, _calls=calls, **kwargs):
+            def failing(*args, _k=k, _calls=calls):
                 _calls.append(None)
                 if len(_calls) == _k:
                     raise np.linalg.LinAlgError("Matrix is not positive definite")
-                return cholesky(*args, **kwargs)
+                return cholesky(*args)
 
-            monkeypatch.setattr(np.linalg, "cholesky", failing)
+            monkeypatch.setattr(sdp, "_cholesky", failing)
             sol = solve_sdp(p, FAST)
             assert sol.status == SolveStatus.ITERATION_LIMIT
             assert sol.iterations == k - 1
@@ -392,31 +444,31 @@ class TestSolveSdp:
             assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(B + B.T)
 
     @pytest.mark.parametrize("face", [False, True])
-    def test_one_factorization_per_iteration(self, face, monkeypatch):
+    def test_one_factorization_per_iteration(self, face, monkeypatch, count_calls):
         # R and Z are factored and inverted as one stack, the Schur matrix
         # is solved for the predictor and the corrector, and both step
-        # lengths come from one eigvalsh call; on a face the one pass of
-        # _independent over P o P factors the diagonal rows, and its factor
-        # moves the last iterate onto them without a solve
+        # lengths come from one eigvalsh call, all through the LAPACK seam;
+        # on a face the one pass of _independent over P o P factors the
+        # diagonal rows, and its factor moves the last iterate onto them
+        # without a solve, leaving one numpy.linalg eigh, project_psd's
         rng = np.random.default_rng(11)
         B = rng.normal(size=(5, 5))
         # on the face e' x = 0 the unit diagonal still has the interior
         # point (5 I - ee') / 4
         V = np.linalg.qr(np.eye(5) - np.ones((5, 5)) / 5.0)[0][:, :4] if face else None
-        calls = {"cholesky": 0, "inv": 0, "eigvalsh": 0, "solve": 0, "qr": 0, "lstsq": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_calls(np.linalg, ["cholesky", "inv", "eigvalsh", "eigh", "solve", "qr",
+                                        "lstsq"])
+        seam = count_calls(sdp, SEAM)
         reductions = []
         independent = sdp._independent
         monkeypatch.setattr(sdp, "_independent",
                             lambda *args: reductions.append(None) or independent(*args))
         sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=V), CFG)
-        assert sol.status == SolveStatus.CONVERGED and sol.iterations > 0
-        assert calls == dict(cholesky=sol.iterations, inv=sol.iterations,
-                             eigvalsh=sol.iterations, solve=2 * sol.iterations, qr=0, lstsq=0)
+        k = sol.iterations
+        assert sol.status == SolveStatus.CONVERGED and k > 0
+        assert seam == dict(_cholesky=k, _inv=k, _solve=2 * k, _eigvalsh=k, _eigh=0)
+        assert calls == dict(cholesky=0, inv=0, eigvalsh=0, eigh=int(face), solve=0, qr=0,
+                             lstsq=0)
         assert len(reductions) == face
 
     @settings(max_examples=150, deadline=None)
@@ -1054,20 +1106,18 @@ class TestFaceIpm:
         for new, old in pairs:
             assert new == old or abs(new - old) <= 1e-6 * (1.0 + abs(old)), (new, old)
 
-    def test_factorization_budget(self, monkeypatch):
+    def test_factorization_budget(self, monkeypatch, count_calls):
         # per iteration one Cholesky factorization of R, one eigh of the
         # scaled Z, two solves of the Newton matrix (predictor and
-        # corrector) and two eigvalsh of the stacked step matrices; the
-        # setup adds eigvalsh of C and of the start's Z, and the end one
-        # eigh for R's distance to the PSD cone.  The trace weights, the
-        # pinned entries and the move onto the rows read the factor of the
-        # one pass of _independent, and solve nothing
-        calls = dict.fromkeys(["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq", "qr"], 0)
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # corrector) and two eigvalsh of the stacked step matrices, all
+        # through the LAPACK seam; numpy.linalg serves the setup, eigvalsh
+        # of C and of the start's Z, and the end, one eigh for R's distance
+        # to the PSD cone.  The trace weights, the pinned entries and the
+        # move onto the rows read the factor of the one pass of
+        # _independent, and solve nothing
+        calls = count_calls(np.linalg, ["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq",
+                                        "qr"])
+        seam = count_calls(sdp, SEAM)
         p = dnn_problem_of(to_zero_one(knapsack_fixed(4, 28)))
         reductions = []
         independent = sdp._independent
@@ -1076,8 +1126,8 @@ class TestFaceIpm:
         sol = solve_sdp(p, FAST)
         k = sol.iterations
         assert sol.status == SolveStatus.CONVERGED and k > 0
-        assert calls == dict(cholesky=k, eigh=k + 1, solve=2 * k, eigvalsh=2 * k + 2,
-                             inv=0, lstsq=0, qr=0)
+        assert seam == dict(_cholesky=k, _inv=0, _solve=2 * k, _eigvalsh=2 * k, _eigh=k)
+        assert calls == dict(cholesky=0, eigh=1, solve=0, eigvalsh=2, inv=0, lstsq=0, qr=0)
         assert len(reductions) == 1
 
 
