@@ -46,7 +46,7 @@ print("sign-domain program:    original = "
       f"{sign.scale:g} * raw + {sign.offset:g}")
 
 pb = rho(sign.c, sign.F)
-print(f"penalty bound:          rho = {pb.rho:.6g}  (method {pb.method}), "
+print(f"penalty bound:          rho = {pb.rho:.6g}, "
       f"M = 2*rho + 1 = {pb.penalty_m:.6g}")
 
 mc = homogenize(sign, pb)

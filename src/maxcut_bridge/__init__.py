@@ -29,7 +29,7 @@ from .model import (
 )
 from .sdp import (Cone, Sense, SdpProblem, SdpSolution, SolveStatus,
                   SolverConfig, certified_diag_bound, project_psd, solve_sdp)
-from .penalty import PenaltyBound, rho, rho_override, shor_box_extrema
+from .penalty import PenaltyBound, rho, shor_box_extrema
 from .reduction import (
     MaxCutInstance,
     SparsityGraph,
@@ -100,7 +100,6 @@ __all__ = [
     "quadratic_knapsack_random",
     "recover_solution",
     "rho",
-    "rho_override",
     "save_instance",
     "shor_box_extrema",
     "shor_maxcut",

@@ -29,7 +29,7 @@ from .model import (
     slack_expand,
     to_sign_form,
 )
-from .penalty import PenaltyBound, rho as penalty_rho, rho_override
+from .penalty import PenaltyBound, rho as penalty_rho
 from .reduction import (
     export_q_json,
     export_rudy,
@@ -139,7 +139,7 @@ def _sign_and_penalty(args, generator=None) -> tuple[SignProgram, PenaltyBound]:
     if isinstance(prog, ZeroOneProgram):
         prog = to_sign_form(slack_expand(prog))
     if args.rho is not None:
-        return prog, rho_override(args.rho)
+        return prog, PenaltyBound(rho=args.rho)
     return prog, penalty_rho(prog.c, prog.F)
 
 
@@ -233,7 +233,7 @@ def _render_solve(report, cert, fmt) -> str:
 
 
 def _run_bounds(sign: SignProgram, args, pb, selectors,
-                gw_trials=0, include_brute_force=None):
+                gw_trials=0, include_brute_force=True):
     """Every command's bound report is computed through this one call."""
     return compute_bounds(
         sign,
@@ -255,7 +255,7 @@ def cmd_solve(args) -> int:
     if not args.no_brute_force and "brute_force" not in selected:
         selected.append("brute_force")  # reference value when n is small
     report = _run_bounds(sign, args, pb, selected, gw_trials=args.gw_trials,
-                         include_brute_force=False if args.no_brute_force else None)
+                         include_brute_force=not args.no_brute_force)
     cert = certify(report, pb)
     seconds = sum(e.seconds for e in report.entries.values())
     _emit(args, _render_solve(report, cert, args.format),
@@ -394,20 +394,20 @@ def _add_source_flags(p, with_instance=True):
         p.add_argument("--instance", help="path to a JSON instance file")
     p.add_argument("--family", choices=FAMILIES)
     for f in dataclasses.fields(GeneratorSpec)[1:]:
+        # no default: a flag left out reads None, so a given one can be told apart
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=(typing.get_args(f.type) or (f.type,))[0],  # int | None -> int
-                       default=None if f.default is dataclasses.MISSING else f.default)
+                       type=(typing.get_args(f.type) or (f.type,))[0])  # int | None -> int
 
 
 def _add_solver_flags(p, with_selectors=False):
     p.add_argument("--eps-abs", type=float, default=SolverConfig.eps_abs)
     p.add_argument("--eps-rel", type=float, default=SolverConfig.eps_rel)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--dnn-max-iter", type=int, default=None,
-                   help="separate iteration budget for the doubly-nonnegative solve")
     p.add_argument("--rho", type=float, default=None,
                    help="override the computed penalty bound rho")
-    if with_selectors:
+    if with_selectors:  # round and certify run one Shor solve and never the DNN
+        p.add_argument("--dnn-max-iter", type=int, default=None,
+                       help="separate iteration budget for the doubly-nonnegative solve")
         p.add_argument("--selectors", default=None,
                        help="comma-separated subset of: " + ",".join(SELECTORS))
 
@@ -429,15 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     p.set_defaults(run=cmd_gen)
     _add_source_flags(p, with_instance=False)
-    _add_output_flags(p)
+    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--log", dest="log_path", default=None)
 
     p = sub.add_parser("convert", help="emit the MAX-CUT form of an instance")
     _add_source_flags(p)
-    _add_solver_flags(p)
+    p.add_argument("--rho", type=float, default=None,
+                   help="override the computed penalty bound rho")
     p.add_argument("--emit", choices=("rudy", "json"), default="rudy")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--log", dest="log_path", default=None)
-    p.set_defaults(run=cmd_convert, format="table")
+    p.set_defaults(run=cmd_convert)
 
     p = sub.add_parser("solve", help="run the selected bounds and report")
     p.set_defaults(run=cmd_solve)
@@ -495,12 +497,14 @@ def _resolve(args) -> None:
     if args.family is not None:
         if args.n is None:
             raise UsageError("--family requires --n")
-        args.generator = GeneratorSpec(**flags)
-    else:  # --seed alone also seeds rounding
+        args.generator = GeneratorSpec(**{k: v for k, v in flags.items() if v is not None})
+    else:  # --seed alone also seeds rounding, which convert never does
         given = ["--" + k.replace("_", "-") for k, v in flags.items()
-                 if k != "seed" and v is not None]
+                 if v is not None and (k != "seed" or args.command == "convert")]
         if given:
             raise UsageError(f"generator flags need --family: {', '.join(given)}")
+    if args.seed is None:
+        args.seed = GeneratorSpec.seed
     if args.command in ("gen", "compare"):
         if args.generator is None:
             raise UsageError(f"{args.command} requires --family")

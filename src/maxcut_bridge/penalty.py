@@ -22,17 +22,14 @@ import numpy as np
 
 from .sdp import SdpProblem, Sense, SolverConfig, _asymmetric, certified_diag_bound, solve_sdp
 
-CLOSED_FORM = "ClosedForm"
-OVERRIDE = "Override"
-
 
 @dataclass(frozen=True)
 class PenaltyBound:
-    """A penalty constant rho >= |c's + s'Fs| on the hypercube, and how it
-    was found: ``CLOSED_FORM`` (``rho``) or ``OVERRIDE`` (``rho_override``)."""
+    """A penalty constant rho >= |c's + s'Fs| on the hypercube: the closed
+    form of ``rho``, or a value the caller supplies, whose equivalence
+    guarantee is then theirs.  A negative, infinite or NaN rho is refused."""
 
     rho: float
-    method: str
 
     def __post_init__(self):
         if not (self.rho >= 0.0 and math.isfinite(self.rho)):
@@ -111,10 +108,4 @@ def rho(c, F, cfg: SolverConfig = SolverConfig()) -> PenaltyBound:
     extreme = float(np.abs(np.linalg.eigvalsh(F)).max(initial=0.0))
     spectral = n * extreme * (1.0 + 4 * n * np.finfo(float).eps)
     quadratic = min(_sum_up(np.abs(F).ravel().tolist()), spectral)
-    return PenaltyBound(rho=_sum_up([*np.abs(c).tolist(), quadratic]), method=CLOSED_FORM)
-
-
-def rho_override(value: float) -> PenaltyBound:
-    """A user-supplied penalty constant (the equivalence guarantee is then
-    theirs); ``PenaltyBound`` refuses a negative, infinite or NaN one."""
-    return PenaltyBound(rho=float(value), method=OVERRIDE)
+    return PenaltyBound(rho=_sum_up([*np.abs(c).tolist(), quadratic]))

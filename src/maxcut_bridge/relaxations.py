@@ -286,11 +286,10 @@ class _Skipped(ValueError):
     """The selector does not apply to this program; the message says why."""
 
 
-def lp_box(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
-    """Linear relaxation: the hypercube replaced by the box [-1, 1]^n.  A
-    quadratic objective raises a ValueError (compute_bounds reports the
-    entry Skipped).  ``cfg`` is accepted for a signature uniform with the
-    other relaxations and has no effect."""
+def lp_box(q: SignProgram) -> BoundEntry:
+    """Linear relaxation: the hypercube replaced by the box [-1, 1]^n, solved
+    exactly by the simplex method.  A quadratic objective raises a ValueError
+    (compute_bounds reports the entry Skipped)."""
     return _lp_box(_Box(q))
 
 
@@ -543,7 +542,7 @@ def compute_bounds(
     selectors=None,
     cfg: SolverConfig = SolverConfig(),
     pb: PenaltyBound | None = None,
-    include_brute_force: bool | None = None,
+    include_brute_force: bool = True,
     gw_trials: int = 0,
     gw_seed: int = 0,
     dnn_cfg: SolverConfig | None = None,
@@ -555,8 +554,9 @@ def compute_bounds(
     dual certificate for every SDP entry), and each entry's ``bound`` is the
     value so widened: read that, not ``value``, as the certified bound.
     Selector names are validated before anything is solved.
-    ``include_brute_force`` defaults to n <= 18; gw_trials > 0 attaches a
-    hyperplane-rounding result.
+    ``brute_force`` enumerates only when n <= 18, and
+    ``include_brute_force=False`` suppresses it at any n (the entry is then
+    Skipped); gw_trials > 0 attaches a hyperplane-rounding result.
     ``dnn_cfg`` gives the doubly-nonnegative solve separate tolerances and
     iteration budget (default: same ``cfg``).
     """
@@ -565,8 +565,6 @@ def compute_bounds(
     unknown = [s for s in selectors if s not in SELECTORS]
     if unknown:
         raise ValueError(f"unknown selectors: {unknown}")
-    if include_brute_force is None:
-        include_brute_force = q.n <= _BRUTE_FORCE_AUTO_N
     if pb is None:
         pb = penalty_rho(q.c, q.F)
     mc = homogenize(q, pb)
@@ -577,8 +575,8 @@ def compute_bounds(
         scale=q.scale,
         offset=q.offset,
     )
-    inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg, include_brute_force,
-                     _Box(q))
+    inputs = _Inputs(q, mc, cfg, cfg if dnn_cfg is None else dnn_cfg,
+                     include_brute_force and q.n <= _BRUTE_FORCE_AUTO_N, _Box(q))
 
     for name, (run, raw_units) in _SELECTOR_TABLE.items():
         if name not in selectors:

@@ -459,7 +459,7 @@ def test_c11_cli_determinism(acceptance_log, tmp_path):
                            "6", "--s", "3", "--f-density", "0.5", "--b", "9",
                            "--seed", "3", "-o", str(p)]),
         ("convert", lambda p: ["convert", "--instance", str(inst), "--emit",
-                               "json", "-o", str(p)] + fast),
+                               "json", "-o", str(p)]),
         ("solve", lambda p: ["solve", "--instance", str(inst), "--selectors",
                              "maxcut_shor_min,lasserre1", "--gw-trials", "50",
                              "--format", "csv", "-o", str(p)] + fast),

@@ -18,7 +18,7 @@ from maxcut_bridge.bounds import (
 )
 from maxcut_bridge.instances import STREAM_GW, brute_force, kcluster, knapsack_fixed
 from maxcut_bridge.model import SignProgram
-from maxcut_bridge.penalty import rho as penalty_rho, rho_override
+from maxcut_bridge.penalty import PenaltyBound, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import compute_bounds, shor_maxcut
 from maxcut_bridge.sdp import Sense, SolverConfig
@@ -54,7 +54,7 @@ class TestNesterovSandwich:
 
 def unconstrained_instance(n, c, rho):
     q = SignProgram(n=n, c=c, F=None, A=np.zeros((0, n)), b=[])
-    return q, homogenize(q, rho_override(rho))
+    return q, homogenize(q, PenaltyBound(rho))
 
 
 class TestGwRound:

@@ -25,7 +25,7 @@ from maxcut_bridge.model import (
     load_instance,
     save_instance,
 )
-from maxcut_bridge.penalty import rho_override
+from maxcut_bridge.penalty import PenaltyBound
 from maxcut_bridge.relaxations import CONVERGED, INFEASIBLE, BoundEntry, BoundReport
 
 FAST = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000"]
@@ -102,7 +102,7 @@ class TestConvert:
     def test_rudy_artifact(self, knapsack_file, tmp_path, capsys):
         out = tmp_path / "inst.rudy"
         rc = run_cli(["convert", "--instance", knapsack_file, "--emit", "rudy",
-                      "-o", str(out)] + FAST)
+                      "-o", str(out)])
         assert rc == EXIT_OK
         lines = out.read_text().splitlines()
         n_nodes, n_edges = map(int, lines[0].split())
@@ -114,7 +114,7 @@ class TestConvert:
     def test_q_json_artifact(self, knapsack_file, tmp_path):
         out = tmp_path / "inst_q.json"
         rc = run_cli(["convert", "--instance", knapsack_file, "--emit", "json",
-                      "-o", str(out)] + FAST)
+                      "-o", str(out)])
         assert rc == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["n_nodes"] == 5
@@ -136,7 +136,7 @@ class TestConvert:
         a, b = tmp_path / "a.rudy", tmp_path / "b.rudy"
         for path in (a, b):
             assert run_cli(["convert", "--instance", knapsack_file,
-                            "-o", str(path)] + FAST) == EXIT_OK
+                            "-o", str(path)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     def test_infeasible_row_exits_3(self, tmp_path):
@@ -354,13 +354,31 @@ class TestCertify:
         assert doc["bound"] > doc["rho"]
 
 
-@pytest.mark.parametrize("command", ["certify", "round", "convert"])
-def test_selectors_rejected_where_unused(knapsack_file, tmp_path, capsys, command):
-    extra = ["-o", str(tmp_path / "out.rudy")] if command == "convert" else []
-    rc = run_cli([command, "--instance", knapsack_file,
-                  "--selectors", "lp_box"] + extra + FAST)
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--format", "csv"),
+    ("convert", "--eps-abs", "1"),
+    ("convert", "--eps-rel", "1"),
+    ("convert", "--max-iter", "1"),
+    ("convert", "--dnn-max-iter", "1"),
+    ("round", "--dnn-max-iter", "1"),
+    ("certify", "--dnn-max-iter", "1"),
+    ("certify", "--selectors", "lp_box"),
+    ("round", "--selectors", "lp_box"),
+    ("convert", "--selectors", "lp_box"),
+    ("convert", "--seed", "5"),
+], ids=["gen_format", "convert_eps_abs", "convert_eps_rel", "convert_max_iter",
+        "convert_dnn_max_iter", "round_dnn_max_iter", "certify_dnn_max_iter",
+        "certify_selectors", "round_selectors", "convert_selectors", "convert_seed"])
+def test_flag_the_command_never_reads_is_usage_error(knapsack_file, tmp_path, capsys,
+                                                     command, flag, value):
+    source = (["--family", "knapsack_fixed", "--n", "4", "--b", "34"] if command == "gen"
+              else ["--instance", knapsack_file])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli([command, *source, flag, value, "-o", str(out)])
     assert rc == EXIT_USAGE
-    assert "--selectors" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err.splitlines()[-1]  # the error, not the usage line
+    assert not out.exists()
 
 
 class TestCompare:
@@ -389,7 +407,7 @@ class TestCompare:
         def fake_bounds(sign, selectors, **kwargs):
             inflation = 2.0 if sign.b[0] == 30 else np.inf
             shor = BoundEntry(value=10.0, status=CONVERGED, inflation=inflation)
-            return BoundReport(n=sign.n, penalty=rho_override(1.0), rho_original=1.0,
+            return BoundReport(n=sign.n, penalty=PenaltyBound(1.0), rho_original=1.0,
                                scale=1.0, offset=0.0,
                                entries={"maxcut_shor_min": shor,
                                         "lp_box": BoundEntry(value=9.0, status=CONVERGED)})
@@ -581,7 +599,7 @@ class TestBadInput:
 # One small run per command; "{inst}" stands for the knapsack instance file.
 LOGGED = {
     "gen": ["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "34"],
-    "convert": ["convert", "--instance", "{inst}"] + FAST,
+    "convert": ["convert", "--instance", "{inst}"],
     "solve": ["solve", "--instance", "{inst}", "--selectors",
               "maxcut_shor_min,lp_box"] + FAST,
     "round": ["round", "--instance", "{inst}", "--trials", "20"] + FAST,

@@ -27,8 +27,9 @@ from maxcut_bridge.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-SOLVER = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000",
-          "--dnn-max-iter", "2000"]
+# round and certify solve only Shor's SDP, so they take no --dnn-max-iter
+SHOR = ["--eps-abs", "1e-6", "--eps-rel", "1e-5", "--max-iter", "30000"]
+SOLVER = [*SHOR, "--dnn-max-iter", "2000"]
 Q6 = ["--instance", "q6.json"]
 KCLUSTER = ["--family", "kcluster", "--n", "6", "--k", "3", "--zero-prob", "0.5",
             "--seed", "2"]
@@ -49,18 +50,18 @@ COMMANDS = (
                                "--format", "json", *SOLVER]),
     ("07_solve_kc.csv", ["solve", *KCLUSTER, "--format", "csv", *SOLVER]),
     ("08_round_json.json", ["round", *Q6, "--trials", "50", "--polish",
-                            "--format", "json", *SOLVER]),
+                            "--format", "json", *SHOR]),
     ("09_round_csv.csv", ["round", *Q6, "--trials", "50", "--seed", "4",
-                          "--format", "csv", *SOLVER]),
+                          "--format", "csv", *SHOR]),
     ("10_certify_kc.json", ["certify", "--family", "kcluster", "--n", "5", "--k", "6",
                             "--zero-prob", "0.5", "--seed", "1", "--trials", "50",
-                            "--format", "json", *SOLVER]),
-    ("11_certify_q6.txt", ["certify", *Q6, "--trials", "50", *SOLVER]),
+                            "--format", "json", *SHOR]),
+    ("11_certify_q6.txt", ["certify", *Q6, "--trials", "50", *SHOR]),
     ("12_compare.csv", ["compare", "--family", "knapsack_fixed", "--n", "4",
                         "--sweep-param", "b", "--sweep-from", "-28", "--sweep-to", "28",
                         "--sweep-step", "8", *SOLVER]),
-    ("13_convert.json", ["convert", *Q6, "--emit", "json", *SOLVER]),
-    ("14_convert.rudy", ["convert", *Q6, "--emit", "rudy", *SOLVER]),
+    ("13_convert.json", ["convert", *Q6, "--emit", "json"]),
+    ("14_convert.rudy", ["convert", *Q6, "--emit", "rudy"]),
 )
 
 

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxcut_bridge.instances import kcluster
-from maxcut_bridge.penalty import (
-    CLOSED_FORM,
-    OVERRIDE,
-    PenaltyBound,
-    rho,
-    rho_override,
-    shor_box_extrema,
-)
+from maxcut_bridge.penalty import PenaltyBound, rho, shor_box_extrema
 from maxcut_bridge.sdp import SolverConfig
 
 CFG = SolverConfig(eps_abs=1e-7, eps_rel=1e-6)
@@ -115,7 +108,6 @@ class TestRho:
         # or the eigenvalues must not leave it below the exact maximum
         c, F = objective
         pb = rho(c, F, CFG)
-        assert pb.method == CLOSED_FORM
         assert Fraction(pb.rho) >= exact_peak(c, F)
 
     @pytest.mark.parametrize("F", [None, np.zeros((3, 3))], ids=["none", "zero"])
@@ -154,7 +146,6 @@ class TestRho:
 
     def test_closed_form_knapsack(self):
         pb = rho([13.0, 11.0, 7.0, 3.0], None, CFG)
-        assert pb.method == CLOSED_FORM
         assert pb.rho == 34.0
         assert pb.penalty_m == 69.0
 
@@ -166,7 +157,6 @@ class TestRho:
         c = [1.0, 1.0]
         F = np.array([[0.0, 1.0], [1.0, 0.0]])
         pb = rho(c, F, CFG)
-        assert pb.method == CLOSED_FORM
         lo, hi = hypercube_extrema(c, F)
         assert max(abs(lo), abs(hi)) == 4.0
         assert pb.rho + 1e-5 * (1 + pb.rho) >= 4.0
@@ -215,19 +205,18 @@ class TestRho:
 
 
 class TestOverride:
-    def test_override_tag_and_values(self):
-        pb = rho_override(10.0)
-        assert pb.method == OVERRIDE
+    def test_values(self):
+        pb = PenaltyBound(rho=10.0)
         assert pb.rho == 10.0 and pb.penalty_m == 21.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            rho_override(-1.0)
+            PenaltyBound(rho=-1.0)
 
     def test_bound_consistency_enforced(self):
         for bad in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="rho must be"):
-                PenaltyBound(rho=bad, method=OVERRIDE)
+                PenaltyBound(rho=bad)
 
 
 class TestRhoInput:

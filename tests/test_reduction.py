@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxcut_bridge.model import SignProgram
-from maxcut_bridge.penalty import PenaltyBound, rho, rho_override
+from maxcut_bridge.penalty import PenaltyBound, rho
 from maxcut_bridge.reduction import (
     MaxCutInstance,
     export_q_json,
@@ -34,7 +34,7 @@ class TestPenalizedObjective:
     def test_single_variable_hand_values(self):
         # f(x) = x + 3(x-1)^2 with rho = 1: f(1) = 1, f(-1) = 11.
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
-        pb = rho_override(1.0)
+        pb = PenaltyBound(1.0)
         c_p, F_p, const = penalized_objective(q, pb)
         f = lambda x: c_p @ x + x @ F_p @ x + const
         assert f(np.array([1.0])) == pytest.approx(1.0)
@@ -42,7 +42,7 @@ class TestPenalizedObjective:
 
     def test_zero_data(self):
         q = SignProgram(n=2, c=[0.0, 0.0], F=None, A=np.zeros((0, 2)), b=[])
-        c_p, F_p, const = penalized_objective(q, rho_override(0.0))
+        c_p, F_p, const = penalized_objective(q, PenaltyBound(0.0))
         assert not c_p.any() and not F_p.any() and const == 0.0
 
     def test_example1_feasible_point_keeps_value(self):
@@ -74,7 +74,7 @@ class TestPenalizedObjective:
 class TestHomogenize:
     def test_single_variable_q_matrix(self):
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
-        mc = homogenize(q, rho_override(1.0))
+        mc = homogenize(q, PenaltyBound(1.0))
         np.testing.assert_allclose(mc.Q, [[3.0, -2.5], [-2.5, 3.0]])
         assert mc.value([1, 1]) == pytest.approx(1.0)
         assert mc.value([-1, 1]) == pytest.approx(11.0)
@@ -82,7 +82,7 @@ class TestHomogenize:
     def test_unconstrained_block_structure(self):
         F = np.array([[0.0, 2.0], [2.0, 0.0]])
         q = SignProgram(n=2, c=[0.0, 0.0], F=F, A=np.zeros((0, 2)), b=[])
-        mc = homogenize(q, rho_override(4.0))
+        mc = homogenize(q, PenaltyBound(4.0))
         np.testing.assert_allclose(mc.Q[:2, :2], F)
         assert not mc.Q[2].any() and not mc.Q[:, 2].any()
 
@@ -95,7 +95,7 @@ class TestHomogenize:
                 n=n, c=rng.normal(size=n), F=B + B.T,
                 A=rng.integers(-2, 3, size=(2, n)), b=rng.integers(-2, 3, size=2),
             )
-            pb = rho_override(float(rng.uniform(1, 5)))
+            pb = PenaltyBound(float(rng.uniform(1, 5)))
             mc = homogenize(q, pb)
             for _ in range(20):
                 x = rng.normal(size=n)  # identity holds for all real x
@@ -131,7 +131,7 @@ class TestHomogenize:
 class TestRecoverSolution:
     def make(self):
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
-        return homogenize(q, rho_override(1.0))
+        return homogenize(q, PenaltyBound(1.0))
 
     def test_direct(self):
         sol = recover_solution(self.make(), [1, 1])
@@ -184,7 +184,7 @@ class TestSparsityGraph:
 
     def test_dense_coupling_complete_graph(self):
         q = SignProgram(n=3, c=[0.0, 0.0, 0.0], F=None, A=[[1, 1, 1]], b=[1])
-        mc = homogenize(q, rho_override(1.0))
+        mc = homogenize(q, PenaltyBound(1.0))
         pairs = {(i, j) for i, j, _ in sparsity_graph(mc).edges}
         assert {(0, 1), (0, 2), (1, 2)} <= pairs
 
@@ -205,7 +205,7 @@ class TestSparsityGraph:
 class TestExports:
     def test_rudy_format(self, tmp_path):
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
-        mc = homogenize(q, rho_override(1.0))
+        mc = homogenize(q, PenaltyBound(1.0))
         path = tmp_path / "g.rudy"
         export_rudy(mc, path)
         lines = path.read_text().splitlines()
@@ -228,7 +228,7 @@ class TestExports:
         import json
 
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1], offset=2.0)
-        mc = homogenize(q, rho_override(1.0))
+        mc = homogenize(q, PenaltyBound(1.0))
         path = tmp_path / "q.json"
         export_q_json(mc, path)
         doc = json.loads(path.read_text())
@@ -244,12 +244,12 @@ class TestDiagnostics:
         assert penalty_ratio(mc) == np.inf
         F = np.array([[0.0, 1.0], [1.0, 0.0]])
         q2 = SignProgram(n=2, c=[0.0, 0.0], F=F, A=np.zeros((0, 2)), b=[])
-        mc2 = homogenize(q2, rho_override(2.0))
+        mc2 = homogenize(q2, PenaltyBound(2.0))
         assert penalty_ratio(mc2) == 0.0
 
     def test_instance_validation(self):
         q = SignProgram(n=1, c=[1.0], F=None, A=[[1]], b=[1])
         with pytest.raises(ValueError, match="symmetric"):
-            MaxCutInstance(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), penalty=rho_override(1.0), source=q)
+            MaxCutInstance(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), penalty=PenaltyBound(1.0), source=q)
         with pytest.raises(ValueError, match="2x2"):
-            MaxCutInstance(Q=np.zeros((3, 3)), penalty=rho_override(1.0), source=q)
+            MaxCutInstance(Q=np.zeros((3, 3)), penalty=PenaltyBound(1.0), source=q)

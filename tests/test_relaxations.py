@@ -24,7 +24,7 @@ from maxcut_bridge.instances import (
     quadratic_knapsack_random,
 )
 from maxcut_bridge.model import EQ, LE, SignProgram, ZeroOneProgram, to_sign_form, to_zero_one
-from maxcut_bridge.penalty import rho as penalty_rho, rho_override
+from maxcut_bridge.penalty import PenaltyBound, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge import relaxations, sdp
 from maxcut_bridge.relaxations import (
@@ -245,7 +245,7 @@ def test_bland_rule_pivots_as_the_loop_reference(data, m, n):
 def two_by_two_instance():
     # f(x) = 3 x^2 - 5 x on one sign variable: f(1) = -2, f(-1) = 8
     q = SignProgram(n=1, c=[-5.0], F=[[3.0]], A=np.zeros((0, 1)), b=[])
-    return q, homogenize(q, rho_override(8.0))
+    return q, homogenize(q, PenaltyBound(8.0))
 
 
 def brute_form_extrema(Q):
@@ -268,7 +268,7 @@ class TestShorMaxcut:
 
     def test_zero_matrix(self):
         q0 = SignProgram(n=1, c=[0.0], F=None, A=np.zeros((0, 1)), b=[])
-        mc0 = homogenize(q0, rho_override(0.0))
+        mc0 = homogenize(q0, PenaltyBound(0.0))
         assert abs(shor_maxcut(mc0, Sense.MIN, CFG).value) <= 1e-6
         assert abs(shor_maxcut(mc0, Sense.MAX, CFG).value) <= 1e-6
 
@@ -530,19 +530,19 @@ class TestLpBox:
     def test_forced_vertex(self):
         # a'x = 34 = a'e admits only x = e inside the box
         q = knapsack_fixed(4, 34)
-        r = lp_box(q, CFG)
+        r = lp_box(q)
         assert r.status == CONVERGED
         assert r.value == pytest.approx(float(np.sum(q.c)), abs=1e-8)
 
     def test_relaxation_below_integer_optimum(self):
         q = knapsack_random(6, s=3.0, seed=5, b=14)
         f_star = brute_force(q).value
-        r = lp_box(q, CFG)
+        r = lp_box(q)
         assert r.value <= f_star + 1e-8 * (1 + abs(f_star))
 
     def test_infeasible_box_reported_infeasible(self):
         q = SignProgram(n=2, c=[1.0, 1.0], F=None, A=[[1, 1]], b=[5])
-        r = lp_box(q, CFG)
+        r = lp_box(q)
         assert r.status == INFEASIBLE
         assert r.value == np.inf
         assert r.note == "box LP infeasible: the program has no feasible point"
@@ -550,7 +550,7 @@ class TestLpBox:
     def test_quadratic_objective_rejected(self):
         q = SignProgram(n=2, c=[1.0, 0.0], F=[[0.0, 1.0], [1.0, 0.0]], A=[[1, 1]], b=[0])
         with pytest.raises(ValueError, match="linear objective"):
-            lp_box(q, CFG)
+            lp_box(q)
 
 
 class TestConvexQuadratic:
@@ -626,7 +626,7 @@ class TestConvexQuadratic:
         q = knapsack_random(6, s=3.0, seed=5, b=14)
         r = convex_quadratic_relaxation(q, SolverConfig(max_iter=1))
         assert r.status == CONVERGED
-        assert r.value == lp_box(q, CFG).value
+        assert r.value == lp_box(q).value
         assert r.note == "theta=0 fw_gap=0.000e+00"
 
     @pytest.mark.parametrize("rows", [[[1, 1, 0]], [[1, 1, 0], [1, 1, 0], [0, 1, -1]]])
@@ -714,7 +714,7 @@ class TestConvexQuadratic:
             b = ints(-6, 6, m)
         q = SignProgram(n=n, c=ints(-5, 5, n), F=None, A=A, b=b)
         r = convex_quadratic_relaxation(q, SolverConfig(max_iter=1))
-        lp = lp_box(q, CFG)
+        lp = lp_box(q)
         assert r.value == lp.value
         assert r.status == (INFEASIBLE if lp.status == INFEASIBLE else CONVERGED)
 
@@ -803,7 +803,7 @@ class TestShorInRho:
         slack = lambda v: (q.n + 1) * CFG.eps_abs + CFG.eps_rel * (1.0 + abs(v))
         before = -np.inf
         for factor in (1, 2, 8):
-            r = shor_maxcut(homogenize(q, rho_override(factor * base)), Sense.MIN, CFG)
+            r = shor_maxcut(homogenize(q, PenaltyBound(factor * base)), Sense.MIN, CFG)
             assert r.status == CONVERGED
             bound = r.value - r.inflation
             assert bound >= before - slack(bound)
@@ -1070,7 +1070,7 @@ class TestComputeBounds:
             assert len(calls) == runs
         # the shared tableau gives what each relaxation gives on its own
         report = compute_bounds(linear, selectors=["lp_box", "convex_quadratic"], cfg=CFG)
-        assert report.entries["lp_box"].raw == lp_box(linear, CFG).value
+        assert report.entries["lp_box"].raw == lp_box(linear).value
         assert (report.entries["convex_quadratic"].raw
                 == convex_quadratic_relaxation(linear, CFG).value)
 
@@ -1093,6 +1093,17 @@ class TestComputeBounds:
         report = compute_bounds(q, selectors=["brute_force"], cfg=CFG,
                                 include_brute_force=False)
         assert report.entries["brute_force"].status == SKIPPED
+        assert report.entries["brute_force"].note == "enumeration suppressed (n=4)"
+
+    @pytest.mark.parametrize("n, status, value, note", [
+        (18, EXACT, -18.0, ""),
+        (19, SKIPPED, None, "enumeration suppressed (n=19)"),
+    ])
+    def test_brute_force_enumerates_up_to_n_18(self, n, status, value, note):
+        q = SignProgram(n=n, c=np.ones(n), F=None, A=np.zeros((0, n)), b=[])
+        entry = compute_bounds(q, selectors=["brute_force"], cfg=CFG).entries["brute_force"]
+        assert (entry.status, entry.note) == (status, note)
+        assert value is None or entry.value == value
 
     def test_dnn_budget_override(self):
         # the interior-point solve converges in about ten iterations, so only
