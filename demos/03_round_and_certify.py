@@ -28,7 +28,7 @@ feasible = knapsack_fixed(4, 34)
 pb = rho(feasible.c, feasible.F, cfg)
 mc = homogenize(feasible, pb)
 sdp = shor_maxcut(mc, Sense.MIN, cfg)
-rounded = gw_round(sdp.solution, mc, trials=200, seed=0)
+rounded = gw_round(sdp.solution.X, mc, trials=200, seed=0)
 rec = rounded.recovered
 print("feasible knapsack:")
 print("  SDP lower bound ", f"{sdp.value:.6f}")

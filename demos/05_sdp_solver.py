@@ -1,18 +1,19 @@
 """Drive the semidefinite solvers directly.
 
-Every problem goes to a primal-dual interior-point method.  A fixed
-positive diagonal on the PSD cone with no other rows (the first two
-problems and the random form below) goes to the one built on that
-diagonal, on the whole cone or on a face V R V' (``SdpProblem(face=V)``,
-as ``lasserre1`` does): on the whole cone its iterates stay primal
-feasible, so the primal residual reads zero.  The doubly-nonnegative
-problem, and every problem with rows of ``A``, goes to the second, which
-also keeps the entries of X nonnegative and takes a face too (as
-``copositive_dnn`` does).  Both keep their multipliers (``sol.y``, one per
-row, and ``sol.W`` for the orthant) dual feasible, and
-certified_diag_bound turns a problem and those multipliers into a
-dual-certified bound at any iteration, which is what every SDP-backed bound
-reports.
+An SDP here fixes a positive diagonal or states rows, and each shape has
+its own primal-dual interior-point method.  A fixed diagonal on the PSD
+cone (the first two problems and the random form below) goes to the one
+built on that diagonal, on the whole cone or on a face V R V'
+(``SdpProblem(face=V)``, as ``lasserre1`` does): on the whole cone its
+iterates stay primal feasible, so the primal residual reads zero.  Rows of
+``A``, on the PSD cone or on the doubly-nonnegative cone, go to the
+second, which also keeps the entries of X nonnegative and takes a face too
+(as ``copositive_dnn`` does); the doubly-nonnegative problem below states
+its unit diagonal as the rows X_ii = 1.  Both keep their multipliers
+(``sol.y``, one per diagonal entry or row, and ``sol.W`` for the orthant)
+dual feasible, and certified_diag_bound turns a problem and those
+multipliers into a dual-certified bound at any iteration, which is what
+every SDP-backed bound reports.
 """
 
 import numpy as np
@@ -39,7 +40,8 @@ sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=Sense.MAX), cfg)
 print(f"  objective {sol.objective:+.9f}   status {sol.status.name}")
 
 print("minimize over PSD and entrywise-nonnegative X (exact value 0):")
-p = SdpProblem(C=C, diag=np.ones(2), sense=Sense.MIN, cone=Cone.PSD_NONNEG)
+unit_rows = [np.diag(e) for e in np.eye(2)]  # <E_ii, X> = X_ii
+p = SdpProblem(C=C, A=unit_rows, b=np.ones(2), sense=Sense.MIN, cone=Cone.PSD_NONNEG)
 sol = solve_sdp(p, cfg)
 print(f"  objective {sol.objective:+.9f}   status {sol.status.name}"
       f"   certified floor {certified_diag_bound(p, sol.y, sol.W):+.9f}")

@@ -16,7 +16,6 @@ import numpy as np
 from .instances import STREAM_GW, _stream
 from .penalty import PenaltyBound
 from .reduction import MaxCutInstance, RecoveredSolution, recover_solution
-from .sdp import SdpSolution
 
 FEASIBLE = "Feasible"
 INFEASIBLE_BY_GAP = "InfeasibleByGap"
@@ -64,7 +63,7 @@ def _one_opt_polish(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
+def gw_round(X: np.ndarray, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
              polish: bool = False) -> RoundingResult:
     """Best-of-`trials` random-hyperplane rounding of a unit-diagonal SDP matrix.
 
@@ -86,8 +85,6 @@ def gw_round(X, mc: MaxCutInstance, trials: int = 200, seed: int = 0,
     which dominate once the penalty is active.  Fully deterministic given
     (seed, trials, polish).
     """
-    if isinstance(X, SdpSolution):
-        X = X.X
     X = np.asarray(X, dtype=float)
     d = mc.dim
     if X.shape != (d, d):

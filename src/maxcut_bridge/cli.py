@@ -272,7 +272,7 @@ def cmd_round(args) -> int:
     if not res.usable:
         sys.stderr.write(f"rounding unavailable: SDP status {res.status}\n")
         return EXIT_SOLVER_FAILURE
-    rounding = gw_round(res.solution, mc, trials=args.trials, seed=args.seed,
+    rounding = gw_round(res.solution.X, mc, trials=args.trials, seed=args.seed,
                         polish=args.polish)
     rec = rounding.recovered
     pairs = [
@@ -498,9 +498,10 @@ def _resolve(args) -> None:
         if args.n is None:
             raise UsageError("--family requires --n")
         args.generator = GeneratorSpec(**{k: v for k, v in flags.items() if v is not None})
-    else:  # --seed alone also seeds rounding, which convert never does
+    else:  # --seed alone also seeds rounding: round, certify, and solve with --gw-trials
+        unread = args.command == "convert" or (args.command == "solve" and not args.gw_trials)
         given = ["--" + k.replace("_", "-") for k, v in flags.items()
-                 if v is not None and (k != "seed" or args.command == "convert")]
+                 if v is not None and (k != "seed" or unread)]
         if given:
             raise UsageError(f"generator flags need --family: {', '.join(given)}")
     if args.seed is None:

@@ -594,6 +594,6 @@ def compute_bounds(
     if gw_trials > 0:
         shor = report.entries.get("maxcut_shor_min") or shor_maxcut(mc, Sense.MIN, cfg)
         if shor.usable:
-            report.rounding = bounds.gw_round(shor.solution, mc, trials=gw_trials,
+            report.rounding = bounds.gw_round(shor.solution.X, mc, trials=gw_trials,
                                               seed=gw_seed, polish=True)
     return report

@@ -1,25 +1,25 @@
 """Solvers for small dense semidefinite programs.
 
-Solves min/max <C, X> subject to a fixed diagonal X_ii = diag_i and the
-rows of ``A``, in order, <A_k, X> = b_k (one m x d x d array and its m
-right-hand sides), with X in the positive-semidefinite cone,
-optionally intersected with the entrywise nonnegative cone, and optionally
+Solves min/max <C, X> over X in the positive-semidefinite cone, optionally
 restricted to a face X = V R V' (facial reduction: V is an orthonormal basis
-that the range of every feasible X lies in).
+that the range of every feasible X lies in), subject to one of two kinds of
+constraint:
 
-Two primal-dual interior-point methods serve every problem, and both keep
-their iterates strictly dual feasible, so every solve, at any iteration
-budget, returns multipliers that certify a bound on the optimum
+- a fixed positive diagonal X_ii = diag_i, on the PSD cone alone (MAX-CUT,
+  the moment relaxations of ``shor_box_extrema``, and the first Lasserre
+  relaxation on the face its constraints cut out);
+- the rows of ``A``, in order, <A_k, X> = b_k (one m x d x d array and its
+  m right-hand sides), on the PSD cone or its intersection with the
+  entrywise nonnegative cone (the doubly-nonnegative bound).
+
+Each kind has one primal-dual interior-point method, and both keep their
+iterates strictly dual feasible, so every solve, at any iteration budget,
+returns multipliers that certify a bound on the optimum
 (``certified_diag_bound``).
 
-A PSD-cone problem with a positive fixed diagonal and no rows of ``A``
-(MAX-CUT, the moment relaxations of ``shor_box_extrema``, and the first
-Lasserre relaxation on the face its constraints cut out) goes to
-``_solve_diag_ipm``, whose Schur matrix is built from the diagonal.
-
-Every other problem (the doubly-nonnegative cone, and rows of ``A`` with
-or without a fixed diagonal) goes to ``_solve_face_ipm``.  It solves over
-R in svec coordinates, with R positive semidefinite and, for the
+A fixed diagonal goes to ``_solve_diag_ipm``, whose Schur matrix is built
+from the diagonal.  Rows go to ``_solve_face_ipm``.  It solves over R in
+svec coordinates, with R positive semidefinite and, for the
 doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
 zero kept nonnegative.  Its iterate is two stacked vectors, (rho, v) for
 R and those entries and (y, w) for the multipliers of the rows and the
@@ -168,16 +168,20 @@ class _Rows(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """min/max <C, X> s.t. X_ii = diag_i, <A_k, X> = b_k, X in cone.
+    """min/max <C, X> s.t. X_ii = diag_i, or <A_k, X> = b_k, with X in cone.
 
-    ``A`` holds the m rows, an m x d x d stack or a sequence of d x d
-    matrices (None for none), and ``b`` their right-hand sides.  ``C``, ``A``, ``b`` and ``diag`` (None when no
-    diagonal is fixed, else a vector of length d) must be finite, and ``C``
-    and each row symmetric; both are stored symmetrized.  ``face`` is None
-    or a d x r matrix V with orthonormal columns, which restricts X further
-    to V R V' with R PSD: a face of the PSD cone, such as facial reduction
-    finds when the rows leave X no interior point.  Problems compare and
-    hash by identity, as the data they cache belongs to the one object.
+    A problem fixes a diagonal or states rows, never both.  ``A`` holds the
+    m rows, an m x d x d stack or a sequence of d x d matrices (None for
+    none), and ``b`` their right-hand sides.  ``diag`` is None when no
+    diagonal is fixed, else a vector of length d with positive entries, and
+    it takes no rows and only ``Cone.PSD``: a diagonal on the
+    doubly-nonnegative cone, or beside rows, is stated as rows.  ``C``,
+    ``A``, ``b`` and ``diag`` must be finite, and ``C`` and each row
+    symmetric; both are stored symmetrized.  ``face`` is None or a d x r
+    matrix V with orthonormal columns, which restricts X further to V R V'
+    with R PSD: a face of the PSD cone, such as facial reduction finds when
+    the constraints leave X no interior point.  Problems compare and hash
+    by identity, as the data they cache belongs to the one object.
     """
 
     C: np.ndarray
@@ -232,6 +236,13 @@ class SdpProblem:
             if not (np.abs(V.T @ V - np.eye(V.shape[1])) <= 1e-9).all():
                 raise ValueError("face must have orthonormal columns")
             object.__setattr__(self, "face", V)
+        if self.diag is not None:  # the diagonal method's shape, and no other
+            if len(A):
+                raise ValueError("diag takes no rows of A: state the diagonal as rows")
+            if self.cone != Cone.PSD:
+                raise ValueError("diag takes only Cone.PSD: state the diagonal as rows")
+            if not (self.diag > 0.0).all():
+                raise ValueError("diag must be positive")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -284,11 +295,10 @@ class SdpSolution:
     # always 0: no solver has a penalty parameter; the benchmark still reads
     # it, until ROADMAP item 10 drops it
     sigma: float = field(default=0.0, repr=False)
-    # multipliers in the problem's sense, one per row: the diagonal first (if
-    # fixed), then the rows of ``A`` in order, 0 for a dropped dependent row.
-    # With A*(y) = Diag(y[:d]) + sum_k y[d + k] A_k (no Diag term without a
-    # fixed diagonal), C - A*(y) - W is PSD on the face for Min, and
-    # A*(y) + W - C for Max
+    # multipliers in the problem's sense, one per fixed diagonal entry or one
+    # per row of ``A`` in order, 0 for a dropped dependent row.  With
+    # A*(y) = Diag(y) or sum_k y_k A_k, C - A*(y) - W is PSD on the face for
+    # Min, and A*(y) + W - C for Max
     y: np.ndarray | None = field(default=None, repr=False)
     # the nonnegative orthant's multipliers as a symmetric d x d matrix,
     # <W, X> = sum_{i <= j} w_ij X_ij, zero off the orthant (None for Cone.PSD)
@@ -390,41 +400,34 @@ def _newton_index(r: int) -> np.ndarray:
 
 
 def _face_rows(p: SdpProblem):
-    """The rows of ``p`` on its face, in the svec coordinates of R.
+    """The rows of ``p.A`` on the face of ``p``, in the svec coordinates of R.
 
-    Every row, the fixed diagonal's E_ii first and then those of ``p.A``,
-    becomes svec(V' A V) for X = V R V' (V the identity without a face;
-    V' E_ii V is V's row i times itself, plus 0.0 to make -0.0 into 0.0),
-    divided by its norm, and its right-hand side is divided alike.  A row
-    that the face shrinks below 1e-9 of its norm in X (such as X_ii = x_i
-    for a variable the face pins to 0) is set to zero, not blown up from
-    round-off.
+    Every row becomes svec(V' A V) for X = V R V' (V the identity without a
+    face), divided by its norm, and its right-hand side is divided alike.
+    A row that the face shrinks below 1e-9 of its norm in X (such as
+    X_ii = x_i for a variable the face pins to 0) is set to zero, not blown
+    up from round-off.
     Returns V, the rows, right-hand sides and norms (0 for a zero row).
     """
-    d = p.dim
-    V = np.eye(d) if p.face is None else p.face
+    V = np.eye(p.dim) if p.face is None else p.face
     a, b, s = _svec_index(V.shape[1])
-    lifted, rhs, sizes = V.T @ p.A @ V, p.b, np.linalg.norm(p.A, axis=(1, 2))
-    if p.diag is not None:
-        lifted = np.concatenate([V[:, :, None] * V[:, None, :] + 0.0, lifted])
-        rhs = np.concatenate([p.diag, rhs])
-        sizes = np.concatenate([np.ones(d), sizes])
-    rows = lifted[:, a, b] * s
+    rows = (V.T @ p.A @ V)[:, a, b] * s
     norms = np.linalg.norm(rows, axis=1)
-    norms[norms <= 1e-9 * sizes] = 0.0
+    norms[norms <= 1e-9 * np.linalg.norm(p.A, axis=(1, 2))] = 0.0
     rows[norms == 0.0] = 0.0
     scale = np.where(norms > 0.0, norms, 1.0)
-    return V, rows / scale[:, None], rhs / scale, norms
+    return V, rows / scale[:, None], p.b / scale, norms
 
 
 def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = None) -> float:
     """Bound on the optimum of a fixed-trace SDP, certified by any multipliers.
 
-    ``y`` holds one multiplier per row in the problem's sense, the diagonal
-    (if fixed) first and then the rows of ``p.A`` in order, and ``W`` the
-    orthant's (``SdpSolution.y`` and ``SdpSolution.W``).  Every feasible X
-    has the trace T = sum(diag), or the trace the rows fix, and is V R V'
-    with tr R = T on the face V.  So for Min
+    ``y`` holds the multipliers in the problem's sense, one per diagonal
+    entry or one per row of ``p.A``, and ``W`` the orthant's
+    (``SdpSolution.y`` and ``SdpSolution.W``).  With A*(y) = Diag(y) and
+    T = sum(diag) for a fixed diagonal, or A*(y) = sum_k y_k A_k and T the
+    trace the rows fix, every feasible X has trace T and is V R V' with
+    tr R = T on the face V.  So for Min
 
         <C, X> = b'y + <W, X> + <V'(C - A*(y) - W)V, R>
                >= b'y + T * min(0, lambda_min(V'(C - A*(y) - W)V)),
@@ -436,21 +439,14 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     nonpositive part of W.  The result is a true bound for any y and W,
     however rough the solve; it is additionally clamped against the
     spectral bound T * lambda_extreme(V'CV), which is valid on its own.
-    Without a fixed diagonal, T is the trace the independent rows fix
+    The rows' trace comes from the independent rows
     (``SdpProblem._rows``): ValueError where they fix none or conflict.
     """
-    d = p.dim
     y = np.asarray(y, dtype=float)
     if p.diag is None:
-        T = p._rows.T
-        rhs = p.b
-        A_y = np.tensordot(y, p.A, axes=1)
+        T, rhs, A_y = p._rows.T, p.b, np.tensordot(y, p.A, axes=1)
     else:
-        T = p.diag.sum()
-        rhs, A_y = p.diag, np.diag(y[:d])
-        if len(p.b):  # rows besides the diagonal
-            rhs = np.concatenate([rhs, p.b])
-            A_y = A_y + np.tensordot(y[d:], p.A, axes=1)
+        T, rhs, A_y = p.diag.sum(), p.diag, np.diag(y)
     if W is not None and p.cone == Cone.PSD_NONNEG:
         A_y = A_y + (np.maximum(W, 0.0) if p.sense == Sense.MIN else np.minimum(W, 0.0))
     value = (rhs * y).sum()
@@ -600,7 +596,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     every iterate.  The loop runs under one ``_raising`` errstate and calls
     LAPACK through the seam only: a factorization that fails, or an invalid
     value anywhere in a step, ends the solve at the last iterate with the
-    step's error as its message.  Requires a > 0.
+    step's error as its message.  a > 0 holds by construction (``SdpProblem``).
     """
     d = p.dim
     sign = 1.0 if p.sense == Sense.MIN else -1.0
@@ -915,27 +911,17 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
 def solve_sdp(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
     """Solve the SDP with one of two primal-dual interior-point methods.
 
-    A PSD-cone problem with a positive fixed diagonal and no rows of ``A``,
-    with or without a face, goes to ``_solve_diag_ipm``; every other
-    problem, which needs a fixed diagonal or rows that fix the trace of X
-    (ValueError otherwise), to ``_solve_face_ipm``.  ``max_iter`` counts
-    interior-point iterations.  Both methods keep Z positive definite, so
-    the multipliers of every solve, at any iteration budget, certify a
-    bound (``certified_diag_bound``).
-
-    A negative fixed diagonal entry, which no PSD matrix has, and dependent
-    rows with conflicting right-hand sides are reported as Diverged up front.
+    A fixed diagonal, with or without a face, goes to ``_solve_diag_ipm``;
+    rows, which must fix the trace of X (ValueError otherwise), go to
+    ``_solve_face_ipm``.  ``max_iter`` counts interior-point iterations.
+    Both methods keep Z positive definite, so the multipliers of every
+    solve, at any iteration budget, certify a bound
+    (``certified_diag_bound``).  Dependent rows with conflicting right-hand
+    sides are reported as Diverged up front.
     """
-    infeasible = ""
-    if p.diag is not None and np.any(p.diag < 0.0):
-        infeasible = "a fixed diagonal entry is negative, which no PSD matrix has"
-    else:
-        try:
-            if (p.cone == Cone.PSD and not len(p.b) and p.diag is not None
-                    and np.all(p.diag > 0.0)):
-                return _solve_diag_ipm(p, cfg)
-            return _solve_face_ipm(p, cfg)
-        except _InconsistentSystem as exc:
-            infeasible = f"infeasible constraint system: {exc}"
-    return _solution(p, np.zeros((p.dim, p.dim)), SolveStatus.DIVERGED, primal_residual=np.inf,
-                     dual_residual=np.inf, iterations=0, message=infeasible)
+    try:
+        return _solve_face_ipm(p, cfg) if p.diag is None else _solve_diag_ipm(p, cfg)
+    except _InconsistentSystem as exc:
+        return _solution(p, np.zeros((p.dim, p.dim)), SolveStatus.DIVERGED,
+                         primal_residual=np.inf, dual_residual=np.inf, iterations=0,
+                         message=f"infeasible constraint system: {exc}")

@@ -265,14 +265,17 @@ def test_c06_sdp_solver_oracle(acceptance_log, suite50, suite50_penalties,
             "minimum is at most the hypercube minimum plus inflation")
     failures = []
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    unit = dict(diag=np.ones(2))
+    # the doubly-nonnegative cone takes the unit diagonal as rows X_ii = 1
+    rows = dict(A=[np.diag(e) for e in np.eye(2)], b=np.ones(2))
     cases = [
-        (Sense.MAX, Cone.PSD, 2.0),
-        (Sense.MIN, Cone.PSD, -2.0),
-        (Sense.MIN, Cone.PSD_NONNEG, 0.0),
+        (Sense.MAX, Cone.PSD, unit, 2.0),
+        (Sense.MIN, Cone.PSD, unit, -2.0),
+        (Sense.MIN, Cone.PSD_NONNEG, rows, 0.0),
     ]
-    for sense, cone, expected in cases:
-        sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=sense,
-                                   cone=cone), TIGHT_CFG)
+    for sense, cone, constraint, expected in cases:
+        sol = solve_sdp(SdpProblem(C=C, sense=sense, cone=cone, **constraint),
+                        TIGHT_CFG)
         if abs(sol.objective - expected) > 1e-6:
             failures.append(("analytic", sense, cone, sol.objective, expected))
 
@@ -438,7 +441,7 @@ def test_c10_rounding(acceptance_log, suite50, suite50_penalties,
         inst, pb = suite50[idx], suite50_penalties[idx]
         mc = homogenize(inst.sign, pb)
         sol = shor_maxcut(mc, Sense.MIN, FAST_CFG).solution
-        again = gw_round(sol, mc, trials=200, seed=0, polish=True)
+        again = gw_round(sol.X, mc, trials=200, seed=0, polish=True)
         base = reports[idx].rounding
         if (again.spin.tobytes() != base.spin.tobytes()
                 or again.value != base.value):

@@ -82,33 +82,24 @@ class TestGwRound:
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         sol = shor_maxcut(mc, Sense.MIN, CFG).solution
         for seed in range(5):
-            assert gw_round(sol, mc, trials=20, seed=seed).spin[-1] == 1
+            assert gw_round(sol.X, mc, trials=20, seed=seed).spin[-1] == 1
 
     def test_forced_knapsack_rounds_to_the_optimum(self):
         q = knapsack_fixed(4, 34)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         sol = shor_maxcut(mc, Sense.MIN, CFG)
-        res = gw_round(sol.solution, mc, trials=500, seed=0)
+        res = gw_round(sol.solution.X, mc, trials=500, seed=0)
         assert res.feasible
         assert res.recovered.objective == pytest.approx(34.0, abs=1e-9)
         assert res.value == pytest.approx(float(res.spin @ mc.Q @ res.spin), abs=0)
         assert res.value >= sol.value - sol.inflation - 1e-6 * (1 + abs(res.value))
 
-    def test_accepts_solution_object_and_bare_matrix(self):
-        q = knapsack_fixed(4, 8)
-        mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
-        sol = shor_maxcut(mc, Sense.MIN, CFG).solution
-        a = gw_round(sol, mc, trials=40, seed=3)
-        b = gw_round(sol.X, mc, trials=40, seed=3)
-        np.testing.assert_array_equal(a.spin, b.spin)
-        assert a.value == b.value
-
     def test_fixed_seed_is_bit_reproducible(self):
         q = knapsack_fixed(4, 8)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         sol = shor_maxcut(mc, Sense.MIN, CFG).solution
-        a = gw_round(sol, mc, trials=200, seed=42)
-        b = gw_round(sol, mc, trials=200, seed=42)
+        a = gw_round(sol.X, mc, trials=200, seed=42)
+        b = gw_round(sol.X, mc, trials=200, seed=42)
         assert a.spin.tobytes() == b.spin.tobytes()
         assert a.value == b.value
 
@@ -118,8 +109,8 @@ class TestGwRound:
         q = quadratic_knapsack_random(6, s=3.0, seed=9, f_density=0.5, b=14)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         sol = shor_maxcut(mc, Sense.MIN, CFG).solution
-        plain = gw_round(sol, mc, trials=30, seed=1, polish=False)
-        polished = gw_round(sol, mc, trials=30, seed=1, polish=True)
+        plain = gw_round(sol.X, mc, trials=30, seed=1, polish=False)
+        polished = gw_round(sol.X, mc, trials=30, seed=1, polish=True)
         assert polished.value <= plain.value + 1e-12
 
     @pytest.mark.parametrize("b", [2, 20])
@@ -131,9 +122,9 @@ class TestGwRound:
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
         sol = shor_maxcut(mc, Sense.MIN, CFG).solution
         assert np.sum(np.linalg.eigvalsh(sol.X) > 1e-3) <= 3
-        plain = [gw_round(sol, mc, trials=1, seed=seed, polish=True) for seed in range(200)]
+        plain = [gw_round(sol.X, mc, trials=1, seed=seed, polish=True) for seed in range(200)]
         assert not any(r.feasible and r.recovered.objective == f_star for r in plain)
-        rotated = gw_round(sol, mc, trials=200, seed=0, polish=True)
+        rotated = gw_round(sol.X, mc, trials=200, seed=0, polish=True)
         assert rotated.feasible
         assert rotated.recovered.objective == f_star
 

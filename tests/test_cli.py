@@ -366,9 +366,11 @@ class TestCertify:
     ("round", "--selectors", "lp_box"),
     ("convert", "--selectors", "lp_box"),
     ("convert", "--seed", "5"),
+    ("solve", "--seed", "7"),  # no --gw-trials: nothing is rounded
 ], ids=["gen_format", "convert_eps_abs", "convert_eps_rel", "convert_max_iter",
         "convert_dnn_max_iter", "round_dnn_max_iter", "certify_dnn_max_iter",
-        "certify_selectors", "round_selectors", "convert_selectors", "convert_seed"])
+        "certify_selectors", "round_selectors", "convert_selectors", "convert_seed",
+        "solve_seed"])
 def test_flag_the_command_never_reads_is_usage_error(knapsack_file, tmp_path, capsys,
                                                      command, flag, value):
     source = (["--family", "knapsack_fixed", "--n", "4", "--b", "34"] if command == "gen"

@@ -24,7 +24,6 @@ from maxcut_bridge.sdp import (
     Sense,
     SolveStatus,
     SolverConfig,
-    _face_rows,
     _svec_index,
     _tri_inv,
     certified_diag_bound,
@@ -257,8 +256,9 @@ class TestSolveSdp:
         np.testing.assert_allclose(sol.X, [[1, -1], [-1, 1]], atol=1e-4)
 
     def test_offdiagonal_min_nonneg_cone_is_zero(self):
+        # the doubly-nonnegative cone takes the unit diagonal as rows
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        p = SdpProblem(C=C, diag=np.ones(2), cone=Cone.PSD_NONNEG)
+        p = SdpProblem(C=C, A=diag_rows(2), b=np.ones(2), cone=Cone.PSD_NONNEG)
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(0.0, abs=1e-5)
@@ -306,13 +306,13 @@ class TestSolveSdp:
         assert certified_diag_bound(p, sol.y) <= sol.objective
 
     def test_diag_with_rows_goes_to_interior_point(self):
-        # a fixed diagonal plus trace rows: the face method reads the diagonal
-        # as rows and returns one multiplier per row, the diagonal first; the
-        # dependent repeat of the X_12 row is dropped and gets 0
+        # the unit diagonal as rows beside an X_12 row: the face method
+        # returns one multiplier per row, and the dependent repeat of the
+        # X_12 row is dropped and gets 0
         C = np.array([[2.0, -1.0, 0.5], [-1.0, 0.5, 0.0], [0.5, 0.0, 1.0]])
         E = np.zeros((3, 3))
         E[0, 1] = E[1, 0] = 0.5
-        p = SdpProblem(C=C, diag=np.ones(3), A=[E, 2.0 * E], b=[0.3, 0.6])
+        p = SdpProblem(C=C, A=[*diag_rows(3), E, 2.0 * E], b=[1.0, 1.0, 1.0, 0.3, 0.6])
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.y is not None and sol.y.shape == (3 + 2,)
@@ -331,7 +331,7 @@ class TestSolveSdp:
         # passes the bound every feasible X obeys
         E = np.zeros((2, 2))
         E[0, 1] = E[1, 0] = 0.5
-        p = SdpProblem(C=E, diag=np.ones(2), A=[E], b=[2.0])
+        p = SdpProblem(C=E, A=[*diag_rows(2), E], b=[1.0, 1.0, 2.0])
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.DIVERGED
         assert sol.objective == np.inf
@@ -355,29 +355,38 @@ class TestSolveSdp:
         assert sol.objective == pytest.approx(-2.0, abs=1e-5)
 
     def test_inconsistent_rows_diverge(self):
+        # X_11 = 1 and X_11 = 2; then X_12 = 0.5 and its double set to 2,
+        # beside the unit diagonal as rows
         E = np.zeros((2, 2))
         E[0, 0] = 1.0
-        sol = solve_sdp(SdpProblem(C=np.eye(2), A=[E, E], b=[1.0, 2.0]), CFG)
-        assert sol.status == SolveStatus.DIVERGED
-        assert sol.objective == np.inf
-        assert "infeasible" in sol.message
+        for A, b in [([E, E], [1.0, 2.0]),
+                     ([*diag_rows(2), E12, 2.0 * E12], [1.0, 1.0, 0.5, 2.0])]:
+            sol = solve_sdp(SdpProblem(C=np.eye(2), A=A, b=b), CFG)
+            assert sol.status == SolveStatus.DIVERGED
+            assert sol.objective == np.inf
+            assert "infeasible constraint system" in sol.message
 
-    def test_inconsistent_rows_beside_diag_diverge(self):
-        # the interior-point path drops dependent rows with the same routine
-        E = np.zeros((2, 2))
-        E[0, 1] = E[1, 0] = 0.5
-        p = SdpProblem(C=np.eye(2), A=[E, 2.0 * E], b=[0.5, 2.0], diag=np.ones(2))
-        sol = solve_sdp(p, CFG)
-        assert sol.status == SolveStatus.DIVERGED
-        assert sol.objective == np.inf
-        assert "infeasible constraint system" in sol.message
-
-    def test_affine_cone_disjoint_diverges(self):
-        # X_11 = -1 cannot hold for any PSD matrix.
-        sol = solve_sdp(SdpProblem(C=np.eye(2), diag=[-1.0, 1.0]), FAST)
-        assert sol.status == SolveStatus.DIVERGED
-        assert sol.objective == np.inf
-        assert "negative" in sol.message
+    @pytest.mark.parametrize("shape,message", [
+        (dict(diag=np.ones(2), A=[E12], b=[0.3]),
+         "^diag takes no rows of A: state the diagonal as rows$"),
+        (dict(diag=np.ones(2), cone=Cone.PSD_NONNEG),
+         "^diag takes only Cone.PSD: state the diagonal as rows$"),
+        (dict(diag=[0.0, 1.0]), "^diag must be positive$"),
+        # X_11 = -1 holds for no PSD matrix
+        (dict(diag=[-1.0, 1.0]), "^diag must be positive$"),
+        *((dict(A=diag_rows(2), b=np.ones(2), cone=cone, face=face), None)
+          for cone in Cone for face in (None, np.ones((2, 1)) / np.sqrt(2.0))),
+    ], ids=["diag_with_rows", "diag_on_psd_nonneg", "zero_entry", "negative_entry",
+            "rows_psd", "rows_psd_face", "rows_psd_nonneg", "rows_psd_nonneg_face"])
+    def test_two_shapes(self, shape, message):
+        # a problem fixes a positive diagonal on the PSD cone, or states
+        # rows on either cone, with or without a face
+        if message is None:
+            p = SdpProblem(C=np.eye(2), **shape)
+            assert p.diag is None and p.A.shape == (2, 2, 2)
+        else:
+            with pytest.raises(ValueError, match=message):
+                SdpProblem(C=np.eye(2), **shape)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -515,8 +524,9 @@ class TestSolveSdp:
     @given(Q=symmetric_matrices(max_dim=6), data=st.data())
     def test_certificate_holds_for_any_multipliers(self, Q, data):
         # the bounded-trace bound needs no dual feasibility: arbitrary
-        # multipliers for the diagonal and a row X_12 = b still bound every
-        # feasible X, among them xx' for sign vectors with x_1 x_2 = b
+        # multipliers for the unit diagonal as rows and a row X_12 = b still
+        # bound every feasible X, among them xx' for sign vectors with
+        # x_1 x_2 = b
         d = Q.shape[0]
         if d < 2:
             return
@@ -530,7 +540,7 @@ class TestSolveSdp:
         values = np.einsum("ti,ij,tj->t", signs, Q, signs)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum() + np.abs(y).sum())
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
-            p = SdpProblem(C=Q, sense=sense, diag=np.ones(d), A=[E], b=[b])
+            p = SdpProblem(C=Q, sense=sense, A=[*diag_rows(d), E], b=[*np.ones(d), b])
             extreme = values.min() if sense == Sense.MIN else values.max()
             assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
@@ -545,10 +555,9 @@ class TestSolveSdp:
             with pytest.raises(ValueError, match="C must be finite"):
                 SdpProblem(C=np.array([[bad, 0.0], [0.0, 1.0]]), diag=unit)
             with pytest.raises(ValueError, match="must be finite"):
-                SdpProblem(C=np.eye(2), A=[E12], b=[bad], diag=unit)
+                SdpProblem(C=np.eye(2), A=[E12], b=[bad])
             with pytest.raises(ValueError, match="must be finite"):
-                SdpProblem(C=np.eye(2), A=[E12, [[bad, 0.0], [0.0, 0.0]]], b=[0.0, 0.0],
-                           diag=unit)
+                SdpProblem(C=np.eye(2), A=[E12, [[bad, 0.0], [0.0, 0.0]]], b=[0.0, 0.0])
         # within 1e-12 counts as symmetric, and C is stored symmetrized
         C = SdpProblem(C=np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])).C
         assert C[0, 1] == C[1, 0]
@@ -612,7 +621,7 @@ class TestSolveSdp:
         ]
         for rows, message in cases:
             with pytest.raises(ValueError, match=message):
-                SdpProblem(C=np.eye(2), diag=np.ones(2), **rows)
+                SdpProblem(C=np.eye(2), **rows)
         # within 1e-12 a row counts as symmetric, and it is stored symmetrized
         A = SdpProblem(C=np.eye(2), A=[[[0.0, 1.0], [1.0 + 1e-13, 0.0]]], b=[0.5]).A
         assert A.shape == (1, 2, 2) and A[0, 0, 1] == A[0, 1, 0]
@@ -629,53 +638,20 @@ class TestSolveSdp:
         assert len(calls) == 1
 
 
-def face_rows_reference(p):
-    """``_face_rows`` that lifts the fixed diagonal through the stack of E_ii."""
-    d = p.dim
-    V = np.eye(d) if p.face is None else p.face
+def diagonal_rows_reference(p):
+    """The fixed diagonal of ``p`` as the face method reads rows: the stack
+    of E_ii lifted to svec(V' E_ii V) on the face V of ``p`` (the identity
+    without one), each row and its right-hand side diag_i divided by the
+    row's norm, and a row the face shrinks below 1e-9 set to zero.  Returns
+    the rows and right-hand sides."""
+    V = np.eye(p.dim) if p.face is None else p.face
     a, b, s = _svec_index(V.shape[1])
-    mats, rhs = p.A, p.b
-    if p.diag is not None:
-        eye = np.eye(d)
-        mats = np.concatenate([eye[:, :, None] * eye[:, None, :], mats])
-        rhs = np.concatenate([p.diag, rhs])
-    rows = (V.T @ mats @ V)[:, a, b] * s
+    rows = (V.T @ diag_rows(p.dim) @ V)[:, a, b] * s
     norms = np.linalg.norm(rows, axis=1)
-    norms[norms <= 1e-9 * np.linalg.norm(mats, axis=(1, 2))] = 0.0
+    norms[norms <= 1e-9] = 0.0
     rows[norms == 0.0] = 0.0
     scale = np.where(norms > 0.0, norms, 1.0)
-    return V, rows / scale[:, None], rhs / scale, norms
-
-
-@st.composite
-def fixed_diagonal_problems(draw):
-    """Problems with a fixed diagonal, d from 2 to 14, up to three rows of A,
-    and no face, a random orthonormal one, or the null space of a small
-    integer system (as ``lasserre1`` finds, with rows it pins or equates)."""
-    d = draw(st.integers(2, 14))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["none", "orthonormal", "null"]))
-    face = None
-    if kind == "orthonormal":
-        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
-    elif kind == "null":
-        K = rng.integers(-1, 2, size=(draw(st.integers(1, d - 1)), d)).astype(float)
-        face = _null_face(K)
-        assume(face is not None and face.shape[1] > 0)
-    B = rng.normal(size=(draw(st.integers(0, 3)), d, d))
-    return SdpProblem(C=np.eye(d), A=B + B.swapaxes(1, 2), b=rng.normal(size=len(B)),
-                      diag=rng.uniform(0.5, 2.0, size=d), face=face)
-
-
-class TestFaceRows:
-    @settings(max_examples=300, deadline=None)
-    @given(p=fixed_diagonal_problems())
-    def test_matches_the_identity_stack(self, p):
-        # V' E_ii V as the outer product of V's row i: the rows, right-hand
-        # sides and norms of the E_ii lift, bit for bit
-        for new, old in zip(_face_rows(p), face_rows_reference(p)):
-            assert new.shape == old.shape
-            assert new.tobytes() == old.tobytes()
+    return rows / scale[:, None], p.diag / scale
 
 
 def independent_reference(rows, rhs, slack):
@@ -856,9 +832,9 @@ class TestIndependent:
     @given(p=diagonal_faces())
     def test_diagonal_rows_through_p_o_p(self, p):
         # the diagonal method's pass over P o P keeps the diagonal rows,
-        # and reaches the verdict, that the QR reference does on the svec
-        # rows of _face_rows
-        _, rows, rhs, _ = _face_rows(p)
+        # and reaches the verdict, that the QR reference does on the
+        # diagonal's svec rows
+        rows, rhs = diagonal_rows_reference(p)
         keep = verdict(independent_reference, rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
         event("inconsistent" if keep is None else f"{p.dim - len(keep)} dropped")
         outcomes = []
@@ -1025,8 +1001,8 @@ def face_ipm_reference(p, cfg):
 def face_problems(draw):
     """Problems the face method solves: d from 2 to 7, no face, a random
     orthonormal one or the null space of a small integer system, the
-    diagonal of a point X0 = V R0 V' fixed (as ``diag`` or as rows), up to
-    two more rows that X0 meets, and either cone and sense."""
+    diagonal of a point X0 = V R0 V' fixed as rows, up to two more rows
+    that X0 meets, and either cone and sense."""
     d = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["none", "orthonormal", "null"]))
@@ -1044,15 +1020,11 @@ def face_problems(draw):
     rows = rng.normal(size=(draw(st.integers(0, 2)), d, d))
     rows = rows + rows.swapaxes(1, 2)
     b = np.einsum("kij,ij->k", rows, X0)
-    if draw(st.booleans()) or (cone == Cone.PSD and not len(rows)):
-        rows, b = np.concatenate([diag_rows(d), rows]), np.concatenate([X0.diagonal(), b])
-        diag = None
-    else:
-        diag = X0.diagonal()
+    rows, b = np.concatenate([diag_rows(d), rows]), np.concatenate([X0.diagonal(), b])
     assume(np.all(X0.diagonal() > 1e-6))
     C = rng.normal(size=(d, d))
     return SdpProblem(C=C + C.T, A=rows, b=b, sense=draw(st.sampled_from(list(Sense))),
-                      cone=cone, diag=diag, face=face)
+                      cone=cone, face=face)
 
 
 def dnn_problem_of(prog):
