@@ -312,7 +312,8 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     primal-dual interior-point method (SIAM J. Optim. 2, 1992).
 
     The rows must be consistent.  Dependent ones are dropped up front by
-    ``_independent`` on the Gram matrix of the rows scaled to unit norm, so
+    ``_independent`` on the Gram matrix of the rows scaled to unit norm (and
+    on those rows where its round-off hides a remainder), so
     with D, the sum of z/s over both bounds, positive the Newton matrix
     [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted once per
     iteration, and the inverse serves the affine step, which sets the
@@ -329,7 +330,7 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     """
     norm = np.linalg.norm(A, axis=1, keepdims=True)
     unit = A / np.where(norm > 1e-6, norm, 1.0)  # a row of norm <= 1e-6 is dropped
-    keep, _ = _independent(unit @ unit.T, b, slack=np.inf)
+    keep, _ = _independent(unit @ unit.T, b, slack=np.inf, rows=unit)
     A, b = A[keep], b[keep]
     n, m = len(c), len(b)
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))

@@ -30,7 +30,9 @@ of both cones is one gather from a small matrix (``_newton_index``).
 
 Both methods drop dependent rows up front with one pass over the rows'
 Gram matrix (``_independent``, which the box QP of ``relaxations``
-shares).  The face method's rows are svec coordinates (``_face_rows``),
+shares); the face method and the box QP pass it the rows too, which it
+reads only where the Gram matrix's round-off hides a row's remainder.
+The face method's rows are svec coordinates (``_face_rows``),
 and what it derives from them, the kept rows, the inverse Cholesky factor
 of their Gram block and the trace they fix, is one record per problem
 (``SdpProblem._rows``), which the certificate of its multipliers reads
@@ -263,7 +265,8 @@ class SdpProblem:
         ``_InconsistentSystem`` where the rows conflict, then ValueError
         unless A'u = svec(I) and T > 0.  Its arrays but V are read-only."""
         V, rows, rhs, norms = _face_rows(self)
-        keep, L_inv = _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
+        keep, L_inv = _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)),
+                                   rows)
         A, b = rows[keep], rhs[keep]
         r = V.shape[1]
         ia, ib, _ = _svec_index(r)
@@ -473,7 +476,8 @@ class _InconsistentSystem(ValueError):
     """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
-def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float):
+def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float,
+                 rows: np.ndarray | None = None):
     """Indices of the rows that do not depend on the rows kept ahead of them,
     and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block.
 
@@ -489,6 +493,14 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float):
     sum's round-off, eps (1 + |c|_1) |L^-1| |x| with x = L^-1 rhs, no X
     meets the rows and ``_InconsistentSystem`` is raised.  A kept row
     borders L with (l', sqrt(s)) and L^-1 with (-c', 1) / sqrt(s).
+
+    Where four times that round-off passes 1e-12 the Gram matrix cannot
+    tell such a row from a dependent one, so given the ``rows`` themselves
+    the pass measures it on them: c refined twice against the remainder
+    row - c' rows_K, the row is dropped only where the remainder's square
+    is at most 1e-12.  A row kept so borders L as above, or, where s <= 0
+    leaves the Gram block without a Cholesky factor, with the refined c,
+    l = L' c and the remainder's square as s.
     """
     keep, k, tol = np.zeros(len(gram), dtype=np.intp), 0, 4.0 * np.finfo(float).eps
     L, L_inv, x = np.zeros(gram.shape), np.zeros(gram.shape), np.zeros(len(gram))
@@ -499,7 +511,17 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float):
         c = l @ Lk_inv
         size = 1.0 + np.abs(c).sum()
         s = gram[i, i] - l @ l
-        if s <= 1e-12 + min(tol * size**2, 1e-3):
+        band = min(tol * size**2, 1e-3)
+        dependent = s <= 1e-12 + band
+        if dependent and rows is not None and band > 1e-12:
+            K, m = rows[keep[:k]], c
+            for _ in range(2):
+                m = m + (Lk_inv @ (K @ (rows[i] - m @ K))) @ Lk_inv
+            rest = rows[i] - m @ K
+            dependent = rest @ rest <= 1e-12
+            if not dependent and s <= 0.0:
+                c, l, s = m, m @ L[:k, :k], rest @ rest
+        if dependent:
             if abs(rhs[i] - l @ x[:k]) > slack + tol * size * _fro(Lk_inv) * _fro(x[:k]):
                 raise _InconsistentSystem(
                     "constraint rows are linearly dependent with conflicting right-hand sides")

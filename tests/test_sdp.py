@@ -355,16 +355,22 @@ class TestSolveSdp:
         assert sol.objective == pytest.approx(-2.0, abs=1e-5)
 
     def test_inconsistent_rows_diverge(self):
-        # X_11 = 1 and X_11 = 2; then X_12 = 0.5 and its double set to 2,
-        # beside the unit diagonal as rows
         E = np.zeros((2, 2))
         E[0, 0] = 1.0
-        for A, b in [([E, E], [1.0, 2.0]),
-                     ([*diag_rows(2), E12, 2.0 * E12], [1.0, 1.0, 0.5, 2.0])]:
-            sol = solve_sdp(SdpProblem(C=np.eye(2), A=A, b=b), CFG)
-            assert sol.status == SolveStatus.DIVERGED
-            assert sol.objective == np.inf
-            assert "infeasible constraint system" in sol.message
+        sol = solve_sdp(SdpProblem(C=np.eye(2), A=[E, E], b=[1.0, 2.0]), CFG)
+        assert sol.status == SolveStatus.DIVERGED
+        assert sol.objective == np.inf
+        assert "infeasible" in sol.message
+
+    def test_inconsistent_rows_beside_diag_diverge(self):
+        # X_12 = 0.5 and its double set to 2, beside the unit diagonal as
+        # rows: the interior-point path drops dependent rows with the same
+        # routine
+        p = SdpProblem(C=np.eye(2), A=[*diag_rows(2), E12, 2.0 * E12], b=[1.0, 1.0, 0.5, 2.0])
+        sol = solve_sdp(p, CFG)
+        assert sol.status == SolveStatus.DIVERGED
+        assert sol.objective == np.inf
+        assert "infeasible constraint system" in sol.message
 
     @pytest.mark.parametrize("shape,message", [
         (dict(diag=np.ones(2), A=[E12], b=[0.3]),
@@ -783,7 +789,8 @@ class TestIndependent:
     @settings(max_examples=500, deadline=None)
     @given(system=row_systems())
     def test_follows_the_qr_reference(self, system):
-        # one pass over the Gram matrix keeps the rows that the QR loop
+        # one pass over the Gram matrix, and over the rows where its
+        # round-off hides a remainder, keeps the rows that the QR loop
         # keeps and raises where it raises, and the factor it returns is
         # the inverse of the Cholesky factor of the kept rows' Gram block
         # (read as L = (L^-1)^-1: on nearly dependent rows L^-1 itself
@@ -792,9 +799,9 @@ class TestIndependent:
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         keep = verdict(independent_reference, rows, rhs, slack)
         event("inconsistent" if keep is None else f"{len(rows) - len(keep)} dropped")
-        assert verdict(sdp._independent, rows @ rows.T, rhs, slack) == keep
+        assert verdict(sdp._independent, rows @ rows.T, rhs, slack, rows) == keep
         if keep:
-            _, L_inv = sdp._independent(rows @ rows.T, rhs, slack)
+            _, L_inv = sdp._independent(rows @ rows.T, rhs, slack, rows)
             kept, L = rows[keep], np.linalg.inv(L_inv)
             assert (np.triu(L_inv, 1) == 0.0).all() and (L_inv.diagonal() > 0.0).all()
             assert np.allclose(L @ L.T, kept @ kept.T, rtol=0.0, atol=1e-8)
@@ -811,7 +818,7 @@ class TestIndependent:
         rows, rhs = system
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         keep = verdict(independent_reference, rows, rhs, slack)
-        got = verdict(sdp._independent, rows @ rows.T, rhs, slack)
+        got = verdict(sdp._independent, rows @ rows.T, rhs, slack, rows)
         event("same" if got == keep else "conflict unresolved")
         assert keep is None or got == keep
 
@@ -827,6 +834,23 @@ class TestIndependent:
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
         assert sdp._independent(rows @ rows.T, rhs, slack)[0].tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("rhs", [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
+    def test_rows_resolve_what_the_gram_matrix_cannot(self, rhs):
+        # the third row is 1e-3 off the span of a pair 2e-6 apart: its
+        # combination of them reaches 1e6 in size, and the Gram matrix's
+        # round-off, about 2e-4, hides its remainder squared, 1e-6.  Given
+        # the rows, the pass keeps it, as the QR reference does whatever
+        # its right-hand side, and L^-1 maps it to its unit remainder e_3
+        # (to the round-off of that product, eps |L^-1| = 1e-7)
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 2e-6, 0.0], [0.0, 1.0, 1e-3]])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rhs = np.array(rhs)
+        slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
+        assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
+        keep, L_inv = sdp._independent(rows @ rows.T, rhs, slack, rows)
+        assert keep.tolist() == [0, 1, 2]
+        np.testing.assert_allclose(L_inv[2] @ rows, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-6)
 
     @settings(max_examples=300, deadline=None)
     @given(p=diagonal_faces())
