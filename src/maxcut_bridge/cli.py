@@ -499,11 +499,12 @@ def _resolve(args) -> None:
             raise UsageError("--family requires --n")
         args.generator = GeneratorSpec(**{k: v for k, v in flags.items() if v is not None})
     else:  # --seed alone also seeds rounding: round, certify, and solve with --gw-trials
-        unread = args.command == "convert" or (args.command == "solve" and not args.gw_trials)
         given = ["--" + k.replace("_", "-") for k, v in flags.items()
-                 if v is not None and (k != "seed" or unread)]
+                 if v is not None and (k != "seed" or args.command == "convert")]
         if given:
             raise UsageError(f"generator flags need --family: {', '.join(given)}")
+        if args.command == "solve" and args.seed is not None and not args.gw_trials:
+            raise UsageError("--seed needs --family, or --gw-trials above 0 to seed rounding")
     if args.seed is None:
         args.seed = GeneratorSpec.seed
     if args.command in ("gen", "compare"):

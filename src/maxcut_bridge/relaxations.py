@@ -24,7 +24,7 @@ from .model import SignProgram, ZeroOneProgram, to_zero_one
 from .penalty import PenaltyBound, _moment_cost, rho as penalty_rho
 from .reduction import MaxCutInstance, homogenize
 from .sdp import (Cone, SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfig,
-                  _independent, certified_diag_bound, solve_sdp)
+                  certified_diag_bound, solve_sdp)
 
 _LP_TOL = 1e-9
 
@@ -108,11 +108,13 @@ class FeasibleTableau(NamedTuple):
     """A basic feasible solution of the box-and-rows set in standard form:
     the tableau T over [y, t] >= 0 (x = lower + y, t the upper slacks)
     with the right-hand side as its last column, the basic column of each
-    row (an integer array), and ``lower``."""
+    row (an integer array), ``lower``, and ``rows``: the indices of the
+    independent rows of A_eq that phase 1 kept, in order."""
 
     T: np.ndarray
     basis: np.ndarray
     lower: np.ndarray
+    rows: np.ndarray
 
 
 def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
@@ -121,10 +123,11 @@ def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
 
     The box is converted to standard form with one slack per variable, and
     artificial variables are minimized with Bland's rule (a positive optimum
-    means infeasible).  Artificials left in the basis are pivoted out and
-    rows that stay all-zero, the redundant ones, are dropped.  The result
-    depends on no cost, so one run serves any number of ``simplex_phase2``
-    calls.
+    means infeasible).  Artificials left in the basis are pivoted out; one
+    that stays basic on an all-zero row marks the row it stands for, a row
+    of A_eq (each box row has its own slack), as redundant, and it is
+    dropped.  The result depends on no cost, so one run serves any number
+    of ``simplex_phase2`` calls.
     """
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
@@ -156,16 +159,17 @@ def simplex_phase1(A_eq, b_eq, lower, upper, n: int) -> FeasibleTableau | None:
         return None
 
     # drive remaining artificials out of the basis; drop redundant rows
-    keep = []
+    keep, redundant = [], []
     for i in range(rows):
         if basis[i] >= cols:
             enter = next((j for j in range(cols) if abs(T[i, j]) > _LP_TOL), None)
             if enter is None:
-                continue  # redundant row
+                redundant.append(basis[i] - cols)  # its artificial's row of A_eq
+                continue
             _pivot(T, basis, i, enter)
         keep.append(i)
     T = np.ascontiguousarray(np.hstack([T[keep][:, :cols], T[keep][:, -1:]]))
-    return FeasibleTableau(T, basis[keep], lower)
+    return FeasibleTableau(T, basis[keep], lower, np.delete(np.arange(m), redundant))
 
 
 def simplex_phase2(tableau: FeasibleTableau, c) -> LpResult:
@@ -267,9 +271,10 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
 @dataclass
 class _Box:
     """Ax = b over the box [-1, 1]^n: ``tableau`` is its ``simplex_phase1``
-    (None when empty) and ``lp`` its ``simplex_phase2`` for the objective's
-    cost c.  Each is computed on first use, so one run of each serves
-    ``lp_box`` and ``convex_quadratic_relaxation`` of a report."""
+    (None when empty; the box QP reads its ``rows``) and ``lp`` its
+    ``simplex_phase2`` for the objective's cost c.  Each is computed on
+    first use, so one run of each serves ``lp_box`` and
+    ``convex_quadratic_relaxation`` of a report."""
 
     q: SignProgram
 
@@ -311,16 +316,14 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     """min c'x + x'Hx s.t. Ax = b, -1 <= x <= 1 (H PSD), by Mehrotra's
     primal-dual interior-point method (SIAM J. Optim. 2, 1992).
 
-    The rows must be consistent.  Dependent ones are dropped up front by
-    ``_independent`` on the Gram matrix of the rows scaled to unit norm (and
-    on those rows where its round-off hides a remainder), so
-    with D, the sum of z/s over both bounds, positive the Newton matrix
-    [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted once per
-    iteration, and the inverse serves the affine step, which sets the
-    centering (mu_affine / mu)^3, and the corrector; least squares stands in
-    only where the inversion fails.  The slacks s = (1 + x, 1 - x) and their
-    multipliers z stay positive: each side moves 0.99 of the way to the
-    boundary, at most a full step.  Converged needs the dual and
+    The rows must be independent and consistent, as ``simplex_phase1``
+    keeps them, so with D, the sum of z/s over both bounds, positive the
+    Newton matrix [[2H + D, A'], [A, 0]] is nonsingular.  It is inverted
+    once per iteration, and the inverse serves the affine step, which sets
+    the centering (mu_affine / mu)^3, and the corrector; least squares
+    stands in only where the inversion fails.  The slacks s = (1 + x, 1 - x)
+    and their multipliers z stay positive: each side moves 0.99 of the way
+    to the boundary, at most a full step.  Converged needs the dual and
     primal residuals and the mean of s o z at most 1e-9 (1 + sum |c|).
     Where the rows pin variables to a bound there is no interior point and
     s tends to zero: the loop stops while 1 - x still has digits to step on.
@@ -328,10 +331,6 @@ def _box_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndarray,
     LAPACK seam (``sdp._inv``); an invalid value anywhere in a step ends the
     loop at its last iterate, as IterationLimit.
     """
-    norm = np.linalg.norm(A, axis=1, keepdims=True)
-    unit = A / np.where(norm > 1e-6, norm, 1.0)  # a row of norm <= 1e-6 is dropped
-    keep, _ = _independent(unit @ unit.T, b, slack=np.inf, rows=unit)
-    A, b = A[keep], b[keep]
     n, m = len(c), len(b)
     tol = 1e-9 * (1.0 + float(np.abs(c).sum()))
     sgn = np.array([[1.0], [-1.0]])  # s = 1 + sgn x, so ds = sgn dx
@@ -399,11 +398,11 @@ def convex_quadratic_relaxation(q: SignProgram,
     linear minimization over the same feasible set, so the bound never rests
     on the loop's accuracy.  Since x_i^2 = 1 on the hypercube, value = (that
     bound) - n*theta is a valid lower bound on the original optimum.  One
-    simplex phase 1 serves both the feasibility test and that LP: an empty
-    feasible set is reported as Infeasible with value +inf.  A linear
-    objective (F = 0) needs no loop: the LP with cost c, which ``lp_box``
-    solves too, is the relaxation, x is its vertex, and the entry is
-    Converged at any budget.
+    simplex phase 1 serves the feasibility test, that LP and the loop, which
+    gets the rows it kept: an empty feasible set is reported as Infeasible
+    with value +inf.  A linear objective (F = 0) needs no loop: the LP with
+    cost c, which ``lp_box`` solves too, is the relaxation, x is its vertex,
+    and the entry is Converged at any budget.
     """
     return _convex_quadratic(q, cfg, _Box(q))
 
@@ -417,7 +416,8 @@ def _convex_quadratic(q: SignProgram, cfg: SolverConfig, box: _Box) -> BoundEntr
         lam_min = float(np.linalg.eigvalsh(q.F)[0])
         theta = abs(lam_min) + 1.0 if lam_min < 0 else 0.0
         F_s = q.F + theta * np.eye(n)
-        x, status = _box_qp(F_s, q.c, q.A.astype(float), q.b.astype(float), cfg.max_iter)
+        x, status = _box_qp(F_s, q.c, q.A[box.tableau.rows].astype(float),
+                            q.b[box.tableau.rows].astype(float), cfg.max_iter)
         # Rigorous lower bound on the convex optimum from convexity:
         # psi >= f(x) + min_{y in box ∩ affine} g'(y - x) for g the gradient
         # at x, and f(x) - g'x = -x'F_s x.

@@ -29,10 +29,9 @@ coordinates to and from matrices (``_svec_basis``), and the Newton block
 of both cones is one gather from a small matrix (``_newton_index``).
 
 Both methods drop dependent rows up front with one pass over the rows'
-Gram matrix (``_independent``, which the box QP of ``relaxations``
-shares); the face method and the box QP pass it the rows too, which it
-reads only where the Gram matrix's round-off hides a row's remainder.
-The face method's rows are svec coordinates (``_face_rows``),
+Gram matrix (``_independent``); the face method passes it the rows too,
+which it reads only where the Gram matrix's round-off hides a row's
+remainder.  The face method's rows are svec coordinates (``_face_rows``),
 and what it derives from them, the kept rows, the inverse Cholesky factor
 of their Gram block and the trace they fix, is one record per problem
 (``SdpProblem._rows``), which the certificate of its multipliers reads
@@ -265,8 +264,7 @@ class SdpProblem:
         ``_InconsistentSystem`` where the rows conflict, then ValueError
         unless A'u = svec(I) and T > 0.  Its arrays but V are read-only."""
         V, rows, rhs, norms = _face_rows(self)
-        keep, L_inv = _independent(rows @ rows.T, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)),
-                                   rows)
+        keep, L_inv = _independent(rows @ rows.T, rhs, rows)
         A, b = rows[keep], rhs[keep]
         r = V.shape[1]
         ia, ib, _ = _svec_index(r)
@@ -287,7 +285,7 @@ class SdpSolution:
     objective: float
     # the returned X's distance to the PSD cone (and to the orthant, for
     # Cone.PSD_NONNEG) once moved onto its rows; for a diagonal solve without
-    # a face, the distance of its diagonal from the fixed one (inf if Diverged)
+    # a face, its diagonal's distance from the fixed one (inf for conflicting rows)
     primal_residual: float
     # the final duality gap, primal minus dual objective, not a residual; the
     # benchmark reads it under this name until ROADMAP item 10
@@ -476,8 +474,7 @@ class _InconsistentSystem(ValueError):
     """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
-def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float,
-                 rows: np.ndarray | None = None):
+def _independent(gram: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = None):
     """Indices of the rows that do not depend on the rows kept ahead of them,
     and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block.
 
@@ -489,10 +486,11 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float,
     about eps (1 + |c|_1)^2.  A row with s at most 1e-12 plus four times
     that, or plus 1e-3 where less, is dropped (a remainder above 0.03 is
     kept, and one inside that round-off reads as zero); if c'rhs
-    misses its right-hand side by more than ``slack`` plus four times that
-    sum's round-off, eps (1 + |c|_1) |L^-1| |x| with x = L^-1 rhs, no X
-    meets the rows and ``_InconsistentSystem`` is raised.  A kept row
-    borders L with (l', sqrt(s)) and L^-1 with (-c', 1) / sqrt(s).
+    misses its right-hand side by more than 1e-9 (1 + |rhs|) plus four
+    times that sum's round-off, eps (1 + |c|_1) |L^-1| |x| with
+    x = L^-1 rhs, no X meets the rows and ``_InconsistentSystem`` is
+    raised.  A kept row borders L with (l', sqrt(s)) and L^-1 with
+    (-c', 1) / sqrt(s).  Only this module's two methods call it.
 
     Where four times that round-off passes 1e-12 the Gram matrix cannot
     tell such a row from a dependent one, so given the ``rows`` themselves
@@ -503,6 +501,7 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, slack: float,
     l = L' c and the remainder's square as s.
     """
     keep, k, tol = np.zeros(len(gram), dtype=np.intp), 0, 4.0 * np.finfo(float).eps
+    slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
     L, L_inv, x = np.zeros(gram.shape), np.zeros(gram.shape), np.zeros(len(gram))
     for i in range(len(gram)):
         Lk_inv, g = L_inv[:k, :k], gram[keep[:k], i]
@@ -636,8 +635,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
         inv = np.divide(1.0, norms, out=np.zeros(d), where=norms > 0.0)
         PP = P * P  # the diagonal rows' Gram matrix
         rhs = np.where(norms > 0.0, a * inv, a)
-        keep, factor = _independent(PP * np.outer(inv, inv), rhs,
-                                    1e-9 * (1.0 + np.linalg.norm(rhs)))
+        keep, factor = _independent(PP * np.outer(inv, inv), rhs)
         F = factor * inv[keep]  # F'F = (P o P)^-1 on the kept rows
         C = V.T @ C @ V
         if keep.size < d:  # from here on the kept diagonal rows alone

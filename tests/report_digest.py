@@ -24,15 +24,18 @@ how often the reports called ``certified_diag_bound`` (in ``sdp``,
 ``_pivot`` (simplex pivots), so a change that claims to drop repeated work
 can show it, then the iterations of each interior-point method
 (``diag_ipm_iterations``, ``face_ipm_iterations``), so a change to a
-solver can show that its iterations did not move, and last the calls
+solver can show that its iterations did not move, then the calls
 through the LAPACK seam of ``sdp`` (``lapack_calls``: ``_cholesky``,
 ``_inv``, ``_solve``, ``_eigvalsh`` and ``_eigh``), so a change that adds
-or drops factorizations shows it as an exact count.  ``--values`` prints,
-in place of digests, one readable line per instance: rho, each entry's
-status and certified bound (``BoundEntry.bound``: value - inflation, or +
-for a max-sense entry), the rounded point's objective, feasibility and 0/1
-point, and the verdict, all floats by repr.  Diffing that output from two trees shows
-which values moved and that no status or verdict did.  The file is not a
+or drops factorizations shows it as an exact count, and last the Newton
+steps of the box QP (``box_qp_iterations``): the seam calls made inside
+``relaxations._box_qp``, which are its ``sdp._inv`` calls, one per step.
+``--values`` prints, in place of digests, one readable line per instance:
+rho, each entry's status and certified bound (``BoundEntry.bound``:
+value - inflation, or + for a max-sense entry), the rounded point's
+objective, feasibility and 0/1 point, and the verdict, all floats by repr.
+Diffing that output from two trees shows which values moved and that no
+status or verdict did.  The file is not a
 test module: pytest does not collect it.
 """
 
@@ -64,6 +67,8 @@ COUNTED = {
 ITERATED = {"_solve_diag_ipm": "diag_ipm_iterations", "_solve_face_ipm": "face_ipm_iterations"}
 # the LAPACK seam of ``sdp``, whose calls are summed under "lapack_calls"
 SEAM = ("_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh")
+# the box QP of ``relaxations``, whose seam calls are summed under "box_qp_iterations"
+BOX_QP = "_box_qp"
 
 
 def _feed(h, *items) -> None:
@@ -123,12 +128,14 @@ def _values(inst, wl) -> str:
 @contextlib.contextmanager
 def counting():
     """Count the calls to each ``COUNTED`` function, the iterations of each
-    ``ITERATED`` method and the calls through the ``SEAM`` in a dict, by
-    name."""
-    counts = dict.fromkeys([*COUNTED, *ITERATED.values(), "lapack_calls"], 0)
+    ``ITERATED`` method, the calls through the ``SEAM`` and those of them
+    made inside ``BOX_QP`` in a dict, by name."""
+    counts = dict.fromkeys(
+        [*COUNTED, *ITERATED.values(), "lapack_calls", "box_qp_iterations"], 0)
     saved = [(module, name, getattr(module, name))
              for name, modules in COUNTED.items() for module in modules]
     saved += [(sdp, name, getattr(sdp, name)) for name in (*ITERATED, *SEAM)]
+    saved.append((relaxations, BOX_QP, getattr(relaxations, BOX_QP)))
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -143,8 +150,18 @@ def counting():
             return solution
         return wrapper
 
+    def box_qp(fn):
+        def wrapper(*args, **kwargs):
+            before = counts["lapack_calls"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["box_qp_iterations"] += counts["lapack_calls"] - before
+        return wrapper
+
     for module, name, fn in saved:
-        setattr(module, name, iterated(ITERATED[name], fn) if name in ITERATED
+        setattr(module, name, box_qp(fn) if name == BOX_QP
+                else iterated(ITERATED[name], fn) if name in ITERATED
                 else counted("lapack_calls" if name in SEAM else name, fn))
     try:
         yield counts
@@ -163,8 +180,8 @@ def digests(workload: str, by_instance: bool = False,
             counts: bool = False, seed: int = 0) -> list[tuple[str, str]]:
     """(name, digest) of the workload, or of each of its instances with
     ``by_instance``; with ``counts`` the digest is followed by the calls to
-    each ``COUNTED`` function, the iterations of each ``ITERATED`` method
-    and the calls through the ``SEAM``, as name=count."""
+    each ``COUNTED`` function, the iterations of each ``ITERATED`` method,
+    the calls through the ``SEAM`` and the box QP's steps, as name=count."""
     wl = BUILDERS[workload](seed)
     groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
               else [(workload, wl.instances)])
@@ -187,7 +204,8 @@ def main(argv) -> int:
                         help="one digest per instance label instead of per workload")
     parser.add_argument("--counts", action="store_true",
                         help="append the calls to " + ", ".join(COUNTED)
-                        + ", the interior-point iterations and the LAPACK calls")
+                        + ", the interior-point iterations, the LAPACK calls"
+                        " and the box QP's steps")
     parser.add_argument("--values", action="store_true",
                         help="print one line of values per instance instead of digests")
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")

@@ -580,6 +580,24 @@ class TestBadInput:
         assert rc == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: generator flags need --family: {named}\n")
 
+    @pytest.mark.parametrize("command, message", [
+        ("solve", "--seed needs --family, or --gw-trials above 0 to seed rounding"),
+        ("convert", "generator flags need --family: --seed"),
+    ], ids=["solve", "convert"])
+    def test_seed_with_instance_names_what_reads_it(self, knapsack_file, tmp_path, capsys,
+                                                    command, message):
+        # solve reads --seed as the generator's or, with --gw-trials above 0,
+        # as the rounding seed; convert reads it only as the generator's
+        capsys.readouterr()
+        rc = run_cli([command, "--instance", knapsack_file, "--seed", "7",
+                      "-o", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        if command == "solve":
+            rc = run_cli([command, "--instance", knapsack_file, "--seed", "7",
+                          "--selectors", "lp_box", "--gw-trials", "3"])
+            assert rc == EXIT_OK
+
     def test_output_directory_is_usage_error(self, tmp_path, capsys):
         rc = run_cli(["gen", "--family", "knapsack_fixed", "--n", "4", "--b", "8",
                       "-o", str(tmp_path)])

@@ -10,6 +10,7 @@ import itertools
 import sys
 import warnings
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -631,15 +632,17 @@ class TestConvexQuadratic:
 
     @pytest.mark.parametrize("rows", [[[1, 1, 0]], [[1, 1, 0], [1, 1, 0], [0, 1, -1]]])
     def test_box_qp_one_factorization_per_iteration(self, rows, count_calls):
-        # dependent rows are dropped before the loop, so the Newton matrix
-        # is nonsingular: one inversion per iteration, through the LAPACK
-        # seam, serves the predictor and the corrector, and least squares
-        # never runs
-        seam = count_calls(sdp, ["_inv"])
-        calls = count_calls(np.linalg, ["inv", "lstsq"])
+        # the loop gets the rows that simplex phase 1 keeps, so the Newton
+        # matrix is nonsingular: one inversion per iteration, through the
+        # LAPACK seam, serves the predictor and the corrector, and least
+        # squares never runs
         H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         A = np.array(rows, dtype=float)
         b = A @ np.array([0.5, -0.5, -0.5])
+        kept = simplex_phase1(A, b, -1.0, 1.0, 3).rows
+        A, b = A[kept], b[kept]
+        seam = count_calls(sdp, ["_inv"])
+        calls = count_calls(np.linalg, ["inv", "lstsq"])
         for max_iter in (1, 2, 5):
             seam.update(_inv=0)
             calls.update(inv=0, lstsq=0)
@@ -648,16 +651,54 @@ class TestConvexQuadratic:
             assert seam == {"_inv": max_iter}
             assert calls == {"inv": 0, "lstsq": 0}
 
-    @pytest.mark.parametrize("norm, x1", [(1e-7, -1.0), (1e-5, 0.0)])
-    def test_box_qp_drops_a_row_of_tiny_norm(self, norm, x1):
-        # min x1 s.t. x2 + x3 = 1 and norm * x1 = 0: a row of norm at most
-        # 1e-6 counts as zero and is dropped, so x1 reaches its bound -1,
-        # while a row just above that is kept and holds x1 at 0
-        A = np.array([[0.0, 1.0, 1.0], [norm, 0.0, 0.0]])
-        x, status = relaxations._box_qp(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]), A,
-                                        np.array([1.0, 0.0]), 100)
-        assert status == CONVERGED
-        assert x[0] == pytest.approx(x1, abs=1e-6)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8), max_iter=st.integers(1, 3))
+    def test_dependent_rows_reach_the_loop_reduced(self, data, n, max_iter):
+        # integer rows that repeat, negate or sum earlier rows, or are zero,
+        # met by a sign point: phase 1 keeps rank(A) independent rows, the
+        # loop reads those and reduces nothing (one inversion per step and
+        # no least squares), and the value is the reduced program's, a
+        # lower bound on f*
+        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+        A = np.zeros((0, n))
+        for _ in range(data.draw(st.integers(0, 5))):
+            kind = data.draw(st.sampled_from(["fresh", "repeat", "negate", "sum", "zero"]))
+            if kind == "zero":
+                row = np.zeros(n)
+            elif kind == "fresh" or not len(A):
+                row = ints(-3, 3, n)
+            else:
+                i, j = (data.draw(st.integers(0, len(A) - 1)) for _ in range(2))
+                row = {"repeat": A[i], "negate": -A[i], "sum": A[i] + A[j]}[kind]
+            A = np.vstack([A, row])
+        b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)
+        F = ints(-4, 4, n * n).reshape(n, n)
+        F = F + F.T
+        np.fill_diagonal(F, 0.0)
+        F[0, 1] = F[1, 0] = data.draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))  # indefinite
+        q = SignProgram(n=n, c=ints(-5, 5, n), F=F, A=A, b=b)
+
+        kept = simplex_phase1(A, b, -1.0, 1.0, n).rows
+        rank = int(np.linalg.matrix_rank(A)) if len(A) else 0
+        assert len(kept) == rank
+        assert (int(np.linalg.matrix_rank(A[kept])) if rank else 0) == rank
+
+        with (mock.patch.object(sdp, "_independent", wraps=sdp._independent) as independent,
+              mock.patch.object(sdp, "_inv", wraps=sdp._inv) as inv,
+              mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq):
+            r = convex_quadratic_relaxation(q, SolverConfig(max_iter=max_iter))
+        assert independent.call_count == lstsq.call_count == 0
+        if r.status == ITERATION_LIMIT:
+            assert inv.call_count == max_iter
+        else:
+            assert r.status == CONVERGED and 0 < inv.call_count <= max_iter
+
+        for cfg in (SolverConfig(max_iter=max_iter), CFG):
+            v = convex_quadratic_relaxation(q, cfg).value
+            reduced = SignProgram(n=n, c=q.c, F=F, A=A[kept], b=b[kept])
+            assert abs(v - convex_quadratic_relaxation(reduced, cfg).value) <= 1e-9 * (1 + abs(v))
+            assert v <= brute_force(q).value + 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(F).sum())
 
     def test_singular_newton_matrix_falls_back_to_least_squares(self, monkeypatch):
         # where _box_qp cannot invert its Newton matrix, each step solves it

@@ -34,12 +34,14 @@ def test_counts_follow_each_digest():
     line = run_digest("--counts", "dnn")
     match = re.fullmatch(
         f"dnn {HEX} certified_diag_bound=(\\d+) _bland_min=(\\d+) _pivot=(\\d+)"
-        " diag_ipm_iterations=(\\d+) face_ipm_iterations=(\\d+) lapack_calls=(\\d+)\n", line)
+        " diag_ipm_iterations=(\\d+) face_ipm_iterations=(\\d+) lapack_calls=(\\d+)"
+        " box_qp_iterations=(\\d+)\n", line)
     assert match, line
     assert int(match.group(1)) > 0  # the dnn reports certify their SDP bounds
     # rho and the Shor bounds take the diagonal method, copositive_dnn the face one
     assert int(match.group(4)) > 0 and int(match.group(5)) > 0
     assert int(match.group(6)) > 0  # and both factor through the LAPACK seam
+    assert int(match.group(7)) == 0  # no dnn selector runs the box QP
 
 
 def test_values_one_line_per_instance():

@@ -799,9 +799,9 @@ class TestIndependent:
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         keep = verdict(independent_reference, rows, rhs, slack)
         event("inconsistent" if keep is None else f"{len(rows) - len(keep)} dropped")
-        assert verdict(sdp._independent, rows @ rows.T, rhs, slack, rows) == keep
+        assert verdict(sdp._independent, rows @ rows.T, rhs, rows) == keep
         if keep:
-            _, L_inv = sdp._independent(rows @ rows.T, rhs, slack, rows)
+            _, L_inv = sdp._independent(rows @ rows.T, rhs, rows)
             kept, L = rows[keep], np.linalg.inv(L_inv)
             assert (np.triu(L_inv, 1) == 0.0).all() and (L_inv.diagonal() > 0.0).all()
             assert np.allclose(L @ L.T, kept @ kept.T, rtol=0.0, atol=1e-8)
@@ -818,7 +818,7 @@ class TestIndependent:
         rows, rhs = system
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         keep = verdict(independent_reference, rows, rhs, slack)
-        got = verdict(sdp._independent, rows @ rows.T, rhs, slack, rows)
+        got = verdict(sdp._independent, rows @ rows.T, rhs, rows)
         event("same" if got == keep else "conflict unresolved")
         assert keep is None or got == keep
 
@@ -833,7 +833,7 @@ class TestIndependent:
         rhs = rows @ np.array(point)
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
-        assert sdp._independent(rows @ rows.T, rhs, slack)[0].tolist() == [0, 1, 2]
+        assert sdp._independent(rows @ rows.T, rhs)[0].tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("rhs", [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
     def test_rows_resolve_what_the_gram_matrix_cannot(self, rhs):
@@ -848,7 +848,7 @@ class TestIndependent:
         rhs = np.array(rhs)
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
-        keep, L_inv = sdp._independent(rows @ rows.T, rhs, slack, rows)
+        keep, L_inv = sdp._independent(rows @ rows.T, rhs, rows)
         assert keep.tolist() == [0, 1, 2]
         np.testing.assert_allclose(L_inv[2] @ rows, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-6)
 
