@@ -28,21 +28,23 @@ and one update moves each side; one cached basis matrix maps svec
 coordinates to and from matrices (``_svec_basis``), and the Newton block
 of both cones is one gather from a small matrix (``_newton_index``).
 
-Both methods drop dependent rows up front with one pass over the rows'
-Gram matrix (``_independent``); the face method passes it the rows too,
-which it reads only where the Gram matrix's round-off hides a row's
-remainder.  The face method's rows are svec coordinates (``_face_rows``),
-and what it derives from them, the kept rows, the inverse Cholesky factor
-of their Gram block and the trace they fix, is one record per problem
-(``SdpProblem._rows``), which the certificate of its multipliers reads
-too.  On a face, the diagonal method's Gram matrix is P o P, P = V V',
-and it builds no rows.  The factor serves the rest of the solve: the row
-weights that fix the trace, and the move of X onto its rows at the end
-of a solve whose X meets them only in the limit (every face-method solve,
-and a diagonal solve on a face), where ``primal_residual`` is then its
-distance to the PSD cone.  Each method iterates on the kept rows alone
-and returns 0 as a dropped row's multiplier.  Both are deterministic: the
-same problem and config always produce the same iteration path.
+Both methods drop dependent rows up front with one pass that also
+returns the inverse Cholesky factor of the kept rows' Gram block, and each
+pass has one drop rule.  The face method's rows are svec coordinates
+(``_face_rows``), and its pass runs over the rows themselves
+(``_independent_rows``), exact to round-off; what it derives from them,
+the kept rows, that factor and the trace they fix, is one record per
+problem (``SdpProblem._rows``), which the certificate of its multipliers
+reads too.  On a face, the diagonal method's rows have the Gram matrix
+P o P, P = V V', and its pass reads that matrix alone (``_independent``),
+so it never builds the rows.  The factor serves the rest of the solve:
+the row weights that fix the trace, and the move of X onto its rows at
+the end of a solve whose X meets them only in the limit (every
+face-method solve, and a diagonal solve on a face), where
+``primal_residual`` is then its distance to the PSD cone.  Each method
+iterates on the kept rows alone and returns 0 as a dropped row's
+multiplier.  Both are deterministic: the same problem and config always
+produce the same iteration path.
 
 Inside the loops of both methods, and of the box QP of ``relaxations``,
 every factorization and eigenvalue call goes through one seam, ``_cholesky``,
@@ -256,15 +258,16 @@ class SdpProblem:
     def _rows(self) -> _Rows:
         """What the face method and the certificate of its multipliers read of
         this problem, derived once from ``_face_rows``: the face V (the
-        identity without one), the unit svec rows A that ``_independent``
-        keeps and their right-hand sides b, every row's norm on the face (0
-        for a zero row), the kept indices with the inverse Cholesky factor
-        L^-1 of their Gram block, and the trace T = u'b that the rows fix
-        with the least-squares row weights u = L^-T L^-1 A svec(I).  Raises
-        ``_InconsistentSystem`` where the rows conflict, then ValueError
-        unless A'u = svec(I) and T > 0.  Its arrays but V are read-only."""
+        identity without one), the unit svec rows A that one pass over the
+        rows keeps (``_independent_rows``) and their right-hand sides b,
+        every row's norm on the face (0 for a zero row), the kept indices
+        with the inverse Cholesky factor L^-1 of their Gram block, and the
+        trace T = u'b that the rows fix with the least-squares row weights
+        u = L^-T L^-1 A svec(I).  Raises ``_InconsistentSystem`` where the
+        rows conflict, then ValueError unless A'u = svec(I) and T > 0.  Its
+        arrays but V are read-only."""
         V, rows, rhs, norms = _face_rows(self)
-        keep, L_inv = _independent(rows @ rows.T, rhs, rows)
+        keep, L_inv = _independent_rows(rows, rhs)
         A, b = rows[keep], rhs[keep]
         r = V.shape[1]
         ia, ib, _ = _svec_index(r)
@@ -442,8 +445,17 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
     spectral bound T * lambda_extreme(V'CV), which is valid on its own.
     The rows' trace comes from the independent rows
     (``SdpProblem._rows``): ValueError where they fix none or conflict.
+    ValueError too unless y is a finite vector with one entry per diagonal
+    entry or row, and W, where given, a finite d x d matrix.
     """
     y = np.asarray(y, dtype=float)
+    m = p.dim if p.diag is not None else len(p.b)
+    if y.shape != (m,) or not np.isfinite(y).all():
+        raise ValueError(f"y must be a finite vector of length {m}")
+    if W is not None:
+        W = np.asarray(W, dtype=float)
+        if W.shape != (p.dim, p.dim) or not np.isfinite(W).all():
+            raise ValueError(f"W must be a finite {p.dim}x{p.dim} matrix")
     if p.diag is None:
         T, rhs, A_y = p._rows.T, p.b, np.tensordot(y, p.A, axes=1)
     else:
@@ -474,9 +486,10 @@ class _InconsistentSystem(ValueError):
     """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
-def _independent(gram: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = None):
+def _independent(gram: np.ndarray, rhs: np.ndarray):
     """Indices of the rows that do not depend on the rows kept ahead of them,
-    and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block.
+    and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block,
+    read off the rows' Gram matrix alone.
 
     ``gram`` holds the products of the rows, which have unit norm or are
     zero.  One pass measures each row against the rows kept so far: with g
@@ -490,15 +503,10 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = No
     times that sum's round-off, eps (1 + |c|_1) |L^-1| |x| with
     x = L^-1 rhs, no X meets the rows and ``_InconsistentSystem`` is
     raised.  A kept row borders L with (l', sqrt(s)) and L^-1 with
-    (-c', 1) / sqrt(s).  Only this module's two methods call it.
-
-    Where four times that round-off passes 1e-12 the Gram matrix cannot
-    tell such a row from a dependent one, so given the ``rows`` themselves
-    the pass measures it on them: c refined twice against the remainder
-    row - c' rows_K, the row is dropped only where the remainder's square
-    is at most 1e-12.  A row kept so borders L as above, or, where s <= 0
-    leaves the Gram block without a Cholesky factor, with the refined c,
-    l = L' c and the remainder's square as s.
+    (-c', 1) / sqrt(s).  Only the diagonal method calls it, on a face,
+    where its rows' Gram matrix is P o P and the rows themselves are
+    never formed; the face method holds its rows and reduces them on the
+    rows (``_independent_rows``).
     """
     keep, k, tol = np.zeros(len(gram), dtype=np.intp), 0, 4.0 * np.finfo(float).eps
     slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
@@ -510,17 +518,7 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = No
         c = l @ Lk_inv
         size = 1.0 + np.abs(c).sum()
         s = gram[i, i] - l @ l
-        band = min(tol * size**2, 1e-3)
-        dependent = s <= 1e-12 + band
-        if dependent and rows is not None and band > 1e-12:
-            K, m = rows[keep[:k]], c
-            for _ in range(2):
-                m = m + (Lk_inv @ (K @ (rows[i] - m @ K))) @ Lk_inv
-            rest = rows[i] - m @ K
-            dependent = rest @ rest <= 1e-12
-            if not dependent and s <= 0.0:
-                c, l, s = m, m @ L[:k, :k], rest @ rest
-        if dependent:
+        if s <= 1e-12 + min(tol * size**2, 1e-3):
             if abs(rhs[i] - l @ x[:k]) > slack + tol * size * _fro(Lk_inv) * _fro(x[:k]):
                 raise _InconsistentSystem(
                     "constraint rows are linearly dependent with conflicting right-hand sides")
@@ -528,6 +526,41 @@ def _independent(gram: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = No
         L[k, :k], L[k, k] = l, math.sqrt(s)
         L_inv[k, :k], L_inv[k, k] = -c / L[k, k], 1.0 / L[k, k]
         x[k] = (rhs[i] - l @ x[:k]) / L[k, k]
+        keep[k], k = i, k + 1
+    return keep[:k], L_inv[:k, :k]
+
+
+def _independent_rows(rows: np.ndarray, rhs: np.ndarray):
+    """``_independent`` measured on the rows themselves, which have unit
+    norm or are zero: the kept indices and L^-1 of the kept rows.
+
+    One pass orthogonalizes each row twice against the orthonormal rows
+    Q = L^-1 rows_K kept so far, row = l'Q + rest, which is exact to
+    round-off ("twice is enough": Giraud, Langou & Rozloznik, Comput.
+    Math. Appl. 50, 2005).  A row with |rest|^2 at most 1e-12 is dropped;
+    if its right-hand side misses that of its combination of the kept rows,
+    l'x with x = L^-1 rhs_K, by more than 1e-9 (1 + |rhs|), no X meets the
+    rows and ``_InconsistentSystem`` is raised.  A kept row adds
+    rest / |rest| to Q and borders L^-1 with (-l'L^-1, 1) / |rest|.
+    """
+    keep, k = np.zeros(len(rows), dtype=np.intp), 0
+    slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
+    Q, L_inv, x = np.zeros(rows.shape), np.zeros((len(rows),) * 2), np.zeros(len(rows))
+    for i, row in enumerate(rows):
+        l, rest = np.zeros(k), row
+        for _ in range(2):
+            h = Q[:k] @ rest
+            l, rest = l + h, rest - h @ Q[:k]
+        s = rest @ rest
+        if s <= 1e-12:
+            if abs(rhs[i] - l @ x[:k]) > slack:
+                raise _InconsistentSystem(
+                    "constraint rows are linearly dependent with conflicting right-hand sides")
+            continue
+        norm = math.sqrt(s)
+        Q[k] = rest / norm
+        L_inv[k, :k], L_inv[k, k] = -(l @ L_inv[:k, :k]) / norm, 1.0 / norm
+        x[k] = (rhs[i] - l @ x[:k]) / norm
         keep[k], k = i, k + 1
     return keep[:k], L_inv[:k, :k]
 
@@ -605,12 +638,15 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     Gram matrix P o P, P = V V' ((V_i . V_j)^2), and one with |V_i|^2 <=
     1e-9 counts as zero.  ``_independent`` of P o P, scaled to unit rows,
     drops the rows that coincide on the face (X_11 and X_22 when
-    x_1 + x_2 = 0): V and a are cut to the kept rows once, a least-squares
-    fit through its factor moves the start's y onto them, every iteration
-    runs on them alone, and the returned y has 0 at each dropped row.  The
-    returned X is the last iterate moved onto the kept diagonal,
-    R + V' Diag((P o P)^-1 (a - diag(V R V'))) V through that factor, with
-    ``primal_residual`` its distance to the PSD cone.  A dual objective
+    x_1 + x_2 = 0), with the drop rule of a Gram matrix, whose round-off
+    hides a remainder squared below about eps (1 + |c|_1)^2: the rows, a
+    d x r(r+1)/2 matrix, are never formed.  V and a are cut to the kept
+    rows once, a least-squares fit through its factor moves the start's y
+    onto them, every iteration runs on them alone, and the returned y has
+    0 at each dropped row.  The returned X is the last iterate moved onto
+    the kept diagonal, R + V' Diag((P o P)^-1 (a - diag(V R V'))) V
+    through that factor, with ``primal_residual`` its distance to the PSD
+    cone.  A dual objective
     above sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every
     feasible X, proves the problem infeasible and ends the solve as
     Diverged.  As Z stays positive definite, a'y is a certified bound at

@@ -27,9 +27,13 @@ can show it, then the iterations of each interior-point method
 solver can show that its iterations did not move, then the calls
 through the LAPACK seam of ``sdp`` (``lapack_calls``: ``_cholesky``,
 ``_inv``, ``_solve``, ``_eigvalsh`` and ``_eigh``), so a change that adds
-or drops factorizations shows it as an exact count, and last the Newton
+or drops factorizations shows it as an exact count, then the Newton
 steps of the box QP (``box_qp_iterations``): the seam calls made inside
-``relaxations._box_qp``, which are its ``sdp._inv`` calls, one per step.
+``relaxations._box_qp``, which are its ``sdp._inv`` calls, one per step,
+and last the dependent rows dropped (``rows_dropped``) by the two SDP row
+passes, ``sdp._independent`` and ``sdp._independent_rows``, and by
+``relaxations.simplex_phase1``, so a workload with dependent rows shows
+them (a pass that finds the rows conflicting drops none).
 ``--values`` prints, in place of digests, one readable line per instance:
 rho, each entry's status and certified bound (``BoundEntry.bound``:
 value - inflation, or + for a max-sense entry), the rounded point's
@@ -69,6 +73,10 @@ ITERATED = {"_solve_diag_ipm": "diag_ipm_iterations", "_solve_face_ipm": "face_i
 SEAM = ("_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh")
 # the box QP of ``relaxations``, whose seam calls are summed under "box_qp_iterations"
 BOX_QP = "_box_qp"
+# the row reductions, each called with the right-hand sides second, whose
+# dropped rows are summed under "rows_dropped"
+REDUCTIONS = ((sdp, "_independent"), (sdp, "_independent_rows"),
+              (relaxations, "simplex_phase1"))
 
 
 def _feed(h, *items) -> None:
@@ -128,14 +136,16 @@ def _values(inst, wl) -> str:
 @contextlib.contextmanager
 def counting():
     """Count the calls to each ``COUNTED`` function, the iterations of each
-    ``ITERATED`` method, the calls through the ``SEAM`` and those of them
-    made inside ``BOX_QP`` in a dict, by name."""
-    counts = dict.fromkeys(
-        [*COUNTED, *ITERATED.values(), "lapack_calls", "box_qp_iterations"], 0)
+    ``ITERATED`` method, the calls through the ``SEAM``, those of them
+    made inside ``BOX_QP`` and the rows that the ``REDUCTIONS`` drop in a
+    dict, by name."""
+    counts = dict.fromkeys([*COUNTED, *ITERATED.values(), "lapack_calls",
+                            "box_qp_iterations", "rows_dropped"], 0)
     saved = [(module, name, getattr(module, name))
              for name, modules in COUNTED.items() for module in modules]
     saved += [(sdp, name, getattr(sdp, name)) for name in (*ITERATED, *SEAM)]
     saved.append((relaxations, BOX_QP, getattr(relaxations, BOX_QP)))
+    saved += [(module, name, getattr(module, name)) for module, name in REDUCTIONS]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -159,8 +169,19 @@ def counting():
                 counts["box_qp_iterations"] += counts["lapack_calls"] - before
         return wrapper
 
+    def reduction(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out is not None:  # simplex phase 1 returns None for an empty set
+                kept = out.rows if isinstance(out, relaxations.FeasibleTableau) else out[0]
+                counts["rows_dropped"] += np.size(args[1]) - len(kept)
+            return out
+        return wrapper
+
+    reducing = {name for _, name in REDUCTIONS}
     for module, name, fn in saved:
         setattr(module, name, box_qp(fn) if name == BOX_QP
+                else reduction(fn) if name in reducing
                 else iterated(ITERATED[name], fn) if name in ITERATED
                 else counted("lapack_calls" if name in SEAM else name, fn))
     try:
@@ -181,7 +202,8 @@ def digests(workload: str, by_instance: bool = False,
     """(name, digest) of the workload, or of each of its instances with
     ``by_instance``; with ``counts`` the digest is followed by the calls to
     each ``COUNTED`` function, the iterations of each ``ITERATED`` method,
-    the calls through the ``SEAM`` and the box QP's steps, as name=count."""
+    the calls through the ``SEAM``, the box QP's steps and the rows dropped,
+    as name=count."""
     wl = BUILDERS[workload](seed)
     groups = ([(f"{workload} {inst.label}", [inst]) for inst in wl.instances] if by_instance
               else [(workload, wl.instances)])
@@ -204,8 +226,8 @@ def main(argv) -> int:
                         help="one digest per instance label instead of per workload")
     parser.add_argument("--counts", action="store_true",
                         help="append the calls to " + ", ".join(COUNTED)
-                        + ", the interior-point iterations, the LAPACK calls"
-                        " and the box QP's steps")
+                        + ", the interior-point iterations, the LAPACK calls,"
+                        " the box QP's steps and the dependent rows dropped")
     parser.add_argument("--values", action="store_true",
                         help="print one line of values per instance instead of digests")
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")

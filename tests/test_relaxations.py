@@ -53,9 +53,12 @@ DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 
 
 def count_reductions(monkeypatch) -> dict:
-    """The np.linalg.qr and ``sdp._independent`` calls from now on, counted."""
-    calls = {"qr": 0, "_independent": 0}
-    for module, name in ((np.linalg, "qr"), (sdp, "_independent")):
+    """The calls to np.linalg.qr and to the two row passes, ``sdp._independent``
+    (over a Gram matrix) and ``sdp._independent_rows`` (over the rows), from
+    now on, counted."""
+    calls = {"qr": 0, "_independent": 0, "_independent_rows": 0}
+    for module, name in ((np.linalg, "qr"), (sdp, "_independent"),
+                         (sdp, "_independent_rows")):
         def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
@@ -379,17 +382,20 @@ class TestLasserre1:
         calls = count_reductions(monkeypatch)
         r = lasserre1(knapsack_random(6, s=3.0, seed=5, b=14), cfg=CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == {"qr": 0, "_independent": 1}
+        assert calls == {"qr": 0, "_independent": 1, "_independent_rows": 0}
 
     def test_diagonal_face_builds_no_svec_rows(self, monkeypatch):
         # the diagonal method reads its face through P o P alone: with the
-        # svec rows and QR refused, x_1 + x_2 = 0 still drops the diagonal
-        # row of x_2, which coincides with that of x_1 on the face, and
-        # its multiplier is exactly 0 under a bound below the optimum
+        # svec rows, the pass over them and QR refused, x_1 + x_2 = 0 still
+        # drops the diagonal row of x_2, which coincides with that of x_1
+        # on the face, and its multiplier is exactly 0 under a bound below
+        # the optimum
         def refuse(*args, **kwargs):
-            raise AssertionError("svec rows or a QR factorization on the diagonal path")
+            raise AssertionError("svec rows, their pass or a QR factorization on the "
+                                 "diagonal path")
 
         monkeypatch.setattr(sdp, "_face_rows", refuse)
+        monkeypatch.setattr(sdp, "_independent_rows", refuse)
         monkeypatch.setattr(np.linalg, "qr", refuse)
         q = SignProgram(n=3, c=[1.0, -2.0, 0.5], F=[[0, 1, 0], [1, 0, -2], [0, -2, 0]],
                         A=[[1, 1, 0]], b=[0])
@@ -685,10 +691,12 @@ class TestConvexQuadratic:
         assert (int(np.linalg.matrix_rank(A[kept])) if rank else 0) == rank
 
         with (mock.patch.object(sdp, "_independent", wraps=sdp._independent) as independent,
+              mock.patch.object(sdp, "_independent_rows",
+                                wraps=sdp._independent_rows) as independent_rows,
               mock.patch.object(sdp, "_inv", wraps=sdp._inv) as inv,
               mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq):
             r = convex_quadratic_relaxation(q, SolverConfig(max_iter=max_iter))
-        assert independent.call_count == lstsq.call_count == 0
+        assert independent.call_count == independent_rows.call_count == lstsq.call_count == 0
         if r.status == ITERATION_LIMIT:
             assert inv.call_count == max_iter
         else:
@@ -880,13 +888,13 @@ class TestCopositiveDnn:
         assert r.value == pytest.approx(1.0, abs=1e-3 + r.inflation)
 
     def test_one_reduction_per_solve(self, monkeypatch):
-        # one pass over the rows' Gram matrix serves the independence
-        # check, and its factor the rows' projection of the orthant entries
-        # and the final move onto the rows; nothing is QR-factored
+        # one pass over the rows serves the independence check, and its
+        # factor the rows' projection of the orthant entries and the final
+        # move onto the rows; nothing is QR-factored
         calls = count_reductions(monkeypatch)
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == {"qr": 0, "_independent": 1}
+        assert calls == {"qr": 0, "_independent": 0, "_independent_rows": 1}
 
     def test_certificate_reuses_the_solves_rows(self, monkeypatch):
         # the face rows, the kept ones and the trace they fix are one record

@@ -1,10 +1,18 @@
-"""``tests/report_digest.py`` runs against the sources in ``src/`` and prints digests."""
+"""``tests/report_digest.py`` runs against the sources in ``src/`` and prints digests;
+its counters are also checked in process."""
 
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import report_digest
+from maxcut_bridge import relaxations
+from maxcut_bridge.sdp import SdpProblem, SolveStatus, solve_sdp
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tests" / "report_digest.py"
@@ -35,13 +43,31 @@ def test_counts_follow_each_digest():
     match = re.fullmatch(
         f"dnn {HEX} certified_diag_bound=(\\d+) _bland_min=(\\d+) _pivot=(\\d+)"
         " diag_ipm_iterations=(\\d+) face_ipm_iterations=(\\d+) lapack_calls=(\\d+)"
-        " box_qp_iterations=(\\d+)\n", line)
+        " box_qp_iterations=(\\d+) rows_dropped=(\\d+)\n", line)
     assert match, line
     assert int(match.group(1)) > 0  # the dnn reports certify their SDP bounds
     # rho and the Shor bounds take the diagonal method, copositive_dnn the face one
     assert int(match.group(4)) > 0 and int(match.group(5)) > 0
     assert int(match.group(6)) > 0  # and both factor through the LAPACK seam
     assert int(match.group(7)) == 0  # no dnn selector runs the box QP
+    assert int(match.group(8)) == 0  # no dnn program has a dependent row
+
+
+def test_rows_dropped_counts_every_reduction():
+    # no workload has a dependent row yet, so each reduction drops one here:
+    # a repeated row of the face method, a repeated row of simplex phase 1,
+    # and the diagonal rows X_11 and X_22, which coincide on the face
+    # x_1 + x_2 = 0
+    E11 = np.diag([1.0, 0.0])
+    face = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+    with report_digest.counting() as counts:
+        rows = solve_sdp(SdpProblem(C=np.eye(2), A=[E11, E11, np.eye(2)], b=[0.5, 0.5, 1.0]))
+        assert counts["rows_dropped"] == 1
+        kept = relaxations.simplex_phase1([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], -1.0, 1.0, 2)
+        assert kept.rows.tolist() == [0] and counts["rows_dropped"] == 2
+        diagonal = solve_sdp(SdpProblem(C=np.eye(2), diag=np.ones(2), face=face))
+        assert counts["rows_dropped"] == 3
+    assert rows.status == diagonal.status == SolveStatus.CONVERGED
 
 
 def test_values_one_line_per_instance():
