@@ -33,6 +33,16 @@ class InfeasibleRowError(ValueError):
 
 
 def _numbers(x, name: str) -> np.ndarray:
+    # numpy would read the strings "1" and "2e0" and the booleans as numbers
+    leaves = [x]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, (list, tuple)):
+            leaves.extend(leaf)
+        elif isinstance(leaf, (str, bytes, bool, np.bool_)):
+            raise InstanceFormatError(f"{name} must be numeric, not {type(leaf).__name__}")
+        elif isinstance(leaf, np.ndarray) and leaf.dtype.kind in "bSU":
+            raise InstanceFormatError(f"{name} must be numeric, not {leaf.dtype}")
     try:
         return np.array(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -110,6 +120,8 @@ class _Program:
     b: np.ndarray
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InstanceFormatError("n must be a nonnegative integer")
         object.__setattr__(self, "c", _float_vector(self.c, self.n, "c"))
         object.__setattr__(self, "F", _symmetric_matrix(self.F, self.n, "F"))
         object.__setattr__(self, "A", _int_matrix(self.A, self.n, "A"))

@@ -257,9 +257,11 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     place of those rows (as ``copositive_dnn`` does).  ``_certified`` widens
     the value to the bound the solve's multipliers certify.  An infeasible
     moment system (e.g. a constraint unreachable inside the box), which the
-    solve proves from its dual or from the diagonal on the face, or where
-    A x = b has no real solution at all (an empty face), is reported as
-    Infeasible with value +inf.
+    solve proves from its dual or from the diagonal on the face, is reported
+    as Infeasible with value +inf.  So is an A x = b with no real solution:
+    without a solve where the face is empty, and otherwise by the row pass,
+    whose diagonal rows on the face then conflict.  An empty face is only one
+    such case: A = [[0, 0]], b = [2] has a face of two columns.
     """
     face = _null_face(np.hstack([q.A, -q.b[:, None]]).astype(float))
     if face is not None and face.shape[1] == 0:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from maxcut_bridge.instances import (
     kcluster,
@@ -21,6 +22,10 @@ from maxcut_bridge.instances import (
 from maxcut_bridge.model import SignProgram
 from maxcut_bridge.penalty import PenaltyBound, rho as penalty_rho
 from maxcut_bridge.sdp import SolverConfig
+
+# ``--hypothesis-profile=nodb`` keeps no example database: each run of a seed
+# sweep starts afresh, replaying no failure that an earlier run saved
+settings.register_profile("nodb", database=None)
 
 FAST_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000)

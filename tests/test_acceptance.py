@@ -2,8 +2,8 @@
 
 Each test exercises one guarantee of the pipeline at its stated tolerance and
 appends a single PASS/FAIL line to the run summary (printed after the test
-session).  Exact reference values come from vectorized enumeration oracles
-computed independently of the code under test.
+session).  Exact reference values come from the hypercube oracle of
+``strategies.py``, which shares no code with the code under test.
 """
 
 import math
@@ -36,6 +36,7 @@ from maxcut_bridge.sdp import (
     SolverConfig,
     solve_sdp,
 )
+from strategies import extrema, optimum
 
 FAST_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=2000)
@@ -50,50 +51,6 @@ def _record(log, num, desc, failures, detail=""):
     suffix = f" [{detail}]" if detail else ""
     log.append(f"CRITERION {num:02d} {status} - {desc}{suffix}")
     assert not failures, f"criterion {num}: {failures[:5]}"
-
-
-# --- enumeration oracles --------------------------------------------------------
-
-
-def _sign_grid(n: int) -> np.ndarray:
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-
-
-def _binary_grid(n: int) -> np.ndarray:
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-
-
-def brute_min_form(Q: np.ndarray) -> float:
-    """Exact minimum of x'Qx over the full sign hypercube in dimension d."""
-    d = Q.shape[0]
-    best = np.inf
-    for lo in range(0, 1 << d, 1 << min(d, 16)):
-        idx = np.arange(lo, min(lo + (1 << 16), 1 << d))[:, None]
-        X = ((idx >> np.arange(d)) & 1) * 2.0 - 1.0
-        best = min(best, float((X @ Q * X).sum(1).min()))
-    return best
-
-
-def brute_raw_extrema(q) -> tuple:
-    """(min, max) of c'x + x'Fx over the sign hypercube, ignoring constraints."""
-    X = _sign_grid(q.n)
-    vals = X @ q.c + (X @ q.F * X).sum(1)
-    return float(vals.min()), float(vals.max())
-
-
-def brute_raw_fstar(q) -> float:
-    """Constrained minimum in raw sign-form units (inf when infeasible)."""
-    best = np.inf
-    for lo in range(0, 1 << q.n, 1 << min(q.n, 16)):
-        idx = np.arange(lo, min(lo + (1 << 16), 1 << q.n))[:, None]
-        X = ((idx >> np.arange(q.n)) & 1) * 2.0 - 1.0
-        ok = np.ones(X.shape[0], dtype=bool)
-        for i in range(q.m):
-            ok &= np.abs(X @ q.A[i] - q.b[i]) < 1e-9
-        if ok.any():
-            vals = X[ok] @ q.c + (X[ok] @ q.F * X[ok]).sum(1)
-            best = min(best, float(vals.min()))
-    return best
 
 
 # --- shared heavy fixture -------------------------------------------------------
@@ -124,8 +81,8 @@ def test_c01_penalized_form_preserves_optima(
 
     def check(label, sign, pb):
         mc = homogenize(sign, pb)
-        theta = brute_min_form(mc.Q)
-        f_raw = brute_raw_fstar(sign)
+        theta = extrema(F=mc.Q).min
+        f_raw = extrema(sign.c, sign.F, sign.A, sign.b).min
         if np.isfinite(f_raw):
             if abs(theta - f_raw) > 1e-9 * (1 + abs(f_raw)):
                 failures.append((label, "mismatch", theta, f_raw))
@@ -212,7 +169,7 @@ def test_c04_infeasibility_certification(
 
     for label, sign, pb in infeasible_cases:
         mc = homogenize(sign, pb)
-        theta = brute_min_form(mc.Q)
+        theta = extrema(F=mc.Q).min
         if theta <= pb.rho:
             failures.append((label, "theta below rho", theta, pb.rho))
         report = compute_bounds(sign, selectors=["maxcut_shor_min"],
@@ -241,7 +198,7 @@ def test_c05_penalty_dominates_objective(
             "linear closed form matches the SDP estimate to 1e-5 relative")
     failures = []
     for inst, pb in zip(suite50, suite50_penalties):
-        lo, hi = brute_raw_extrema(inst.sign)
+        lo, hi, _ = extrema(inst.sign.c, inst.sign.F)
         peak = max(abs(lo), abs(hi))
         if pb.rho < peak - 1e-9 * (1 + peak):
             failures.append((inst.label, pb.rho, peak))
@@ -287,26 +244,12 @@ def test_c06_sdp_solver_oracle(acceptance_log, suite50, suite50_penalties,
         mc = homogenize(inst.sign, pb)
         if mc.dim > 16:
             continue
-        floor = brute_min_form(mc.Q)
+        floor = extrema(F=mc.Q).min
         deflated = e.raw - e.inflation / report.scale
         if deflated > floor + 1e-5 * (1 + abs(floor)):
             failures.append((inst.label, deflated, floor))
     _record(acceptance_log, 6, desc, failures,
             "3 analytic cases + 50 suite SDPs")
-
-
-def _enumerate_zero_one(prog: ZeroOneProgram) -> float:
-    X = _binary_grid(prog.n)
-    F = prog.F if prog.F is not None else np.zeros((prog.n, prog.n))
-    vals = X @ prog.c + (X @ F * X).sum(1) + prog.constant
-    ok = np.ones(X.shape[0], dtype=bool)
-    for i in range(prog.m):
-        lhs = X @ prog.A[i]
-        if prog.row_sense[i] == LE:
-            ok &= lhs <= prog.b[i] + 1e-9
-        else:
-            ok &= np.abs(lhs - prog.b[i]) < 1e-9
-    return float(vals[ok].min()) if ok.any() else np.inf
 
 
 def test_c07_slack_expansion_preserves_optima(acceptance_log):
@@ -328,8 +271,8 @@ def test_c07_slack_expansion_preserves_optima(acceptance_log):
             F = None
         prog = ZeroOneProgram(n=n, c=c, F=F, A=A, b=b, row_sense=[LE] * m)
         expanded = slack_expand(prog)
-        f_orig = _enumerate_zero_one(prog)
-        f_exp = _enumerate_zero_one(expanded)
+        f_orig, _ = optimum(prog)
+        f_exp, _ = optimum(expanded)
         if not np.isfinite(f_orig) or abs(f_orig - f_exp) > 1e-9 * (1 + abs(f_orig)):
             failures.append((k, f_orig, f_exp))
     _record(acceptance_log, 7, desc, failures, "100 programs, n <= 8")
@@ -399,8 +342,7 @@ def test_c09_cluster_grid(acceptance_log):
                     - 1e-4 * (1 + abs(psi.value)):
                 failures.append((label, "shor below eigen-shift",
                                  shor.value, psi.value))
-            f_raw = brute_raw_fstar(sign)
-            f_star = sign.to_original(f_raw)
+            f_star, _ = optimum(sign)
             tol = 1e-4 * (1 + abs(f_star))
             if shor.value - shor.inflation > f_star + tol:
                 failures.append((label, "shor above optimum", shor.value,

@@ -551,6 +551,14 @@ class TestBadInput:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_instance_with_a_text_number_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "text.json"
+        path.write_text('{"n": 2, "c": ["1", "2e0"], "A": [[1, 1]], "b": [0], "sense": ["EQ"],'
+                        ' "domain": "sign"}')
+        rc = run_cli(["solve", "--instance", str(path)] + FAST)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: c must be numeric, not str\n")
+
     def test_family_without_n_is_usage_error(self, capsys):
         rc = run_cli(["solve", "--family", "knapsack_fixed", "--b", "2"])
         assert rc == EXIT_USAGE

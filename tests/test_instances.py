@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -16,21 +15,9 @@ from maxcut_bridge.instances import (
     quadratic_knapsack_random,
 )
 from maxcut_bridge.model import SignProgram
+from strategies import hypercube, optimum
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def enumerate_optimum(q):
-    best = np.inf
-    arg = None
-    for s in itertools.product((-1, 1), repeat=q.n):
-        x = np.array(s)
-        if q.is_feasible(x):
-            v = q.objective(x)
-            if v < best:
-                best = v
-                arg = x
-    return best, arg
 
 
 class TestKnapsackFixed:
@@ -41,15 +28,14 @@ class TestKnapsackFixed:
 
     def test_n4_b34_unique_feasible_point(self):
         q = knapsack_fixed(4, 34)
-        feas = [x for x in itertools.product((-1, 1), repeat=4)
-                if q.is_feasible(np.array(x))]
-        assert feas == [(1, 1, 1, 1)]
-        assert enumerate_optimum(q)[0] == 34.0
+        feas = [x.tolist() for x in hypercube(4) if q.is_feasible(x)]
+        assert feas == [[1, 1, 1, 1]]
+        assert optimum(q)[0] == 34.0
 
     def test_n4_odd_b_infeasible_by_parity(self):
         for b in (-33, -1, 1, 5, 33):
             q = knapsack_fixed(4, b)
-            assert enumerate_optimum(q)[0] == np.inf
+            assert optimum(q)[0] == np.inf
 
     def test_n15_printed_vectors(self):
         q = knapsack_fixed(15, 0)
@@ -149,8 +135,7 @@ class TestKCluster:
         A = p01.F
         q_manual = SignProgram(n=2, c=2 * A @ np.ones(2), F=A, A=[[1, 1]], b=[0],
                                offset=float(np.ones(2) @ A @ np.ones(2)) / 4.0, scale=0.25)
-        for s in itertools.product((-1, 1), repeat=2):
-            x = np.array(s)
+        for x in hypercube(2):
             assert q.raw_objective(x) == pytest.approx(q_manual.raw_objective(x))
         x01 = np.array([1, 0])
         xs = 2 * x01 - 1
@@ -159,22 +144,17 @@ class TestKCluster:
 
     def test_sign_and_zero_one_optima_agree(self):
         p01, q = kcluster(6, 3, zero_prob=0.3, seed=4)
-        best01 = min(
-            p01.objective(np.array(x))
-            for x in itertools.product((0, 1), repeat=6)
-            if p01.is_feasible(np.array(x))
-        )
-        assert enumerate_optimum(q)[0] == pytest.approx(best01, rel=1e-12)
+        assert optimum(q)[0] == pytest.approx(optimum(p01)[0], rel=1e-12)
 
     def test_k_zero_feasible_at_zero(self):
         p01, q = kcluster(4, 0, zero_prob=0.5, seed=1)
         assert p01.is_feasible(np.zeros(4))
         assert p01.objective(np.zeros(4)) == 0.0
-        assert enumerate_optimum(q)[0] == pytest.approx(0.0)
+        assert optimum(q)[0] == pytest.approx(0.0)
 
     def test_k_above_n_infeasible(self):
         _, q = kcluster(4, 5, zero_prob=0.5, seed=1)
-        assert enumerate_optimum(q)[0] == np.inf
+        assert optimum(q)[0] == np.inf
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_must_be_positive(self, n):
@@ -274,7 +254,7 @@ class TestBruteForce:
             n=n, c=rng.normal(size=n), F=B + B.T,
             A=rng.integers(-2, 3, size=(1, n)), b=rng.integers(-2, 3, size=1),
         )
-        expected, _ = enumerate_optimum(q)
+        expected, _ = optimum(q)
         assert brute_force(q).value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_permutation_invariance(self):
@@ -287,7 +267,7 @@ class TestBruteForce:
     def test_offset_and_scale_units(self):
         _, q = kcluster(5, 2, zero_prob=0.4, seed=8)
         res = brute_force(q)
-        assert res.value == pytest.approx(enumerate_optimum(q)[0], rel=1e-12)
+        assert res.value == pytest.approx(optimum(q)[0], rel=1e-12)
 
     def test_tie_break_lexicographic(self):
         # c = 0: every point ties at 0; the all-minus vector enumerates first.
@@ -308,9 +288,7 @@ class TestBruteForce:
         # n above the chunk width exercises the multi-chunk path.
         q = knapsack_random(17, 3.0, seed=11, b=5)
         res = brute_force(q)
-        vals = [q.objective(np.array(x)) for x in itertools.product((-1, 1), repeat=17)
-                if q.is_feasible(np.array(x))]
-        assert res.value == pytest.approx(min(vals), rel=1e-12)
+        assert res.value == pytest.approx(optimum(q)[0], rel=1e-12)
 
 
 def test_import_loads_no_random_module():

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 
@@ -26,23 +25,11 @@ from maxcut_bridge.model import (
     to_sign_form,
     to_zero_one,
 )
+from strategies import hypercube, optimum
 
 # Example-1 knapsack data (n=4): min c'x s.t. a'x = b over {-1,1}^4.
 C4 = (13.0, 11.0, 7.0, 3.0)
 A4 = (3, 7, 11, 13)
-
-
-def all_binary(n):
-    return [np.array(x) for x in itertools.product((0, 1), repeat=n)]
-
-
-def all_signs(n):
-    return [np.array(x) for x in itertools.product((-1, 1), repeat=n)]
-
-
-def brute_optimum_zero_one(p: ZeroOneProgram) -> float:
-    vals = [p.objective(x) for x in all_binary(p.n) if p.is_feasible(x)]
-    return min(vals) if vals else float("inf")
 
 
 def random_sign_program(rng, n, m, with_f=True, scale=1.0, offset=0.0):
@@ -78,7 +65,7 @@ class TestToSignForm:
         assert q.A.tolist() == [[1, 1]]
         assert q.b.tolist() == [0]
         assert q.offset == 0.5
-        for x in all_binary(2):
+        for x in hypercube(2, binary=True):
             xs = 2 * x - 1
             assert q.objective(xs) == pytest.approx(p.objective(x), abs=1e-14)
             assert q.is_feasible(xs) == p.is_feasible(x)
@@ -87,7 +74,7 @@ class TestToSignForm:
         q = SignProgram(n=4, c=C4, F=None, A=[A4], b=[0])
         p = to_zero_one(q)
         q2 = to_sign_form(p)
-        for xs in all_signs(4):
+        for xs in hypercube(4):
             x = (xs + 1) // 2
             assert p.objective(x) == pytest.approx(q.objective(xs), rel=1e-12)
             assert q2.objective(xs) == pytest.approx(q.objective(xs), rel=1e-12)
@@ -171,8 +158,7 @@ class TestSlackExpand:
             n=2, c=[-1.0, -1.0], F=None, A=[[1, 2]], b=[2], row_sense=(LE,)
         )
         p2 = slack_expand(p)
-        assert brute_optimum_zero_one(p) == -1.0
-        assert brute_optimum_zero_one(p2) == -1.0
+        assert optimum(p)[0] == optimum(p2)[0] == -1.0
 
     def test_zero_slack_becomes_equality(self):
         p = ZeroOneProgram(n=2, c=[1.0, 1.0], F=None, A=[[1, 1]], b=[0], row_sense=(LE,))
@@ -205,9 +191,7 @@ class TestSlackExpand:
         sense = tuple(rng.choice([EQ, LE], size=m))
         p = ZeroOneProgram(n=n, c=rng.normal(size=n), F=None, A=A, b=b, row_sense=sense)
         p2 = slack_expand(p)
-        assert brute_optimum_zero_one(p) == pytest.approx(
-            brute_optimum_zero_one(p2), rel=1e-12, abs=1e-12
-        )
+        assert optimum(p)[0] == pytest.approx(optimum(p2)[0], rel=1e-12, abs=1e-12)
 
     def test_bit_counts(self):
         assert slack_bit_count(0) == 0
@@ -251,7 +235,7 @@ class TestWholeArrayConversions:
             if g == 1:  # a primitive or all-zero row comes back exactly
                 assert p2.A[j].tolist() == p.A[j].tolist() and p2.b[j] == p.b[j]
         assert p2.A.shape == p.A.shape and p2.A.dtype == p2.b.dtype == np.int64
-        for x in all_binary(p.n):
+        for x in hypercube(p.n, binary=True):
             assert p2.objective(x) == pytest.approx(p.objective(x), rel=1e-12, abs=1e-9)
             assert p2.is_feasible(x) == p.is_feasible(x) == to_sign_form(p).is_feasible(2 * x - 1)
 
@@ -261,7 +245,7 @@ class TestWholeArrayConversions:
         sense = tuple(data.draw(st.lists(st.sampled_from((EQ, LE)), min_size=p.m,
                                          max_size=p.m)))
         p = ZeroOneProgram(n=p.n, c=p.c, F=p.F, A=p.A, b=p.b, row_sense=sense)
-        for x in all_binary(p.n):
+        for x in hypercube(p.n, binary=True):
             assert p.is_feasible(x) == per_row_feasible(p, x)
 
     @settings(max_examples=50, deadline=None)
@@ -403,6 +387,27 @@ class TestJson:
         with pytest.raises(InstanceFormatError, match="^n must be an integer$"):
             program_from_dict(dict(self.VALID[0], n=n))
 
+    @pytest.mark.parametrize("doc, key, value, message", [
+        (0, "n", "2", "n must be numeric, not str"),
+        (0, "n", True, "n must be numeric, not bool"),
+        (0, "n", -1, "n must be a nonnegative integer"),
+        (0, "c", ["1", "2e0"], "c must be numeric, not str"),
+        (0, "F", [[0, "2"], [2, 0]], "F must be numeric, not str"),
+        (0, "A", [[True, True]], "A must be numeric, not bool"),
+        (0, "b", [False], "b must be numeric, not bool"),
+        (0, "constant", "1.5", "constant must be numeric, not str"),
+        (1, "scale", "2", "scale must be numeric, not str"),
+    ], ids=["n_text", "n_bool", "n_negative", "c_text", "F_text", "A_bool", "b_bool",
+            "constant_text", "scale_text"])
+    def test_text_booleans_and_negative_n_rejected(self, doc, key, value, message):
+        # numpy reads "2", "2e0" and true as numbers; the loader must not
+        with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+            program_from_dict(dict(self.VALID[doc], **{key: value}))
+
+    def test_no_variables_load(self):
+        q = program_from_dict({"n": 0, "c": [], "A": [], "b": [], "sense": [], "domain": "sign"})
+        assert (q.n, q.m, q.c.shape, q.F.shape) == (0, 0, (0,), (0, 0))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2,')
@@ -434,7 +439,7 @@ class TestObjectiveCorrespondence:
             n=n, c=rng.normal(size=n), F=U + U.T, A=A, b=b, row_sense=(EQ,) * m
         )
         q = to_sign_form(p)
-        for x in all_binary(n):
+        for x in hypercube(n, binary=True):
             xs = 2 * x - 1
             rel = abs(p.objective(x)) + 1.0
             assert abs(q.objective(xs) - p.objective(x)) <= 1e-12 * rel

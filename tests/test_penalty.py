@@ -10,17 +10,9 @@ from hypothesis.extra import numpy as hnp
 from maxcut_bridge.instances import kcluster
 from maxcut_bridge.penalty import PenaltyBound, rho, shor_box_extrema
 from maxcut_bridge.sdp import SolverConfig
+from strategies import extrema
 
 CFG = SolverConfig(eps_abs=1e-7, eps_rel=1e-6)
-
-
-def hypercube_extrema(c, F):
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    F = np.zeros((n, n)) if F is None else np.asarray(F, dtype=float)
-    vals = [c @ x + x @ F @ x for x in
-            (np.array(s) for s in itertools.product((-1, 1), repeat=n))]
-    return min(vals), max(vals)
 
 
 class TestShorBoxExtrema:
@@ -32,7 +24,7 @@ class TestShorBoxExtrema:
     def test_pure_offdiagonal_quadratic(self):
         F = np.array([[0.0, 1.0], [1.0, 0.0]])
         r1, r2 = shor_box_extrema([0.0, 0.0], F, CFG)
-        lo, hi = hypercube_extrema([0.0, 0.0], F)
+        lo, hi, _ = extrema([0.0, 0.0], F)
         assert (lo, hi) == (-2.0, 2.0)
         assert r1 == pytest.approx(-2.0, abs=1e-4)
         assert r2 == pytest.approx(2.0, abs=1e-4)
@@ -50,7 +42,7 @@ class TestShorBoxExtrema:
         B = rng.normal(size=(n, n))
         F = B + B.T
         r1, r2 = shor_box_extrema(c, F, CFG)
-        lo, hi = hypercube_extrema(c, F)
+        lo, hi, _ = extrema(c, F)
         assert r1 <= lo + 1e-5 * (1 + abs(lo))
         assert r2 >= hi - 1e-5 * (1 + abs(hi))
 
@@ -157,7 +149,7 @@ class TestRho:
         c = [1.0, 1.0]
         F = np.array([[0.0, 1.0], [1.0, 0.0]])
         pb = rho(c, F, CFG)
-        lo, hi = hypercube_extrema(c, F)
+        lo, hi, _ = extrema(c, F)
         assert max(abs(lo), abs(hi)) == 4.0
         assert pb.rho + 1e-5 * (1 + pb.rho) >= 4.0
 
@@ -169,7 +161,7 @@ class TestRho:
         B = rng.normal(size=(n, n))
         F = B + B.T
         pb = rho(c, F, CFG)
-        lo, hi = hypercube_extrema(c, F)
+        lo, hi, _ = extrema(c, F)
         assert pb.rho + 1e-5 * (1 + pb.rho) >= max(abs(lo), abs(hi))
 
     @pytest.mark.parametrize("seed", range(3))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -15,14 +13,11 @@ from maxcut_bridge.reduction import (
     recover_solution,
     sparsity_graph,
 )
+from strategies import extrema, hypercube
 
 # Example-1 knapsack (n=4): min c'x s.t. a'x = b over {-1,1}^4, rho = sum|c| = 34.
 C4 = (13.0, 11.0, 7.0, 3.0)
 A4 = (3, 7, 11, 13)
-
-
-def all_signs(n):
-    return [np.array(s) for s in itertools.product((-1, 1), repeat=n)]
 
 
 def eval_penalized(q, pb, x):
@@ -50,7 +45,7 @@ class TestPenalizedObjective:
         pb = rho(q.c, None)
         assert pb.rho == 34.0
         c_p, F_p, const = penalized_objective(q, pb)
-        for x in all_signs(4):
+        for x in hypercube(4):
             val = c_p @ x + x @ F_p @ x + const
             if q.is_feasible(x):
                 assert val == pytest.approx(q.raw_objective(x))
@@ -66,7 +61,7 @@ class TestPenalizedObjective:
             A=rng.integers(-2, 3, size=(2, n)), b=rng.integers(-2, 3, size=2),
         )
         pb = rho(q.c, None)
-        for x in all_signs(n):
+        for x in hypercube(n):
             if not q.is_feasible(x):
                 assert eval_penalized(q, pb, x) > pb.rho
 
@@ -114,18 +109,17 @@ class TestHomogenize:
     def test_equivalence_with_constrained_optimum(self):
         # Hypercube minimum of Q equals the constrained optimum when feasible.
         q = SignProgram(n=4, c=C4, F=None, A=[A4], b=[8])
-        assert any(q.is_feasible(x) for x in all_signs(4))
+        brute_f = extrema(q.c, q.F, q.A, q.b).min
+        assert np.isfinite(brute_f)
         mc = homogenize(q, rho(q.c, None))
-        brute_q = min(mc.value(s) for s in all_signs(5))
-        brute_f = min(q.raw_objective(x) for x in all_signs(4) if q.is_feasible(x))
-        assert brute_q == pytest.approx(brute_f)
+        assert extrema(F=mc.Q).min == pytest.approx(brute_f)
 
     def test_infeasible_instance_exceeds_rho(self):
         # Odd right-hand side with coefficients summing even: no feasible sign point.
         q = SignProgram(n=4, c=C4, F=None, A=[A4], b=[1])
-        assert not any(q.is_feasible(x) for x in all_signs(4))
+        assert extrema(q.c, q.F, q.A, q.b).min == np.inf
         mc = homogenize(q, rho(q.c, None))
-        assert min(mc.value(s) for s in all_signs(5)) > mc.penalty.rho
+        assert extrema(F=mc.Q).min > mc.penalty.rho
 
 
 class TestRecoverSolution:

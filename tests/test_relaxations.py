@@ -47,23 +47,11 @@ from maxcut_bridge.relaxations import (
 )
 from maxcut_bridge.sdp import (SdpProblem, SdpSolution, Sense, SolveStatus, SolverConfig,
                                certified_diag_bound)
+from strategies import extrema, int_arrays, optimum, sign_programs, zero_one_programs
 
 CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
-
-
-def count_reductions(monkeypatch) -> dict:
-    """The calls to np.linalg.qr and to the two row passes, ``sdp._independent``
-    (over a Gram matrix) and ``sdp._independent_rows`` (over the rows), from
-    now on, counted."""
-    calls = {"qr": 0, "_independent": 0, "_independent_rows": 0}
-    for module, name in ((np.linalg, "qr"), (sdp, "_independent"),
-                         (sdp, "_independent_rows")):
-        def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    return calls
+ROW_PASSES = ["_independent", "_independent_rows"]  # over a Gram matrix, over the rows
 
 
 def lp_oracle(c, A, b, lower, upper):
@@ -184,21 +172,19 @@ class TestSimplex:
         # phase 1 once, then phase 2 for several costs, each as a fresh
         # solve_lp would give; up to n + 1 rows, an optional duplicated row
         # and unmatched right-hand sides reach dependent rows and empty sets
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
         m = data.draw(st.integers(0, n + 1))
-        A = ints(-3, 3, m * n).reshape(m, n)
-        lower = ints(-1, 0, n)
-        upper = lower + ints(0, 2, n)
-        if data.draw(st.booleans()):
-            b = A @ (lower + ints(0, 4, n) / 4.0 * (upper - lower))  # met inside the box
+        A = data.draw(int_arrays(-3, 3, (m, n)))
+        lower = data.draw(int_arrays(-1, 0, n))
+        upper = lower + data.draw(int_arrays(0, 2, n))
+        if data.draw(st.booleans()):  # met inside the box
+            b = A @ (lower + data.draw(int_arrays(0, 4, n)) / 4.0 * (upper - lower))
         else:
-            b = ints(-6, 6, m)
+            b = data.draw(int_arrays(-6, 6, m))
         if m and data.draw(st.booleans()):
             A, b = np.vstack([A, A[:1]]), np.append(b, b[0])
         tableau = simplex_phase1(A, b, lower, upper, n)
         for _ in range(3):
-            c = ints(-5, 5, n)
+            c = data.draw(int_arrays(-5, 5, n))
             fresh = solve_lp(c, A, b, lower, upper)
             if tableau is None:
                 assert fresh.status == "Infeasible"
@@ -235,10 +221,9 @@ def test_bland_rule_pivots_as_the_loop_reference(data, m, n):
     # small integer tableaux [I, N, rhs] tie often in the ratio test and
     # reach both ends, Optimal and Unbounded; every pivot must be the same,
     # so the tableaux agree to the bit
-    ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-        st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-    T = np.hstack([np.eye(m), ints(-3, 3, m * n).reshape(m, n), ints(0, 4, m)[:, None]])
-    cost = ints(-3, 3, m + n)
+    T = np.hstack([np.eye(m), data.draw(int_arrays(-3, 3, (m, n))),
+                   data.draw(int_arrays(0, 4, (m, 1)))])
+    cost = data.draw(int_arrays(-3, 3, m + n))
     T_ref, basis_ref = T.copy(), list(range(m))
     basis = np.arange(m)
     assert relaxations._bland_min(T, basis, cost) == bland_min_reference(T_ref, basis_ref, cost)
@@ -250,15 +235,6 @@ def two_by_two_instance():
     # f(x) = 3 x^2 - 5 x on one sign variable: f(1) = -2, f(-1) = 8
     q = SignProgram(n=1, c=[-5.0], F=[[3.0]], A=np.zeros((0, 1)), b=[])
     return q, homogenize(q, PenaltyBound(8.0))
-
-
-def brute_form_extrema(Q):
-    d = Q.shape[0]
-    vals = []
-    for bits in itertools.product((-1.0, 1.0), repeat=d):
-        s = np.array(bits)
-        vals.append(float(s @ Q @ s))
-    return min(vals), max(vals)
 
 
 class TestShorMaxcut:
@@ -280,7 +256,7 @@ class TestShorMaxcut:
     def test_sandwich_contains_hypercube_extrema(self, b):
         q = knapsack_fixed(4, b)
         mc = homogenize(q, penalty_rho(q.c, q.F, CFG))
-        lo, hi = brute_form_extrema(mc.Q)
+        lo, hi, _ = extrema(F=mc.Q)
         rmin = shor_maxcut(mc, Sense.MIN, CFG)
         rmax = shor_maxcut(mc, Sense.MAX, CFG)
         assert rmin.value - rmin.inflation <= lo + 1e-5 * (1 + abs(lo))
@@ -375,14 +351,14 @@ class TestLasserre1:
         assert r.usable if hasattr(r, "usable") else r.status in (CONVERGED, ITERATION_LIMIT)
         assert r.value - r.inflation <= f_star + 1e-4 * (1 + abs(f_star))
 
-    def test_one_reduction_per_face_solve(self, monkeypatch):
+    def test_one_reduction_per_face_solve(self, count_calls):
         # the independence check of the diagonal rows on the face is one
         # pass over their Gram matrix, and its factor also moves the last
         # iterate onto them; nothing is QR-factored
-        calls = count_reductions(monkeypatch)
+        qr, passes = count_calls(np.linalg, ["qr"]), count_calls(sdp, ROW_PASSES)
         r = lasserre1(knapsack_random(6, s=3.0, seed=5, b=14), cfg=CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == {"qr": 0, "_independent": 1, "_independent_rows": 0}
+        assert (qr, passes) == ({"qr": 0}, {"_independent": 1, "_independent_rows": 0})
 
     def test_diagonal_face_builds_no_svec_rows(self, monkeypatch):
         # the diagonal method reads its face through P o P alone: with the
@@ -472,22 +448,12 @@ class TestLasserre1:
         assert r.value - r.inflation <= brute_force(q).value
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 100))
-    def test_certified_at_any_budget(self, data, n, max_iter):
+    @given(q=sign_programs(), max_iter=st.integers(1, 100))
+    def test_certified_at_any_budget(self, q, max_iter):
         # value - inflation is the dual certificate of the solve, so it
         # bounds the enumerated optimum whatever the budget, and a program
         # with a feasible point is never reported Infeasible; up to n + 1
         # rows reach faces of every size, the empty one included
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-        m = data.draw(st.integers(0, n + 1))
-        A = ints(-3, 3, m * n).reshape(m, n)
-        if data.draw(st.booleans()):
-            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
-        else:
-            b = ints(-6, 6, m)
-        F = ints(-4, 4, n * n).reshape(n, n)
-        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b)
         f_star = brute_force(q).value
         r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
         if np.isfinite(f_star):
@@ -658,32 +624,20 @@ class TestConvexQuadratic:
             assert calls == {"inv": 0, "lstsq": 0}
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 8), max_iter=st.integers(1, 3))
-    def test_dependent_rows_reach_the_loop_reduced(self, data, n, max_iter):
+    @given(q=sign_programs(n=(2, 8), rows=(0, 5), dependent=True, free_rhs=False),
+           pair=st.sampled_from([-3.0, -1.0, 1.0, 2.0]), max_iter=st.integers(1, 3))
+    def test_dependent_rows_reach_the_loop_reduced(self, q, pair, max_iter):
         # integer rows that repeat, negate or sum earlier rows, or are zero,
         # met by a sign point: phase 1 keeps rank(A) independent rows, the
         # loop reads those and reduces nothing (one inversion per step and
         # no least squares), and the value is the reduced program's, a
-        # lower bound on f*
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-        A = np.zeros((0, n))
-        for _ in range(data.draw(st.integers(0, 5))):
-            kind = data.draw(st.sampled_from(["fresh", "repeat", "negate", "sum", "zero"]))
-            if kind == "zero":
-                row = np.zeros(n)
-            elif kind == "fresh" or not len(A):
-                row = ints(-3, 3, n)
-            else:
-                i, j = (data.draw(st.integers(0, len(A) - 1)) for _ in range(2))
-                row = {"repeat": A[i], "negate": -A[i], "sum": A[i] + A[j]}[kind]
-            A = np.vstack([A, row])
-        b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)
-        F = ints(-4, 4, n * n).reshape(n, n)
-        F = F + F.T
+        # lower bound on f*.  F = G + G' loses its diagonal and gets an
+        # indefinite pair
+        n, A, b = q.n, q.A, q.b
+        F = 2.0 * q.F
         np.fill_diagonal(F, 0.0)
-        F[0, 1] = F[1, 0] = data.draw(st.sampled_from([-3.0, -1.0, 1.0, 2.0]))  # indefinite
-        q = SignProgram(n=n, c=ints(-5, 5, n), F=F, A=A, b=b)
+        F[0, 1] = F[1, 0] = pair
+        q = SignProgram(n=n, c=q.c, F=F, A=A, b=b)
 
         kept = simplex_phase1(A, b, -1.0, 1.0, n).rows
         rank = int(np.linalg.matrix_rank(A)) if len(A) else 0
@@ -749,42 +703,22 @@ class TestConvexQuadratic:
         assert r.value <= f_star
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8))
-    def test_linear_objective_is_the_box_lp(self, data, n):
+    @given(q=sign_programs(quadratic=(0,)))
+    def test_linear_objective_is_the_box_lp(self, q):
         # with F = 0 the closing LP is the relaxation: the lp_box value to
         # the last bit, Converged after a single allowed step
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-        m = data.draw(st.integers(0, n + 1))
-        A = ints(-3, 3, m * n).reshape(m, n)
-        if data.draw(st.booleans()):
-            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)
-        else:
-            b = ints(-6, 6, m)
-        q = SignProgram(n=n, c=ints(-5, 5, n), F=None, A=A, b=b)
         r = convex_quadratic_relaxation(q, SolverConfig(max_iter=1))
         lp = lp_box(q)
         assert r.value == lp.value
         assert r.status == (INFEASIBLE if lp.status == INFEASIBLE else CONVERGED)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 60))
-    def test_certified_at_any_budget(self, data, n, max_iter):
+    @given(q=sign_programs(cost_scales=(1.0, 1.0, 1e3)), max_iter=st.integers(1, 60))
+    def test_certified_at_any_budget(self, q, max_iter):
         # the closing LP makes the value a lower bound whatever the budget;
         # up to n + 1 rows reach dependent rows, empty intersections and
         # intersections with no interior point, none of which may raise or
         # warn, and a program with a feasible point is never Infeasible
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-        m = data.draw(st.integers(0, n + 1))
-        A = ints(-3, 3, m * n).reshape(m, n)
-        if data.draw(st.booleans()):
-            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
-        else:
-            b = ints(-6, 6, m)
-        F = ints(-4, 4, n * n).reshape(n, n)
-        c = ints(-5, 5, n) * data.draw(st.sampled_from([1.0, 1.0, 1e3]))
-        q = SignProgram(n=n, c=c, F=(F + F.T) / 2.0, A=A, b=b)
         f_star = brute_force(q).value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -792,36 +726,6 @@ class TestConvexQuadratic:
         if np.isfinite(f_star):
             assert r.status in (CONVERGED, ITERATION_LIMIT)
             assert r.value <= f_star + 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(q.F).sum())
-
-
-@st.composite
-def eq_zero_one_programs(draw, max_rows=2):
-    """All-EQ 0/1 programs with n <= 6 and one to ``max_rows`` integer rows.
-
-    Half of them get a row that pins one variable, such as 3 x_1 = 0, and
-    most right-hand sides are met by a drawn 0/1 point.
-    """
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, max_rows))
-
-    def ints(lo, hi, size):
-        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
-
-    A = ints(-3, 3, m * n).reshape(m, n)
-    if draw(st.booleans()):
-        A[0] = 0
-        A[0, draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
-    b = A @ ints(0, 1, n) + ints(-1, 1, m) * draw(st.sampled_from([0, 0, 1]))
-    G = ints(-3, 3, n * n).reshape(n, n) * draw(st.sampled_from([0, 1]))
-    return ZeroOneProgram(n=n, c=ints(-10, 10, n), F=G + G.T, A=A, b=b, row_sense=[EQ] * m)
-
-
-def enumerate_zero_one(p: ZeroOneProgram) -> float:
-    """Exact optimum of an all-EQ 0/1 program (inf when infeasible)."""
-    X = ((np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1).astype(float)
-    ok = np.all(X @ p.A.T == p.b, axis=1)
-    values = X @ p.c + np.einsum("ti,ij,tj->t", X, p.F, X) + p.constant
-    return float(values[ok].min()) if ok.any() else np.inf
 
 
 def _infeasible_programs():
@@ -837,7 +741,7 @@ def _infeasible_programs():
 
 class TestShorInRho:
     @settings(max_examples=60, deadline=None)
-    @given(p=eq_zero_one_programs(max_rows=3))
+    @given(p=zero_one_programs(max_rows=3))
     def test_nondecreasing_in_rho_up_to_lasserre1(self, p):
         # the penalty term M <K'K, X> is >= 0 on the PSD cone, so the Shor
         # optimum can only rise with rho, and never past lasserre1, whose
@@ -887,14 +791,14 @@ class TestCopositiveDnn:
         assert r.status == CONVERGED
         assert r.value == pytest.approx(1.0, abs=1e-3 + r.inflation)
 
-    def test_one_reduction_per_solve(self, monkeypatch):
+    def test_one_reduction_per_solve(self, count_calls):
         # one pass over the rows serves the independence check, and its
         # factor the rows' projection of the orthant entries and the final
         # move onto the rows; nothing is QR-factored
-        calls = count_reductions(monkeypatch)
+        qr, passes = count_calls(np.linalg, ["qr"]), count_calls(sdp, ROW_PASSES)
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert calls == {"qr": 0, "_independent": 0, "_independent_rows": 1}
+        assert (qr, passes) == ({"qr": 0}, {"_independent": 0, "_independent_rows": 1})
 
     def test_certificate_reuses_the_solves_rows(self, monkeypatch):
         # the face rows, the kept ones and the trace they fix are one record
@@ -995,12 +899,12 @@ class TestCopositiveDnn:
         assert abs(r.value - expected) <= 1e-4 * (1 + abs(expected))
 
     @settings(max_examples=200, deadline=None)
-    @given(prog=eq_zero_one_programs(), max_iter=st.integers(1, 60))
+    @given(prog=zero_one_programs(), max_iter=st.integers(1, 60))
     def test_certified_at_any_budget(self, prog, max_iter):
         # the solve's multipliers certify value - inflation however early it
         # stops, and Infeasible is read from that certificate alone
         r = copositive_dnn(prog, SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
-        f_star = enumerate_zero_one(prog)
+        f_star, _ = optimum(prog)
         if np.isfinite(f_star):
             assert r.status != INFEASIBLE, r.note
         if r.status in (CONVERGED, ITERATION_LIMIT):
@@ -1066,22 +970,13 @@ class TestComputeBounds:
         assert report.rounding.recovered.objective == pytest.approx(34.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 7), m=st.integers(1, 3))
-    def test_paper_comparison_order(self, data, n, m):
+    @given(q=sign_programs(n=(1, 7), rows=(1, 3), quadratic=(0, 1)))
+    def test_paper_comparison_order(self, q):
         # the paper's comparison holds by theorem: a lasserre1 point pays no
         # penalty in Q and its x lies in box ∩ {Ax = b} (so Shor, lp_box
         # and convex_quadratic are at most lasserre1), and a DNN point maps
         # to a lasserre1 point.  Each weaker certified bound is at most the
         # stronger converged value plus its solve tolerance
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-        A = ints(-3, 3, m * n).reshape(m, n)
-        if data.draw(st.booleans()):
-            b = A @ np.where(ints(0, 1, n) > 0, 1.0, -1.0)  # attained by a sign point
-        else:
-            b = ints(-6, 6, m)
-        F = ints(-4, 4, n * n).reshape(n, n) * data.draw(st.sampled_from([0.0, 1.0]))
-        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b)
         report = compute_bounds(q, selectors=["maxcut_shor_min", "lasserre1", "lp_box",
                                               "convex_quadratic", "copositive_dnn"],
                                 cfg=CFG, dnn_cfg=CFG)
@@ -1194,25 +1089,14 @@ class TestComputeBounds:
         assert dnn.value - dnn.inflation <= f_star + 1e-4 * (1 + abs(f_star))
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 8), max_iter=st.integers(1, 40))
-    def test_report_bounds_certified_at_any_budget(self, data, n, max_iter):
+    @given(q=sign_programs(rows=(1, 3), quadratic=(0, 1, 1), scaled=True),
+           max_iter=st.integers(1, 40))
+    def test_report_bounds_certified_at_any_budget(self, q, max_iter):
         # every usable entry's bound holds in original units whatever the
         # budget: min-sense ones lie below f*, and the max-sense Shor bound
         # above the largest s'Qs of the MAX-CUT form; a power-of-two scale
         # and an offset make the units mapping count, and a third of the
         # objectives are linear, so lp_box runs
-        ints = lambda lo, hi, k: np.array(data.draw(st.lists(
-            st.integers(lo, hi), min_size=k, max_size=k)), dtype=np.int64)
-        m = data.draw(st.integers(1, 3))
-        A = ints(-3, 3, m * n).reshape(m, n)
-        if data.draw(st.booleans()):
-            b = A @ (2 * ints(0, 1, n) - 1)  # attained by a sign point
-        else:
-            b = ints(-6, 6, m)
-        F = ints(-4, 4, n * n).reshape(n, n) * data.draw(st.sampled_from([0, 1, 1]))
-        q = SignProgram(n=n, c=ints(-5, 5, n), F=(F + F.T) / 2.0, A=A, b=b,
-                        scale=2.0 ** data.draw(st.integers(-3, 3)),
-                        offset=data.draw(st.floats(-100.0, 100.0)))
         cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
         pb = penalty_rho(q.c, q.F)
         report = compute_bounds(q, cfg=cfg, pb=pb)
@@ -1229,7 +1113,7 @@ class TestComputeBounds:
             if name == "maxcut_shor_max":
                 assert e.sense == Sense.MAX
                 assert e.bound == e.value + e.inflation
-                assert e.bound >= q.to_original(brute_form_extrema(Q)[1]) - tol
+                assert e.bound >= q.to_original(extrema(F=Q).max) - tol
             else:
                 assert e.sense == Sense.MIN, name
                 assert e.bound == e.value - e.inflation

@@ -1,5 +1,4 @@
 import copy
-import itertools
 import math
 from unittest import mock
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxcut_bridge.instances import kcluster, knapsack_fixed
-from maxcut_bridge.model import EQ, ZeroOneProgram, to_zero_one
+from maxcut_bridge.model import to_zero_one
 from maxcut_bridge.penalty import _moment_cost, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import shor_maxcut
@@ -31,6 +30,7 @@ from maxcut_bridge.sdp import (
     project_psd_nonneg,
     solve_sdp,
 )
+from strategies import extrema, zero_one_programs
 
 CFG = SolverConfig()
 FAST = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
@@ -41,11 +41,6 @@ SEAM = ["_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh"]  # sdp's LAPACK cal
 def diag_rows(d):
     """The rows E_ii, <E_ii, X> = X_ii, as one d x d x d stack."""
     return np.array([np.diag(e) for e in np.eye(d)])
-
-
-def brute_min_quadratic_form(Q):
-    d = Q.shape[0]
-    return min(x @ Q @ x for x in (np.array(s) for s in itertools.product((-1, 1), repeat=d)))
 
 
 @st.composite
@@ -157,7 +152,7 @@ class TestLapackSeam:
         assert (sol.status, sol.iterations) == (SolveStatus.ITERATION_LIMIT, 0)
         assert sol.message == ("interior-point step failed after 0 iterations: "
                                "invalid floating-point result")
-        assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(B + B.T)
+        assert certified_diag_bound(p, sol.y) <= extrema(F=B + B.T).min
 
 
 class TestLargeDiagonalSolve:
@@ -413,7 +408,7 @@ class TestSolveSdp:
         sol = solve_sdp(p, FAST)
         assert sol.status == SolveStatus.CONVERGED
         certified = certified_diag_bound(p, sol.y)
-        assert certified <= brute_min_quadratic_form(Q)
+        assert certified <= extrema(F=Q).min
         # the stopping rule bounds the duality gap, so the certificate is tight
         assert sol.objective - certified <= d * FAST.eps_abs + FAST.eps_rel * (
             1.0 + abs(sol.objective))
@@ -431,7 +426,7 @@ class TestSolveSdp:
         p = SdpProblem(C=Q, diag=np.ones(d))
         sol = solve_sdp(p, FAST)
         assert sol.status == SolveStatus.CONVERGED
-        assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(Q)
+        assert certified_diag_bound(p, sol.y) <= extrema(F=Q).min
 
     def test_failed_step_keeps_a_sound_bound(self, monkeypatch):
         # a step whose factorization fails ends the solve with the
@@ -456,7 +451,7 @@ class TestSolveSdp:
             assert sol.iterations == k - 1
             assert sol.message == (f"interior-point step failed after {k - 1} iterations: "
                                    "Matrix is not positive definite")
-            assert certified_diag_bound(p, sol.y) <= brute_min_quadratic_form(B + B.T)
+            assert certified_diag_bound(p, sol.y) <= extrema(F=B + B.T).min
 
     @pytest.mark.parametrize("face", [False, True])
     def test_one_factorization_per_iteration(self, face, monkeypatch, count_calls):
@@ -493,15 +488,14 @@ class TestSolveSdp:
         # so the bound holds however early the solve stops
         d = Q.shape[0]
         cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        lo, hi, _ = extrema(F=Q)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum())  # eigvalsh round-off only
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
             p = SdpProblem(C=Q, sense=sense, diag=np.ones(d))
             sol = solve_sdp(p, cfg)
             assert sol.y is not None and sol.iterations <= max_iter
             bound = certified_diag_bound(p, sol.y)
-            extreme = values.min() if sense == Sense.MIN else values.max()
+            extreme = lo if sense == Sense.MIN else hi
             assert side * (bound - extreme) <= rounding
 
     @settings(max_examples=100, deadline=None)
@@ -513,17 +507,15 @@ class TestSolveSdp:
         # vectors x (only x = e on the doubly-nonnegative cone)
         d = Q.shape[0]
         cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter)
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-        if cone == Cone.PSD_NONNEG:
-            signs = np.ones((1, d))
-        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        only_e = dict(A=np.eye(d), b=np.ones(d)) if cone == Cone.PSD_NONNEG else {}
+        lo, hi, _ = extrema(F=Q, **only_e)
         rounding = 1e-9 * (1.0 + np.abs(Q).sum())
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
             p = SdpProblem(C=Q, sense=sense, A=diag_rows(d), b=np.ones(d), cone=cone)
             sol = solve_sdp(p, cfg)
             assert sol.status != SolveStatus.DIVERGED and sol.iterations <= max_iter
             bound = certified_diag_bound(p, sol.y, sol.W)
-            extreme = values.min() if sense == Sense.MIN else values.max()
+            extreme = lo if sense == Sense.MIN else hi
             assert side * (bound - extreme) <= rounding
 
     @settings(max_examples=100, deadline=None)
@@ -532,7 +524,7 @@ class TestSolveSdp:
         # the bounded-trace bound needs no dual feasibility: arbitrary
         # multipliers for the unit diagonal as rows and a row X_12 = b still
         # bound every feasible X, among them xx' for sign vectors with
-        # x_1 x_2 = b
+        # x_1 x_2 = b, that is x_1 - b x_2 = 0
         d = Q.shape[0]
         if d < 2:
             return
@@ -541,13 +533,11 @@ class TestSolveSdp:
                                         max_size=d + 1)))
         E = np.zeros((d, d))
         E[0, 1] = E[1, 0] = 0.5
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-        signs = signs[signs[:, 0] * signs[:, 1] == b]
-        values = np.einsum("ti,ij,tj->t", signs, Q, signs)
+        lo, hi, _ = extrema(F=Q, A=[[1.0, -b] + [0.0] * (d - 2)], b=[0.0])
         rounding = 1e-9 * (1.0 + np.abs(Q).sum() + np.abs(y).sum())
         for sense, side in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
             p = SdpProblem(C=Q, sense=sense, A=[*diag_rows(d), E], b=[*np.ones(d), b])
-            extreme = values.min() if sense == Sense.MIN else values.max()
+            extreme = lo if sense == Sense.MIN else hi
             assert side * (certified_diag_bound(p, y) - extreme) <= rounding
 
     @pytest.mark.parametrize("y, W, message", [
@@ -1162,26 +1152,10 @@ def dnn_problem_of(prog):
         return copositive_dnn(prog)
 
 
-@st.composite
-def dnn_problems(draw):
-    """The SdpProblem of ``copositive_dnn`` for an all-EQ 0/1 program with
-    n <= 6 and one to three integer rows, most of them met by a 0/1 point."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 3))
-
-    def ints(lo, hi, size):
-        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
-
-    A = ints(-3, 3, m * n).reshape(m, n)
-    b = A @ ints(0, 1, n) + ints(-1, 1, m) * draw(st.sampled_from([0, 0, 1]))
-    F = ints(-3, 3, n * n).reshape(n, n) * draw(st.sampled_from([0, 1]))
-    return dnn_problem_of(
-        ZeroOneProgram(n=n, c=ints(-10, 10, n), F=F + F.T, A=A, b=b, row_sense=[EQ] * m))
-
-
 class TestFaceIpm:
     @settings(max_examples=300, deadline=None)
-    @given(p=st.one_of(face_problems(), dnn_problems()), max_iter=st.integers(1, 40))
+    @given(p=st.one_of(face_problems(), zero_one_programs(max_rows=3, pin=False).map(
+        dnn_problem_of)), max_iter=st.integers(1, 40))
     def test_follows_the_reference_loop(self, p, max_iter):
         # the stacked iterate, the basis-matrix svec maps and the one-gather
         # Newton block change round-off only: the same statuses and
