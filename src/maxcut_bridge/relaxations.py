@@ -258,14 +258,12 @@ def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     the value to the bound the solve's multipliers certify.  An infeasible
     moment system (e.g. a constraint unreachable inside the box), which the
     solve proves from its dual or from the diagonal on the face, is reported
-    as Infeasible with value +inf.  So is an A x = b with no real solution:
-    without a solve where the face is empty, and otherwise by the row pass,
-    whose diagonal rows on the face then conflict.  An empty face is only one
-    such case: A = [[0, 0]], b = [2] has a face of two columns.
+    as Infeasible with value +inf.  So is an A x = b with no real solution,
+    at any face width: the row pass's diagonal rows on the face then
+    conflict, as ``copositive_dnn``'s rows do.  The face may be empty (x = -1
+    and x = 1) or not (A = [[0, 0]], b = [2] has a face of two columns).
     """
     face = _null_face(np.hstack([q.A, -q.b[:, None]]).astype(float))
-    if face is not None and face.shape[1] == 0:
-        return BoundEntry(value=np.inf, status=INFEASIBLE, note="A x = b has no real solution")
     p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1), face=face)
     return _certified(p, cfg)
 
