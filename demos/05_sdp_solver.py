@@ -2,10 +2,11 @@
 
 An SDP here fixes a positive diagonal or states rows, and each shape has
 its own primal-dual interior-point method.  A fixed diagonal on the PSD
-cone (the first two problems and the random form below) goes to the one
-built on that diagonal, on the whole cone or on a face V R V'
-(``SdpProblem(face=V)``, as ``lasserre1`` does): on the whole cone its
-iterates stay primal feasible, so the primal residual reads zero.  Rows of
+cone (the first three problems and the random form below) goes to the
+one built on that diagonal, on the whole cone or on the face X K' = 0 of an
+integer matrix K (``SdpProblem(face=K)``, as ``lasserre1`` does with
+K = [A, -b]): on the whole cone its iterates stay primal feasible, so the
+primal residual reads zero.  Rows of
 ``A``, on the PSD cone or on the doubly-nonnegative cone, go to the
 second, which also keeps the entries of X nonnegative and takes a face too
 (as ``copositive_dnn`` does); the doubly-nonnegative problem below states
@@ -37,6 +38,10 @@ print(f"  objective {sol.objective:+.9f}   status {sol.status.name}"
 
 print("maximize  <C, X>  (exact value +2):")
 sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=Sense.MAX), cfg)
+print(f"  objective {sol.objective:+.9f}   status {sol.status.name}")
+
+print("minimize on the face X (1, -1)' = 0, where X = [[1, 1], [1, 1]] (exact value +2):")
+sol = solve_sdp(SdpProblem(C=C, diag=np.ones(2), sense=Sense.MIN, face=np.array([[1, -1]])), cfg)
 print(f"  objective {sol.objective:+.9f}   status {sol.status.name}")
 
 print("minimize over PSD and entrywise-nonnegative X (exact value 0):")

@@ -234,37 +234,21 @@ def shor_maxcut(mc: MaxCutInstance, sense: Sense = Sense.MIN,
     return _certified(SdpProblem(C=mc.Q, sense=sense, diag=np.ones(mc.dim)), cfg)
 
 
-def _null_face(K: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis V of the null space of K, or None when K is zero.
-
-    A PSD moment matrix Y with Y K' = 0 is V R V' with R PSD: the face that
-    facial reduction (Borwein & Wolkowicz 1981) restricts the solve to.  The
-    rank counts the singular values above max * cols * eps; V has no
-    columns when K has full column rank, and None means the whole cone.
-    """
-    _, singular, vt = np.linalg.svd(K)
-    rank = int(np.sum(singular > singular.max(initial=0.0) * K.shape[1] * np.finfo(float).eps))
-    return None if rank == 0 else vt[rank:].T
-
-
 def lasserre1(q: SignProgram, cfg: SolverConfig = SolverConfig()) -> BoundEntry:
     """First moment relaxation of the constrained program itself.
 
     The moment block Y = [[X, x], [x', 1]] has unit diagonal.  Each
     constraint row A_k x = b_k and its linearized products
-    x_i (A_k x - b_k) = 0 say, on a PSD Y, exactly Y K' = 0 for
-    K = [A, -b], so the solve gets the face V, the null space of K, in
+    x_i (A_k x - b_k) = 0 say, on a PSD Y, exactly Y K' = 0 for the
+    integer K = [A, -b], so the solve gets that face, decided exactly, in
     place of those rows (as ``copositive_dnn`` does).  ``_certified`` widens
     the value to the bound the solve's multipliers certify.  An infeasible
-    moment system (e.g. a constraint unreachable inside the box), which the
-    solve proves from its dual or from the diagonal on the face, is reported
-    as Infeasible with value +inf.  So is an A x = b with no real solution,
-    at any face width: the row pass's diagonal rows on the face then
-    conflict, as ``copositive_dnn``'s rows do.  The face may be empty (x = -1
-    and x = 1) or not (A = [[0, 0]], b = [2] has a face of two columns).
+    moment system, which the solve proves from its dual or from conflicting
+    diagonal rows on the face (as for an A x = b with no real solution, at
+    any face width), is reported as Infeasible with value +inf.
     """
-    face = _null_face(np.hstack([q.A, -q.b[:, None]]).astype(float))
-    p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1), face=face)
+    p = SdpProblem(C=_moment_cost(q.c, q.F), diag=np.ones(q.n + 1),
+                   face=np.hstack([q.A, -q.b[:, None]]))
     return _certified(p, cfg)
 
 
@@ -443,25 +427,20 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Bou
     nonnegative, its diagonal is linked to the first-order variables
     (X_ii = x_i), and S enters both linearly and as lifted squares
     S_i Y S_i' = rhs_i^2.  On a PSD X the two kinds of row together say
-    X K' = 0 for K = [S, -rhs], and once X_nn = 1 that face implies both.
-    So the solve gets the face V, an orthonormal basis of the null space of
-    K (facial reduction, Borwein & Wolkowicz 1981; r = n + 1 - rank A
-    columns against 2n + 1), X_nn = 1 and the linking rows, which fix the
-    trace at n + 1.  ``_certified`` widens the value to the bound the
-    solve's multipliers certify.  Rows that the solve proves infeasible,
-    from that certificate or because no X on the face has X_nn = 1, are
-    reported as Infeasible with value +inf.
+    X K' = 0 for the integer K = [S, -rhs], and once X_nn = 1 that face
+    implies both.  So the solve gets that face (facial reduction, Borwein &
+    Wolkowicz 1981), decided exactly from K, with X_nn = 1 and the linking
+    rows, which fix the trace at n + 1.  ``_certified`` widens the value to
+    the bound the solve's multipliers certify.  Rows that the solve proves
+    infeasible, from that certificate or because no X on the face has
+    X_nn = 1, are reported as Infeasible with value +inf.
     """
     if not p.all_eq:
         raise ValueError("copositive relaxation needs all-EQ rows: run slack_expand first")
-    n = p.n
-    nn = 2 * n
-    d = nn + 1
-    S = np.zeros((p.m + n, nn))
-    S[: p.m, :n] = p.A.astype(float)
-    S[p.m :, :n] = np.eye(n)
-    S[p.m :, n:] = np.eye(n)
-    rhs = np.concatenate([p.b.astype(float), np.ones(n)])
+    n, nn, d = p.n, 2 * p.n, 2 * p.n + 1
+    K = np.zeros((n + p.m, d), dtype=np.int64)  # [S, -rhs], the unit rows first
+    K[:n, :n] = K[:n, n:nn] = np.eye(n, dtype=np.int64)
+    K[:n, nn], K[n:, :n], K[n:, nn] = -1, p.A, -p.b
 
     # X_nn = 1, then X_ii - x_i = 0 (on the face z's links repeat x's)
     rows = np.zeros((n + 1, d, d))
@@ -475,7 +454,7 @@ def copositive_dnn(p: ZeroOneProgram, cfg: SolverConfig = SolverConfig()) -> Bou
     F = np.zeros((nn, nn))
     F[:n, :n] = p.F
     problem = SdpProblem(C=_moment_cost(c, F), A=rows, b=np.eye(1, n + 1)[0],
-                         cone=Cone.PSD_NONNEG, face=_null_face(np.hstack([S, -rhs[:, None]])))
+                         cone=Cone.PSD_NONNEG, face=K)
     return _certified(problem, cfg, p.constant)
 
 

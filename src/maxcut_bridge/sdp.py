@@ -1,9 +1,9 @@
 """Solvers for small dense semidefinite programs.
 
 Solves min/max <C, X> over X in the positive-semidefinite cone, optionally
-restricted to a face X = V R V' (facial reduction: V is an orthonormal basis
-that the range of every feasible X lies in), subject to one of two kinds of
-constraint:
+restricted to the face X K' = 0 of an integer matrix K (facial reduction:
+every feasible X is V R V' for V an orthonormal basis of K's null space),
+subject to one of two kinds of constraint:
 
 - a fixed positive diagonal X_ii = diag_i, on the PSD cone alone (MAX-CUT,
   the moment relaxations of ``shor_box_extrema``, and the first Lasserre
@@ -18,51 +18,33 @@ returns multipliers that certify a bound on the optimum
 (``certified_diag_bound``).
 
 A fixed diagonal goes to ``_solve_diag_ipm``, whose Schur matrix is built
-from the diagonal.  Rows go to ``_solve_face_ipm``.  It solves over R in
+from the diagonal.  Rows go to ``_solve_face_ipm``, which solves over R in
 svec coordinates, with R positive semidefinite and, for the
 doubly-nonnegative cone, the entries of V R V' that the rows do not pin to
-zero kept nonnegative.  Its iterate is two stacked vectors, (rho, v) for
-R and those entries and (y, w) for the multipliers of the rows and the
-orthant, so one product with the stacked rows gives both primal residuals
-and one update moves each side; one cached basis matrix maps svec
-coordinates to and from matrices (``_svec_basis``), and the Newton block
-of both cones is one gather from a small matrix (``_newton_index``).
+zero kept nonnegative.
 
-Both methods drop dependent rows up front with one pass that also
-returns the inverse Cholesky factor of the kept rows' Gram block, and each
-pass has one drop rule.  The face method's rows are svec coordinates
-(``_face_rows``), and its pass runs over the rows themselves
-(``_independent_rows``), exact to round-off; what it derives from them,
-the kept rows, that factor and the trace they fix, is one record per
-problem (``SdpProblem._rows``), which the certificate of its multipliers
-reads too.  On a face, the diagonal method's rows have the Gram matrix
-P o P, P = V V', and its pass reads that matrix alone (``_independent``),
-so it never builds the rows.  The factor serves the rest of the solve:
-the row weights that fix the trace, and the move of X onto its rows at
-the end of a solve whose X meets them only in the limit (every
-face-method solve, and a diagonal solve on a face), where
-``primal_residual`` is then its distance to the PSD cone.  Each method
-iterates on the kept rows alone and returns 0 as a dropped row's
-multiplier.  Both are deterministic: the same problem and config always
-produce the same iteration path.
+Both methods drop dependent rows up front and iterate on the kept rows
+alone, returning 0 as a dropped row's multiplier.  K's exact echelon form
+(``integer.echelon``) decides the face and the diagonal method's rows on it
+(``_kept_diagonal``).  The face method's float rows (``_face_rows``) are
+reduced by one pass exact to round-off (``_independent_rows``), one record
+per problem (``SdpProblem._rows``).  A solve whose X meets its rows only in
+the limit moves X onto them at the end, and ``primal_residual`` is then its
+distance to the PSD cone.  Both methods are deterministic.
 
 Inside the loops of both methods, and of the box QP of ``relaxations``,
-every factorization and eigenvalue call goes through one seam, ``_cholesky``,
-``_inv``, ``_solve``, ``_eigvalsh`` and ``_eigh``: the gufuncs that
-numpy.linalg dispatches to, with its signatures, so every result is bit for
-bit numpy.linalg's, without its per-call wrapper.  Each loop runs under one
-errstate per solve (``_raising``), in which an invalid floating-point
-result raises a LinAlgError.  A seam call that fails raises numpy.linalg's
-error for its routine, and an invalid value anywhere else in a step ends
-that step the same way: the solve stops as a failed step, with the
-multipliers of its last iterate.  The public functions, ``project_psd``
-and ``certified_diag_bound``, keep numpy.linalg.
+every factorization and eigenvalue call goes through one seam of the
+gufuncs that numpy.linalg dispatches to (``_lapack``), under one errstate
+per solve (``_raising``): a call that fails, or an invalid value anywhere
+in a step, ends the solve as a failed step, with the multipliers of its
+last iterate.  The public functions keep numpy.linalg.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -72,6 +54,8 @@ import numpy as np
 # on type checks and an errstate around 2-12 us of LAPACK, and the loops make
 # thousands of such calls.
 from numpy.linalg import _umath_linalg
+
+from . import integer
 
 
 class Sense(Enum):
@@ -180,11 +164,11 @@ class SdpProblem:
     it takes no rows and only ``Cone.PSD``: a diagonal on the
     doubly-nonnegative cone, or beside rows, is stated as rows.  ``C``,
     ``A``, ``b`` and ``diag`` must be finite, and ``C`` and each row
-    symmetric; both are stored symmetrized.  ``face`` is None or a d x r
-    matrix V with orthonormal columns, which restricts X further to V R V'
-    with R PSD: a face of the PSD cone, such as facial reduction finds when
-    the constraints leave X no interior point.  Problems compare and hash
-    by identity, as the data they cache belongs to the one object.
+    symmetric; both are stored symmetrized.  ``face`` is None or a matrix K
+    of integer dtype with d columns, which restricts X further to the face
+    X K' = 0 of the PSD cone, such as facial reduction finds when the
+    constraints leave X no interior point.  Problems compare and hash by
+    identity, as the data they cache belongs to the one object.
     """
 
     C: np.ndarray
@@ -233,12 +217,10 @@ class SdpProblem:
                 raise ValueError("diag must be finite")
             object.__setattr__(self, "diag", diag)
         if self.face is not None:
-            V = np.asarray(self.face, dtype=float)
-            if V.ndim != 2 or V.shape[0] != d or not np.isfinite(V).all():
-                raise ValueError(f"face must be a finite matrix with {d} rows")
-            if not (np.abs(V.T @ V - np.eye(V.shape[1])) <= 1e-9).all():
-                raise ValueError("face must have orthonormal columns")
-            object.__setattr__(self, "face", V)
+            K = np.asarray(self.face)
+            if K.ndim != 2 or K.shape[1] != d or not np.issubdtype(K.dtype, np.integer):
+                raise ValueError(f"face must be an integer matrix with {d} columns")
+            object.__setattr__(self, "face", K)
         if self.diag is not None:  # the diagonal method's shape, and no other
             if len(A):
                 raise ValueError("diag takes no rows of A: state the diagonal as rows")
@@ -253,6 +235,23 @@ class SdpProblem:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def _echelon(self) -> integer.Echelon | None:
+        """The exact echelon form of the face's K (``integer.echelon``); None
+        without a face or where K is zero, which cuts out none."""
+        e = None if self.face is None else integer.echelon(self.face.tolist(), self.dim)
+        return e if e is not None and e.pivots else None
+
+    @cached_property
+    def _basis(self) -> np.ndarray | None:
+        """The orthonormal basis V of the face X = V R V': the complement of
+        K's echelon rows, from one Householder QR (None without a face)."""
+        e = self._echelon
+        if e is None:
+            return None
+        rows = np.array([[x / e.denominator for x in row] for row in e.rows])
+        return np.linalg.qr(rows.T, mode="complete")[0][:, len(e.pivots):]
 
     @cached_property
     def _rows(self) -> _Rows:
@@ -413,7 +412,7 @@ def _face_rows(p: SdpProblem):
     up from round-off.
     Returns V, the rows, right-hand sides and norms (0 for a zero row).
     """
-    V = np.eye(p.dim) if p.face is None else p.face
+    V = np.eye(p.dim) if p._basis is None else p._basis
     a, b, s = _svec_index(V.shape[1])
     rows = (V.T @ p.A @ V)[:, a, b] * s
     norms = np.linalg.norm(rows, axis=1)
@@ -464,8 +463,8 @@ def certified_diag_bound(p: SdpProblem, y: np.ndarray, W: np.ndarray | None = No
         A_y = A_y + (np.maximum(W, 0.0) if p.sense == Sense.MIN else np.minimum(W, 0.0))
     value = (rhs * y).sum()
     pair = np.array([p.C, A_y - p.C if p.sense == Sense.MAX else p.C - A_y])
-    if p.face is not None:
-        pair = p.face.T @ pair @ p.face
+    if p._basis is not None:
+        pair = p._basis.T @ pair @ p._basis
     spectrum, slack = np.linalg.eigvalsh(pair)
     low = float(slack[0])
     if p.sense == Sense.MAX:
@@ -486,53 +485,48 @@ class _InconsistentSystem(ValueError):
     """Dependent rows with conflicting right-hand sides: no X meets them."""
 
 
-def _independent(gram: np.ndarray, rhs: np.ndarray):
-    """Indices of the rows that do not depend on the rows kept ahead of them,
-    and the inverse L^-1 of the Cholesky factor of the kept rows' Gram block,
-    read off the rows' Gram matrix alone.
-
-    ``gram`` holds the products of the rows, which have unit norm or are
-    zero.  One pass measures each row against the rows kept so far: with g
-    its products with them, l = L^-1 g (refined once against L) and
-    c = L^-T l its combination of them, the row less c has norm sqrt(s),
-    s = gram_ii - l'l, which the Gram matrix's round-off moves by up to
-    about eps (1 + |c|_1)^2.  A row with s at most 1e-12 plus four times
-    that, or plus 1e-3 where less, is dropped (a remainder above 0.03 is
-    kept, and one inside that round-off reads as zero); if c'rhs
-    misses its right-hand side by more than 1e-9 (1 + |rhs|) plus four
-    times that sum's round-off, eps (1 + |c|_1) |L^-1| |x| with
-    x = L^-1 rhs, no X meets the rows and ``_InconsistentSystem`` is
-    raised.  A kept row borders L with (l', sqrt(s)) and L^-1 with
-    (-c', 1) / sqrt(s).  Only the diagonal method calls it, on a face,
-    where its rows' Gram matrix is P o P and the rows themselves are
-    never formed; the face method holds its rows and reduces them on the
-    rows (``_independent_rows``).
-    """
-    keep, k, tol = np.zeros(len(gram), dtype=np.intp), 0, 4.0 * np.finfo(float).eps
-    slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
-    L, L_inv, x = np.zeros(gram.shape), np.zeros(gram.shape), np.zeros(len(gram))
-    for i in range(len(gram)):
-        Lk_inv, g = L_inv[:k, :k], gram[keep[:k], i]
-        l = Lk_inv @ g
-        l += Lk_inv @ (g - L[:k, :k] @ l)  # L l = g to round-off
-        c = l @ Lk_inv
-        size = 1.0 + np.abs(c).sum()
-        s = gram[i, i] - l @ l
-        if s <= 1e-12 + min(tol * size**2, 1e-3):
-            if abs(rhs[i] - l @ x[:k]) > slack + tol * size * _fro(Lk_inv) * _fro(x[:k]):
-                raise _InconsistentSystem(
-                    "constraint rows are linearly dependent with conflicting right-hand sides")
-            continue
-        L[k, :k], L[k, k] = l, math.sqrt(s)
-        L_inv[k, :k], L_inv[k, k] = -c / L[k, k], 1.0 / L[k, k]
-        x[k] = (rhs[i] - l @ x[:k]) / L[k, k]
-        keep[k], k = i, k + 1
-    return keep[:k], L_inv[:k, :k]
+def _kept_diagonal(e: integer.Echelon, a: np.ndarray):
+    """The diagonal rows X_ii = a_i kept on the face of K's echelon form
+    ``e``, the first independent ones in order, and the d x len(keep) matrix E
+    of every row's exact combination of them, so that A*(y) = A*_kept(y @ E).
+    The rows depend as the n_i n_i' of K's null-space basis N (N[free] = I)
+    do: the free rows e_f e_f' are independent, and a pivot row depends on the
+    rest exactly when its off-diagonal part does on those of the other pivot
+    rows u_q of D N, as their integer Gram matrix (u_p . u_q)^2 -
+    sum_f u_pf^2 u_qf^2 shows.  A right-hand side that is not the same
+    combination of the others, read as a rational, raises
+    ``_InconsistentSystem``."""
+    u = [[row[f] for f in e.free] for row in e.rows]
+    g = integer.echelon([[sum(x * y for x, y in zip(p, q)) ** 2
+                          - sum((x * y) ** 2 for x, y in zip(p, q)) for q in u] for p in u], len(u))
+    drops = {}  # a dropped row's combination of the kept rows
+    for j in g.free:  # the pivot row e.pivots[j] depends on the kept rows
+        c = {q: Fraction(row[j], g.denominator) for q, row in zip(g.pivots, g.rows)}
+        w = drops[e.pivots[j]] = {e.pivots[q]: c_q for q, c_q in c.items()}
+        w.update((f, Fraction(u[j][i] ** 2 - sum(c_q * u[q][i] ** 2 for q, c_q in c.items()),
+                              e.denominator**2)) for i, f in enumerate(e.free))
+        if sum(x * Fraction(a[k]) for k, x in w.items()) != a[e.pivots[j]]:
+            raise _InconsistentSystem(
+                "constraint rows are linearly dependent with conflicting right-hand sides")
+    for i in range(len(a)):
+        later = [k for k, x in drops.get(i, {}).items() if x and k > i]
+        if later:  # row i is independent of the rows before it: it takes row j's place
+            w, j = drops.pop(i), max(later)
+            wj = {k: -x / w[j] for k, x in w.items() if k != j} | {i: 1 / w[j]}
+            for v in drops.values():
+                c = v.pop(j, 0)
+                v.update((k, v.get(k, 0) + c * x) for k, x in wj.items() if c)
+            drops[j] = wj
+    keep = [k for k in range(len(a)) if k not in drops]
+    at, E = {k: i for i, k in enumerate(keep)}, np.eye(len(a))[:, keep]
+    for p, w in drops.items():
+        E[p, [at[k] for k in w]] = [float(x) for x in w.values()]
+    return np.array(keep, dtype=np.intp), E
 
 
 def _independent_rows(rows: np.ndarray, rhs: np.ndarray):
-    """``_independent`` measured on the rows themselves, which have unit
-    norm or are zero: the kept indices and L^-1 of the kept rows.
+    """Indices of the rows, unit or zero, that do not depend on the rows kept
+    ahead of them, and the inverse L^-1 of the kept rows' Cholesky factor.
 
     One pass orthogonalizes each row twice against the orthonormal rows
     Q = L^-1 rows_K kept so far, row = l'Q + rest, which is exact to
@@ -610,7 +604,7 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     """Primal-dual interior-point method for a fixed diagonal, on an optional face.
 
     Solves min <C, X> s.t. diag(X) = a, X = V R V' with R PSD, where V is the
-    problem's ``face`` or the identity.  The dual is max a'y s.t.
+    basis of the problem's face (``SdpProblem._basis``) or the identity.  The dual is max a'y s.t.
     Z = C_V - A*(y) PSD, with C_V = V'CV and A*(y) = V' Diag(y) V.  Each
     iteration takes the infeasible-start HKM search direction of Helmberg,
     Rendl, Vanderbei & Wolkowicz (SIAM J. Optim. 6, 1996) with Mehrotra's
@@ -634,19 +628,14 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     congruence, and it stays strictly dual feasible throughout.  Without a
     face X meets the diagonal from the start; on a face only in the limit,
     and the residual a - diag(V R V') enters <X, Z> and the stopping test.
-    On a face the rows X_ii = <V_i' V_i, R>, for V's rows V_i, have the
-    Gram matrix P o P, P = V V' ((V_i . V_j)^2), and one with |V_i|^2 <=
-    1e-9 counts as zero.  ``_independent`` of P o P, scaled to unit rows,
-    drops the rows that coincide on the face (X_11 and X_22 when
-    x_1 + x_2 = 0), with the drop rule of a Gram matrix, whose round-off
-    hides a remainder squared below about eps (1 + |c|_1)^2: the rows, a
-    d x r(r+1)/2 matrix, are never formed.  V and a are cut to the kept
-    rows once, a least-squares fit through its factor moves the start's y
-    onto them, every iteration runs on them alone, and the returned y has
-    0 at each dropped row.  The returned X is the last iterate moved onto
-    the kept diagonal, R + V' Diag((P o P)^-1 (a - diag(V R V'))) V
-    through that factor, with ``primal_residual`` its distance to the PSD
-    cone.  A dual objective
+    On a face the rows X_ii = <V_i' V_i, R>, for V's rows V_i, are decided
+    from K's echelon form, never formed (``_kept_diagonal``): a dependent
+    one (X_22 when x_1 + x_2 = 0) is dropped.  V and a are cut to the kept
+    rows once, the rows' exact combinations of them carry y over with Z
+    unchanged, and the returned y has 0 at each dropped row.  The returned
+    X is the last iterate moved onto the kept diagonal, R + V' Diag((P o
+    P)^-1 (a - diag(V R V'))) V with P = V V', P o P solved as M is, and
+    ``primal_residual`` is its distance to the PSD cone.  A dual objective
     above sum_ij |C_ij| sqrt(a_i a_j), which bounds <C, X> for every
     feasible X, proves the problem infeasible and ends the solve as
     Diverged.  As Z stays positive definite, a'y is a certified bound at
@@ -659,24 +648,15 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     sign = 1.0 if p.sense == Sense.MIN else -1.0
     C = sign * p.C
     a = p.diag
-    V = p.face
+    V = p._basis
     root = np.sqrt(a)
     bound = float(root @ np.abs(C) @ root)
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(a)))
     off = np.abs(C).sum(axis=1) - np.abs(C.diagonal())
     y = C.diagonal() - off - 1.0  # C - Diag(y) is diagonally dominant
     if V is not None:
-        P = V @ V.T
-        norms = np.where(P.diagonal() > 1e-9, P.diagonal(), 0.0)  # |V_i' V_i| = |V_i|^2
-        inv = np.divide(1.0, norms, out=np.zeros(d), where=norms > 0.0)
-        PP = P * P  # the diagonal rows' Gram matrix
-        rhs = np.where(norms > 0.0, a * inv, a)
-        keep, factor = _independent(PP * np.outer(inv, inv), rhs)
-        F = factor * inv[keep]  # F'F = (P o P)^-1 on the kept rows
-        C = V.T @ C @ V
-        if keep.size < d:  # from here on the kept diagonal rows alone
-            y = F.T @ (F @ (PP[keep] @ (y * (norms > 0.0))))
-            V, a = V[keep], a[keep]
+        keep, E = _kept_diagonal(p._echelon, a)  # from here on the kept rows alone
+        C, y, V, a = V.T @ C @ V, y @ E, V[keep], a[keep]
 
     def adjoint(v):  # A*(v) = V' Diag(v) V
         return np.diag(v) if V is None else (V.T * v) @ V
@@ -745,15 +725,15 @@ def _solve_diag_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
                 break
             sigma = min(max(1.0 - min(step_p, step_d), 0.05), 0.5)
             it += 1
+        if V is not None:  # onto the kept diagonal
+            R = R + adjoint(_schur_solve((V @ V.T) ** 2, residual))
 
     if V is None:
         primal_residual = _fro(a - X.diagonal())
     else:
-        R = R + adjoint(F.T @ (F @ residual))  # onto the kept diagonal
         primal_residual = _fro(R - project_psd(R))
-        X = p.face @ R @ p.face.T
-        y_kept, y = y, np.zeros(d)  # a dropped row's multiplier is 0
-        y[keep] = y_kept
+        X = p._basis @ R @ p._basis.T
+        y = np.eye(d)[:, keep] @ y  # a dropped row's multiplier is 0
     return _solution(p, X, status, primal_residual=primal_residual, dual_residual=gap,
                      iterations=it, message=message, y=sign * y)
 
@@ -811,7 +791,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
     basis = _svec_basis(r)
     N = len(s)
     m = len(b)
-    C = sign * (p.C if p.face is None else V.T @ p.C @ V)
+    C = sign * (p.C if p._basis is None else V.T @ p.C @ V)
     c = basis @ C.ravel()
     bound = T * float(np.linalg.eigvalsh(C)[-1])
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
@@ -957,7 +937,7 @@ def _solve_face_ipm(p: SdpProblem, cfg: SolverConfig) -> SdpSolution:
             it += 1
 
     R = ((rho + (L_inv @ (b - A @ rho)) @ Q) @ basis).reshape(r, r)  # moved onto the rows
-    X = R if p.face is None else V @ R @ V.T
+    X = R if p._basis is None else V @ R @ V.T
     y_rows, W = multipliers()
     distance = math.hypot(_fro(R - project_psd(R)), _fro(np.minimum(X[pi, pj], 0.0)))
     return _solution(p, X, status, primal_residual=distance, dual_residual=gap,

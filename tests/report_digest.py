@@ -30,10 +30,11 @@ through the LAPACK seam of ``sdp`` (``lapack_calls``: ``_cholesky``,
 or drops factorizations shows it as an exact count, then the Newton
 steps of the box QP (``box_qp_iterations``): the seam calls made inside
 ``relaxations._box_qp``, which are its ``sdp._inv`` calls, one per step,
-and last the dependent rows dropped (``rows_dropped``) by the two SDP row
-passes, ``sdp._independent`` and ``sdp._independent_rows``, and by
+and last the dependent rows dropped (``rows_dropped``) by the exact
+decision of the diagonal rows on a face, ``sdp._kept_diagonal``, by the
+face method's row pass, ``sdp._independent_rows``, and by
 ``relaxations.simplex_phase1``, so a workload with dependent rows shows
-them (a pass that finds the rows conflicting drops none).
+them (a reduction that finds the rows conflicting drops none).
 ``--values`` prints, in place of digests, one readable line per instance:
 rho, each entry's status and certified bound (``BoundEntry.bound``:
 value - inflation, or + for a max-sense entry), the rounded point's
@@ -75,7 +76,7 @@ SEAM = ("_cholesky", "_inv", "_solve", "_eigvalsh", "_eigh")
 BOX_QP = "_box_qp"
 # the row reductions, each called with the right-hand sides second, whose
 # dropped rows are summed under "rows_dropped"
-REDUCTIONS = ((sdp, "_independent"), (sdp, "_independent_rows"),
+REDUCTIONS = ((sdp, "_kept_diagonal"), (sdp, "_independent_rows"),
               (relaxations, "simplex_phase1"))
 
 

@@ -1,13 +1,15 @@
-"""Random programs and exact hypercube answers, shared by the test modules.
+"""Random programs and exact answers, shared by the test modules.
 
 The strategies draw integer arrays and programs; each knob is a class some
 test draws.  The oracle enumerates {-1, 1}^n or {0, 1}^n exactly, in
 ``itertools.product`` order and in blocks of 2^16 points, so n = 20 runs
 in bounded memory.  It reads only a program's arrays and tests feasibility on
 integers, so the tests can check ``brute_force`` and the programs'
-``objective`` and ``is_feasible`` against it.
+``objective`` and ``is_feasible`` against it.  ``rref`` row-reduces in
+``fractions.Fraction``, the exact reference of the integer kernel.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +29,8 @@ def int_arrays(lo: int, hi: int, shape) -> st.SearchStrategy:
 
 @st.composite
 def sign_programs(draw, n=(1, 8), rows=None, dependent=False, free_rhs=True,
-                  quadratic=(1,), cost_scales=(1.0,), scaled=False) -> SignProgram:
+                  quadratic=(1,), cost_scales=(1.0,), scaled=False,
+                  near_singular=False) -> SignProgram:
     """Sign programs with n in the range ``n``, c in [-5, 5], F = (G + G')/2
     for G in [-4, 4], and rows with entries in [-3, 3].
 
@@ -38,6 +41,9 @@ def sign_programs(draw, n=(1, 8), rows=None, dependent=False, free_rhs=True,
     - ``quadratic``: the choices of drawing F, (0,) for a linear objective.
     - ``cost_scales``: the factors c is drawn times, such as 1e3.
     - ``scaled``: a scale 2^k, k in [-3, 3], and an offset in [-100, 100].
+    - ``near_singular``: two more rows, r and r + e, with r in [-10^k, 10^k]
+      for k in [3, 9] and e in [-1, 1], and b met by a sign point, so that
+      [A, -b] can have full row rank and a condition number of 1e8 or more.
     """
     n = draw(st.integers(*n))
     A = np.zeros((0, n))
@@ -51,7 +57,11 @@ def sign_programs(draw, n=(1, 8), rows=None, dependent=False, free_rhs=True,
             i, j = (draw(st.integers(0, len(A) - 1)) for _ in range(2))
             row = {"repeat": A[i], "negate": -A[i], "sum": A[i] + A[j], "zero": np.zeros(n)}[kind]
         A = np.vstack([A, row])
-    if free_rhs and draw(st.booleans()):
+    if near_singular:
+        top = 10 ** draw(st.integers(3, 9))
+        r = draw(int_arrays(-top, top, n))
+        A = np.vstack([A, r, r + draw(int_arrays(-1, 1, n))])
+    if free_rhs and not near_singular and draw(st.booleans()):
         b = draw(int_arrays(-6, 6, len(A)))
     else:
         b = A @ (2 * draw(int_arrays(0, 1, n)) - 1)
@@ -134,3 +144,22 @@ def optimum(p: SignProgram | ZeroOneProgram) -> tuple[float, np.ndarray | None]:
         return e.min + p.constant, e.argmin
     e = extrema(p.c, p.F, p.A, p.b)
     return p.scale * e.min + p.offset, e.argmin
+
+
+def rref(rows) -> tuple[list, list]:
+    """The nonzero rows of the reduced row echelon form of ``rows`` (lists
+    of ints or Fractions), in Fractions, and their pivot columns."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for j, row in enumerate(M):
+            if j != r and row[c]:
+                M[j] = [x - row[c] * t for x, t in zip(row, M[r])]
+        pivots.append(c)
+    return M[:len(pivots)], pivots

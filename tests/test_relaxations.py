@@ -51,7 +51,8 @@ from strategies import extrema, int_arrays, optimum, sign_programs, zero_one_pro
 
 CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
 DNN_CFG = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
-ROW_PASSES = ["_independent", "_independent_rows"]  # over a Gram matrix, over the rows
+# the diagonal rows' exact decision on a face, and the face method's pass over its rows
+ROW_PASSES = ["_kept_diagonal", "_independent_rows"]
 
 
 def lp_oracle(c, A, b, lower, upper):
@@ -328,6 +329,15 @@ class TestShorMaxcut:
         assert r.inflation < 1e-3 * abs(r.value)
 
 
+def near_singular_pair(t: int) -> SignProgram:
+    """n = 3, A = [[t, t + 1, 0], [t + 1, t + 2, 0]], b = A (1, 1, -1),
+    c = (1, 2, 3) and F_23 = F_32 = 2: x_1 = x_2 = 1 is forced, f* = -4."""
+    A = np.array([[t, t + 1, 0], [t + 1, t + 2, 0]])
+    F = np.zeros((3, 3))
+    F[1, 2] = F[2, 1] = 2.0
+    return SignProgram(n=3, c=[1.0, 2.0, 3.0], F=F, A=A, b=A @ [1, 1, -1])
+
+
 class TestLasserre1:
     def test_unconstrained_equals_homogenized_shor(self):
         q, mc = two_by_two_instance()
@@ -352,27 +362,24 @@ class TestLasserre1:
         assert r.value - r.inflation <= f_star + 1e-4 * (1 + abs(f_star))
 
     def test_one_reduction_per_face_solve(self, count_calls):
-        # the independence check of the diagonal rows on the face is one
-        # pass over their Gram matrix, and its factor also moves the last
-        # iterate onto them; nothing is QR-factored
+        # the diagonal rows on the face are decided once, from K's echelon
+        # form, and one Householder QR gives the face's basis
         qr, passes = count_calls(np.linalg, ["qr"]), count_calls(sdp, ROW_PASSES)
         r = lasserre1(knapsack_random(6, s=3.0, seed=5, b=14), cfg=CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert (qr, passes) == ({"qr": 0}, {"_independent": 1, "_independent_rows": 0})
+        assert (qr, passes) == ({"qr": 1}, {"_kept_diagonal": 1, "_independent_rows": 0})
 
     def test_diagonal_face_builds_no_svec_rows(self, monkeypatch):
-        # the diagonal method reads its face through P o P alone: with the
-        # svec rows, the pass over them and QR refused, x_1 + x_2 = 0 still
-        # drops the diagonal row of x_2, which coincides with that of x_1
-        # on the face, and its multiplier is exactly 0 under a bound below
-        # the optimum
+        # the diagonal method reads its face through K's echelon form alone:
+        # with the svec rows and the pass over them refused, x_1 + x_2 = 0
+        # still drops the diagonal row of x_2, which coincides with that of
+        # x_1 on the face, and its multiplier is exactly 0 under a bound
+        # below the optimum
         def refuse(*args, **kwargs):
-            raise AssertionError("svec rows, their pass or a QR factorization on the "
-                                 "diagonal path")
+            raise AssertionError("svec rows or their pass on the diagonal path")
 
         monkeypatch.setattr(sdp, "_face_rows", refuse)
         monkeypatch.setattr(sdp, "_independent_rows", refuse)
-        monkeypatch.setattr(np.linalg, "qr", refuse)
         q = SignProgram(n=3, c=[1.0, -2.0, 0.5], F=[[0, 1, 0], [1, 0, -2], [0, -2, 0]],
                         A=[[1, 1, 0]], b=[0])
         r = lasserre1(q, cfg=CFG)
@@ -471,16 +478,54 @@ class TestLasserre1:
             rounding = 1e-9 * (1.0 + np.abs(q.c).sum() + np.abs(q.F).sum())
             assert r.value - r.inflation <= f_star + rounding
 
+    @settings(max_examples=100, deadline=None)
+    @given(q=sign_programs(n=(1, 7), rows=(0, 2), near_singular=True),
+           max_iter=st.integers(1, 100))
+    def test_near_singular_rows_never_conflict(self, q, max_iter):
+        # rows r and r + e with r up to 1e9, whose [A, -b] a float rank
+        # misreads, and b met by a sign point: the face and its diagonal
+        # rows are decided exactly, so the rows never read as conflicting.
+        # The dual can still run to 1e10 on a feasible set that is thin in
+        # floats, where the certificate's round-off (ROADMAP item 16) can
+        # read Infeasible or a bound above f*
+        r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+        assert not r.note.startswith("infeasible constraint system"), r.note
+
+    @pytest.mark.parametrize("t", [10**k for k in range(3, 10)])
+    def test_near_singular_pair_converges(self, t):
+        # A = [[t, t + 1, 0], [t + 1, t + 2, 0]] has determinant -1, so
+        # x_1 = x_2 = 1 is forced and f* = -4, but a float SVD of [A, -b]
+        # misread its rank: a feasible program read Infeasible at t = 1e4 to
+        # 1e7, and a face one column too wide at 1e8 and 1e9
+        q = near_singular_pair(t)
+        assert optimum(q)[0] == -4.0
+        for r in (lasserre1(q, cfg=CFG), copositive_dnn(to_zero_one(q), DNN_CFG)):
+            assert r.status == CONVERGED, r.note
+            assert r.bound <= -4.0
+
+    def test_nearly_singular_kept_rows_keep_a_sound_bound(self):
+        # 10^8 x_3 = 10^8 x_1 + x_2 - 1: exactly, every diagonal row on the
+        # face is independent, but the rows of x_1 and x_3 differ by 1e-8
+        # there, so their Gram block is singular in floats; the solve runs
+        # on them without raising, and its bound holds
+        q = SignProgram(n=3, c=[1.0, -2.0, 0.5], F=[[0, 1, 0], [1, 0, -2], [0, -2, 0]],
+                        A=[[-10**8, -1, 10**8]], b=[-1])
+        f_star, _ = optimum(q)
+        for max_iter in (1, 5, 30000):
+            r = lasserre1(q, cfg=SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=max_iter))
+            assert r.status in (CONVERGED, ITERATION_LIMIT), r.note
+            assert r.bound <= f_star
+
     def test_coinciding_diagonal_rows_at_any_budget(self, monkeypatch):
         # x_1 + x_2 = 0 makes rows 1 and 2 of every face point opposite, so
         # their diagonal rows coincide on the face and the second is dropped
-        # by the solve's one pass of _independent; at every budget each
-        # dropped row's multiplier is exactly 0 and the certified bound
-        # stays below the enumerated optimum
+        # by the solve's one exact decision; at every budget each dropped
+        # row's multiplier is exactly 0 and the certified bound stays below
+        # the enumerated optimum
         kept = []
-        independent = sdp._independent
-        monkeypatch.setattr(sdp, "_independent",
-                            lambda *args: kept.append(independent(*args)) or kept[-1])
+        kept_diagonal = sdp._kept_diagonal
+        monkeypatch.setattr(sdp, "_kept_diagonal",
+                            lambda *args: kept.append(kept_diagonal(*args)) or kept[-1])
         rng = np.random.default_rng(29)
         dropped_solves = 0
         for k in range(60):
@@ -654,13 +699,13 @@ class TestConvexQuadratic:
         assert len(kept) == rank
         assert (int(np.linalg.matrix_rank(A[kept])) if rank else 0) == rank
 
-        with (mock.patch.object(sdp, "_independent", wraps=sdp._independent) as independent,
+        with (mock.patch.object(sdp, "_kept_diagonal", wraps=sdp._kept_diagonal) as diagonal,
               mock.patch.object(sdp, "_independent_rows",
                                 wraps=sdp._independent_rows) as independent_rows,
               mock.patch.object(sdp, "_inv", wraps=sdp._inv) as inv,
               mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq):
             r = convex_quadratic_relaxation(q, SolverConfig(max_iter=max_iter))
-        assert independent.call_count == independent_rows.call_count == lstsq.call_count == 0
+        assert diagonal.call_count == independent_rows.call_count == lstsq.call_count == 0
         if r.status == ITERATION_LIMIT:
             assert inv.call_count == max_iter
         else:
@@ -804,11 +849,11 @@ class TestCopositiveDnn:
     def test_one_reduction_per_solve(self, count_calls):
         # one pass over the rows serves the independence check, and its
         # factor the rows' projection of the orthant entries and the final
-        # move onto the rows; nothing is QR-factored
+        # move onto the rows; one Householder QR gives the face's basis
         qr, passes = count_calls(np.linalg, ["qr"]), count_calls(sdp, ROW_PASSES)
         r = copositive_dnn(to_zero_one(knapsack_fixed(4, 28)), DNN_CFG)
         assert r.status == CONVERGED and r.solution.iterations > 0
-        assert (qr, passes) == ({"qr": 0}, {"_independent": 0, "_independent_rows": 1})
+        assert (qr, passes) == ({"qr": 1}, {"_kept_diagonal": 0, "_independent_rows": 1})
 
     def test_certificate_reuses_the_solves_rows(self, monkeypatch):
         # the face rows, the kept ones and the trace they fix are one record

@@ -1,5 +1,6 @@
 import copy
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from maxcut_bridge.penalty import _moment_cost, rho as penalty_rho
 from maxcut_bridge.reduction import homogenize
 from maxcut_bridge.relaxations import shor_maxcut
 from maxcut_bridge import relaxations, sdp
-from maxcut_bridge.relaxations import _null_face, copositive_dnn
+from maxcut_bridge.relaxations import copositive_dnn
 from maxcut_bridge.sdp import (
     _TRI_BLOCK,
     Cone,
@@ -30,7 +31,7 @@ from maxcut_bridge.sdp import (
     project_psd_nonneg,
     solve_sdp,
 )
-from strategies import extrema, zero_one_programs
+from strategies import extrema, rref, zero_one_programs
 
 CFG = SolverConfig()
 FAST = SolverConfig(eps_abs=1e-6, eps_rel=1e-5, max_iter=30000)
@@ -286,19 +287,19 @@ class TestSolveSdp:
         np.testing.assert_allclose(ipm.X, general.X, atol=1e-3)
 
     def test_face_beside_fixed_diagonal(self):
-        # on the face V = (1, 1)'/sqrt(2) the only X with unit diagonal is
-        # [[1, 1], [1, 1]]; the diagonal rows coincide there, so the second
-        # is dropped with multiplier 0
+        # on the face of x_1 - x_2 = 0, spanned by V = (1, 1)'/sqrt(2), the
+        # only X with unit diagonal is [[1, 1], [1, 1]]; the diagonal rows
+        # coincide there, so the second is dropped with multiplier 0
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         V = np.ones((2, 1)) / np.sqrt(2.0)
-        p = SdpProblem(C=C, diag=np.ones(2), face=V)
+        p = SdpProblem(C=C, diag=np.ones(2), face=np.array([[1, -1]]))
         sol = solve_sdp(p, CFG)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.objective == pytest.approx(2.0, abs=1e-5)
         np.testing.assert_allclose(sol.X, V @ V.T @ sol.X @ V @ V.T, atol=1e-12)
         np.testing.assert_allclose(sol.X, np.ones((2, 2)), atol=1e-5)
         assert sol.y[1] == 0.0
-        assert certified_diag_bound(p, sol.y) <= sol.objective
+        assert certified_diag_bound(p, sol.y) <= 2.0  # the optimum
 
     def test_diag_with_rows_goes_to_interior_point(self):
         # the unit diagonal as rows beside an X_12 row: the face method
@@ -376,7 +377,7 @@ class TestSolveSdp:
         # X_11 = -1 holds for no PSD matrix
         (dict(diag=[-1.0, 1.0]), "^diag must be positive$"),
         *((dict(A=diag_rows(2), b=np.ones(2), cone=cone, face=face), None)
-          for cone in Cone for face in (None, np.ones((2, 1)) / np.sqrt(2.0))),
+          for cone in Cone for face in (None, np.array([[1, -1]]))),
     ], ids=["diag_with_rows", "diag_on_psd_nonneg", "zero_entry", "negative_entry",
             "rows_psd", "rows_psd_face", "rows_psd_nonneg", "rows_psd_nonneg_face"])
     def test_two_shapes(self, shape, message):
@@ -454,32 +455,30 @@ class TestSolveSdp:
             assert certified_diag_bound(p, sol.y) <= extrema(F=B + B.T).min
 
     @pytest.mark.parametrize("face", [False, True])
-    def test_one_factorization_per_iteration(self, face, monkeypatch, count_calls):
+    def test_one_factorization_per_iteration(self, face, count_calls):
         # R and Z are factored and inverted as one stack, the Schur matrix
         # is solved for the predictor and the corrector, and both step
         # lengths come from one eigvalsh call, all through the LAPACK seam;
-        # on a face the one pass of _independent over P o P factors the
-        # diagonal rows, and its factor moves the last iterate onto them
-        # without a solve, leaving one numpy.linalg eigh, project_psd's
+        # on a face one Householder QR gives V, K's echelon form decides the
+        # diagonal rows without factoring anything, one more solve, of
+        # P o P, moves the last iterate onto them, and project_psd's eigh
+        # measures it
         rng = np.random.default_rng(11)
         B = rng.normal(size=(5, 5))
         # on the face e' x = 0 the unit diagonal still has the interior
         # point (5 I - ee') / 4
-        V = np.linalg.qr(np.eye(5) - np.ones((5, 5)) / 5.0)[0][:, :4] if face else None
+        K = np.ones((1, 5), dtype=int) if face else None
         calls = count_calls(np.linalg, ["cholesky", "inv", "eigvalsh", "eigh", "solve", "qr",
                                         "lstsq"])
         seam = count_calls(sdp, SEAM)
-        reductions = []
-        independent = sdp._independent
-        monkeypatch.setattr(sdp, "_independent",
-                            lambda *args: reductions.append(None) or independent(*args))
-        sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=V), CFG)
+        decisions = count_calls(sdp, ["_kept_diagonal"])
+        sol = solve_sdp(SdpProblem(C=B + B.T, diag=np.ones(5), face=K), CFG)
         k = sol.iterations
         assert sol.status == SolveStatus.CONVERGED and k > 0
-        assert seam == dict(_cholesky=k, _inv=k, _solve=2 * k, _eigvalsh=k, _eigh=0)
-        assert calls == dict(cholesky=0, inv=0, eigvalsh=0, eigh=int(face), solve=0, qr=0,
+        assert seam == dict(_cholesky=k, _inv=k, _solve=2 * k + face, _eigvalsh=k, _eigh=0)
+        assert calls == dict(cholesky=0, inv=0, eigvalsh=0, eigh=face, solve=0, qr=face,
                              lstsq=0)
-        assert len(reductions) == face
+        assert decisions == {"_kept_diagonal": face}
 
     @settings(max_examples=150, deadline=None)
     @given(Q=symmetric_matrices(), max_iter=st.integers(1, 60))
@@ -591,12 +590,15 @@ class TestSolveSdp:
         for C in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))):
             with pytest.raises(ValueError, match="^C must be square$"):
                 SdpProblem(C=C)
-        for face in (np.ones(2), np.eye(3)[:, :2], [[1.0], [np.nan]]):
-            with pytest.raises(ValueError, match="^face must be a finite matrix with 2 rows$"):
+        # a face is an integer K with one column per coordinate; floats are
+        # refused even where integral, as K is decided exactly
+        for face in (np.ones(2, dtype=int), np.ones((2, 3), dtype=int), [[1.0, 1.0]],
+                     [[1, np.nan]], np.ones((1, 2), dtype=bool)):
+            with pytest.raises(ValueError, match="^face must be an integer matrix with 2 columns$"):
                 SdpProblem(C=np.eye(2), diag=np.ones(2), face=face)
-        for face in ([[1.0], [1.0]], [[1.0, 1.0], [0.0, 0.0]]):
-            with pytest.raises(ValueError, match="^face must have orthonormal columns$"):
-                SdpProblem(C=np.eye(2), diag=np.ones(2), face=face)
+        # a zero K cuts out no face
+        for face in (np.zeros((0, 2), dtype=int), [[0, 0]]):
+            assert SdpProblem(C=np.eye(2), diag=np.ones(2), face=face)._basis is None
 
     def test_rows_that_fix_no_trace(self):
         # X_12 = 0.5 leaves the trace free: the solve and the certificate
@@ -649,22 +651,6 @@ class TestSolveSdp:
         assert p.A.shape == (0, 2, 2) and p.b.shape == (0,)
         assert solve_sdp(p, CFG).objective == pytest.approx(-2.0, abs=1e-5)
         assert len(calls) == 1
-
-
-def diagonal_rows_reference(p):
-    """The fixed diagonal of ``p`` as the face method reads rows: the stack
-    of E_ii lifted to svec(V' E_ii V) on the face V of ``p`` (the identity
-    without one), each row and its right-hand side diag_i divided by the
-    row's norm, and a row the face shrinks below 1e-9 set to zero.  Returns
-    the rows and right-hand sides."""
-    V = np.eye(p.dim) if p.face is None else p.face
-    a, b, s = _svec_index(V.shape[1])
-    rows = (V.T @ diag_rows(p.dim) @ V)[:, a, b] * s
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms <= 1e-9] = 0.0
-    rows[norms == 0.0] = 0.0
-    scale = np.where(norms > 0.0, norms, 1.0)
-    return rows / scale[:, None], p.diag / scale
 
 
 def independent_reference(rows, rhs, slack):
@@ -761,35 +747,6 @@ def row_systems(draw, near_conflicts=False):
         rows.append(row)
         rhs.append(value)
     return np.array(rows).reshape(-1, N), np.array(rhs)
-
-
-@st.composite
-def diagonal_faces(draw):
-    """Problems that ``_solve_diag_ipm`` solves on a face: d from 2 to 10,
-    a random orthonormal face or the null space of a small integer system,
-    which may pin a coordinate (a zero diagonal row) or equate two up to
-    sign (coinciding rows), and a diagonal of ones, a random one, or that of
-    a point on the face."""
-    d = draw(st.integers(2, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
-    else:
-        K = rng.integers(-1, 2, size=(draw(st.integers(0, d - 2)), d)).astype(float)
-        i, j = rng.choice(d, size=2, replace=False)
-        extra = {"none": [], "pin": [np.eye(d)[i]],
-                 "equate": [np.eye(d)[i] + rng.choice([-1.0, 1.0]) * np.eye(d)[j]]}
-        face = _null_face(np.array(list(K) + extra[draw(st.sampled_from(list(extra)))])
-                          .reshape(-1, d))
-        assume(face is not None and face.shape[1] > 0)
-    kind = draw(st.sampled_from(["ones", "random", "attained"]))
-    if kind == "attained":
-        B = rng.normal(size=(face.shape[1],) * 2)
-        diag = (face @ (B @ B.T + np.eye(len(B))) @ face.T).diagonal()
-        assume(np.all(diag > 1e-6))
-    else:
-        diag = np.ones(d) if kind == "ones" else rng.uniform(0.5, 2.0, size=d)
-    return SdpProblem(C=np.eye(d), diag=diag, face=face)
 
 
 # Systems of ``row_systems()`` on which a pass over the rows' Gram matrix
@@ -920,14 +877,13 @@ class TestIndependent:
         # the second row is 2e-6 off the first and the third 0.05 off
         # their span, so its combination of them sums to 1e6 in size:
         # the QR reference keeps all three, whether or not the third's
-        # right-hand side is the combination of theirs, and so do the pass
-        # over their Gram matrix and the pass over the rows
+        # right-hand side is the combination of theirs, and so does the
+        # pass over the rows
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 2e-6, 0.0], [0.0, 1.0, 0.05]])
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         rhs = rows @ np.array(point)
         slack = 1e-9 * (1.0 + np.linalg.norm(rhs))
         assert independent_reference(rows, rhs, slack).tolist() == [0, 1, 2]
-        assert sdp._independent(rows @ rows.T, rhs)[0].tolist() == [0, 1, 2]
         assert sdp._independent_rows(rows, rhs)[0].tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("rhs", [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
@@ -947,29 +903,84 @@ class TestIndependent:
         assert keep.tolist() == [0, 1, 2]
         np.testing.assert_allclose(L_inv[2] @ rows, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-6)
 
+
+@st.composite
+def diagonal_faces(draw):
+    """Problems that ``_solve_diag_ipm`` solves on a face: d from 2 to 10,
+    the face of an integer system K with entries in [-1, 1] or [-3, 3],
+    which may pin a coordinate (a zero diagonal row) or equate two up to
+    sign (coinciding rows), and a diagonal of ones, a random one, or that
+    of a point on the face."""
+    d = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1, 3]))
+    K = rng.integers(-top, top + 1, size=(draw(st.integers(0, d - 1)), d))
+    i, j = rng.choice(d, size=2, replace=False)
+    unit = np.eye(d, dtype=int)
+    extra = {"none": [], "pin": [unit[i]], "equate": [unit[i] + rng.choice([-1, 1]) * unit[j]]}
+    K = np.array(list(K) + extra[draw(st.sampled_from(list(extra)))], dtype=int).reshape(-1, d)
+    V = SdpProblem(C=np.eye(d), diag=np.ones(d), face=K)._basis
+    assume(V is not None and V.shape[1] > 0)
+    kind = draw(st.sampled_from(["ones", "random", "attained"]))
+    if kind == "attained":
+        B = rng.normal(size=(V.shape[1],) * 2)
+        diag = (V @ (B @ B.T + np.eye(len(B))) @ V.T).diagonal()
+        assume(np.all(diag > 1e-6))
+    else:
+        diag = np.ones(d) if kind == "ones" else rng.uniform(0.5, 2.0, size=d)
+    return SdpProblem(C=np.eye(d), diag=diag, face=K)
+
+
+class TestKeptDiagonal:
     @settings(max_examples=300, deadline=None)
     @given(p=diagonal_faces())
-    def test_diagonal_rows_through_p_o_p(self, p):
-        # the diagonal method's pass over P o P keeps the diagonal rows,
-        # and reaches the verdict, that the QR reference does on the
-        # diagonal's svec rows
-        rows, rhs = diagonal_rows_reference(p)
-        keep = verdict(independent_reference, rows, rhs, 1e-9 * (1.0 + np.linalg.norm(rhs)))
-        event("inconsistent" if keep is None else f"{p.dim - len(keep)} dropped")
-        outcomes = []
-        independent = sdp._independent
-
-        def recorded(*args):
-            outcomes.append(verdict(independent, *args))
-            return independent(*args)
-
-        with mock.patch.object(sdp, "_independent", recorded):
-            sol = solve_sdp(p, SolverConfig(max_iter=1))
-        assert outcomes == [keep], (outcomes, keep)
-        if keep is None:
+    def test_follows_the_exact_rank(self, p):
+        # the diagonal rows on the face of K are the matrices n_i n_i' of
+        # the rows of K's null-space basis N, and the echelon form keeps
+        # the first of them, in order, that raise the exact rank in
+        # Fractions of their upper triangles.  It raises exactly where the
+        # right-hand sides, read as rationals, raise that rank, and each row
+        # is its row of E times the kept rows.  The solve returns 0 at every
+        # dropped row, or Diverged
+        rows, pivots = rref(p.face.tolist())
+        free = [c for c in range(p.dim) if c not in pivots]
+        N = [[Fraction(int(c == f)) for f in free] for c in range(p.dim)]
+        for row, c in zip(rows, pivots):
+            N[c] = [-row[f] for f in free]
+        ia, ib = np.triu_indices(len(free))
+        lifted = [[n[a] * n[b] for a, b in zip(ia, ib)] for n in N]
+        rank = len(rref(lifted)[1])
+        consistent = rank == len(rref([v + [Fraction(x)] for v, x in zip(lifted, p.diag)])[1])
+        event("inconsistent" if not consistent else f"{p.dim - rank} dropped")
+        sol = solve_sdp(p, SolverConfig(max_iter=1))
+        if not consistent:
+            with pytest.raises(sdp._InconsistentSystem):
+                sdp._kept_diagonal(p._echelon, p.diag)
             assert sol.status == SolveStatus.DIVERGED and sol.y is None
-        else:
-            assert (np.delete(sol.y, keep) == 0.0).all()
+            return
+        keep, E = sdp._kept_diagonal(p._echelon, p.diag)
+        first = []
+        for i, row in enumerate(lifted):
+            if len(rref([lifted[k] for k in first] + [row])[1]) > len(first):
+                first.append(i)
+        assert keep.tolist() == first and len(first) == rank
+        assert (E[keep] == np.eye(len(keep))).all()
+        V = p._basis
+        P_rows = np.array([np.outer(v, v).ravel() for v in V])
+        np.testing.assert_allclose(E @ P_rows[keep], P_rows, rtol=0.0, atol=1e-9)
+        assert (np.delete(sol.y, keep) == 0.0).all()
+
+    def test_coinciding_rows(self):
+        # x_1 + x_2 = 0 on (x_1, x_2, x_3): the diagonal rows of x_1 and x_2
+        # coincide, so the second is dropped and carries its multiplier over
+        # to the first with coefficient 1, although x_1 is the pivot of K's
+        # echelon form; right-hand sides that differ conflict
+        e = SdpProblem(C=np.eye(3), diag=np.ones(3), face=np.array([[1, 1, 0]]))._echelon
+        keep, E = sdp._kept_diagonal(e, np.ones(3))
+        assert keep.tolist() == [0, 2]
+        assert E.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(sdp._InconsistentSystem):
+            sdp._kept_diagonal(e, np.array([1.0, 1.0 + 2.0**-52, 1.0]))
 
 
 def smat(u, r):
@@ -991,7 +1002,7 @@ def face_ipm_reference(p, cfg):
     r = V.shape[1]
     ia, ib, s = _svec_index(r)
     m = len(b)
-    C = sign * (p.C if p.face is None else V.T @ p.C @ V)
+    C = sign * (p.C if p._basis is None else V.T @ p.C @ V)
     c = C[ia, ib] * s
     bound = T * float(np.linalg.eigvalsh(C)[-1])
     res_tol = d * cfg.eps_abs + cfg.eps_rel * (1.0 + float(np.linalg.norm(b)))
@@ -1110,7 +1121,7 @@ def face_ipm_reference(p, cfg):
         it += 1
 
     R = smat(rho + (L_inv @ (b - A @ rho)) @ L_inv @ A, r)
-    X = R if p.face is None else V @ R @ V.T
+    X = R if p._basis is None else V @ R @ V.T
     y_rows, W = multipliers()
     return sdp._solution(p, X, status, primal_residual=0.0, dual_residual=gap, iterations=it,
                          y=y_rows, W=W)
@@ -1118,21 +1129,18 @@ def face_ipm_reference(p, cfg):
 
 @st.composite
 def face_problems(draw):
-    """Problems the face method solves: d from 2 to 7, no face, a random
-    orthonormal one or the null space of a small integer system, the
+    """Problems the face method solves: d from 2 to 7, no face or that of
+    a small integer system K with entries in [-1, 1] or [-3, 3], the
     diagonal of a point X0 = V R0 V' fixed as rows, up to two more rows
     that X0 meets, and either cone and sense."""
     d = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["none", "orthonormal", "null"]))
-    face = None
-    if kind == "orthonormal":
-        face = np.linalg.qr(rng.normal(size=(d, draw(st.integers(1, d)))))[0]
-    elif kind == "null":
-        K = rng.integers(-1, 2, size=(draw(st.integers(1, d - 1)), d)).astype(float)
-        face = _null_face(K)
-        assume(face is not None and face.shape[1] > 0)
-    V = np.eye(d) if face is None else face
+    face, V = None, np.eye(d)
+    if draw(st.booleans()):
+        top = draw(st.sampled_from([1, 3]))
+        face = rng.integers(-top, top + 1, size=(draw(st.integers(1, d - 1)), d))
+        V = SdpProblem(C=np.eye(d), diag=np.ones(d), face=face)._basis
+        assume(V is not None and V.shape[1] > 0)
     B = rng.normal(size=(V.shape[1], V.shape[1]))
     X0 = V @ (B @ B.T + np.eye(len(B))) @ V.T
     cone = draw(st.sampled_from(list(Cone)))
@@ -1185,11 +1193,11 @@ class TestFaceIpm:
         # per iteration one Cholesky factorization of R, one eigh of the
         # scaled Z, two solves of the Newton matrix (predictor and
         # corrector) and two eigvalsh of the stacked step matrices, all
-        # through the LAPACK seam; numpy.linalg serves the setup, eigvalsh
-        # of C and of the start's Z, and the end, one eigh for R's distance
-        # to the PSD cone.  The trace weights, the pinned entries and the
-        # move onto the rows read the factor of the one pass over the
-        # rows, and solve nothing
+        # through the LAPACK seam; numpy.linalg serves the setup, one
+        # Householder QR for the face and eigvalsh of C and of the start's
+        # Z, and the end, one eigh for R's distance to the PSD cone.  The
+        # trace weights, the pinned entries and the move onto the rows read
+        # the factor of the one pass over the rows, and solve nothing
         calls = count_calls(np.linalg, ["cholesky", "eigh", "solve", "eigvalsh", "inv", "lstsq",
                                         "qr"])
         seam = count_calls(sdp, SEAM)
@@ -1202,7 +1210,7 @@ class TestFaceIpm:
         k = sol.iterations
         assert sol.status == SolveStatus.CONVERGED and k > 0
         assert seam == dict(_cholesky=k, _inv=0, _solve=2 * k, _eigvalsh=2 * k, _eigh=k)
-        assert calls == dict(cholesky=0, eigh=1, solve=0, eigvalsh=2, inv=0, lstsq=0, qr=0)
+        assert calls == dict(cholesky=0, eigh=1, solve=0, eigvalsh=2, inv=0, lstsq=0, qr=1)
         assert len(reductions) == 1
 
 

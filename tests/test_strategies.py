@@ -9,7 +9,7 @@ from hypothesis import Phase, find, given, settings
 
 import strategies
 from maxcut_bridge.model import SignProgram
-from strategies import extrema, hypercube, optimum, sign_programs, zero_one_programs
+from strategies import extrema, hypercube, optimum, rref, sign_programs, zero_one_programs
 
 
 rank = np.linalg.matrix_rank
@@ -25,9 +25,12 @@ rank = np.linalg.matrix_rank
     (sign_programs(quadratic=(0, 1, 1)), lambda q: not q.F.any()),
     (sign_programs(cost_scales=(1.0, 1.0, 1e3)), lambda q: np.abs(q.c).max() > 5),
     (sign_programs(scaled=True), lambda q: q.scale != 1.0 and q.offset != 0.0),
+    (sign_programs(near_singular=True),
+     lambda q: len(rref(np.column_stack([q.A, -q.b]))[1]) == q.m
+     and np.linalg.cond(np.column_stack([q.A, -q.b])) >= 1e8),
 ], ids=["dependent_rows", "pinned_variable", "no_feasible_sign_point",
         "no_feasible_zero_one_point", "no_real_solution", "linear_objective", "costs_x1e3",
-        "scaled"])
+        "scaled", "near_singular"])
 def test_each_knob_reaches_its_class(strategy, condition):
     # the first draw found is enough: no shrinking
     find(strategy, condition, settings=settings(database=None, derandomize=True,
